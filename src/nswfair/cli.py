@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .efx import guarantee_half_efx, half_efx_check
-from .errors import LemmaViolation, SizeGuardExceeded
+from .errors import InvariantViolation, LemmaViolation, SizeGuardExceeded
 from .generate import FAMILIES, WEIGHT_MODES, random_instance
 from .instance import (
     Allocation,
@@ -367,7 +367,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except LemmaViolation as exc:
         print(f"certificate violation: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolation as exc:
+        print(f"solver bug: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Literal, Mapping, Optional, Sequence, Set, Tuple
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, LemmaViolation
 from .instance import Allocation, Instance
 from .matching import solve_lex_assignment
 
@@ -124,13 +124,17 @@ def _outcome(
     before = _sym_nsw_log(inst, input_bundles)
     after = _sym_nsw_log(inst, bundles)
     if tag == "half_efx":
-        assert after >= before + _LOG_HALF - _TOL, "welfare dropped below half"
-        assert not half_efx_check(inst, alloc), "claimed 1/2-EFX output fails the checker"
+        if not after >= before + _LOG_HALF - _TOL:
+            raise LemmaViolation(f"welfare dropped below half: log NSW {before} -> {after}")
+        if half_efx_check(inst, alloc):
+            raise LemmaViolation("claimed 1/2-EFX output fails the checker")
     else:
         support_in = frozenset().union(*input_bundles) if input_bundles else frozenset()
         support_out = frozenset().union(*bundles) if bundles else frozenset()
-        assert support_out < support_in, "support did not strictly shrink"
-        assert after >= before - _TOL, "support shrink lost welfare"
+        if not support_out < support_in:
+            raise LemmaViolation("support did not strictly shrink")
+        if not after >= before - _TOL:
+            raise LemmaViolation(f"support shrink lost welfare: log NSW {before} -> {after}")
     return FairnessOutcome(tag=tag, allocation=alloc)
 
 
@@ -173,7 +177,8 @@ def make_fair_or_efficient(inst: Instance, t_alloc: Allocation) -> FairnessOutco
                 val = v1.value(s_bundles[k] - {g})
                 if best is None or val > best[2]:
                     best = (k, g, val)
-        assert best is not None, "some bundle must be nonempty here"
+        if best is None:
+            raise InvariantViolation("no agent holds an item while one agent is unmatched")
         h, g_h, _ = best
         v_h = inst.valuations[h]
         if v_h.value(s_bundles[h] - {g_h}) >= 0.5 * v_h.value(t_bundles[h]):

@@ -11,16 +11,25 @@ item j from agent i and hands it to agent k; it is accepted when
 
 strictly. Scanning order is fixed (agents by index, items by index, takers by
 index) and the first improving move is applied, so runs are deterministic.
-The same gain expression backs :func:`verify_local_opt`, which re-checks
-every triple on the final bundles, and :func:`prices`, which turns local
-optimality into per-item prices with provable spending caps.
+
+Every swap is scored through one gain table, :class:`_Gains`, which memoises
+the three logs a gain needs: log vbar_a(R_a) per agent, log vbar_i(R_i - j)
+per (giver, item) and log vbar_k(R_k + j) per (taker, item). Each is filled
+on first use. Accepting a swap changes only the giver's and the taker's
+bundles, so it clears exactly their entries and every other agent keeps its
+own. Valuations are pure functions of the set, so a cached log is the float
+a fresh evaluation would return and the gains, the scan order and the
+certificates do not depend on the cache. The same table backs
+:func:`verify_local_opt`, which re-checks every triple on the final bundles,
+and :func:`prices`, which turns local optimality into per-item prices with
+provable spending caps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
 from .errors import AllocationError, InvariantViolation, LemmaViolation
 from .instance import Instance
@@ -98,19 +107,75 @@ class _Context:
                 self.abar.append(agent)
                 self.endowed[agent] = endow(v, self.universe)
 
-    def log_vbar(self, agent: str, bundle: Iterable[str]) -> float:
-        return math.log(self.endowed[agent].value(bundle))
+    def vbar(self, agent: str, bundle: Iterable[str]) -> Tuple[float, float]:
+        """vbar_agent(bundle) and its log."""
+        value = self.endowed[agent].value(bundle)
+        return value, math.log(value)
 
-    def swap_log_gain(
-        self, giver: str, item: str, taker: str, bundles: Mapping[str, set]
-    ) -> float:
-        w = self.inst.weight_floats
-        idx = self.inst.agent_index
-        r_i = bundles[giver]
-        r_k = bundles[taker]
-        gain_i = self.log_vbar(giver, r_i - {item}) - self.log_vbar(giver, r_i)
-        gain_k = self.log_vbar(taker, r_k | {item}) - self.log_vbar(taker, r_k)
-        return w[idx[giver]] * gain_i + w[idx[taker]] * gain_k
+
+class _Gains:
+    """Swap gains over live bundles, with every vbar memoised until it changes.
+
+    ``bundles`` is owned by the table once handed over: change it only
+    through :meth:`move`, which keeps the memo in step.
+    """
+
+    def __init__(self, ctx: _Context, bundles: Dict[str, set]):
+        self.ctx = ctx
+        self.bundles = bundles
+        w = ctx.inst.weight_floats
+        self.weight = {a: w[ctx.inst.agent_index[a]] for a in ctx.abar}
+        self._cur: Dict[str, Tuple[float, float]] = {}
+        self._rem: Dict[str, Dict[str, Tuple[float, float]]] = {a: {} for a in ctx.abar}
+        self._add: Dict[str, Dict[str, float]] = {a: {} for a in ctx.abar}
+
+    def current(self, agent: str) -> Tuple[float, float]:
+        """vbar(R_agent) and its log."""
+        hit = self._cur.get(agent)
+        if hit is None:
+            hit = self._cur[agent] = self.ctx.vbar(agent, self.bundles[agent])
+        return hit
+
+    def removed(self, agent: str, item: str) -> Tuple[float, float]:
+        """vbar(R_agent - item) and its log."""
+        row = self._rem[agent]
+        hit = row.get(item)
+        if hit is None:
+            hit = row[item] = self.ctx.vbar(agent, self.bundles[agent] - {item})
+        return hit
+
+    def added(self, agent: str, item: str) -> float:
+        """log vbar(R_agent + item)."""
+        row = self._add[agent]
+        hit = row.get(item)
+        if hit is None:
+            hit = row[item] = self.ctx.vbar(agent, self.bundles[agent] | {item})[1]
+        return hit
+
+    def scan(self) -> Iterator[Tuple[str, str, str, float]]:
+        """(giver, item, taker, log-gain) of every swap, in scan order.
+
+        The gain is w_g * (log vbar_g(R_g - j) - log vbar_g(R_g))
+        + w_t * (log vbar_t(R_t + j) - log vbar_t(R_t)), with the giver's
+        term computed once per item. Stop iterating after a :meth:`move`.
+        """
+        abar = self.ctx.abar
+        w = self.weight
+        for giver in abar:
+            for item in self.ctx.inst.sort_items(self.bundles[giver]):
+                give = w[giver] * (self.removed(giver, item)[1] - self.current(giver)[1])
+                for taker in abar:
+                    if taker != giver:
+                        take = w[taker] * (self.added(taker, item) - self.current(taker)[1])
+                        yield giver, item, taker, give + take
+
+    def move(self, giver: str, item: str, taker: str) -> None:
+        self.bundles[giver].discard(item)
+        self.bundles[taker].add(item)
+        for agent in (giver, taker):
+            self._cur.pop(agent, None)
+            self._rem[agent].clear()
+            self._add[agent].clear()
 
 
 def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> LocalSearchResult:
@@ -125,59 +190,44 @@ def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> Loc
     bundles: Dict[str, set] = {a: set() for a in inst.agents}
     if ctx.abar:
         bundles[ctx.abar[0]] = set(ctx.universe)
+    table = _Gains(ctx, bundles)
     threshold = math.log1p(eps_bar)
     max_swaps = None
     if eps_bar > 0 and ctx.universe:
         max_swaps = int(math.log(len(ctx.universe) + 1) / math.log1p(eps_bar)) + 4
     swaps = 0
     trace: List[SwapRecord] = []
-    certificate = None
-    while certificate is None:
+    while True:
         triples = 0
         max_gain = float("-inf")
-        moved = False
-        for giver in ctx.abar:
-            items = inst.sort_items(bundles[giver])
-            for item in items:
-                for taker in ctx.abar:
-                    if taker == giver:
-                        continue
-                    gain = ctx.swap_log_gain(giver, item, taker, bundles)
-                    triples += 1
-                    if gain > max_gain:
-                        max_gain = gain
-                    if gain > threshold:
-                        bundles[giver].discard(item)
-                        bundles[taker].add(item)
-                        swaps += 1
-                        trace.append(SwapRecord(swaps, giver, item, taker, gain))
-                        if max_swaps is not None and swaps > max_swaps:
-                            raise InvariantViolation(
-                                f"swap count {swaps} exceeded the certified bound {max_swaps}"
-                            )
-                        moved = True
-                        break
-                if moved:
-                    break
-            if moved:
+        for giver, item, taker, gain in table.scan():
+            triples += 1
+            if gain > max_gain:
+                max_gain = gain
+            if gain > threshold:
+                table.move(giver, item, taker)
+                swaps += 1
+                trace.append(SwapRecord(swaps, giver, item, taker, gain))
+                if max_swaps is not None and swaps > max_swaps:
+                    raise InvariantViolation(
+                        f"swap count {swaps} exceeded the certified bound {max_swaps}"
+                    )
                 break
-        if not moved:
-            certificate = LocalOptCertificate(
-                triples_checked=triples,
-                max_log_gain=max_gain if triples else float("-inf"),
-                threshold=threshold,
-            )
+        else:
+            break
     return LocalSearchResult(
         bundles={a: frozenset(b) for a, b in bundles.items()},
         abar=tuple(ctx.abar),
         favorites={a: ctx.endowed[a].favorite for a in ctx.abar},
         swaps=swaps,
         trace=tuple(trace),
-        certificate=certificate,
+        certificate=LocalOptCertificate(
+            triples_checked=triples, max_log_gain=max_gain, threshold=threshold
+        ),
     )
 
 
-def _context_for_bundles(inst: Instance, bundles: Mapping[str, Iterable[str]]) -> Tuple[_Context, Dict[str, set]]:
+def _gains_for_bundles(inst: Instance, bundles: Mapping[str, Iterable[str]]) -> _Gains:
     union: set = set()
     sets: Dict[str, set] = {a: set() for a in inst.agents}
     for agent, bundle in bundles.items():
@@ -195,7 +245,7 @@ def _context_for_bundles(inst: Instance, bundles: Mapping[str, Iterable[str]]) -
         raise AllocationError(
             f"agents {sorted(outside)} hold items but value the universe at zero"
         )
-    return ctx, sets
+    return _Gains(ctx, sets)
 
 
 def verify_local_opt(
@@ -205,20 +255,16 @@ def verify_local_opt(
 
     Returns every (giver, taker, item) triple whose swap gain strictly beats
     log(1 + eps_bar); the empty list certifies an eps_bar-local optimum. The
-    gain expression is shared with :func:`local_search`, so verifying a
+    gain table is the one :func:`local_search` scores with, so verifying a
     search output is exact, not a tolerance game.
     """
-    ctx, sets = _context_for_bundles(inst, bundles)
+    table = _gains_for_bundles(inst, bundles)
     threshold = math.log1p(eps_bar)
-    violations: List[Tuple[str, str, str]] = []
-    for giver in ctx.abar:
-        for item in inst.sort_items(sets[giver]):
-            for taker in ctx.abar:
-                if taker == giver:
-                    continue
-                if ctx.swap_log_gain(giver, item, taker, sets) > threshold:
-                    violations.append((giver, taker, item))
-    return violations
+    return [
+        (giver, taker, item)
+        for giver, item, taker, gain in table.scan()
+        if gain > threshold
+    ]
 
 
 @dataclass(frozen=True)
@@ -239,16 +285,14 @@ class PriceVector:
 def prices(inst: Instance, bundles: Mapping[str, Iterable[str]], variant: str) -> PriceVector:
     if variant not in ("asymmetric", "symmetric"):
         raise ValueError(f"variant must be 'asymmetric' or 'symmetric', got {variant!r}")
-    ctx, sets = _context_for_bundles(inst, bundles)
-    w = inst.weight_floats
-    idx = inst.agent_index
+    table = _gains_for_bundles(inst, bundles)
     values: Dict[str, float] = {}
-    for agent in ctx.abar:
-        for item in inst.sort_items(sets[agent]):
-            with_item = ctx.endowed[agent].value(sets[agent])
-            without = ctx.endowed[agent].value(sets[agent] - {item})
+    for agent in table.ctx.abar:
+        with_item, log_with = table.current(agent)
+        for item in inst.sort_items(table.bundles[agent]):
+            without, log_without = table.removed(agent, item)
             if variant == "asymmetric":
-                values[item] = w[idx[agent]] * (math.log(with_item) - math.log(without))
+                values[item] = table.weight[agent] * (log_with - log_without)
             else:
                 p = with_item / without - 1.0
                 if p > 1.0 + SPENDING_TOLERANCE:
@@ -277,14 +321,13 @@ def check_spending(
     and the universe costs at most the number of participating agents.
     Violations raise :class:`LemmaViolation` naming the offending agent.
     """
-    ctx, sets = _context_for_bundles(inst, bundles)
-    w = inst.weight_floats
-    idx = inst.agent_index
+    table = _gains_for_bundles(inst, bundles)
+    abar = table.ctx.abar
     per_agent: Dict[str, Tuple[float, float]] = {}
     total = 0.0
-    for agent in ctx.abar:
-        spent = price_vector.total(sets[agent])
-        cap = w[idx[agent]] if price_vector.variant == "asymmetric" else 1.0
+    for agent in abar:
+        spent = price_vector.total(table.bundles[agent])
+        cap = table.weight[agent] if price_vector.variant == "asymmetric" else 1.0
         if spent > cap + SPENDING_TOLERANCE:
             raise LemmaViolation(
                 f"agent {agent!r} spends {spent} over cap {cap} ({price_vector.variant})",
@@ -292,7 +335,7 @@ def check_spending(
             )
         per_agent[agent] = (spent, cap)
         total += spent
-    total_cap = 1.0 if price_vector.variant == "asymmetric" else float(len(ctx.abar))
+    total_cap = 1.0 if price_vector.variant == "asymmetric" else float(len(abar))
     if total > total_cap + SPENDING_TOLERANCE:
         raise LemmaViolation(
             f"universe spending {total} exceeds cap {total_cap} ({price_vector.variant})"

@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import nswfair
 from nswfair import solve_nsw
 from nswfair.cli import EXPERIMENT_COLUMNS, entrypoint, main
 from nswfair.generate import random_instance
@@ -113,6 +117,31 @@ def test_solve_forced_certificate_failure_exits_2(inst_file, monkeypatch, capsys
     monkeypatch.setattr(cli_mod, "half_efx_check", lambda inst, alloc: [("a0", "a1", "g0")])
     assert main(["solve", inst_file, "--efx"]) == 2
     assert "certificate violation" in capsys.readouterr().err
+
+
+def test_solver_invariant_failure_exits_2(inst_file, monkeypatch, capsys):
+    import nswfair.cli as cli_mod
+    from nswfair import InvariantViolation
+
+    def broken_solve(inst, eps):
+        raise InvariantViolation("swap count 9 exceeded the certified bound 8")
+
+    monkeypatch.setattr(cli_mod, "solve_nsw", broken_solve)
+    assert main(["solve", inst_file]) == 2
+    assert "solver bug: swap count 9" in capsys.readouterr().err
+
+
+def test_module_invocation_runs_the_cli(tmp_path):
+    src_dir = str(Path(nswfair.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "inst.json"
+    cmd = [sys.executable, "-m", "nswfair.cli", "gen", "additive", "2", "5", "--seed", "3", "--out", str(out)]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text() == canonical_json(instance_to_json(random_instance("additive", 2, 5, 3)))
+    usage = subprocess.run([sys.executable, "-m", "nswfair.cli"], env=env, capture_output=True, text=True, timeout=60)
+    assert usage.returncode == 1
+    assert "usage" in usage.stderr
 
 
 def test_exact_command(inst_file, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from nswfair import (
     Allocation,
+    LemmaViolation,
     build_feasibility_graph,
     envy_cycle_complete,
     guarantee_half_efx,
@@ -180,3 +181,12 @@ def test_fairness_outcomes_hold_on_random_partials():
             support_out = set().union(*(after.bundle(a) for a in inst.agents))
             assert support_out < support_in
             assert sym_welfare_log(inst, after) >= sym_welfare_log(inst, before) - 1e-9
+
+
+def test_outcome_contract_raises_on_a_failed_checker(e1, monkeypatch):
+    # The contract is a real check, not an assert, so it holds under python -O.
+    import nswfair.efx as efx_mod
+
+    monkeypatch.setattr(efx_mod, "half_efx_check", lambda inst, alloc: [("2", "1", "a")])
+    with pytest.raises(LemmaViolation, match="fails the checker"):
+        make_fair_or_efficient(e1, Allocation.of({"1": ["a", "d"], "2": ["b", "c"]}))

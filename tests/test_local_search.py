@@ -13,6 +13,7 @@ from nswfair import (
     verify_local_opt,
 )
 from nswfair.generate import FAMILIES, random_instance
+from nswfair.local_search import _Context, _Gains
 
 from conftest import make_instance
 
@@ -175,3 +176,57 @@ def test_asymmetric_weights_respect_caps():
     assert report.per_agent["1"][1] == 0.25
     assert report.per_agent["2"][1] == 0.75
     assert report.total_spent <= 1.0 + 1e-9
+
+
+def test_memoised_gains_match_direct_recomputation_mid_search():
+    inst = random_instance("coverage", n=5, m=30, seed=4, weight_mode="random_rational")
+    threshold = math.log1p(epsilon_bar(0.1, inst.m))
+    ctx = _Context(inst, inst.items)
+    bundles = {a: set() for a in inst.agents}
+    bundles[ctx.abar[0]] = set(ctx.universe)
+    table = _Gains(ctx, bundles)
+    for _ in range(6):
+        # A full scan fills every memo entry before the move invalidates some.
+        scanned = list(table.scan())
+        table.move(*next((g, j, t) for g, j, t, gain in scanned if gain > threshold))
+
+    def log_vbar(agent, bundle):
+        return math.log(ctx.endowed[agent].value(bundle))
+
+    w = {a: inst.weight_floats[inst.agent_index[a]] for a in ctx.abar}
+    scanned = list(table.scan())
+    assert len(scanned) == sum(len(b) for b in bundles.values()) * (len(ctx.abar) - 1)
+    for giver, item, taker, gain in scanned:
+        r_g, r_t = bundles[giver], bundles[taker]
+        direct = w[giver] * (log_vbar(giver, r_g - {item}) - log_vbar(giver, r_g)) + w[taker] * (
+            log_vbar(taker, r_t | {item}) - log_vbar(taker, r_t)
+        )
+        assert gain == direct, (giver, item, taker)
+
+
+def test_search_oracle_calls_per_swap_stay_memoised(monkeypatch):
+    # Re-evaluating whole bundles for every triple costs about 600 value()
+    # calls per swap on this instance; the gain table needs about 45.
+    import nswfair.pipeline as pipeline
+    from nswfair import solve_nsw
+    from nswfair.valuations import Coverage
+
+    count = {"on": False, "calls": 0}
+    base_value = Coverage.value
+
+    def counted_value(self, bundle):
+        count["calls"] += count["on"]
+        return base_value(self, bundle)
+
+    def counted_search(*args):
+        count["on"] = True
+        try:
+            return local_search(*args)
+        finally:
+            count["on"] = False
+
+    monkeypatch.setattr(Coverage, "value", counted_value)
+    monkeypatch.setattr(pipeline, "local_search", counted_search)
+    report = solve_nsw(random_instance("coverage", 12, 120, 11), 0.1)
+    assert report.swaps > 100
+    assert count["calls"] <= 100 * report.swaps
