@@ -41,7 +41,7 @@ from .local_search import (
     prices,
     verify_local_opt,
 )
-from .matching import ScoreTable, solve_assignment, solve_lex_assignment
+from .matching import solve_assignment, solve_lex_assignment
 from .oracle import brute_force_opt, ratio, ratio_of_logs
 from .pipeline import GuaranteeFactors, SolveReport, guarantee_factor, phi, solve_nsw
 from .valuations import (
@@ -74,7 +74,6 @@ __all__ = [
     "InvariantViolation",
     "LemmaViolation",
     "PartitionMatroidRank",
-    "ScoreTable",
     "SizeGuardExceeded",
     "SolveReport",
     "UnknownItem",

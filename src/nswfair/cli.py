@@ -19,6 +19,7 @@ from .efx import guarantee_half_efx, half_efx_check
 from .errors import InvariantViolation, LemmaViolation, SizeGuardExceeded
 from .generate import FAMILIES, WEIGHT_MODES, random_instance
 from .instance import (
+    NEG_INF,
     Allocation,
     Instance,
     allocation_to_json,
@@ -47,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x: float) -> str:
-    return "-inf" if x == float("-inf") else f"{x:.6f}"
+    return "-inf" if x == NEG_INF else f"{x:.6f}"
 
 
 def _load_checked(path: str) -> Instance:
@@ -170,11 +171,14 @@ def cmd_efx(args) -> int:
 def cmd_verify(args) -> int:
     inst = _load_checked(args.instance)
     report = solve_nsw(inst, args.eps)
-    checks = []
-    checks.append(("local optimum recheck", not report.certificates.local_opt_violations))
-    checks.append(("asymmetric spending caps", report.certificates.spending_asymmetric is not None))
-    checks.append(("symmetric spending caps", report.certificates.spending_symmetric is not None))
-    checks.append(("swap budget", report.swaps <= report.certificates.swap_limit))
+    certs = report.certificates
+    # Without a positive-welfare allocation there are no prices, so no caps to check (None).
+    checks = [
+        ("local optimum recheck", not certs.local_opt_violations),
+        ("asymmetric spending caps", certs.spending_asymmetric is not None if report.feasible else None),
+        ("symmetric spending caps", certs.spending_symmetric is not None if report.feasible else None),
+        ("swap budget", report.swaps <= certs.swap_limit),
+    ]
     if args.exact:
         opt = brute_force_opt(inst)
         r = ratio_of_logs(opt.opt_log, report.log_nsw)
@@ -185,9 +189,12 @@ def cmd_verify(args) -> int:
         ok = not half_efx_check(inst, fair) and fair.is_complete(inst)
         floor = report.log_nsw - math.log(2.0)
         checks.append(("half-efx completion", ok and nsw_log(inst, fair) >= floor - 1e-9))
-    failed = [name for name, ok in checks if not ok]
+    failed = [name for name, ok in checks if ok is not None and not ok]
     for name, ok in checks:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
+        if ok is None:
+            print(f"SKIP  {name} (no positive-welfare allocation)")
+        else:
+            print(f"{'PASS' if ok else 'FAIL'}  {name}")
     if failed:
         raise LemmaViolation("verification failed: " + "; ".join(failed))
     return 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Literal, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import InvariantViolation, LemmaViolation
-from .instance import Allocation, Instance
+from .instance import NEG_INF, Allocation, Instance
 from .matching import solve_lex_assignment
 
 __all__ = [
@@ -40,7 +40,7 @@ def _sym_nsw_log(inst: Instance, bundles: Sequence[FrozenSet[str]]) -> float:
     for i in range(inst.n):
         val = inst.valuations[i].value(bundles[i])
         if val <= 0.0:
-            return float("-inf")
+            return NEG_INF
         total += math.log(val)
     return total / inst.n
 

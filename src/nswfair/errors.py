@@ -18,7 +18,7 @@ class AllocationError(ValueError):
 
 
 class SizeGuardExceeded(ValueError):
-    """Exhaustive enumeration would exceed the configured size guard."""
+    """Exhaustive enumeration would exceed the size guard."""
 
 
 class LemmaViolation(Exception):

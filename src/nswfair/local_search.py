@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
 from .errors import AllocationError, InvariantViolation, LemmaViolation
-from .instance import Instance
+from .instance import NEG_INF, Instance
 from .valuations import EndowedValuation, endow
 
 __all__ = [
@@ -199,7 +199,7 @@ def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> Loc
     trace: List[SwapRecord] = []
     while True:
         triples = 0
-        max_gain = float("-inf")
+        max_gain = NEG_INF
         for giver, item, taker, gain in table.scan():
             triples += 1
             if gain > max_gain:

@@ -1,66 +1,39 @@
 """Exact max-weight bipartite matching in the log domain.
 
 Absent edges stand for score -inf and are simply not represented; no large
-negative sentinels appear anywhere. The solver runs successive shortest
-augmenting paths (Bellman-Ford over the residual graph) with tuple-valued
-edge weights compared lexicographically, which lets one pass encode
+negative sentinels appear anywhere. One engine serves every caller: shortest
+augmenting paths with row and column potentials, one Dijkstra-form
+augmentation per row (Jonker & Volgenant 1987; Crouse 2016), over exact
+Python int weights. Every row owns a private zero-weight dummy column, so
+"leave the row unmatched" is always feasible.
 
-    (cardinality, total score, index preference)
+Callers pack their whole objective into one int per edge. A finite float is
+a dyadic rational, so multiplying every score by the largest denominator
+among them turns each into an exact int. With radix B = (m + 1)^n, the
+weight head + score * B + preference orders matchings by cardinality, then
+total score, then index preference: a preference sum lies in [0, B), and
+head exceeds the largest possible spread of score * B + preference between
+two matchings of at most n edges. No path sum ever rounds, which matters:
+summing floats along alternating paths makes (a - b) + b differ from a in
+the last bit, and the resulting phantom "improvements" around zero-gain
+cycles corrupt the search.
 
-exactly: cardinality and preference are Python ints and each float score is
-converted once to the dyadic rational it already is, so path sums never
-round. Exactness is load-bearing, not a nicety: summing floats along
-relaxation paths makes (a - b) + b differ from a in the last bit, which
-manufactures phantom "improvements" around zero-gain alternating cycles and
-corrupts the predecessor chain. The index-preference component encodes the
-column choices positionally, making the optimum unique and the output
-deterministic: among equal-score matchings the agent with the smallest index
-gets the smallest feasible column, and so on down.
+The preference digit of row r is m - c in base m + 1 (0 when unmatched), so
+distinct matchings have distinct preference sums and the optimum is unique:
+among equal-score matchings the agent with the smallest index gets the
+smallest feasible column, and so on down. Any exact algorithm therefore
+returns the same matching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import InfeasibleMatching, InvariantViolation, LemmaViolation
+from .instance import NEG_INF
 
-__all__ = [
-    "NEG_INF",
-    "ScoreTable",
-    "AssignmentResult",
-    "solve_assignment",
-    "solve_lex_assignment",
-]
-
-NEG_INF = float("-inf")
-
-
-@dataclass(frozen=True)
-class ScoreTable:
-    """Dense rows x cols score matrix; ``-inf`` marks an absent edge."""
-
-    scores: Tuple[Tuple[float, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[float]]) -> "ScoreTable":
-        tup = tuple(tuple(float(x) for x in row) for row in rows)
-        widths = {len(row) for row in tup}
-        if len(widths) > 1:
-            raise ValueError("score table rows must have equal length")
-        return cls(tup)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.scores)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.scores[0]) if self.scores else 0
-
-    def score(self, row: int, col: int) -> float:
-        return self.scores[row][col]
+__all__ = ["NEG_INF", "AssignmentResult", "solve_assignment", "solve_lex_assignment"]
 
 
 @dataclass(frozen=True)
@@ -77,117 +50,83 @@ def _lex_preference(row: int, col: int, n_rows: int, n_cols: int) -> int:
 
 
 def _max_weight_matching(
-    n_rows: int, n_cols: int, weights: Mapping[Tuple[int, int], tuple]
+    n_rows: int, n_cols: int, weights: Mapping[Tuple[int, int], int]
 ) -> List[Optional[int]]:
-    """Maximize the componentwise sum of tuple weights, compared lexicographically.
-
-    Every row may fall back to a private zero-weight dummy column, so "leave
-    the row unmatched" is always feasible and the reduction to a
-    perfect-on-rows min-cost assignment is exact.
-    """
-    if not weights:
-        return [None] * n_rows
-    arity = len(next(iter(weights.values())))
-    zero = (0,) * arity
-    cost: Dict[Tuple[int, int], tuple] = {}
-    adjacency: List[List[int]] = [[] for _ in range(n_rows)]
+    """Matching of maximum total int weight; row r may take dummy column n_cols + r."""
+    cost: List[Dict[int, int]] = [{n_cols + r: 0} for r in range(n_rows)]
     for (r, c), w in weights.items():
-        if len(w) != arity:
-            raise ValueError("all weight tuples must have the same arity")
-        cost[(r, c)] = tuple(-x for x in w)
-        adjacency[r].append(c)
-    for r in range(n_rows):
-        dummy = n_cols + r
-        cost[(r, dummy)] = zero
-        adjacency[r].append(dummy)
-        adjacency[r].sort()
-
-    match_row: List[Optional[int]] = [None] * n_rows
-    match_col: Dict[int, int] = {}
-
-    def add(a: tuple, b: tuple) -> tuple:
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(a: tuple, b: tuple) -> tuple:
-        return tuple(x - y for x, y in zip(a, b))
-
+        cost[r][c] = -w
+    u = [0] * n_rows
+    v = [0] * (n_cols + n_rows)
+    row_of: Dict[int, int] = {}
+    col_of: List[int] = [-1] * n_rows
     for r0 in range(n_rows):
-        dist: Dict[int, tuple] = {}
-        prev_row: Dict[int, int] = {}
-        for c in adjacency[r0]:
-            w = cost[(r0, c)]
-            if c not in dist or w < dist[c]:
-                dist[c] = w
-                prev_row[c] = r0
-        passes = 0
+        # Dijkstra from r0. Edges of earlier rows have reduced cost >= 0 and r0's
+        # own edges are relaxed first, so a popped column's distance is final.
+        # r0's dummy column is free, so a free column is always reached.
+        dist: Dict[int, int] = {}
+        pred: Dict[int, int] = {}
+        done: Dict[int, int] = {}
+        row, base = r0, 0
         while True:
-            improved = False
-            for c in sorted(match_col):
-                if c not in dist:
-                    continue
-                rc = match_col[c]
-                base = sub(dist[c], cost[(rc, c)])
-                for c2 in adjacency[rc]:
-                    if c2 == c:
-                        continue
-                    cand = add(base, cost[(rc, c2)])
-                    if c2 not in dist or cand < dist[c2]:
-                        dist[c2] = cand
-                        prev_row[c2] = rc
-                        improved = True
-            passes += 1
-            if not improved:
+            for c, w in cost[row].items():
+                if c not in done:
+                    d = base + w - u[row] - v[c]
+                    if c not in dist or d < dist[c]:
+                        dist[c] = d
+                        pred[c] = row
+            col = min(dist, key=dist.__getitem__)
+            base = done[col] = dist.pop(col)
+            if col not in row_of:
                 break
-            if passes > n_rows + n_cols + 2:
-                raise InvariantViolation("augmenting-path search failed to stabilize")
-        target = None
-        for c in sorted(dist):
-            if c in match_col:
-                continue
-            if target is None or dist[c] < dist[target]:
-                target = c
-        if target is None:
-            raise InvariantViolation("no free column reachable despite dummy fallback")
-        c = target
-        walked: set = set()
+            row = row_of[col]
+        # Shift potentials so reduced costs stay >= 0 and the new path is tight.
+        u[r0] += base
+        for c, d in done.items():
+            if c in row_of:
+                u[row_of[c]] += base - d
+            v[c] -= base - d
+        walked: Set[int] = set()
         while True:
-            if c in walked:
+            if col in walked:
                 raise InvariantViolation("augmenting-path walk revisited a column")
-            walked.add(c)
-            r = prev_row[c]
-            freed = match_row[r]
-            match_col[c] = r
-            match_row[r] = c
-            if r == r0:
+            walked.add(col)
+            row = pred[col]
+            row_of[col] = row
+            col, col_of[row] = col_of[row], col
+            if row == r0:
                 break
-            c = freed  # the column r abandoned needs the previous row on the path
-    return [None if c is None or c >= n_cols else c for c in match_row]
+    return [c if c < n_cols else None for c in col_of]
 
 
-def solve_assignment(table: ScoreTable, require_all_rows: bool = True) -> AssignmentResult:
-    """Best matching under ``table``.
+def solve_assignment(scores: Sequence[Sequence[float]]) -> AssignmentResult:
+    """Best matching of rows to columns under ``scores`` (``-inf`` = no edge).
 
-    With ``require_all_rows`` the solver covers every row when a finite-score
-    perfect matching exists and otherwise returns the maximum-cardinality
-    finite matching with ``total = -inf``; more rows than columns is rejected
-    outright. Without it, rows are left unmatched whenever that raises the
-    total score.
+    Covers every row when a finite-score row-covering matching exists and
+    otherwise returns the maximum-cardinality finite matching with
+    ``total = -inf``; more rows than columns is rejected outright.
     """
-    n, m = table.n_rows, table.n_cols
-    if require_all_rows and n > m:
+    n = len(scores)
+    m = len(scores[0]) if n else 0
+    if any(len(row) != m for row in scores):
+        raise ValueError("score table rows must have equal length")
+    if n > m:
         raise InfeasibleMatching(f"{n} rows cannot all be matched into {m} columns")
-    head = 1 if require_all_rows else 0
-    weights = {
-        (r, c): (head, Fraction(table.score(r, c)), _lex_preference(r, c, n, m))
-        for r in range(n)
-        for c in range(m)
-        if table.score(r, c) != NEG_INF
+    ratios = {
+        (r, c): float(s).as_integer_ratio()
+        for r, row in enumerate(scores)
+        for c, s in enumerate(row)
+        if s != NEG_INF
     }
+    scale = max((den for _, den in ratios.values()), default=1)
+    ints = {rc: num * (scale // den) for rc, (num, den) in ratios.items()}
+    radix = (m + 1) ** n
+    head = (2 * n * max(map(abs, ints.values()), default=0) + 1) * radix + 1
+    weights = {(r, c): head + s * radix + _lex_preference(r, c, n, m) for (r, c), s in ints.items()}
     assignment = _max_weight_matching(n, m, weights)
-    if require_all_rows and any(c is None for c in assignment):
-        total = NEG_INF
-    else:
-        total = float(sum(table.score(r, c) for r, c in enumerate(assignment) if c is not None))
+    if None in assignment:
+        return AssignmentResult(tuple(assignment), NEG_INF)
+    total = sum((scores[r][c] for r, c in enumerate(assignment)), 0.0)
     return AssignmentResult(tuple(assignment), total)
 
 
@@ -204,16 +143,18 @@ def solve_lex_assignment(
     The priority is realized with one integer weight per edge,
     A * [col in must_match] + B * [col = prefer_self(row)] + 1 with B = n + 1
     and A = (n + 1) * (B * n + n + 1), which strictly separates the three
-    tiers for any matching of at most n = ``n_rows`` edges. The caller must
+    tiers for any matching of at most n = ``n_rows`` edges; the index
+    preference rides below them in radix (n_cols + 1)^n_rows. The caller must
     pass a graph in which covering ``must_match`` is feasible; the cover is
     re-checked and a failure raises :class:`LemmaViolation`.
     """
     b_weight = n_rows + 1
     a_weight = (n_rows + 1) * (b_weight * n_rows + n_rows + 1)
+    radix = (n_cols + 1) ** n_rows
     weights = {}
     for r, c in edges:
         w = a_weight * (c in must_match) + b_weight * (prefer_self.get(r) == c) + 1
-        weights[(r, c)] = (w, _lex_preference(r, c, n_rows, n_cols))
+        weights[(r, c)] = w * radix + _lex_preference(r, c, n_rows, n_cols)
     assignment = _max_weight_matching(n_rows, n_cols, weights)
     matched_cols = {c for c in assignment if c is not None}
     uncovered = set(must_match) - matched_cols

@@ -2,31 +2,23 @@
 
 Every complete allocation is a base-n counter over the m items, enumerated
 in lexicographic order so the reported argmax is the lexicographically
-smallest one. The guard n^m <= 10^8 can be overridden through the
-NSW_SIZE_GUARD environment variable.
+smallest one. Instances with n^m > SIZE_GUARD = 10^8 are refused before any
+enumeration starts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import SizeGuardExceeded
-from .instance import Allocation, Instance, nsw_log, validate
+from .instance import NEG_INF, Allocation, Instance, nsw_log, validate
 
-__all__ = ["DEFAULT_SIZE_GUARD", "size_guard", "OptResult", "brute_force_opt", "ratio_of_logs", "ratio"]
+__all__ = ["SIZE_GUARD", "OptResult", "brute_force_opt", "ratio_of_logs", "ratio"]
 
-DEFAULT_SIZE_GUARD = 10**8
-
-NEG_INF = float("-inf")
-
-
-def size_guard() -> int:
-    raw = os.environ.get("NSW_SIZE_GUARD")
-    return int(raw) if raw else DEFAULT_SIZE_GUARD
+SIZE_GUARD = 10**8
 
 
 @dataclass(frozen=True)
@@ -43,9 +35,8 @@ def brute_force_opt(inst: Instance) -> OptResult:
         raise ValueError("; ".join(problems))
     n, m = inst.n, inst.m
     total = n**m
-    guard = size_guard()
-    if total > guard:
-        raise SizeGuardExceeded(f"{n}^{m} = {total} allocations exceed the guard {guard}")
+    if total > SIZE_GUARD:
+        raise SizeGuardExceeded(f"{n}^{m} = {total} allocations exceed the guard {SIZE_GUARD}")
     weights = inst.weight_floats
     valuations = inst.valuations
     items = inst.items

@@ -21,6 +21,7 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 from .errors import InvariantViolation
 from .instance import (
+    NEG_INF,
     Allocation,
     Instance,
     complete_with_leftovers,
@@ -36,7 +37,7 @@ from .local_search import (
     prices,
     verify_local_opt,
 )
-from .matching import NEG_INF, ScoreTable, solve_assignment
+from .matching import solve_assignment
 
 __all__ = ["phi", "GuaranteeFactors", "guarantee_factor", "SolveCertificates", "SolveReport", "solve_nsw"]
 
@@ -226,9 +227,7 @@ def solve_nsw(inst: Instance, eps: float) -> SolveReport:
         val = inst.valuations[i].value([inst.items[j]])
         return w[i] * math.log(val) if val > 0.0 else NEG_INF
 
-    phase1 = solve_assignment(
-        ScoreTable.from_rows([[item_score(i, j) for j in range(inst.m)] for i in range(inst.n)])
-    )
+    phase1 = solve_assignment([[item_score(i, j) for j in range(inst.m)] for i in range(inst.n)])
     if phase1.total == NEG_INF:
         return _infeasible_report(inst, eps, eps_bar)
     tau = {inst.agents[i]: inst.items[c] for i, c in enumerate(phase1.assignment)}
@@ -244,9 +243,7 @@ def solve_nsw(inst: Instance, eps: float) -> SolveReport:
         val = inst.valuations[i].value(search.bundles[agent] | {h_items[j]})
         return w[i] * math.log(val) if val > 0.0 else NEG_INF
 
-    phase3 = solve_assignment(
-        ScoreTable.from_rows([[rematch_score(i, j) for j in range(len(h_items))] for i in range(inst.n)])
-    )
+    phase3 = solve_assignment([[rematch_score(i, j) for j in range(len(h_items))] for i in range(inst.n)])
     if phase3.total == NEG_INF:
         raise InvariantViolation("rematching lost the finite matching inherited from phase 1")
     sigma = {inst.agents[i]: h_items[c] for i, c in enumerate(phase3.assignment)}

@@ -185,6 +185,19 @@ def test_verify_command(inst_file, capsys):
     assert "FAIL" not in stdout
 
 
+def test_verify_skips_spending_caps_without_positive_welfare(tmp_path, capsys):
+    # 3 agents, 2 items: no complete allocation gives every agent positive value
+    path = tmp_path / "instance.json"
+    assert main(["gen", "additive", "3", "2", "--out", str(path)]) == 0
+    assert main(["solve", str(path), "--verify"]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(path), "--exact"]) == 0
+    stdout = capsys.readouterr().out
+    assert "SKIP  asymmetric spending caps (no positive-welfare allocation)" in stdout
+    assert "SKIP  symmetric spending caps (no positive-welfare allocation)" in stdout
+    assert "FAIL" not in stdout
+
+
 def test_experiment_command(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(
@@ -217,11 +230,11 @@ def test_experiment_command(tmp_path, capsys):
     assert {row[0] for row in footer} <= {"max_ratio[additive]", "max_ratio[coverage]"}
 
 
-def test_experiment_skips_oversized_exact(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NSW_SIZE_GUARD", "1000")
+def test_experiment_skips_oversized_exact(tmp_path, capsys):
     config = tmp_path / "config.json"
+    # 2^27 allocations exceed the 10^8 guard
     config.write_text(
-        json.dumps({"families": ["additive"], "n": [2], "m": [12], "trials": 1, "exact": True, "efx": False})
+        json.dumps({"families": ["additive"], "n": [2], "m": [27], "trials": 1, "exact": True, "efx": False})
     )
     out = tmp_path / "results.csv"
     assert main(["experiment", str(config), "--out", str(out)]) == 0

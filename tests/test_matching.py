@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,20 +12,22 @@ from hypothesis import strategies as st
 from nswfair.errors import InfeasibleMatching, LemmaViolation
 from nswfair.matching import (
     NEG_INF,
-    ScoreTable,
     _lex_preference,
     solve_assignment,
     solve_lex_assignment,
 )
 
 
-def enumerate_best(table, require_all_rows):
-    """Independent argmax over every injective partial assignment."""
-    n, m = table.n_rows, table.n_cols
-    head = 1 if require_all_rows else 0
+def enumerate_best(rows):
+    """Independent argmax over every injective partial assignment.
+
+    Keys are (cardinality, exact score sum, index preference); the score sum
+    is a ``Fraction`` so ties and near-ties are decided without rounding.
+    """
+    n, m = len(rows), len(rows[0]) if rows else 0
     options = []
     for r in range(n):
-        cols = [c for c in range(m) if table.score(r, c) != NEG_INF]
+        cols = [c for c in range(m) if rows[r][c] != NEG_INF]
         options.append(cols + [None])
     best_key, best = None, None
     for combo in itertools.product(*options):
@@ -31,8 +35,8 @@ def enumerate_best(table, require_all_rows):
         if len(used) != len(set(used)):
             continue
         key = (
-            head * len(used),
-            sum(table.score(r, c) for r, c in enumerate(combo) if c is not None),
+            len(used),
+            sum(Fraction(rows[r][c]) for r, c in enumerate(combo) if c is not None),
             sum(_lex_preference(r, c, n, m) for r, c in enumerate(combo) if c is not None),
         )
         if best_key is None or key > best_key:
@@ -43,90 +47,98 @@ def enumerate_best(table, require_all_rows):
 def test_two_agent_log_table():
     # w_i * log v_i(j) scores for the additive pair used across the suite.
     half = 0.5
-    table = ScoreTable.from_rows(
-        [
-            [half * math.log(4), 0.0, 0.0, 0.0],
-            [0.0, half * math.log(3), 0.0, 0.0],
-        ]
-    )
-    oracle, key = enumerate_best(table, require_all_rows=True)
+    table = [
+        [half * math.log(4), 0.0, 0.0, 0.0],
+        [0.0, half * math.log(3), 0.0, 0.0],
+    ]
+    oracle, key = enumerate_best(table)
     result = solve_assignment(table)
     assert result.assignment == oracle == (0, 1)
     assert result.total == pytest.approx(0.5 * math.log(12), rel=1e-12)
-    assert result.total == pytest.approx(key[1], rel=1e-12)
+    assert result.total == pytest.approx(float(key[1]), rel=1e-12)
 
 
 def test_all_rows_required_but_uncoverable():
-    table = ScoreTable.from_rows([[1.0, NEG_INF], [NEG_INF, NEG_INF]])
-    result = solve_assignment(table)
+    result = solve_assignment([[1.0, NEG_INF], [NEG_INF, NEG_INF]])
     assert result.assignment == (0, None)
     assert result.total == NEG_INF
 
 
 def test_more_rows_than_columns_rejected():
-    table = ScoreTable.from_rows([[1.0], [2.0]])
     with pytest.raises(InfeasibleMatching):
-        solve_assignment(table)
+        solve_assignment([[1.0], [2.0]])
 
 
-def test_optional_rows_skip_losses():
-    table = ScoreTable.from_rows([[-1.0]])
-    free = solve_assignment(table, require_all_rows=False)
-    assert free.assignment == (None,)
-    assert free.total == 0.0
-    forced = solve_assignment(table, require_all_rows=True)
-    assert forced.assignment == (0,)
-    assert forced.total == -1.0
+def test_ragged_rows_rejected():
+    with pytest.raises(ValueError):
+        solve_assignment([[1.0, 2.0], [3.0]])
+
+
+def test_negative_scores_still_cover_every_row():
+    result = solve_assignment([[-1.0]])
+    assert result.assignment == (0,)
+    assert result.total == -1.0
 
 
 def test_tie_break_is_index_lexicographic():
-    table = ScoreTable.from_rows([[0.0, 0.0], [0.0, 0.0]])
-    assert solve_assignment(table).assignment == (0, 1)
+    assert solve_assignment([[0.0, 0.0], [0.0, 0.0]]).assignment == (0, 1)
     # agent 0 keeps the smaller column even when swapping would tie
-    table = ScoreTable.from_rows([[5.0, 5.0], [5.0, 5.0]])
-    assert solve_assignment(table).assignment == (0, 1)
+    assert solve_assignment([[5.0, 5.0], [5.0, 5.0]]).assignment == (0, 1)
 
 
 @st.composite
-def integer_tables(draw, min_rows=1, rows_le_cols=False):
-    n = draw(st.integers(min_rows, 3))
-    m = draw(st.integers(n if rows_le_cols else 1, 4))
-    rows = []
-    for _ in range(n):
-        row = [
-            draw(st.one_of(st.none(), st.integers(-3, 3)))
-            for _ in range(m)
-        ]
-        rows.append([NEG_INF if x is None else float(x) for x in row])
-    return ScoreTable.from_rows(rows)
+def score_tables(draw, scores):
+    """Tables of 1-3 rows and up to 4 columns; each cell is a score or absent."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n, 4))
+    return [[draw(st.one_of(st.just(NEG_INF), scores)) for _ in range(m)] for _ in range(n)]
 
 
-@settings(max_examples=120, deadline=None)
-@given(integer_tables(rows_le_cols=True))
+INTEGER_SCORES = st.integers(-3, 3).map(float)
+
+# Dyadic values whose common denominator ranges from 1 to 2**1074: logs, 0.1
+# (a long binary fraction), the smallest subnormal and huge magnitudes.
+DYADIC_SCORES = st.one_of(
+    st.sampled_from(
+        [0.0, math.log(2), math.log(3), 0.5 * math.log(5), 0.1, -0.1, 5e-324, -5e-324, 1e300, -1e300]
+    ),
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from([INTEGER_SCORES, DYADIC_SCORES]).flatmap(score_tables))
 def test_required_matching_agrees_with_enumeration(table):
-    # Integer scores keep float sums exact, so equality is checkable verbatim.
-    oracle, key = enumerate_best(table, require_all_rows=True)
+    oracle, _ = enumerate_best(table)
     result = solve_assignment(table)
     assert result.assignment == oracle
     if any(c is None for c in oracle):
         assert result.total == NEG_INF
     else:
-        assert result.total == key[1]
+        # the total is the float sum of the chosen scores in row order
+        assert result.total == sum(table[r][c] for r, c in enumerate(oracle))
 
 
-@settings(max_examples=120, deadline=None)
-@given(integer_tables())
-def test_optional_matching_agrees_with_enumeration(table):
-    oracle, key = enumerate_best(table, require_all_rows=False)
-    result = solve_assignment(table, require_all_rows=False)
-    assert result.assignment == oracle
-    assert result.total == key[1]
+def test_totals_agree_with_scipy():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(3)
+    table = [
+        [0.5 * math.log(rng.randint(1, 50)) if rng.random() < 0.9 else NEG_INF for _ in range(400)]
+        for _ in range(40)
+    ]
+    rows, cols = optimize.linear_sum_assignment(table, maximize=True)
+    expected = sum(table[r][c] for r, c in zip(rows, cols))
+    result = solve_assignment(table)
+    assert None not in result.assignment
+    assert result.total == pytest.approx(expected, rel=1e-9)
 
 
 def test_lex_identity_when_everyone_prefers_self():
     edges = {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)}
     rho = solve_lex_assignment(3, 3, edges, must_match=set(), prefer_self={0: 0, 1: 1, 2: 2})
     assert rho == (0, 1, 2)
+    # the tiers dominate the index preference, however many columns precede
+    assert solve_lex_assignment(1, 5, {(0, 0), (0, 4)}, set(), {0: 4}) == (4,)
 
 
 def test_lex_cover_forces_displacement():
@@ -188,3 +200,16 @@ def test_lex_assignment_agrees_with_enumeration(problem):
             solve_lex_assignment(n, m, edges, must, prefer)
         return
     assert solve_lex_assignment(n, m, edges, must, prefer) == combo
+
+
+def test_tie_heavy_totals_agree_with_scipy():
+    # Larger than the enumeration tables above: paths through several matched
+    # rows exercise the potential updates. Integer sums are exact floats.
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(0)
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        m = rng.randint(n, 10)
+        table = [[float(rng.randint(-2, 2)) for _ in range(m)] for _ in range(n)]
+        rows, cols = optimize.linear_sum_assignment(table, maximize=True)
+        assert solve_assignment(table).total == sum(table[r][c] for r, c in zip(rows, cols))

@@ -13,7 +13,7 @@ from nswfair import (
     ratio_of_logs,
 )
 from nswfair.generate import FAMILIES, random_instance
-from nswfair.oracle import DEFAULT_SIZE_GUARD, size_guard
+from nswfair.oracle import SIZE_GUARD
 
 from conftest import make_instance
 
@@ -77,13 +77,11 @@ def test_ratio_conventions(e1):
     assert nsw_log(e1, worse) < brute_force_opt(e1).opt_log
 
 
-def test_size_guard_env_override(e1, monkeypatch):
-    monkeypatch.delenv("NSW_SIZE_GUARD", raising=False)
-    assert size_guard() == DEFAULT_SIZE_GUARD
-    monkeypatch.setenv("NSW_SIZE_GUARD", "4")
-    assert size_guard() == 4
-    with pytest.raises(SizeGuardExceeded):
-        brute_force_opt(e1)  # 2^4 = 16 allocations > 4
+def test_size_guard_rejects_oversized_instances():
+    assert SIZE_GUARD == 10**8
+    # 2^27 > 10^8: refused before a single allocation is enumerated
+    with pytest.raises(SizeGuardExceeded, match="2\\^27"):
+        brute_force_opt(random_instance("additive", n=2, m=27, seed=0))
 
 
 def test_oracle_validates_input():
