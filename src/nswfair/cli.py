@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .efx import guarantee_half_efx, half_efx_check
 from .errors import InvariantViolation, LemmaViolation, SizeGuardExceeded
@@ -89,6 +90,40 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _checks(
+    inst: Instance, report: SolveReport, opt_log: Optional[float] = None, fair: Optional[Allocation] = None
+) -> List[Tuple[str, Optional[bool]]]:
+    """The one check list of a solve: (name, ok), with ok None when no
+    positive-welfare allocation exists. ``fair`` is the 1/2-EFX output."""
+    certs = report.certificates
+    checks = [
+        ("local optimum recheck", not certs.local_opt_violations),
+        ("asymmetric spending caps", certs.spending_asymmetric.within_caps() if report.feasible else None),
+        ("symmetric spending caps", certs.spending_symmetric.within_caps() if report.feasible else None),
+        ("swap budget", report.swaps <= certs.swap_limit),
+    ]
+    if opt_log is not None:
+        r = ratio_of_logs(opt_log, report.log_nsw)
+        bound = report.guarantee.best()
+        if math.isfinite(opt_log):
+            checks.append((f"ratio {r:.4f} within factor {bound:.4f}", r <= bound + 1e-9))
+        else:
+            checks.append((f"ratio within factor {bound:.4f}", None))
+    if fair is not None:
+        checks += [
+            ("half-efx", not half_efx_check(inst, fair)),
+            ("efx completeness", fair.is_complete(inst)),
+            ("efx welfare floor", nsw_log(inst, fair) >= report.log_nsw - math.log(2.0) - 1e-9),
+        ]
+    return checks
+
+
+def _require(checks: List[Tuple[str, Optional[bool]]], where: str) -> None:
+    failed = [name for name, ok in checks if ok is False]
+    if failed:
+        raise LemmaViolation(f"{where}: failed " + "; ".join(failed))
+
+
 def cmd_solve(args) -> int:
     inst = _load_checked(args.instance)
     report = solve_nsw(inst, args.eps)
@@ -98,30 +133,20 @@ def cmd_solve(args) -> int:
         f"swaps: {report.swaps} (limit {report.certificates.swap_limit:.3f})",
         f"guarantee: best factor {report.guarantee.best():.6f}",
     ]
-    if report.certificates.local_opt_violations:
-        raise LemmaViolation("local-search output failed its own exhaustive recheck")
-    opt_log = None
+    opt_log = fair = None
     if args.exact:
-        opt = brute_force_opt(inst)
-        opt_log = opt.opt_log
+        opt_log = brute_force_opt(inst).opt_log
         r = ratio_of_logs(opt_log, report.log_nsw)
         doc["exact"] = {"opt_log_nsw": _fmt(opt_log), "ratio": r}
         lines.append(f"exact: opt log_nsw {_fmt(opt_log)}, ratio {r:.6f}")
-        if args.verify and math.isfinite(opt_log):
-            bound = report.guarantee.best()
-            if r > bound + 1e-9:
-                raise LemmaViolation(f"ratio {r} exceeds the guaranteed factor {bound}")
     if args.efx:
         fair = guarantee_half_efx(inst, report.allocation)
-        fails = half_efx_check(inst, fair)
-        doc["efx"] = {
-            "allocation": {a: inst.sort_items(b) for a, b in sorted(fair.bundles.items())},
-            "log_nsw": _fmt(nsw_log(inst, fair)),
-            "half_efx": not fails,
-        }
-        lines.append(f"efx: half-efx {'ok' if not fails else 'FAILED'}, log_nsw {_fmt(nsw_log(inst, fair))}")
-        if fails:
-            raise LemmaViolation("fairness pipeline delivered a non-half-EFX allocation")
+    _require(_checks(inst, report, opt_log if args.verify else None, fair), "solve")
+    if fair is not None:  # past _require, so it is 1/2-EFX
+        fair_log = _fmt(nsw_log(inst, fair))
+        allocation = {a: inst.sort_items(b) for a, b in sorted(fair.bundles.items())}
+        doc["efx"] = {"allocation": allocation, "log_nsw": fair_log, "half_efx": True}
+        lines.append(f"efx: half-efx ok, log_nsw {fair_log}")
     if args.trace:
         _write_trace(args.trace, report)
     if args.out:
@@ -171,32 +196,15 @@ def cmd_efx(args) -> int:
 def cmd_verify(args) -> int:
     inst = _load_checked(args.instance)
     report = solve_nsw(inst, args.eps)
-    certs = report.certificates
-    # Without a positive-welfare allocation there are no prices, so no caps to check (None).
-    checks = [
-        ("local optimum recheck", not certs.local_opt_violations),
-        ("asymmetric spending caps", certs.spending_asymmetric is not None if report.feasible else None),
-        ("symmetric spending caps", certs.spending_symmetric is not None if report.feasible else None),
-        ("swap budget", report.swaps <= certs.swap_limit),
-    ]
-    if args.exact:
-        opt = brute_force_opt(inst)
-        r = ratio_of_logs(opt.opt_log, report.log_nsw)
-        bound = report.guarantee.best()
-        checks.append((f"ratio {r:.4f} within factor {bound:.4f}", r <= bound + 1e-9 or not math.isfinite(opt.opt_log)))
-    if args.efx:
-        fair = guarantee_half_efx(inst, report.allocation)
-        ok = not half_efx_check(inst, fair) and fair.is_complete(inst)
-        floor = report.log_nsw - math.log(2.0)
-        checks.append(("half-efx completion", ok and nsw_log(inst, fair) >= floor - 1e-9))
-    failed = [name for name, ok in checks if ok is not None and not ok]
+    opt_log = brute_force_opt(inst).opt_log if args.exact else None
+    fair = guarantee_half_efx(inst, report.allocation) if args.efx else None
+    checks = _checks(inst, report, opt_log, fair)
     for name, ok in checks:
         if ok is None:
             print(f"SKIP  {name} (no positive-welfare allocation)")
         else:
             print(f"{'PASS' if ok else 'FAIL'}  {name}")
-    if failed:
-        raise LemmaViolation("verification failed: " + "; ".join(failed))
+    _require(checks, "verify")
     return 0
 
 
@@ -259,54 +267,48 @@ def cmd_experiment(args) -> int:
         raise CliError(f"cannot read experiment config {args.config}: {exc}") from exc
     rows: List[List[str]] = []
     max_ratio: dict[str, float] = {}
-    for family in config.families:
-        for n in config.n_values:
-            for m in config.m_values:
-                for trial in range(config.trials):
-                    seed = config.seed + trial
-                    name = f"{family}-n{n}-m{m}-s{seed}"
-                    inst = random_instance(family, n, m, seed, config.weight_mode)
-                    report = solve_nsw(inst, config.eps)
-                    bound = report.guarantee.best()
-                    opt_log = r = None
-                    if config.exact:
-                        try:
-                            opt_log = brute_force_opt(inst).opt_log
-                        except SizeGuardExceeded as exc:
-                            print(f"warning: skipping {name}: {exc}", file=sys.stderr)
-                            continue
-                        r = ratio_of_logs(opt_log, report.log_nsw)
-                        if math.isfinite(opt_log):
-                            max_ratio[family] = max(max_ratio.get(family, 1.0), r)
-                            if config.verify and r > bound + 1e-9:
-                                raise LemmaViolation(
-                                    f"instance {name}: ratio {r} exceeds factor {bound}"
-                                )
-                    efx_pass = ""
-                    if config.efx:
-                        fair = guarantee_half_efx(inst, report.allocation)
-                        efx_pass = "yes" if not half_efx_check(inst, fair) else "no"
-                    rows.append(
-                        [
-                            name,
-                            str(n),
-                            str(m),
-                            family,
-                            repr(config.eps),
-                            _fmt(report.log_nsw),
-                            "" if opt_log is None else _fmt(opt_log),
-                            "" if r is None else f"{r:.6f}",
-                            f"{bound:.6f}",
-                            str(report.swaps),
-                            efx_pass,
-                        ]
-                    )
+    grid = itertools.product(config.families, config.n_values, config.m_values, range(config.trials))
+    for family, n, m, trial in grid:
+        seed = config.seed + trial
+        name = f"{family}-n{n}-m{m}-s{seed}"
+        inst = random_instance(family, n, m, seed, config.weight_mode)
+        report = solve_nsw(inst, config.eps)
+        opt_log = r = fair = None
+        if config.exact:
+            try:
+                opt_log = brute_force_opt(inst).opt_log
+            except SizeGuardExceeded as exc:
+                print(f"warning: skipping {name}: {exc}", file=sys.stderr)
+                continue
+            r = ratio_of_logs(opt_log, report.log_nsw)
+            if math.isfinite(opt_log):
+                max_ratio[family] = max(max_ratio.get(family, 1.0), r)
+        efx_pass = ""
+        if config.efx:
+            fair = guarantee_half_efx(inst, report.allocation)
+            efx_pass = "yes" if not half_efx_check(inst, fair) else "no"
+        extra = (opt_log, fair) if config.verify else ()
+        _require(_checks(inst, report, *extra), f"instance {name}")
+        rows.append(
+            [
+                name,
+                str(n),
+                str(m),
+                family,
+                repr(config.eps),
+                _fmt(report.log_nsw),
+                "" if opt_log is None else _fmt(opt_log),
+                "" if r is None else f"{r:.6f}",
+                f"{report.guarantee.best():.6f}",
+                str(report.swaps),
+                efx_pass,
+            ]
+        )
     for family in config.families:
         if family in max_ratio:
             rows.append([f"max_ratio[{family}]", "", "", family, "", "", "", f"{max_ratio[family]:.6f}", "", "", ""])
-    out = args.out
     lines = [",".join(EXPERIMENT_COLUMNS)] + [",".join(row) for row in rows]
-    _write_text(out, "\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 

@@ -159,13 +159,7 @@ def make_fair_or_efficient(inst: Instance, t_alloc: Allocation) -> FairnessOutco
     for _ in range(m + 2):
         graph = build_feasibility_graph(inst, s_bundles)
         trimmed = {k for k in range(n) if s_bundles[k] < t_bundles[k]}
-        rho = solve_lex_assignment(
-            n_rows=n,
-            n_cols=n,
-            edges=set(graph.edges),
-            must_match=trimmed,
-            prefer_self={i: i for i in range(n)},
-        )
+        rho = solve_lex_assignment(n_rows=n, n_cols=n, edges=set(graph.edges), must_match=trimmed)
         if all(c is not None for c in rho):
             result = [s_bundles[rho[i]] for i in range(n)]
             return _outcome(inst, "half_efx", result, t_bundles)

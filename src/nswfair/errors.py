@@ -22,15 +22,7 @@ class SizeGuardExceeded(ValueError):
 
 
 class LemmaViolation(Exception):
-    """A certified property failed on concrete data; signals a solver bug.
-
-    Carries the offending agent id (when one exists) and a human-readable
-    description of the failed inequality.
-    """
-
-    def __init__(self, message: str, agent: str | None = None):
-        super().__init__(message)
-        self.agent = agent
+    """A certified property failed on concrete data; signals a solver bug."""
 
 
 class InvariantViolation(RuntimeError):

@@ -131,17 +131,13 @@ def solve_assignment(scores: Sequence[Sequence[float]]) -> AssignmentResult:
 
 
 def solve_lex_assignment(
-    n_rows: int,
-    n_cols: int,
-    edges: Set[Tuple[int, int]],
-    must_match: Set[int],
-    prefer_self: Mapping[int, int],
+    n_rows: int, n_cols: int, edges: Set[Tuple[int, int]], must_match: Set[int]
 ) -> Tuple[Optional[int], ...]:
-    """Matching that (a) covers ``must_match`` columns, (b) maximizes rows kept
-    on their ``prefer_self`` column, (c) has maximum cardinality, in that order.
+    """Matching that (a) covers ``must_match`` columns, (b) maximizes rows r
+    kept on their own column r, (c) has maximum cardinality, in that order.
 
     The priority is realized with one integer weight per edge,
-    A * [col in must_match] + B * [col = prefer_self(row)] + 1 with B = n + 1
+    A * [col in must_match] + B * [col = row] + 1 with B = n + 1
     and A = (n + 1) * (B * n + n + 1), which strictly separates the three
     tiers for any matching of at most n = ``n_rows`` edges; the index
     preference rides below them in radix (n_cols + 1)^n_rows. The caller must
@@ -153,7 +149,7 @@ def solve_lex_assignment(
     radix = (n_cols + 1) ** n_rows
     weights = {}
     for r, c in edges:
-        w = a_weight * (c in must_match) + b_weight * (prefer_self.get(r) == c) + 1
+        w = a_weight * (c in must_match) + b_weight * (r == c) + 1
         weights[(r, c)] = w * radix + _lex_preference(r, c, n_rows, n_cols)
     assignment = _max_weight_matching(n_rows, n_cols, weights)
     matched_cols = {c for c in assignment if c is not None}

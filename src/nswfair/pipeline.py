@@ -9,8 +9,9 @@ eps_bar = (1 + eps)^(1/m) - 1. Phase 3 rematches the phase-1 items on top of
 the local-search bundles, maximizing sum_i w_i * log v_i(R_i + sigma(i)).
 
 The report embeds verification certificates (exhaustive local-optimality
-recheck and both spending-cap checks) plus the approximation factors
-implied by the instance's weight profile.
+recheck and both spending-cap reports) plus the approximation factors
+implied by the instance's weight profile. The certificates are records:
+``solve_nsw`` returns them whatever they show, and the caller judges them.
 """
 
 from __future__ import annotations
@@ -258,8 +259,8 @@ def solve_nsw(inst: Instance, eps: float) -> SolveReport:
     price_sym = prices(inst, search.bundles, "symmetric")
     certificates = SolveCertificates(
         local_opt_violations=violations,
-        spending_asymmetric=check_spending(inst, price_asym, search.bundles),
-        spending_symmetric=check_spending(inst, price_sym, search.bundles),
+        spending_asymmetric=check_spending(price_asym),
+        spending_symmetric=check_spending(price_sym),
         swap_limit=math.log(inst.m) / math.log1p(eps_bar) + 1.0 if inst.m > 1 else 1.0,
     )
     return SolveReport(

@@ -1,8 +1,6 @@
 """Valuation oracles over indivisible items.
 
-Shipped families (all monotone, submodular, v(empty) = 0 by construction,
-except ``ExplicitTable`` which stores arbitrary monotone tables and should be
-screened with :func:`check_submodular` when submodularity matters):
+Shipped families (all monotone, submodular, v(empty) = 0 by construction):
 
 * ``Additive``            v(S) = sum of per-item values
 * ``BudgetAdditive``      v(S) = min(cap, sum of per-item values)
@@ -23,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Sequence
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -192,8 +190,8 @@ class ExplicitTable(Valuation):
 
     ``values[mask]`` is the value of the subset whose bit i (least significant
     first) selects ``order[i]``. The constructor enforces v(empty) = 0,
-    nonnegative finite entries, and monotonicity; submodularity is not
-    enforced here, use :func:`check_submodular`.
+    nonnegative finite entries, monotonicity and submodularity; the last two
+    through the local tests of :func:`check_submodular`, with no slack.
     """
 
     kind = "explicit_table"
@@ -213,15 +211,15 @@ class ExplicitTable(Valuation):
             raise ValueError("table entries must be finite and nonnegative")
         if vals[0] != 0.0:
             raise ValueError("the empty set must have value 0")
-        masks = np.arange(1 << m)
-        for bit in range(m):
-            sup = masks | (1 << bit)
-            bad = np.nonzero(vals[sup] < vals[masks])[0]
-            if bad.size:
-                mask = int(bad[0])
-                raise ValueError(
-                    f"table is not monotone: adding {self._order[bit]!r} to mask {mask} lowers the value"
-                )
+        for kind, left, right in _local_violations(vals):
+            if kind == "monotonicity":
+                added = self._order[(left ^ right).bit_length() - 1]
+                raise ValueError(f"table is not monotone: adding {added!r} to mask {left} lowers the value")
+            base = left & right
+            i, j = (self._order[(x ^ base).bit_length() - 1] for x in (left, right))
+            raise ValueError(
+                f"table is not submodular: {i!r} and {j!r} add more together than apart to mask {base}"
+            )
         self._values = vals
         self._bit = {j: i for i, j in enumerate(self._order)}
         self._items = frozenset(self._order)
@@ -298,7 +296,26 @@ class StructureViolation(NamedTuple):
     right: FrozenSet[str]
 
 
-_EXHAUSTIVE_LIMIT = 12
+def _local_violations(vals: np.ndarray, tol: float = 0.0) -> Iterator[Tuple[str, int, int]]:
+    """Failed local tests of a 2^m-entry table, as (kind, left mask, right mask).
+
+    With d_i(S) = v(S + i) - v(S): monotone is d_i(S) >= -tol, witness
+    (S, S + i); submodular is d_i(S + j) <= d_i(S) + tol for i < j, witness
+    (S + i, S + j). Both are whole-array differences, one axis per item.
+    """
+    m = vals.size.bit_length() - 1
+    table = vals.reshape((2,) * m)
+    masks = np.arange(vals.size, dtype=np.int64).reshape((2,) * m)
+    for i in range(m):
+        axis_i = m - 1 - i  # axis 0 holds the most significant bit
+        gain = np.diff(table, axis=axis_i)
+        base = masks.take([0], axis=axis_i)
+        for s in base[gain < -tol].tolist():
+            yield "monotonicity", s, s | 1 << i
+        for j in range(i + 1, m):
+            axis_j = m - 1 - j
+            for s in base.take([0], axis=axis_j)[np.diff(gain, axis=axis_j) > tol].tolist():
+                yield "submodularity", s | 1 << i, s | 1 << j
 
 
 def _mask_set(universe: Sequence[str], mask: int) -> FrozenSet[str]:
@@ -315,39 +332,27 @@ def check_submodular(
 ) -> List[StructureViolation]:
     """Screen ``v`` for submodularity and monotonicity violations on ``universe``.
 
-    Exhaustive mode enumerates every (S, T) pair and requires at most
-    12 items; sampled mode draws ``trials`` random pairs from ``seed``.
-    An empty list means no violation was found. ``tol`` is an absolute slack
-    for callers with inexact float tables; the shipped integer-parameter
-    families need none.
+    Exhaustive mode evaluates all 2^|universe| subsets, for at most
+    ``ExplicitTable.MAX_ITEMS`` items, and runs the local tests that
+    :class:`ExplicitTable` enforces: witnesses are (S, S + i) for
+    monotonicity and (S + i, S + j) for submodularity. Sampled mode draws
+    ``trials`` random pairs (S, T) from ``seed``. An empty list means no
+    violation was found. ``tol`` is an absolute slack for callers with
+    inexact float tables; the shipped integer-parameter families need none.
     """
     universe = list(universe)
     u = len(universe)
     if mode == "exhaustive":
-        if u > _EXHAUSTIVE_LIMIT:
-            raise ValueError(f"exhaustive mode supports at most {_EXHAUSTIVE_LIMIT} items, got {u}")
-        vals = np.empty(1 << u, dtype=float)
-        for mask in range(1 << u):
-            vals[mask] = v.value(_mask_set(universe, mask))
-        all_masks = np.arange(1 << u)
-        violations: List[StructureViolation] = []
-        for s_mask in range(1 << u):
-            union = all_masks | s_mask
-            inter = all_masks & s_mask
-            bad = np.nonzero(vals[s_mask] + vals - vals[union] - vals[inter] < -tol)[0]
-            for t_mask in bad:
-                violations.append(
-                    StructureViolation("submodularity", _mask_set(universe, s_mask), _mask_set(universe, int(t_mask)))
-                )
-            supersets = np.nonzero(((all_masks & s_mask) == s_mask) & (vals < vals[s_mask] - tol))[0]
-            for t_mask in supersets:
-                violations.append(
-                    StructureViolation("monotonicity", _mask_set(universe, s_mask), _mask_set(universe, int(t_mask)))
-                )
-        return violations
+        if u > ExplicitTable.MAX_ITEMS:
+            raise ValueError(f"exhaustive mode supports at most {ExplicitTable.MAX_ITEMS} items, got {u}")
+        vals = np.array([v.value(_mask_set(universe, mask)) for mask in range(1 << u)], dtype=float)
+        return [
+            StructureViolation(kind, _mask_set(universe, left), _mask_set(universe, right))
+            for kind, left, right in _local_violations(vals, tol)
+        ]
     if mode == "sampled":
         rng = random.Random(seed)
-        violations = []
+        violations: List[StructureViolation] = []
         for _ in range(trials):
             s_mask = rng.getrandbits(u) if u else 0
             t_mask = rng.getrandbits(u) if u else 0

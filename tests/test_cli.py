@@ -259,3 +259,84 @@ def test_entrypoint_maps_to_sys_exit(tmp_path, monkeypatch):
         entrypoint()
     assert excinfo.value.code == 0
     assert out.exists()
+
+
+def test_verify_reports_a_cap_failure_as_fail(inst_file, monkeypatch, capsys):
+    import nswfair.pipeline as pipeline
+    from nswfair.local_search import SpendingReport
+
+    real = pipeline.check_spending
+
+    def over_cap(price_vector):
+        report = real(price_vector)
+        if price_vector.variant != "asymmetric":
+            return report
+        return SpendingReport(report.variant, {**report.per_agent, "a0": (0.75, 0.5)}, 0.9, 1.0)
+
+    monkeypatch.setattr(pipeline, "check_spending", over_cap)
+    assert main(["verify", inst_file]) == 2
+    captured = capsys.readouterr()
+    assert "FAIL  asymmetric spending caps" in captured.out
+    assert "PASS  symmetric spending caps" in captured.out
+    assert "certificate violation" in captured.err
+
+
+def test_solve_efx_rejects_an_incomplete_fair_allocation(inst_file, monkeypatch, capsys):
+    import nswfair.cli as cli_mod
+
+    real = cli_mod.guarantee_half_efx
+
+    def drop_one_item(inst, allocation):
+        fair = real(inst, allocation)
+        holder = next(a for a in inst.agents if fair.bundle(a))
+        dropped = inst.sort_items(fair.bundle(holder))[0]
+        return Allocation({a: b - {dropped} for a, b in fair.bundles.items()})
+
+    monkeypatch.setattr(cli_mod, "guarantee_half_efx", drop_one_item)
+    assert main(["solve", inst_file, "--efx"]) == 2
+    assert "efx completeness" in capsys.readouterr().err
+
+
+def test_experiment_verify_enforces_every_check(tmp_path, monkeypatch, capsys):
+    import nswfair.cli as cli_mod
+
+    config = tmp_path / "config.json"
+    doc = {"families": ["additive"], "n": [2], "m": [4], "trials": 1, "exact": False, "efx": True}
+    monkeypatch.setattr(cli_mod, "half_efx_check", lambda inst, alloc: [("a0", "a1", "g0")])
+    config.write_text(json.dumps(doc))
+    assert main(["experiment", str(config)]) == 0
+    assert capsys.readouterr().out.strip().splitlines()[1].endswith(",no")
+    config.write_text(json.dumps({**doc, "verify": True}))
+    assert main(["experiment", str(config)]) == 2
+    assert "instance additive-n2-m4-s0: failed half-efx" in capsys.readouterr().err
+
+
+def test_non_submodular_table_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    doc = instance_to_json(random_instance("additive", 2, 6, 0))
+    order = doc["items"]
+    squares = [float(bin(mask).count("1") ** 2) for mask in range(1 << len(order))]
+    doc["valuations"][0] = {"agent": "a0", "kind": "explicit_table", "params": {"order": order, "values": squares}}
+    path.write_text(canonical_json(doc))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "not submodular" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_output_does_not_depend_on_asserts(tmp_path):
+    # `python -O` strips assert statements; no check may rely on one.
+    src_dir = str(Path(nswfair.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    path = tmp_path / "inst.json"
+    path.write_text(canonical_json(instance_to_json(random_instance("coverage", 3, 7, 4))))
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "nswfair.cli", "verify", str(path), "--exact", "--efx"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert runs[0].returncode == 0, runs[0].stderr
+    assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)
+    assert runs[0].stdout.count("PASS") >= 8

@@ -12,8 +12,9 @@ import hashlib
 import pytest
 
 from nswfair import solve_nsw
+from nswfair.cli import main
 from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
-from nswfair.instance import canonical_json
+from nswfair.instance import canonical_json, save_instance
 
 EPS = 0.1
 SIZES = ((3, 8), (6, 40), (12, 120))
@@ -78,3 +79,44 @@ def test_golden_set_covers_every_case():
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_golden_digest(case):
     assert solve_digest(case) == GOLDEN[case_id(case)]
+
+
+# CLI documents: `nswfair solve FILE --exact --verify [--efx] --out` on seeded
+# 3x8 instance files, so the `exact` and `efx` blocks are frozen as well.
+CLI_CASES = [
+    (family, mode, 3, 8, 2000 + 10 * f + w)
+    for f, family in enumerate(FAMILIES)
+    for w, mode in enumerate(WEIGHT_MODES)
+]
+
+CLI_GOLDEN = {
+    "additive-symmetric-3x8-s2000": "3a7d4a3208a3b5002104cca4d476b9741f5465944f6e4adf584349e832175afc",
+    "additive-random_rational-3x8-s2001": "6b005e7cf59f93c34043dff1004822649f7110adf9ece2576de5c302ad8d3047",
+    "budget_additive-symmetric-3x8-s2010": "012fa7b75f588e61b5deee5ef39cbbfa719d49060c8edac070bc328dd2bde797",
+    "budget_additive-random_rational-3x8-s2011": "b2f3e5f5e3b979b1769d671166b4de1db00bfe4fb5664212ac72fe11dc8578a1",
+    "coverage-symmetric-3x8-s2020": "02aee07248889035f101b679464b4649efc89a3ef3e01eaa734ca4441ac4ba53",
+    "coverage-random_rational-3x8-s2021": "fb63cf8c789edb704f42d225a244c0f67d992fb316c257e1e9d7596f151cf1b0",
+    "partition_matroid_rank-symmetric-3x8-s2030": "2b32b2f12780e941bb4fc0b76c03b5b6cb8da9e1bf35e397a134c1d0da3bd6ac",
+    "partition_matroid_rank-random_rational-3x8-s2031": "8a022fc43d824eedf57fab63914f10802c4b844b8e2328e910b9a2cee4c881f2",
+}
+
+
+def cli_digest(case, tmp_path) -> str:
+    family, mode, n, m, seed = case
+    inst = random_instance(family, n, m, seed, mode)
+    path, out = tmp_path / "instance.json", tmp_path / "report.json"
+    save_instance(inst, str(path))
+    argv = ["solve", str(path), "--exact", "--verify", "--out", str(out)]
+    if inst.is_symmetric():
+        argv.append("--efx")
+    assert main(argv) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_cli_golden_set_covers_every_case():
+    assert sorted(CLI_GOLDEN) == sorted(case_id(c) for c in CLI_CASES)
+
+
+@pytest.mark.parametrize("case", CLI_CASES, ids=case_id)
+def test_cli_golden_digest(case, tmp_path, capsys):
+    assert cli_digest(case, tmp_path) == CLI_GOLDEN[case_id(case)]

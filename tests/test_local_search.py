@@ -6,12 +6,16 @@ import pytest
 
 from nswfair import (
     AllocationError,
+    Coverage,
+    Instance,
     check_spending,
     epsilon_bar,
     local_search,
     prices,
+    solve_nsw,
     verify_local_opt,
 )
+from nswfair.valuations import Valuation
 from nswfair.generate import FAMILIES, random_instance
 from nswfair.local_search import _Context, _Gains
 
@@ -108,14 +112,51 @@ def test_price_reference_values(e1):
 
 def test_spending_reference_values(e1):
     bundles = {"1": {"d"}, "2": {"c"}}
-    asym = check_spending(e1, prices(e1, bundles, "asymmetric"), bundles)
+    asym = check_spending(prices(e1, bundles, "asymmetric"))
     assert asym.per_agent["1"] == (pytest.approx(math.log(2) / 2), 0.5)
     assert asym.total_spent == pytest.approx(math.log(2))
     assert asym.total_cap == 1.0
-    sym = check_spending(e1, prices(e1, bundles, "symmetric"), bundles)
+    sym = check_spending(prices(e1, bundles, "symmetric"))
     assert sym.per_agent["1"] == (pytest.approx(1.0), 1.0)
     assert sym.total_spent == pytest.approx(2.0)
     assert sym.total_cap == 2.0
+    assert asym.within_caps() and sym.within_caps()
+
+
+def test_spending_over_a_cap_is_reported_not_raised():
+    # v(S) = |S|^2 is not submodular, so its prices break both caps. Tables
+    # reject such a valuation; a hand-made one still reaches the solver,
+    # which returns the report instead of raising.
+    class Squares(Valuation):
+        kind = "test_squares"
+        items = frozenset(f"g{k}" for k in range(6))
+
+        def value(self, bundle):
+            return float(len(self._bundle(bundle)) ** 2)
+
+    base = random_instance("additive", 2, 6, 0)
+    inst = Instance(base.agents, base.weights, base.items, (Squares(), base.valuations[1]))
+    sym = check_spending(prices(inst, {"a0": set(inst.items), "a1": set()}, "symmetric"))
+    # vbar = 1 + v: each of the six items is priced 37 / 26 - 1
+    assert sym.per_agent["a0"] == (pytest.approx(6 * (37 / 26 - 1)), 1.0)
+    assert not sym.within_caps()
+    certs = solve_nsw(inst, 0.1).certificates
+    spent, cap = certs.spending_asymmetric.per_agent["a0"]
+    assert spent > cap == 0.5
+    assert not certs.spending_asymmetric.within_caps()
+    assert not certs.spending_symmetric.within_caps()
+
+
+def test_check_spending_calls_no_valuation(monkeypatch):
+    inst = random_instance("coverage", 4, 24, 3)
+    eb = epsilon_bar(0.1, inst.m)
+    bundles = local_search(inst, inst.items, eb).bundles
+    price_vectors = [prices(inst, bundles, variant) for variant in ("asymmetric", "symmetric")]
+    calls = []
+    monkeypatch.setattr(Coverage, "value", lambda self, bundle: calls.append(bundle))
+    reports = [check_spending(pv) for pv in price_vectors]
+    assert calls == []
+    assert all(r.within_caps() and set(r.per_agent) == set(pv.budgets) for r, pv in zip(reports, price_vectors))
 
 
 def test_empty_universe_is_trivially_optimal(e1):
@@ -152,7 +193,7 @@ def test_random_instances_reach_certified_optima(family, seed):
     assert verify_local_opt(inst, result.bundles, eb) == []
     assert result.swaps <= math.log(len(inst.items) + 1) / math.log1p(eb) + 1
     for variant in ("asymmetric", "symmetric"):
-        check_spending(inst, prices(inst, result.bundles, variant), result.bundles)
+        assert check_spending(prices(inst, result.bundles, variant)).within_caps()
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])
@@ -172,7 +213,7 @@ def test_asymmetric_weights_respect_caps():
     )
     eb = epsilon_bar(0.1, 3)
     result = local_search(inst, inst.items, eb)
-    report = check_spending(inst, prices(inst, result.bundles, "asymmetric"), result.bundles)
+    report = check_spending(prices(inst, result.bundles, "asymmetric"))
     assert report.per_agent["1"][1] == 0.25
     assert report.per_agent["2"][1] == 0.75
     assert report.total_spent <= 1.0 + 1e-9

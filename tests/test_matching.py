@@ -135,30 +135,31 @@ def test_totals_agree_with_scipy():
 
 def test_lex_identity_when_everyone_prefers_self():
     edges = {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)}
-    rho = solve_lex_assignment(3, 3, edges, must_match=set(), prefer_self={0: 0, 1: 1, 2: 2})
+    rho = solve_lex_assignment(3, 3, edges, must_match=set())
     assert rho == (0, 1, 2)
-    # the tiers dominate the index preference, however many columns precede
-    assert solve_lex_assignment(1, 5, {(0, 0), (0, 4)}, set(), {0: 4}) == (4,)
+    # the tiers dominate the index preference: row 1 keeps its own column 1
+    # although column 0 comes first
+    assert solve_lex_assignment(2, 5, {(1, 0), (1, 1)}, set()) == (None, 1)
 
 
 def test_lex_cover_forces_displacement():
     # Column 1 must be covered and only row 0 reaches it, so row 0 moves off
     # its preferred column and row 1 backfills.
     edges = {(0, 0), (0, 1), (1, 0)}
-    rho = solve_lex_assignment(2, 2, edges, must_match={1}, prefer_self={0: 0, 1: 1})
+    rho = solve_lex_assignment(2, 2, edges, must_match={1})
     assert rho == (1, 0)
 
 
 def test_lex_empty_graph():
-    assert solve_lex_assignment(1, 2, set(), set(), {0: 0}) == (None,)
+    assert solve_lex_assignment(1, 2, set(), set()) == (None,)
 
 
 def test_lex_uncoverable_column_raises():
     with pytest.raises(LemmaViolation):
-        solve_lex_assignment(1, 2, {(0, 0)}, must_match={1}, prefer_self={0: 0})
+        solve_lex_assignment(1, 2, {(0, 0)}, must_match={1})
 
 
-def lex_oracle(n_rows, n_cols, edges, must_match, prefer_self):
+def lex_oracle(n_rows, n_cols, edges, must_match):
     options = []
     for r in range(n_rows):
         cols = sorted(c for rr, c in edges if rr == r)
@@ -170,7 +171,7 @@ def lex_oracle(n_rows, n_cols, edges, must_match, prefer_self):
             continue
         key = (
             sum(1 for c in used if c in must_match),
-            sum(1 for r, c in enumerate(combo) if c is not None and prefer_self.get(r) == c),
+            sum(1 for r, c in enumerate(combo) if c == r),
             len(used),
             sum(_lex_preference(r, c, n_rows, n_cols) for r, c in enumerate(combo) if c is not None),
         )
@@ -186,20 +187,19 @@ def lex_problems(draw):
     all_pairs = [(r, c) for r in range(n) for c in range(m)]
     edges = set(draw(st.lists(st.sampled_from(all_pairs), unique=True, max_size=len(all_pairs))))
     must = set(draw(st.lists(st.integers(0, m - 1), unique=True, max_size=m)))
-    prefer = {r: r for r in range(min(n, m))}
-    return n, m, edges, must, prefer
+    return n, m, edges, must
 
 
 @settings(max_examples=150, deadline=None)
 @given(lex_problems())
 def test_lex_assignment_agrees_with_enumeration(problem):
-    n, m, edges, must, prefer = problem
-    key, combo = lex_oracle(n, m, edges, must, prefer)
+    n, m, edges, must = problem
+    key, combo = lex_oracle(n, m, edges, must)
     if key[0] < len(must):
         with pytest.raises(LemmaViolation):
-            solve_lex_assignment(n, m, edges, must, prefer)
+            solve_lex_assignment(n, m, edges, must)
         return
-    assert solve_lex_assignment(n, m, edges, must, prefer) == combo
+    assert solve_lex_assignment(n, m, edges, must) == combo
 
 
 def test_tie_heavy_totals_agree_with_scipy():

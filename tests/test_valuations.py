@@ -17,7 +17,7 @@ from nswfair import (
     check_submodular,
     endow,
 )
-from nswfair.valuations import valuation_from_params
+from nswfair.valuations import Valuation, valuation_from_params
 
 
 def test_additive_eval():
@@ -110,10 +110,32 @@ def test_check_submodular_passes_additive():
     assert check_submodular(v, ["a", "b", "c"]) == []
 
 
+class Table(Valuation):
+    """Any table over the masks of ``order``, unscreened unlike ExplicitTable."""
+
+    kind = "test_table"
+
+    def __init__(self, order, values):
+        self.order, self.values = list(order), values
+
+    @property
+    def items(self):
+        return frozenset(self.order)
+
+    def value(self, bundle):
+        return float(self.values[sum(1 << self.order.index(j) for j in self._bundle(bundle))])
+
+
+COMPLEMENTS = Table(["a", "b"], [0, 1, 1, 3])  # v({a, b}) = 3 > v({a}) + v({b})
+
+
+def test_explicit_table_rejects_supermodular_table():
+    with pytest.raises(ValueError, match="not submodular: 'a' and 'b'"):
+        ExplicitTable(["a", "b"], [0, 1, 1, 3])
+
+
 def test_check_submodular_flags_supermodular_table():
-    # v({a, b}) = 3 > v({a}) + v({b}): complementary items.
-    v = ExplicitTable(["a", "b"], [0, 1, 1, 3])
-    violations = check_submodular(v, ["a", "b"])
+    violations = check_submodular(COMPLEMENTS, ["a", "b"])
     assert violations
     assert any(
         viol.kind == "submodularity" and {frozenset({"a"}), frozenset({"b"})} == {viol.left, viol.right}
@@ -122,12 +144,22 @@ def test_check_submodular_flags_supermodular_table():
 
 
 def test_check_submodular_sampled_mode_finds_same_defect():
-    v = ExplicitTable(["a", "b"], [0, 1, 1, 3])
-    assert check_submodular(v, ["a", "b"], mode="sampled", trials=200, seed=7)
+    assert check_submodular(COMPLEMENTS, ["a", "b"], mode="sampled", trials=200, seed=7)
+
+
+def test_check_submodular_witnesses_are_local():
+    # v(S) = min(|S|, 2) with {a, b, c} bumped to 4: submodularity breaks on
+    # top of each single item, monotonicity nowhere.
+    vals = [min(bin(mask).count("1"), 2) for mask in range(8)]
+    vals[7] = 4
+    violations = check_submodular(Table(["a", "b", "c"], vals), ["a", "b", "c"])
+    assert len(violations) == 3
+    assert {v.kind for v in violations} == {"submodularity"}
+    assert all(len(v.left) == len(v.right) == 2 and len(v.left & v.right) == 1 for v in violations)
 
 
 def test_check_submodular_size_limit():
-    v = Additive({f"g{i}": 1 for i in range(13)})
+    v = Additive({f"g{i}": 1 for i in range(21)})
     with pytest.raises(ValueError):
         check_submodular(v, sorted(v.items))
 
@@ -155,3 +187,17 @@ def test_coverage_always_submodular(data, m):
     weights = {u: data.draw(st.integers(min_value=0, max_value=9), label=u) for u in ground}
     v = Coverage(covers, weights)
     assert check_submodular(v, items) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(min_value=0, max_value=4))
+def test_local_tests_match_the_pairwise_definition(data, m):
+    # Reference: v(S) + v(T) >= v(S | T) + v(S & T) for every pair, and
+    # v(S) <= v(T) for every S inside T.
+    vals = [0] + data.draw(st.lists(st.integers(0, 4), min_size=(1 << m) - 1, max_size=(1 << m) - 1))
+    masks = range(1 << m)
+    pairwise = all(vals[s] + vals[t] >= vals[s | t] + vals[s & t] for s in masks for t in masks) and all(
+        vals[s] <= vals[t] for s in masks for t in masks if s & t == s
+    )
+    items = [f"g{i}" for i in range(m)]
+    assert (check_submodular(Table(items, vals), items) == []) == pairwise
