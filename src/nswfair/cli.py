@@ -90,11 +90,12 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _checks(
-    inst: Instance, report: SolveReport, opt_log: Optional[float] = None, fair: Optional[Allocation] = None
-) -> List[Tuple[str, Optional[bool]]]:
+Checks = List[Tuple[str, Optional[bool]]]
+
+
+def _checks(inst: Instance, report: SolveReport, opt_log: Optional[float] = None) -> Checks:
     """The one check list of a solve: (name, ok), with ok None when no
-    positive-welfare allocation exists. ``fair`` is the 1/2-EFX output."""
+    positive-welfare allocation exists. A 1/2-EFX output adds :func:`_fair_checks`."""
     certs = report.certificates
     checks = [
         ("local optimum recheck", not certs.local_opt_violations),
@@ -109,16 +110,20 @@ def _checks(
             checks.append((f"ratio {r:.4f} within factor {bound:.4f}", r <= bound + 1e-9))
         else:
             checks.append((f"ratio within factor {bound:.4f}", None))
-    if fair is not None:
-        checks += [
-            ("half-efx", not half_efx_check(inst, fair)),
-            ("efx completeness", fair.is_complete(inst)),
-            ("efx welfare floor", nsw_log(inst, fair) >= report.log_nsw - math.log(2.0) - 1e-9),
-        ]
     return checks
 
 
-def _require(checks: List[Tuple[str, Optional[bool]]], where: str) -> None:
+def _fair_checks(inst: Instance, fair: Allocation, fair_log: float, start_log: float) -> Checks:
+    """The check list of a 1/2-EFX output ``fair`` of log NSW ``fair_log``,
+    made from an allocation of log NSW ``start_log``."""
+    return [
+        ("half-efx", not half_efx_check(inst, fair)),
+        ("efx completeness", fair.is_complete(inst)),
+        ("efx welfare floor", fair_log >= start_log - math.log(2.0) - 1e-9),
+    ]
+
+
+def _require(checks: Checks, where: str) -> None:
     failed = [name for name, ok in checks if ok is False]
     if failed:
         raise LemmaViolation(f"{where}: failed " + "; ".join(failed))
@@ -133,20 +138,21 @@ def cmd_solve(args) -> int:
         f"swaps: {report.swaps} (limit {report.certificates.swap_limit:.3f})",
         f"guarantee: best factor {report.guarantee.best():.6f}",
     ]
-    opt_log = fair = None
+    opt_log = None
     if args.exact:
         opt_log = brute_force_opt(inst).opt_log
         r = ratio_of_logs(opt_log, report.log_nsw)
         doc["exact"] = {"opt_log_nsw": _fmt(opt_log), "ratio": r}
         lines.append(f"exact: opt log_nsw {_fmt(opt_log)}, ratio {r:.6f}")
+    checks = _checks(inst, report, opt_log if args.verify else None)
     if args.efx:
         fair = guarantee_half_efx(inst, report.allocation)
-    _require(_checks(inst, report, opt_log if args.verify else None, fair), "solve")
-    if fair is not None:  # past _require, so it is 1/2-EFX
-        fair_log = _fmt(nsw_log(inst, fair))
+        fair_log = nsw_log(inst, fair)
+        checks += _fair_checks(inst, fair, fair_log, report.log_nsw)
         allocation = {a: inst.sort_items(b) for a, b in sorted(fair.bundles.items())}
-        doc["efx"] = {"allocation": allocation, "log_nsw": fair_log, "half_efx": True}
-        lines.append(f"efx: half-efx ok, log_nsw {fair_log}")
+        doc["efx"] = {"allocation": allocation, "log_nsw": _fmt(fair_log), "half_efx": True}
+        lines.append(f"efx: half-efx ok, log_nsw {_fmt(fair_log)}")  # shown only if _require passes
+    _require(checks, "solve")
     if args.trace:
         _write_trace(args.trace, report)
     if args.out:
@@ -180,25 +186,21 @@ def cmd_efx(args) -> int:
         start = solve_nsw(inst, args.eps).allocation
     before = nsw_log(inst, start)
     fair = guarantee_half_efx(inst, start)
-    fails = half_efx_check(inst, fair)
-    if fails:
-        raise LemmaViolation("fairness pipeline delivered a non-half-EFX allocation")
-    doc = allocation_to_json(inst, fair)
+    after = nsw_log(inst, fair)
+    _require(_fair_checks(inst, fair, after, before), "efx")
     if args.out:
-        _write_text(args.out, canonical_json(doc))
-    print(
-        f"half-efx ok; log_nsw {_fmt(before)} -> {_fmt(nsw_log(inst, fair))}"
-        f" (floor {_fmt(before - math.log(2.0))})"
-    )
+        _write_text(args.out, canonical_json(allocation_to_json(inst, fair)))
+    print(f"half-efx ok; log_nsw {_fmt(before)} -> {_fmt(after)} (floor {_fmt(before - math.log(2.0))})")
     return 0
 
 
 def cmd_verify(args) -> int:
     inst = _load_checked(args.instance)
     report = solve_nsw(inst, args.eps)
-    opt_log = brute_force_opt(inst).opt_log if args.exact else None
-    fair = guarantee_half_efx(inst, report.allocation) if args.efx else None
-    checks = _checks(inst, report, opt_log, fair)
+    checks = _checks(inst, report, brute_force_opt(inst).opt_log if args.exact else None)
+    if args.efx:
+        fair = guarantee_half_efx(inst, report.allocation)
+        checks += _fair_checks(inst, fair, nsw_log(inst, fair), report.log_nsw)
     for name, ok in checks:
         if ok is None:
             print(f"SKIP  {name} (no positive-welfare allocation)")
@@ -273,7 +275,7 @@ def cmd_experiment(args) -> int:
         name = f"{family}-n{n}-m{m}-s{seed}"
         inst = random_instance(family, n, m, seed, config.weight_mode)
         report = solve_nsw(inst, config.eps)
-        opt_log = r = fair = None
+        opt_log = r = None
         if config.exact:
             try:
                 opt_log = brute_force_opt(inst).opt_log
@@ -283,12 +285,14 @@ def cmd_experiment(args) -> int:
             r = ratio_of_logs(opt_log, report.log_nsw)
             if math.isfinite(opt_log):
                 max_ratio[family] = max(max_ratio.get(family, 1.0), r)
+        checks = _checks(inst, report, opt_log if config.verify else None)
         efx_pass = ""
         if config.efx:
             fair = guarantee_half_efx(inst, report.allocation)
-            efx_pass = "yes" if not half_efx_check(inst, fair) else "no"
-        extra = (opt_log, fair) if config.verify else ()
-        _require(_checks(inst, report, *extra), f"instance {name}")
+            fair_checks = _fair_checks(inst, fair, nsw_log(inst, fair), report.log_nsw)
+            efx_pass = "yes" if fair_checks[0][1] else "no"
+            checks += fair_checks if config.verify else []
+        _require(checks, f"instance {name}")
         rows.append(
             [
                 name,

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from .errors import InvariantViolation
-from .instance import (
-    NEG_INF,
-    Allocation,
-    Instance,
-    complete_with_leftovers,
-    nsw_log,
-    validate,
-)
+from .instance import NEG_INF, Allocation, Instance, complete_with_leftovers, nsw_log, validate
 from .local_search import (
     LocalSearchResult,
     SpendingReport,
@@ -249,18 +242,14 @@ def solve_nsw(inst: Instance, eps: float) -> SolveReport:
         raise InvariantViolation("rematching lost the finite matching inherited from phase 1")
     sigma = {inst.agents[i]: h_items[c] for i, c in enumerate(phase3.assignment)}
 
-    allocation = Allocation(
-        {a: frozenset(search.bundles[a] | {sigma[a]}) for a in inst.agents}
-    )
+    allocation = Allocation({a: frozenset(search.bundles[a] | {sigma[a]}) for a in inst.agents})
     allocation = complete_with_leftovers(inst, allocation)
 
     violations = tuple(verify_local_opt(inst, search.bundles, eps_bar))
-    price_asym = prices(inst, search.bundles, "asymmetric")
-    price_sym = prices(inst, search.bundles, "symmetric")
     certificates = SolveCertificates(
         local_opt_violations=violations,
-        spending_asymmetric=check_spending(price_asym),
-        spending_symmetric=check_spending(price_sym),
+        spending_asymmetric=check_spending(prices(inst, search.bundles, "asymmetric")),
+        spending_symmetric=check_spending(prices(inst, search.bundles, "symmetric")),
         swap_limit=math.log(inst.m) / math.log1p(eps_bar) + 1.0 if inst.m > 1 else 1.0,
     )
     return SolveReport(

@@ -190,12 +190,14 @@ class ExplicitTable(Valuation):
 
     ``values[mask]`` is the value of the subset whose bit i (least significant
     first) selects ``order[i]``. The constructor enforces v(empty) = 0,
-    nonnegative finite entries, monotonicity and submodularity; the last two
-    through the local tests of :func:`check_submodular`, with no slack.
+    nonnegative finite entries, monotonicity and submodularity through the
+    local tests of :func:`check_submodular`; for float rounding, a second
+    difference may exceed 0 by ``SUBMODULAR_SLACK`` * max(1, largest entry).
     """
 
     kind = "explicit_table"
     MAX_ITEMS = 20
+    SUBMODULAR_SLACK = 1e-9
 
     def __init__(self, order: Sequence[str], values: Sequence[float]):
         self._order = tuple(str(j) for j in order)
@@ -211,7 +213,8 @@ class ExplicitTable(Valuation):
             raise ValueError("table entries must be finite and nonnegative")
         if vals[0] != 0.0:
             raise ValueError("the empty set must have value 0")
-        for kind, left, right in _local_violations(vals):
+        slack = self.SUBMODULAR_SLACK * max(1.0, float(vals.max()))
+        for kind, left, right in _local_violations(vals, 0.0, slack):
             if kind == "monotonicity":
                 added = self._order[(left ^ right).bit_length() - 1]
                 raise ValueError(f"table is not monotone: adding {added!r} to mask {left} lowers the value")
@@ -296,12 +299,13 @@ class StructureViolation(NamedTuple):
     right: FrozenSet[str]
 
 
-def _local_violations(vals: np.ndarray, tol: float = 0.0) -> Iterator[Tuple[str, int, int]]:
+def _local_violations(vals: np.ndarray, mono_tol: float, sub_tol: float) -> Iterator[Tuple[str, int, int]]:
     """Failed local tests of a 2^m-entry table, as (kind, left mask, right mask).
 
-    With d_i(S) = v(S + i) - v(S): monotone is d_i(S) >= -tol, witness
-    (S, S + i); submodular is d_i(S + j) <= d_i(S) + tol for i < j, witness
-    (S + i, S + j). Both are whole-array differences, one axis per item.
+    With d_i(S) = v(S + i) - v(S): monotone is d_i(S) >= -mono_tol, witness
+    (S, S + i); submodular is d_i(S + j) <= d_i(S) + sub_tol for i < j,
+    witness (S + i, S + j). Whole-array differences, one axis per item; at
+    most one witness, the smallest S, per item i and per pair (i, j).
     """
     m = vals.size.bit_length() - 1
     table = vals.reshape((2,) * m)
@@ -310,11 +314,11 @@ def _local_violations(vals: np.ndarray, tol: float = 0.0) -> Iterator[Tuple[str,
         axis_i = m - 1 - i  # axis 0 holds the most significant bit
         gain = np.diff(table, axis=axis_i)
         base = masks.take([0], axis=axis_i)
-        for s in base[gain < -tol].tolist():
+        for s in base[gain < -mono_tol][:1].tolist():
             yield "monotonicity", s, s | 1 << i
         for j in range(i + 1, m):
             axis_j = m - 1 - j
-            for s in base.take([0], axis=axis_j)[np.diff(gain, axis=axis_j) > tol].tolist():
+            for s in base.take([0], axis=axis_j)[np.diff(gain, axis=axis_j) > sub_tol][:1].tolist():
                 yield "submodularity", s | 1 << i, s | 1 << j
 
 
@@ -334,11 +338,12 @@ def check_submodular(
 
     Exhaustive mode evaluates all 2^|universe| subsets, for at most
     ``ExplicitTable.MAX_ITEMS`` items, and runs the local tests that
-    :class:`ExplicitTable` enforces: witnesses are (S, S + i) for
-    monotonicity and (S + i, S + j) for submodularity. Sampled mode draws
-    ``trials`` random pairs (S, T) from ``seed``. An empty list means no
-    violation was found. ``tol`` is an absolute slack for callers with
-    inexact float tables; the shipped integer-parameter families need none.
+    :class:`ExplicitTable` enforces, with at most one witness per item,
+    (S, S + i) for monotonicity, and per item pair, (S + i, S + j) for
+    submodularity. Sampled mode draws ``trials`` random pairs (S, T) from
+    ``seed``. An empty list means no violation was found. ``tol`` is a slack
+    on each compared difference, in exhaustive mode each local one, so a
+    pairwise violation spread over k local steps may reach k * tol unseen.
     """
     universe = list(universe)
     u = len(universe)
@@ -348,7 +353,7 @@ def check_submodular(
         vals = np.array([v.value(_mask_set(universe, mask)) for mask in range(1 << u)], dtype=float)
         return [
             StructureViolation(kind, _mask_set(universe, left), _mask_set(universe, right))
-            for kind, left, right in _local_violations(vals, tol)
+            for kind, left, right in _local_violations(vals, tol, tol)
         ]
     if mode == "sampled":
         rng = random.Random(seed)

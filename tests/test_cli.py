@@ -297,6 +297,26 @@ def test_solve_efx_rejects_an_incomplete_fair_allocation(inst_file, monkeypatch,
     assert "efx completeness" in capsys.readouterr().err
 
 
+def test_efx_command_rejects_an_incomplete_fair_allocation(inst_file, tmp_path, monkeypatch, capsys):
+    import nswfair.cli as cli_mod
+
+    real = cli_mod.guarantee_half_efx
+
+    def drop_one_item(inst, allocation):
+        fair = real(inst, allocation)
+        holder = next(a for a in inst.agents if fair.bundle(a))
+        dropped = inst.sort_items(fair.bundle(holder))[0]
+        return Allocation({a: b - {dropped} for a, b in fair.bundles.items()})
+
+    monkeypatch.setattr(cli_mod, "guarantee_half_efx", drop_one_item)
+    out = tmp_path / "fair.json"
+    assert main(["efx", inst_file, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "efx: failed" in captured.err and "efx completeness" in captured.err
+    assert "half-efx ok" not in captured.out
+    assert not out.exists()
+
+
 def test_experiment_verify_enforces_every_check(tmp_path, monkeypatch, capsys):
     import nswfair.cli as cli_mod
 

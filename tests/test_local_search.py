@@ -214,6 +214,8 @@ def test_asymmetric_weights_respect_caps():
     eb = epsilon_bar(0.1, 3)
     result = local_search(inst, inst.items, eb)
     report = check_spending(prices(inst, result.bundles, "asymmetric"))
+    assert report.within_caps()
+    assert all(spent <= cap + 1e-9 for spent, cap in report.per_agent.values())
     assert report.per_agent["1"][1] == 0.25
     assert report.per_agent["2"][1] == 0.75
     assert report.total_spent <= 1.0 + 1e-9

@@ -134,6 +134,25 @@ def test_explicit_table_rejects_supermodular_table():
         ExplicitTable(["a", "b"], [0, 1, 1, 3])
 
 
+def test_explicit_table_allows_float_rounding_of_a_modular_table():
+    # 0.8 - 0.7 rounds to 0.10000000000000009 > 0.1, yet v is additive.
+    v = ExplicitTable(["a", "b"], [0, 0.1, 0.7, 0.8])
+    assert v.value(["a", "b"]) == 0.8
+    with pytest.raises(ValueError, match="not submodular"):
+        ExplicitTable(["a", "b"], [0, 1, 1, 2 + 1e-6])
+    with pytest.raises(ValueError, match="not monotone"):
+        ExplicitTable(["a", "b"], [0, 0.1, 0.7, 0.7 - 1e-12])
+
+
+def test_check_submodular_reports_one_witness_per_pair():
+    # v(S) = |S|^2 breaks submodularity on every pair over many bases.
+    items = [f"g{i}" for i in range(6)]
+    squares = Table(items, [bin(mask).count("1") ** 2 for mask in range(1 << 6)])
+    violations = check_submodular(squares, items)
+    assert len(violations) == 15
+    assert all(v.kind == "submodularity" and len(v.left) == len(v.right) == 1 for v in violations)
+
+
 def test_check_submodular_flags_supermodular_table():
     violations = check_submodular(COMPLEMENTS, ["a", "b"])
     assert violations
