@@ -93,9 +93,15 @@ def cmd_gen(args) -> int:
 Checks = List[Tuple[str, Optional[bool]]]
 
 
-def _checks(inst: Instance, report: SolveReport, opt_log: Optional[float] = None) -> Checks:
-    """The one check list of a solve: (name, ok), with ok None when no
-    positive-welfare allocation exists. A 1/2-EFX output adds :func:`_fair_checks`."""
+def _exact(inst: Instance, report: SolveReport) -> Tuple[float, float]:
+    """The brute-force optimum's log NSW and the ratio of ``report`` to it."""
+    opt_log = brute_force_opt(inst).opt_log
+    return opt_log, ratio_of_logs(opt_log, report.log_nsw)
+
+
+def _checks(report: SolveReport, exact: Optional[Tuple[float, float]] = None) -> Checks:
+    """The one check list of a solve: (name, ok), ok None when no positive-welfare allocation
+    exists. ``exact`` (from :func:`_exact`) adds the ratio; a 1/2-EFX output adds :func:`_fair_checks`."""
     certs = report.certificates
     checks = [
         ("local optimum recheck", not certs.local_opt_violations),
@@ -103,8 +109,8 @@ def _checks(inst: Instance, report: SolveReport, opt_log: Optional[float] = None
         ("symmetric spending caps", certs.spending_symmetric.within_caps() if report.feasible else None),
         ("swap budget", report.swaps <= certs.swap_limit),
     ]
-    if opt_log is not None:
-        r = ratio_of_logs(opt_log, report.log_nsw)
+    if exact is not None:
+        opt_log, r = exact
         bound = report.guarantee.best()
         if math.isfinite(opt_log):
             checks.append((f"ratio {r:.4f} within factor {bound:.4f}", r <= bound + 1e-9))
@@ -138,13 +144,12 @@ def cmd_solve(args) -> int:
         f"swaps: {report.swaps} (limit {report.certificates.swap_limit:.3f})",
         f"guarantee: best factor {report.guarantee.best():.6f}",
     ]
-    opt_log = None
+    exact = None
     if args.exact:
-        opt_log = brute_force_opt(inst).opt_log
-        r = ratio_of_logs(opt_log, report.log_nsw)
+        opt_log, r = exact = _exact(inst, report)
         doc["exact"] = {"opt_log_nsw": _fmt(opt_log), "ratio": r}
         lines.append(f"exact: opt log_nsw {_fmt(opt_log)}, ratio {r:.6f}")
-    checks = _checks(inst, report, opt_log if args.verify else None)
+    checks = _checks(report, exact if args.verify else None)
     if args.efx:
         fair = guarantee_half_efx(inst, report.allocation)
         fair_log = nsw_log(inst, fair)
@@ -197,7 +202,7 @@ def cmd_efx(args) -> int:
 def cmd_verify(args) -> int:
     inst = _load_checked(args.instance)
     report = solve_nsw(inst, args.eps)
-    checks = _checks(inst, report, brute_force_opt(inst).opt_log if args.exact else None)
+    checks = _checks(report, _exact(inst, report) if args.exact else None)
     if args.efx:
         fair = guarantee_half_efx(inst, report.allocation)
         checks += _fair_checks(inst, fair, nsw_log(inst, fair), report.log_nsw)
@@ -275,17 +280,16 @@ def cmd_experiment(args) -> int:
         name = f"{family}-n{n}-m{m}-s{seed}"
         inst = random_instance(family, n, m, seed, config.weight_mode)
         report = solve_nsw(inst, config.eps)
-        opt_log = r = None
+        exact = opt_log = r = None
         if config.exact:
             try:
-                opt_log = brute_force_opt(inst).opt_log
+                opt_log, r = exact = _exact(inst, report)
             except SizeGuardExceeded as exc:
                 print(f"warning: skipping {name}: {exc}", file=sys.stderr)
                 continue
-            r = ratio_of_logs(opt_log, report.log_nsw)
             if math.isfinite(opt_log):
                 max_ratio[family] = max(max_ratio.get(family, 1.0), r)
-        checks = _checks(inst, report, opt_log if config.verify else None)
+        checks = _checks(report, exact if config.verify else None)
         efx_pass = ""
         if config.efx:
             fair = guarantee_half_efx(inst, report.allocation)

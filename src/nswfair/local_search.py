@@ -19,10 +19,10 @@ on first use. Accepting a swap changes only the giver's and the taker's
 bundles, so it clears exactly their entries and every other agent keeps its
 own. Valuations are pure functions of the set, so a cached log is the float
 a fresh evaluation would return and the gains, the scan order and the
-certificates do not depend on the cache. The same table backs
+certificates do not depend on the cache. Fresh tables back
 :func:`verify_local_opt`, which re-checks every triple on the final bundles,
-and :func:`prices`, which turns local optimality into per-item prices with
-provable spending caps. The certificates are records: neither
+and :func:`prices`, which turns local optimality into both price vectors
+with provable spending caps. The certificates are records: neither
 :func:`prices` nor :func:`check_spending` raises on what it finds.
 """
 
@@ -38,6 +38,7 @@ from .valuations import EndowedValuation, endow
 
 __all__ = [
     "epsilon_bar",
+    "swap_bound",
     "SwapRecord",
     "LocalOptCertificate",
     "LocalSearchResult",
@@ -52,19 +53,30 @@ __all__ = [
 SPENDING_TOLERANCE = 1e-9
 
 
+def swap_bound(size: int, eps_bar: float) -> float:
+    """Swap budget when each vbar grows at most ``size``-fold and each swap gains over log1p(eps_bar).
+
+    >>> swap_bound(1, 0.5)
+    1.0
+    """
+    return math.log(size) / math.log1p(eps_bar) + 1.0
+
+
 def epsilon_bar(eps: float, m: int) -> float:
-    """Per-swap improvement threshold: (1 + eps)^(1/m) - 1, computed stably.
+    """Per-swap improvement threshold (1 + eps)^(1/m) - 1, computed stably, and the one check
+    of eps: finite, positive and large enough that eps_bar > 0 and swap_bound(m, eps_bar) is finite.
 
     >>> epsilon_bar(0.1, 1)
     0.1
     >>> epsilon_bar(3.0, 2)
     1.0
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     if m < 1:
         raise ValueError("m must be at least 1")
-    return math.expm1(math.log1p(eps) / m)
+    eps_bar = math.expm1(math.log1p(eps) / m) if 0.0 < eps < math.inf else 0.0
+    if not (eps_bar > 0.0 and math.isfinite(swap_bound(m, eps_bar))):
+        raise ValueError(f"eps must be finite, positive and large enough for {m} items, got {eps!r}")
+    return eps_bar
 
 
 @dataclass(frozen=True)
@@ -87,6 +99,7 @@ class LocalOptCertificate:
 
 @dataclass(frozen=True)
 class LocalSearchResult:
+    universe: Tuple[str, ...]
     bundles: Dict[str, FrozenSet[str]]
     abar: Tuple[str, ...]
     favorites: Dict[str, str]
@@ -95,46 +108,38 @@ class LocalSearchResult:
     certificate: LocalOptCertificate
 
 
-class _Context:
-    """Shared setup: abar membership and shifted valuations for a universe J."""
+class _Gains:
+    """Swap gains over live bundles of a universe J, each vbar memoised until it changes.
 
-    def __init__(self, inst: Instance, universe: Iterable[str]):
+    ``abar``: the agents valuing J positively, in index order, each endowed with its favorite
+    item of J. Change ``bundles`` only through :meth:`move`, which keeps the memo in step.
+    """
+
+    def __init__(self, inst: Instance, universe: Iterable[str], bundles: Dict[str, set]):
         self.inst = inst
         self.universe = inst.sort_items(universe)
+        self.bundles = bundles
         self.abar: List[str] = []
         self.endowed: Dict[str, EndowedValuation] = {}
         for agent, v in zip(inst.agents, inst.valuations):
             if self.universe and v.value(self.universe) > 0.0:
                 self.abar.append(agent)
                 self.endowed[agent] = endow(v, self.universe)
+        self.weight = {a: inst.weight_floats[inst.agent_index[a]] for a in self.abar}
+        self._cur: Dict[str, Tuple[float, float]] = {}
+        self._rem: Dict[str, Dict[str, Tuple[float, float]]] = {a: {} for a in self.abar}
+        self._add: Dict[str, Dict[str, float]] = {a: {} for a in self.abar}
 
-    def vbar(self, agent: str, bundle: Iterable[str]) -> Tuple[float, float]:
+    def _vbar(self, agent: str, bundle: Iterable[str]) -> Tuple[float, float]:
         """vbar_agent(bundle) and its log."""
         value = self.endowed[agent].value(bundle)
         return value, math.log(value)
-
-
-class _Gains:
-    """Swap gains over live bundles, with every vbar memoised until it changes.
-
-    ``bundles`` is owned by the table once handed over: change it only
-    through :meth:`move`, which keeps the memo in step.
-    """
-
-    def __init__(self, ctx: _Context, bundles: Dict[str, set]):
-        self.ctx = ctx
-        self.bundles = bundles
-        w = ctx.inst.weight_floats
-        self.weight = {a: w[ctx.inst.agent_index[a]] for a in ctx.abar}
-        self._cur: Dict[str, Tuple[float, float]] = {}
-        self._rem: Dict[str, Dict[str, Tuple[float, float]]] = {a: {} for a in ctx.abar}
-        self._add: Dict[str, Dict[str, float]] = {a: {} for a in ctx.abar}
 
     def current(self, agent: str) -> Tuple[float, float]:
         """vbar(R_agent) and its log."""
         hit = self._cur.get(agent)
         if hit is None:
-            hit = self._cur[agent] = self.ctx.vbar(agent, self.bundles[agent])
+            hit = self._cur[agent] = self._vbar(agent, self.bundles[agent])
         return hit
 
     def removed(self, agent: str, item: str) -> Tuple[float, float]:
@@ -142,7 +147,7 @@ class _Gains:
         row = self._rem[agent]
         hit = row.get(item)
         if hit is None:
-            hit = row[item] = self.ctx.vbar(agent, self.bundles[agent] - {item})
+            hit = row[item] = self._vbar(agent, self.bundles[agent] - {item})
         return hit
 
     def added(self, agent: str, item: str) -> float:
@@ -150,7 +155,7 @@ class _Gains:
         row = self._add[agent]
         hit = row.get(item)
         if hit is None:
-            hit = row[item] = self.ctx.vbar(agent, self.bundles[agent] | {item})[1]
+            hit = row[item] = self._vbar(agent, self.bundles[agent] | {item})[1]
         return hit
 
     def scan(self) -> Iterator[Tuple[str, str, str, float]]:
@@ -160,10 +165,10 @@ class _Gains:
         + w_t * (log vbar_t(R_t + j) - log vbar_t(R_t)), with the giver's
         term computed once per item. Stop iterating after a :meth:`move`.
         """
-        abar = self.ctx.abar
+        abar = self.abar
         w = self.weight
         for giver in abar:
-            for item in self.ctx.inst.sort_items(self.bundles[giver]):
+            for item in self.inst.sort_items(self.bundles[giver]):
                 give = w[giver] * (self.removed(giver, item)[1] - self.current(giver)[1])
                 for taker in abar:
                     if taker != giver:
@@ -187,15 +192,11 @@ def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> Loc
     """
     if eps_bar < 0:
         raise ValueError("eps_bar must be nonnegative")
-    ctx = _Context(inst, universe)
-    bundles: Dict[str, set] = {a: set() for a in inst.agents}
-    if ctx.abar:
-        bundles[ctx.abar[0]] = set(ctx.universe)
-    table = _Gains(ctx, bundles)
+    table = _Gains(inst, universe, {a: set() for a in inst.agents})
+    if table.abar:
+        table.bundles[table.abar[0]] = set(table.universe)  # nothing is memoised yet
     threshold = math.log1p(eps_bar)
-    max_swaps = None
-    if eps_bar > 0 and ctx.universe:
-        max_swaps = int(math.log(len(ctx.universe) + 1) / math.log1p(eps_bar)) + 4
+    max_swaps = swap_bound(len(table.universe) + 1, eps_bar) if eps_bar > 0 else math.inf
     swaps = 0
     trace: List[SwapRecord] = []
     while True:
@@ -209,17 +210,18 @@ def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> Loc
                 table.move(giver, item, taker)
                 swaps += 1
                 trace.append(SwapRecord(swaps, giver, item, taker, gain))
-                if max_swaps is not None and swaps > max_swaps:
+                if swaps > max_swaps:
                     raise InvariantViolation(
-                        f"swap count {swaps} exceeded the certified bound {max_swaps}"
+                        f"swap count {swaps} exceeded the certified bound {max_swaps:.3f}"
                     )
                 break
         else:
             break
     return LocalSearchResult(
-        bundles={a: frozenset(b) for a, b in bundles.items()},
-        abar=tuple(ctx.abar),
-        favorites={a: ctx.endowed[a].favorite for a in ctx.abar},
+        universe=tuple(table.universe),
+        bundles={a: frozenset(b) for a, b in table.bundles.items()},
+        abar=tuple(table.abar),
+        favorites={a: table.endowed[a].favorite for a in table.abar},
         swaps=swaps,
         trace=tuple(trace),
         certificate=LocalOptCertificate(
@@ -239,14 +241,13 @@ def _gains_for_bundles(inst: Instance, bundles: Mapping[str, Iterable[str]]) -> 
             raise AllocationError("bundles overlap")
         union |= b
         sets[agent] = b
-    ctx = _Context(inst, union)
-    holders = {a for a, b in sets.items() if b}
-    outside = holders - set(ctx.abar)
+    table = _Gains(inst, union, sets)
+    outside = {a for a, b in sets.items() if b} - set(table.abar)
     if outside:
         raise AllocationError(
             f"agents {sorted(outside)} hold items but value the universe at zero"
         )
-    return _Gains(ctx, sets)
+    return table
 
 
 def verify_local_opt(
@@ -255,9 +256,9 @@ def verify_local_opt(
     """Exhaustively re-check local optimality of ``bundles``.
 
     Returns every (giver, taker, item) triple whose swap gain strictly beats
-    log(1 + eps_bar); the empty list certifies an eps_bar-local optimum. The
-    gain table is the one :func:`local_search` scores with, so verifying a
-    search output is exact, not a tolerance game.
+    log(1 + eps_bar); the empty list certifies an eps_bar-local optimum. A fresh
+    table of the kind :func:`local_search` scores with rechecks the search's
+    memo independently, and verifying a search output is exact, not a tolerance game.
     """
     table = _gains_for_bundles(inst, bundles)
     threshold = math.log1p(eps_bar)
@@ -286,25 +287,23 @@ class PriceVector:
         return float(sum(self.values[j] for j in sorted(items)))
 
 
-def prices(inst: Instance, bundles: Mapping[str, Iterable[str]], variant: str) -> PriceVector:
-    """Prices of the items held by participating agents; a symmetric price
-    above 1 is recorded, and as prices are nonnegative it breaks a cap."""
-    if variant not in ("asymmetric", "symmetric"):
-        raise ValueError(f"variant must be 'asymmetric' or 'symmetric', got {variant!r}")
+def prices(inst: Instance, bundles: Mapping[str, Iterable[str]]) -> Tuple[PriceVector, PriceVector]:
+    """Asymmetric and symmetric prices of the items held by participating
+    agents, from one gain table; a symmetric price above 1 is recorded, and
+    as prices are nonnegative it breaks a cap."""
     table = _gains_for_bundles(inst, bundles)
-    values: Dict[str, float] = {}
-    budgets: Dict[str, Tuple[FrozenSet[str], float]] = {}
-    for agent in table.ctx.abar:
+    asymmetric = PriceVector("asymmetric", {}, {})
+    symmetric = PriceVector("symmetric", {}, {})
+    for agent in table.abar:
         with_item, log_with = table.current(agent)
         for item in inst.sort_items(table.bundles[agent]):
             without, log_without = table.removed(agent, item)
-            if variant == "asymmetric":
-                values[item] = table.weight[agent] * (log_with - log_without)
-            else:
-                values[item] = with_item / without - 1.0
-        cap = table.weight[agent] if variant == "asymmetric" else 1.0
-        budgets[agent] = (frozenset(table.bundles[agent]), cap)
-    return PriceVector(variant=variant, values=values, budgets=budgets)
+            asymmetric.values[item] = table.weight[agent] * (log_with - log_without)
+            symmetric.values[item] = with_item / without - 1.0
+        bundle = frozenset(table.bundles[agent])
+        asymmetric.budgets[agent] = (bundle, table.weight[agent])
+        symmetric.budgets[agent] = (bundle, 1.0)
+    return asymmetric, symmetric
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import InvariantViolation
 from .instance import NEG_INF, Allocation, Instance, complete_with_leftovers, nsw_log, validate
@@ -29,6 +29,7 @@ from .local_search import (
     epsilon_bar,
     local_search,
     prices,
+    swap_bound,
     verify_local_opt,
 )
 from .matching import solve_assignment
@@ -115,16 +116,16 @@ class SolveReport:
     log_nsw: float
     feasible: bool
     tau: Dict[str, str]
-    matched_items: FrozenSet[str]
-    leftover_universe: FrozenSet[str]
-    search_bundles: Dict[str, FrozenSet[str]]
     sigma: Dict[str, str]
-    swaps: int
     eps: float
     eps_bar: float
     guarantee: GuaranteeFactors
     certificates: SolveCertificates
     search: Optional[LocalSearchResult]
+
+    @property
+    def swaps(self) -> int:
+        return self.search.swaps if self.search is not None else 0
 
     def nsw(self) -> float:
         return math.exp(self.log_nsw) if self.log_nsw != NEG_INF else 0.0
@@ -133,15 +134,18 @@ class SolveReport:
         def num(x: float):
             return "-inf" if x == NEG_INF else x
 
+        search = self.search
         return {
             "log_nsw": num(self.log_nsw),
             "nsw": self.nsw(),
             "feasible": self.feasible,
             "allocation": {a: sorted(b) for a, b in sorted(self.allocation.bundles.items())},
             "tau": dict(sorted(self.tau.items())),
-            "matched_items": sorted(self.matched_items),
-            "leftover_universe": sorted(self.leftover_universe),
-            "search_bundles": {a: sorted(b) for a, b in sorted(self.search_bundles.items())},
+            "matched_items": sorted(self.tau.values()),
+            "leftover_universe": sorted(search.universe) if search else [],
+            "search_bundles": {
+                a: sorted(search.bundles[a]) if search else [] for a in sorted(self.allocation.bundles)
+            },
             "sigma": dict(sorted(self.sigma.items())),
             "swaps": self.swaps,
             "eps": self.eps,
@@ -185,11 +189,7 @@ def _infeasible_report(inst: Instance, eps: float, eps_bar: float) -> SolveRepor
         log_nsw=NEG_INF,
         feasible=False,
         tau={},
-        matched_items=frozenset(),
-        leftover_universe=frozenset(),
-        search_bundles={a: frozenset() for a in inst.agents},
         sigma={},
-        swaps=0,
         eps=eps,
         eps_bar=eps_bar,
         guarantee=guarantee_factor(inst, eps),
@@ -203,18 +203,14 @@ def solve_nsw(inst: Instance, eps: float) -> SolveReport:
 
     ``eps > 0`` trades accuracy for swap count: the factor is 4 + eps under
     equal weights and (n * w_max + 2 + eps) * e in general, while the number
-    of swaps stays within log(m) / log(1 + eps_bar).
+    of swaps stays within swap_bound(m, eps_bar).
     """
     problems = validate(inst)
     if problems:
         raise ValueError("; ".join(problems))
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if inst.m == 0:
-        return _infeasible_report(inst, eps, 0.0)
-    eps_bar = epsilon_bar(eps, inst.m)
+    eps_bar = epsilon_bar(eps, max(inst.m, 1))
     if inst.m < inst.n:
-        return _infeasible_report(inst, eps, eps_bar)
+        return _infeasible_report(inst, eps, eps_bar if inst.m else 0.0)
     w = inst.weight_floats
 
     def item_score(i: int, j: int) -> float:
@@ -225,12 +221,9 @@ def solve_nsw(inst: Instance, eps: float) -> SolveReport:
     if phase1.total == NEG_INF:
         return _infeasible_report(inst, eps, eps_bar)
     tau = {inst.agents[i]: inst.items[c] for i, c in enumerate(phase1.assignment)}
-    matched = frozenset(tau.values())
-    universe = frozenset(inst.items) - matched
+    h_items = inst.sort_items(tau.values())
 
-    search = local_search(inst, universe, eps_bar)
-
-    h_items = inst.sort_items(matched)
+    search = local_search(inst, frozenset(inst.items) - set(h_items), eps_bar)
 
     def rematch_score(i: int, j: int) -> float:
         agent = inst.agents[i]
@@ -245,23 +238,19 @@ def solve_nsw(inst: Instance, eps: float) -> SolveReport:
     allocation = Allocation({a: frozenset(search.bundles[a] | {sigma[a]}) for a in inst.agents})
     allocation = complete_with_leftovers(inst, allocation)
 
-    violations = tuple(verify_local_opt(inst, search.bundles, eps_bar))
+    asymmetric, symmetric = prices(inst, search.bundles)
     certificates = SolveCertificates(
-        local_opt_violations=violations,
-        spending_asymmetric=check_spending(prices(inst, search.bundles, "asymmetric")),
-        spending_symmetric=check_spending(prices(inst, search.bundles, "symmetric")),
-        swap_limit=math.log(inst.m) / math.log1p(eps_bar) + 1.0 if inst.m > 1 else 1.0,
+        local_opt_violations=tuple(verify_local_opt(inst, search.bundles, eps_bar)),
+        spending_asymmetric=check_spending(asymmetric),
+        spending_symmetric=check_spending(symmetric),
+        swap_limit=swap_bound(inst.m, eps_bar),
     )
     return SolveReport(
         allocation=allocation,
         log_nsw=nsw_log(inst, allocation),
         feasible=True,
         tau=tau,
-        matched_items=matched,
-        leftover_universe=universe,
-        search_bundles=dict(search.bundles),
         sigma=sigma,
-        swaps=search.swaps,
         eps=eps,
         eps_bar=eps_bar,
         guarantee=guarantee_factor(inst, eps),

@@ -119,6 +119,15 @@ def test_solve_forced_certificate_failure_exits_2(inst_file, monkeypatch, capsys
     assert "certificate violation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "5e-324", "1e-320"])
+def test_solve_rejects_an_unusable_eps(tmp_path, capsys, eps):
+    path = str(tmp_path / "instance.json")
+    assert main(["gen", "additive", "2", "6", "--seed", "0", "--out", path]) == 0
+    assert main(["solve", path, "--eps", eps]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: eps") and "Traceback" not in err
+
+
 def test_solver_invariant_failure_exits_2(inst_file, monkeypatch, capsys):
     import nswfair.cli as cli_mod
     from nswfair import InvariantViolation

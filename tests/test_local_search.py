@@ -1,5 +1,6 @@
 """Swap search: frozen trace values, certificates, prices, spending caps."""
 
+import importlib
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from nswfair import (
     AllocationError,
     Coverage,
     Instance,
+    InvariantViolation,
     check_spending,
     epsilon_bar,
     local_search,
@@ -17,7 +19,7 @@ from nswfair import (
 )
 from nswfair.valuations import Valuation
 from nswfair.generate import FAMILIES, random_instance
-from nswfair.local_search import _Context, _Gains
+from nswfair.local_search import _Gains
 
 from conftest import make_instance
 
@@ -34,10 +36,10 @@ def test_epsilon_bar_compounds_back(eps, m):
 
 
 def test_epsilon_bar_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        epsilon_bar(0.0, 3)
-    with pytest.raises(ValueError):
-        epsilon_bar(0.1, 0)
+    # 5e-324 leaves eps_bar at 0 over 6 items and 1e-320 overflows the swap bound
+    for eps, m in [(0.0, 3), (0.1, 0), (math.nan, 3), (math.inf, 3), (5e-324, 6), (1e-320, 6)]:
+        with pytest.raises(ValueError):
+            epsilon_bar(eps, m)
 
 
 def test_two_agent_leftover_search(e1):
@@ -81,6 +83,13 @@ def test_trace_gains_replay_as_potential_deltas(e1):
     assert {a: frozenset(b) for a, b in held.items()} == result.bundles
 
 
+def test_swap_guard_raises_past_the_bound(e1, monkeypatch):
+    search_module = importlib.import_module("nswfair.local_search")
+    monkeypatch.setattr(search_module, "swap_bound", lambda size, eps_bar: 0.5)
+    with pytest.raises(InvariantViolation, match="swap count 1 exceeded"):
+        local_search(e1, ["c", "d"], epsilon_bar(0.1, 4))
+
+
 def test_verify_local_opt_flags_the_initial_allocation(e1):
     eb = epsilon_bar(0.1, 4)
     bad = {"1": {"c", "d"}, "2": set()}
@@ -99,24 +108,20 @@ def test_verify_rejects_malformed_bundles(e1):
 
 def test_price_reference_values(e1):
     bundles = {"1": {"d"}, "2": {"c"}}
-    asym = prices(e1, bundles, "asymmetric")
+    asym, sym = prices(e1, bundles)
     # Each bundle is a single unit item on top of a unit favorite, so the
     # ratio vbar(R)/vbar(R - j) is exactly 2 for both items.
     assert asym.values["d"] == pytest.approx(0.34657359027997264, abs=1e-15)
     assert asym.values["c"] == pytest.approx(0.34657359027997264, abs=1e-15)
-    sym = prices(e1, bundles, "symmetric")
     assert sym.values == {"c": pytest.approx(1.0), "d": pytest.approx(1.0)}
-    with pytest.raises(ValueError):
-        prices(e1, bundles, "weird")
 
 
 def test_spending_reference_values(e1):
     bundles = {"1": {"d"}, "2": {"c"}}
-    asym = check_spending(prices(e1, bundles, "asymmetric"))
+    asym, sym = map(check_spending, prices(e1, bundles))
     assert asym.per_agent["1"] == (pytest.approx(math.log(2) / 2), 0.5)
     assert asym.total_spent == pytest.approx(math.log(2))
     assert asym.total_cap == 1.0
-    sym = check_spending(prices(e1, bundles, "symmetric"))
     assert sym.per_agent["1"] == (pytest.approx(1.0), 1.0)
     assert sym.total_spent == pytest.approx(2.0)
     assert sym.total_cap == 2.0
@@ -136,7 +141,7 @@ def test_spending_over_a_cap_is_reported_not_raised():
 
     base = random_instance("additive", 2, 6, 0)
     inst = Instance(base.agents, base.weights, base.items, (Squares(), base.valuations[1]))
-    sym = check_spending(prices(inst, {"a0": set(inst.items), "a1": set()}, "symmetric"))
+    sym = check_spending(prices(inst, {"a0": set(inst.items), "a1": set()})[1])
     # vbar = 1 + v: each of the six items is priced 37 / 26 - 1
     assert sym.per_agent["a0"] == (pytest.approx(6 * (37 / 26 - 1)), 1.0)
     assert not sym.within_caps()
@@ -151,7 +156,7 @@ def test_check_spending_calls_no_valuation(monkeypatch):
     inst = random_instance("coverage", 4, 24, 3)
     eb = epsilon_bar(0.1, inst.m)
     bundles = local_search(inst, inst.items, eb).bundles
-    price_vectors = [prices(inst, bundles, variant) for variant in ("asymmetric", "symmetric")]
+    price_vectors = prices(inst, bundles)
     calls = []
     monkeypatch.setattr(Coverage, "value", lambda self, bundle: calls.append(bundle))
     reports = [check_spending(pv) for pv in price_vectors]
@@ -192,8 +197,8 @@ def test_random_instances_reach_certified_optima(family, seed):
     assert holders <= set(result.abar)
     assert verify_local_opt(inst, result.bundles, eb) == []
     assert result.swaps <= math.log(len(inst.items) + 1) / math.log1p(eb) + 1
-    for variant in ("asymmetric", "symmetric"):
-        assert check_spending(prices(inst, result.bundles, variant)).within_caps()
+    for price_vector in prices(inst, result.bundles):
+        assert check_spending(price_vector).within_caps()
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])
@@ -213,7 +218,7 @@ def test_asymmetric_weights_respect_caps():
     )
     eb = epsilon_bar(0.1, 3)
     result = local_search(inst, inst.items, eb)
-    report = check_spending(prices(inst, result.bundles, "asymmetric"))
+    report = check_spending(prices(inst, result.bundles)[0])
     assert report.within_caps()
     assert all(spent <= cap + 1e-9 for spent, cap in report.per_agent.values())
     assert report.per_agent["1"][1] == 0.25
@@ -224,21 +229,20 @@ def test_asymmetric_weights_respect_caps():
 def test_memoised_gains_match_direct_recomputation_mid_search():
     inst = random_instance("coverage", n=5, m=30, seed=4, weight_mode="random_rational")
     threshold = math.log1p(epsilon_bar(0.1, inst.m))
-    ctx = _Context(inst, inst.items)
     bundles = {a: set() for a in inst.agents}
-    bundles[ctx.abar[0]] = set(ctx.universe)
-    table = _Gains(ctx, bundles)
+    table = _Gains(inst, inst.items, bundles)
+    bundles[table.abar[0]] = set(table.universe)
     for _ in range(6):
         # A full scan fills every memo entry before the move invalidates some.
         scanned = list(table.scan())
         table.move(*next((g, j, t) for g, j, t, gain in scanned if gain > threshold))
 
     def log_vbar(agent, bundle):
-        return math.log(ctx.endowed[agent].value(bundle))
+        return math.log(table.endowed[agent].value(bundle))
 
-    w = {a: inst.weight_floats[inst.agent_index[a]] for a in ctx.abar}
+    w = {a: inst.weight_floats[inst.agent_index[a]] for a in table.abar}
     scanned = list(table.scan())
-    assert len(scanned) == sum(len(b) for b in bundles.values()) * (len(ctx.abar) - 1)
+    assert len(scanned) == sum(len(b) for b in bundles.values()) * (len(table.abar) - 1)
     for giver, item, taker, gain in scanned:
         r_g, r_t = bundles[giver], bundles[taker]
         direct = w[giver] * (log_vbar(giver, r_g - {item}) - log_vbar(giver, r_g)) + w[taker] * (
@@ -273,3 +277,32 @@ def test_search_oracle_calls_per_swap_stay_memoised(monkeypatch):
     report = solve_nsw(random_instance("coverage", 12, 120, 11), 0.1)
     assert report.swaps > 100
     assert count["calls"] <= 100 * report.swaps
+
+
+def test_one_price_table_per_solve(monkeypatch):
+    # One table prices both variants: setup (one universe value per agent
+    # plus |J| singletons per participating agent), then vbar(R) per agent
+    # and vbar(R - j) per item. A table per variant doubles that.
+    import nswfair.pipeline as pipeline
+
+    count = {"on": False, "calls": 0}
+    base_value = Coverage.value
+
+    def counted_value(self, bundle):
+        count["calls"] += count["on"]
+        return base_value(self, bundle)
+
+    def counted_prices(*args):
+        count["on"] = True
+        try:
+            return prices(*args)
+        finally:
+            count["on"] = False
+
+    monkeypatch.setattr(Coverage, "value", counted_value)
+    monkeypatch.setattr(pipeline, "prices", counted_prices)
+    inst = random_instance("coverage", 12, 120, 11)
+    search = solve_nsw(inst, 0.1).search
+    n_abar, size = len(search.abar), len(search.universe)
+    assert n_abar == inst.n
+    assert count["calls"] == n_abar * (size + 1) + n_abar + size == 1428

@@ -17,6 +17,7 @@ from nswfair import (
     solve_nsw,
 )
 from nswfair.generate import FAMILIES, random_instance
+from nswfair.local_search import swap_bound
 
 from conftest import make_instance
 
@@ -25,8 +26,8 @@ def test_reference_solve(e1):
     report = solve_nsw(e1, eps=0.1)
     assert report.feasible
     assert report.tau == {"1": "a", "2": "b"}
-    assert report.leftover_universe == frozenset({"c", "d"})
-    assert report.search_bundles == {"1": frozenset({"d"}), "2": frozenset({"c"})}
+    assert report.search.universe == ("c", "d")
+    assert report.search.bundles == {"1": frozenset({"d"}), "2": frozenset({"c"})}
     assert report.sigma == {"1": "a", "2": "b"}
     assert report.swaps == 1
     assert report.eps_bar == pytest.approx(0.024113689084445132, abs=1e-15)
@@ -43,6 +44,15 @@ def test_eps_must_be_positive(e1):
         solve_nsw(e1, eps=0.0)
     with pytest.raises(ValueError):
         solve_nsw(e1, eps=-0.5)
+    with pytest.raises(ValueError):
+        solve_nsw(e1, eps=float("nan"))
+
+
+def test_swap_limit_is_the_swap_bound_of_m_items():
+    for family in FAMILIES:
+        inst = random_instance(family, n=3, m=9, seed=5)
+        report = solve_nsw(inst, eps=0.1)
+        assert report.certificates.swap_limit == swap_bound(inst.m, report.eps_bar)
 
 
 def test_invalid_instance_rejected():
@@ -148,7 +158,7 @@ def test_rematching_never_loses_to_the_first_matching():
         if not report.feasible:
             continue
         keep_tau = Allocation(
-            {a: report.search_bundles[a] | {report.tau[a]} for a in inst.agents}
+            {a: report.search.bundles[a] | {report.tau[a]} for a in inst.agents}
         )
         assert report.log_nsw >= nsw_log(inst, keep_tau) - 1e-9
 
