@@ -104,6 +104,14 @@ def validate(inst: Instance) -> List[str]:
     for agent, v in zip(inst.agents, inst.valuations):
         if set(v.items) != item_set:
             errors.append(f"valuation domain of agent {agent!r} does not match the item list")
+            continue
+        # Every shifted value vbar(S) = v(favorite) + v(S) is at most 2 * v(all items).
+        try:
+            bounded = math.isfinite(2.0 * v.value(inst.items))
+        except OverflowError:
+            bounded = False
+        if not bounded:
+            errors.append(f"values of agent {agent!r} overflow: 2 * v(all items) is not finite")
     return errors
 
 

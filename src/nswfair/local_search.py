@@ -15,26 +15,41 @@ index) and the first improving move is applied, so runs are deterministic.
 Every swap is scored through one gain table, :class:`_Gains`, which memoises
 the three logs a gain needs: log vbar_a(R_a) per agent, log vbar_i(R_i - j)
 per (giver, item) and log vbar_k(R_k + j) per (taker, item). Each is filled
-on first use. Accepting a swap changes only the giver's and the taker's
-bundles, so it clears exactly their entries and every other agent keeps its
-own. Valuations are pure functions of the set, so a cached log is the float
-a fresh evaluation would return and the gains, the scan order and the
-certificates do not depend on the cache. Fresh tables back
-:func:`verify_local_opt`, which re-checks every triple on the final bundles,
-and :func:`prices`, which turns local optimality into both price vectors
-with provable spending caps. The certificates are records: neither
-:func:`prices` nor :func:`check_spending` raises on what it finds.
+on first use, from a bundle state per agent (:meth:`Valuation.bundle_state`)
+that answers v(R), v(R + j) and v(R - j) from running counts instead of
+re-evaluating the whole bundle. Accepting a swap changes only the giver's and
+the taker's bundles, so it updates exactly their states and clears exactly
+their memo entries; every other agent keeps its own.
+
+After a swap the scan does not restart from the top. It keeps the invariant
+that every triple before the last swap's (giver, item) position is
+non-improving. The triples there whose giver and taker both differ from the
+swap's are unchanged, so only those touching the swap's giver or taker are
+rechecked, in scan order, before the scan resumes at the swap's position.
+The first improving triple found is therefore the one a full restart would
+find. Each state is bit for bit equal to ``value()``, which is correctly
+rounded and so independent of summation order, so the gains, the swap trace
+and the certificates are the floats a fresh evaluation gives. One full scan
+after the last swap, all of it memo hits, certifies the local optimum.
+
+Fresh tables back :func:`verify_local_opt`, which re-checks every triple on
+the final bundles, and :func:`prices`, which turns local optimality into both
+price vectors with provable spending caps. Their states call ``value()`` on
+sets, so the recheck does not depend on the family states. The certificates
+are records: neither :func:`prices` nor :func:`check_spending` raises on what
+it finds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import AllocationError, InvariantViolation
 from .instance import NEG_INF, Instance
-from .valuations import EndowedValuation, endow
+from .valuations import BundleState, EndowedValuation, Valuation, endow
 
 __all__ = [
     "epsilon_bar",
@@ -51,6 +66,8 @@ __all__ = [
 ]
 
 SPENDING_TOLERANCE = 1e-9
+
+_Swap = Tuple[str, str, str, float]  # (giver, item, taker, log-gain)
 
 
 def swap_bound(size: int, eps_bar: float) -> float:
@@ -112,10 +129,21 @@ class _Gains:
     """Swap gains over live bundles of a universe J, each vbar memoised until it changes.
 
     ``abar``: the agents valuing J positively, in index order, each endowed with its favorite
-    item of J. Change ``bundles`` only through :meth:`move`, which keeps the memo in step.
+    item of J. Memo misses are answered by one bundle state per agent, made by ``state`` from
+    the agent's valuation and bundle on first use: each family's own by default, or the
+    ``value()``-backed :class:`BundleState` for a recheck. Change ``bundles`` only through
+    :meth:`move`, which keeps the states and the memo in step.
     """
 
-    def __init__(self, inst: Instance, universe: Iterable[str], bundles: Dict[str, set]):
+    def __init__(
+        self,
+        inst: Instance,
+        universe: Iterable[str],
+        bundles: Dict[str, set],
+        state: Callable[[Valuation, Iterable[str]], BundleState] = (
+            lambda v, bundle: v.bundle_state(bundle)
+        ),
+    ):
         self.inst = inst
         self.universe = inst.sort_items(universe)
         self.bundles = bundles
@@ -126,20 +154,28 @@ class _Gains:
                 self.abar.append(agent)
                 self.endowed[agent] = endow(v, self.universe)
         self.weight = {a: inst.weight_floats[inst.agent_index[a]] for a in self.abar}
+        self._new_state = state
+        self._states: Dict[str, BundleState] = {}
         self._cur: Dict[str, Tuple[float, float]] = {}
         self._rem: Dict[str, Dict[str, Tuple[float, float]]] = {a: {} for a in self.abar}
         self._add: Dict[str, Dict[str, float]] = {a: {} for a in self.abar}
 
-    def _vbar(self, agent: str, bundle: Iterable[str]) -> Tuple[float, float]:
-        """vbar_agent(bundle) and its log."""
-        value = self.endowed[agent].value(bundle)
-        return value, math.log(value)
+    def _state(self, agent: str) -> BundleState:
+        state = self._states.get(agent)
+        if state is None:
+            state = self._states[agent] = self._new_state(self.endowed[agent].base, self.bundles[agent])
+        return state
+
+    def _vbar(self, agent: str, value: float) -> Tuple[float, float]:
+        """vbar_agent of a bundle worth ``value``, and its log."""
+        vbar = self.endowed[agent].offset + value
+        return vbar, math.log(vbar)
 
     def current(self, agent: str) -> Tuple[float, float]:
         """vbar(R_agent) and its log."""
         hit = self._cur.get(agent)
         if hit is None:
-            hit = self._cur[agent] = self._vbar(agent, self.bundles[agent])
+            hit = self._cur[agent] = self._vbar(agent, self._state(agent).value())
         return hit
 
     def removed(self, agent: str, item: str) -> Tuple[float, float]:
@@ -147,7 +183,7 @@ class _Gains:
         row = self._rem[agent]
         hit = row.get(item)
         if hit is None:
-            hit = row[item] = self._vbar(agent, self.bundles[agent] - {item})
+            hit = row[item] = self._vbar(agent, self._state(agent).minus(item))
         return hit
 
     def added(self, agent: str, item: str) -> float:
@@ -155,27 +191,51 @@ class _Gains:
         row = self._add[agent]
         hit = row.get(item)
         if hit is None:
-            hit = row[item] = self._vbar(agent, self.bundles[agent] | {item})[1]
+            hit = row[item] = self._vbar(agent, self._state(agent).plus(item))[1]
         return hit
 
-    def scan(self) -> Iterator[Tuple[str, str, str, float]]:
-        """(giver, item, taker, log-gain) of every swap, in scan order.
+    def _swaps(self, giver: str, items: Iterable[str], takers: List[str]) -> Iterator[_Swap]:
+        """(giver, item, taker, log-gain) of each item of ``giver`` to each taker, in that order.
 
         The gain is w_g * (log vbar_g(R_g - j) - log vbar_g(R_g))
         + w_t * (log vbar_t(R_t + j) - log vbar_t(R_t)), with the giver's
-        term computed once per item. Stop iterating after a :meth:`move`.
+        term computed once per item.
         """
-        abar = self.abar
         w = self.weight
-        for giver in abar:
-            for item in self.inst.sort_items(self.bundles[giver]):
-                give = w[giver] * (self.removed(giver, item)[1] - self.current(giver)[1])
-                for taker in abar:
-                    if taker != giver:
-                        take = w[taker] * (self.added(taker, item) - self.current(taker)[1])
-                        yield giver, item, taker, give + take
+        for item in items:
+            give = w[giver] * (self.removed(giver, item)[1] - self.current(giver)[1])
+            for taker in takers:
+                if taker != giver:
+                    take = w[taker] * (self.added(taker, item) - self.current(taker)[1])
+                    yield giver, item, taker, give + take
+
+    def scan(self, after: Optional[Tuple[str, str]] = None) -> Iterator[_Swap]:
+        """Every swap in scan order, or only those past the position ``after`` = (giver, item).
+
+        Stop iterating after a :meth:`move`.
+        """
+        start = 0 if after is None else self.abar.index(after[0])
+        for giver in self.abar[start:]:
+            items = self.inst.sort_items(self.bundles[giver])
+            if after is not None and giver == after[0]:
+                items = [j for j in items if self.inst.item_index[j] > self.inst.item_index[after[1]]]
+            yield from self._swaps(giver, items, self.abar)
+
+    def rescan(self, before: Tuple[str, str], touched: Tuple[str, str]) -> Iterator[_Swap]:
+        """The swaps before the position ``before`` = (giver, item) whose giver or taker is in
+        ``touched``, in scan order. Stop iterating after a :meth:`move`."""
+        takers = [a for a in self.abar if a in touched]
+        for giver in self.abar:
+            items = self.inst.sort_items(self.bundles[giver])
+            if giver == before[0]:
+                items = [j for j in items if self.inst.item_index[j] < self.inst.item_index[before[1]]]
+            yield from self._swaps(giver, items, self.abar if giver in touched else takers)
+            if giver == before[0]:
+                return
 
     def move(self, giver: str, item: str, taker: str) -> None:
+        self._state(giver).remove(item)
+        self._state(taker).add(item)
         self.bundles[giver].discard(item)
         self.bundles[taker].add(item)
         for agent in (giver, taker):
@@ -184,48 +244,50 @@ class _Gains:
             self._add[agent].clear()
 
 
+def _threshold(eps_bar: float) -> float:
+    """log(1 + eps_bar), the log-gain an improving swap must strictly beat."""
+    if not eps_bar >= 0:
+        raise ValueError(f"eps_bar must be a nonnegative number, got {eps_bar!r}")
+    return math.log1p(eps_bar)
+
+
 def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> LocalSearchResult:
     """Redistribute ``universe`` into an eps_bar-local optimum.
 
     Agents valuing the universe at zero receive nothing and take no part.
     Initially the smallest-index participating agent holds everything.
     """
-    if eps_bar < 0:
-        raise ValueError("eps_bar must be nonnegative")
+    threshold = _threshold(eps_bar)
     table = _Gains(inst, universe, {a: set() for a in inst.agents})
     if table.abar:
-        table.bundles[table.abar[0]] = set(table.universe)  # nothing is memoised yet
-    threshold = math.log1p(eps_bar)
+        table.bundles[table.abar[0]] = set(table.universe)  # no state exists yet
     max_swaps = swap_bound(len(table.universe) + 1, eps_bar) if eps_bar > 0 else math.inf
-    swaps = 0
     trace: List[SwapRecord] = []
+    pending = table.scan()
     while True:
-        triples = 0
-        max_gain = NEG_INF
-        for giver, item, taker, gain in table.scan():
-            triples += 1
-            if gain > max_gain:
-                max_gain = gain
-            if gain > threshold:
-                table.move(giver, item, taker)
-                swaps += 1
-                trace.append(SwapRecord(swaps, giver, item, taker, gain))
-                if swaps > max_swaps:
-                    raise InvariantViolation(
-                        f"swap count {swaps} exceeded the certified bound {max_swaps:.3f}"
-                    )
-                break
-        else:
+        hit = next((swap for swap in pending if swap[3] > threshold), None)
+        if hit is None:
             break
+        giver, item, taker, gain = hit
+        table.move(giver, item, taker)
+        trace.append(SwapRecord(len(trace) + 1, giver, item, taker, gain))
+        if len(trace) > max_swaps:
+            raise InvariantViolation(
+                f"swap count {len(trace)} exceeded the certified bound {max_swaps:.3f}"
+            )
+        # Every swap before (giver, item) was non-improving; only those touching giver or taker changed.
+        at = (giver, item)
+        pending = itertools.chain(table.rescan(at, (giver, taker)), table.scan(after=at))
+    gains = [gain for *_, gain in table.scan()]
     return LocalSearchResult(
         universe=tuple(table.universe),
         bundles={a: frozenset(b) for a, b in table.bundles.items()},
         abar=tuple(table.abar),
         favorites={a: table.endowed[a].favorite for a in table.abar},
-        swaps=swaps,
+        swaps=len(trace),
         trace=tuple(trace),
         certificate=LocalOptCertificate(
-            triples_checked=triples, max_log_gain=max_gain, threshold=threshold
+            triples_checked=len(gains), max_log_gain=max(gains, default=NEG_INF), threshold=threshold
         ),
     )
 
@@ -241,7 +303,7 @@ def _gains_for_bundles(inst: Instance, bundles: Mapping[str, Iterable[str]]) -> 
             raise AllocationError("bundles overlap")
         union |= b
         sets[agent] = b
-    table = _Gains(inst, union, sets)
+    table = _Gains(inst, union, sets, BundleState)
     outside = {a for a, b in sets.items() if b} - set(table.abar)
     if outside:
         raise AllocationError(
@@ -260,8 +322,8 @@ def verify_local_opt(
     table of the kind :func:`local_search` scores with rechecks the search's
     memo independently, and verifying a search output is exact, not a tolerance game.
     """
+    threshold = _threshold(eps_bar)
     table = _gains_for_bundles(inst, bundles)
-    threshold = math.log1p(eps_bar)
     return [
         (giver, taker, item)
         for giver, item, taker, gain in table.scan()

@@ -32,6 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import InfeasibleMatching, InvariantViolation, LemmaViolation
 from .instance import NEG_INF
+from .valuations import exact_ints
 
 __all__ = ["NEG_INF", "AssignmentResult", "solve_assignment", "solve_lex_assignment"]
 
@@ -112,14 +113,9 @@ def solve_assignment(scores: Sequence[Sequence[float]]) -> AssignmentResult:
         raise ValueError("score table rows must have equal length")
     if n > m:
         raise InfeasibleMatching(f"{n} rows cannot all be matched into {m} columns")
-    ratios = {
-        (r, c): float(s).as_integer_ratio()
-        for r, row in enumerate(scores)
-        for c, s in enumerate(row)
-        if s != NEG_INF
-    }
-    scale = max((den for _, den in ratios.values()), default=1)
-    ints = {rc: num * (scale // den) for rc, (num, den) in ratios.items()}
+    ints, _ = exact_ints(
+        {(r, c): float(s) for r, row in enumerate(scores) for c, s in enumerate(row) if s != NEG_INF}
+    )
     radix = (m + 1) ** n
     head = (2 * n * max(map(abs, ints.values()), default=0) + 1) * radix + 1
     weights = {(r, c): head + s * radix + _lex_preference(r, c, n, m) for (r, c), s in ints.items()}

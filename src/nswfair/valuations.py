@@ -14,6 +14,17 @@ positive amount while preserving monotonicity and submodularity.
 
 Every oracle is immutable after construction and evaluates as a pure
 function: repeated calls with equal arguments return bit-identical floats.
+Sums are correctly rounded (``math.fsum``), so a value does not depend on the
+order of the bundle's items.
+
+``Valuation.bundle_state(bundle)`` returns a :class:`BundleState`: a live
+bundle R that answers v(R), v(R + j) and v(R - j) and changes by ``add(j)``
+and ``remove(j)``. The base form calls ``value()`` on sets. Each shipped
+family keeps running counts instead, with the same floats bit for bit:
+exact integer sums for the additive families and coverage (every float is an
+integer count of 1/q, q the largest power-of-two denominator, and int / int
+rounds correctly), per-element cover counts for coverage, per-class counts
+for the matroid rank, and the current mask for tables.
 """
 
 from __future__ import annotations
@@ -21,7 +32,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -29,6 +41,7 @@ from .errors import AgentNotEndowable, UnknownItem
 
 __all__ = [
     "Valuation",
+    "BundleState",
     "Additive",
     "BudgetAdditive",
     "Coverage",
@@ -67,6 +80,11 @@ class Valuation:
         """JSON-ready parameter dict, inverse of :func:`valuation_from_params`."""
         raise NotImplementedError
 
+    def bundle_state(self, bundle: Iterable[str]) -> "BundleState":
+        """A live bundle R, starting at ``bundle``, that answers v(R), v(R + j) and v(R - j)
+        with the floats :meth:`value` returns. This base form asks :meth:`value` each time."""
+        return BundleState(self, bundle)
+
     def _bundle(self, bundle: Iterable[str]) -> FrozenSet[str]:
         s = frozenset(bundle)
         foreign = s - self.items
@@ -75,8 +93,51 @@ class Valuation:
         return s
 
 
-class Additive(Valuation):
-    kind = "additive"
+class BundleState:
+    """A valuation over a live bundle R: ``value()`` is v(R), ``plus(j)`` is v(R + j) for j
+    outside R and ``minus(j)`` is v(R - j) for j in R; ``add(j)`` (j outside R) and
+    ``remove(j)`` (j in R) change R. The starting bundle is checked against the domain;
+    later items must come from it. Subclasses keep counts that answer without calling
+    :meth:`Valuation.value`, bit for bit equal to it; this base form calls it on a set.
+    """
+
+    def __init__(self, v: Valuation, bundle: Iterable[str]):
+        self.v = v
+        self.bundle: set = set()
+        for item in v._bundle(bundle):
+            self.add(item)
+
+    def value(self) -> float:
+        return self.v.value(self.bundle)
+
+    def plus(self, item: str) -> float:
+        return self.v.value(self.bundle | {item})
+
+    def minus(self, item: str) -> float:
+        return self.v.value(self.bundle - {item})
+
+    def add(self, item: str) -> None:
+        self.bundle.add(item)
+
+    def remove(self, item: str) -> None:
+        self.bundle.remove(item)
+
+
+_K = TypeVar("_K")
+
+
+def exact_ints(values: Mapping[_K, float]) -> Tuple[Dict[_K, int], int]:
+    """Each finite value as an integer count of 1/q, with q the largest denominator (a power
+    of two), so int sums are exact and int / q rounds an exact sum correctly, as fsum does."""
+    ratios = {k: x.as_integer_ratio() for k, x in values.items()}
+    q = max((den for _, den in ratios.values()), default=1)
+    return {k: num * (q // den) for k, (num, den) in ratios.items()}, q
+
+
+class _Sum(Valuation):
+    """v(S) = min(cap, sum of per-item values); the cap of :class:`Additive` is infinite."""
+
+    _cap = math.inf
 
     def __init__(self, values: Mapping[str, float]):
         self._values = {str(k): _as_nonneg_float(v, f"value of {k!r}") for k, v in values.items()}
@@ -87,31 +148,58 @@ class Additive(Valuation):
         return self._items
 
     def value(self, bundle: Iterable[str]) -> float:
-        s = self._bundle(bundle)
-        return float(sum(self._values[j] for j in sorted(s)))
+        return min(self._cap, math.fsum(self._values[j] for j in self._bundle(bundle)))
 
     def params(self) -> dict:
         return {"values": dict(sorted(self._values.items()))}
 
+    def bundle_state(self, bundle: Iterable[str]) -> BundleState:
+        return _SumState(self, bundle)
 
-class BudgetAdditive(Valuation):
+    @cached_property
+    def _exact(self) -> Tuple[Dict[str, int], int]:
+        return exact_ints(self._values)
+
+
+class _SumState(BundleState):
+    """The sum over R as an exact int."""
+
+    def __init__(self, v: _Sum, bundle: Iterable[str]):
+        (self._ints, self._q), self._cap = v._exact, v._cap
+        self._total = 0
+        super().__init__(v, bundle)
+
+    def value(self) -> float:
+        return min(self._cap, self._total / self._q)
+
+    def plus(self, item: str) -> float:
+        return min(self._cap, (self._total + self._ints[item]) / self._q)
+
+    def minus(self, item: str) -> float:
+        return min(self._cap, (self._total - self._ints[item]) / self._q)
+
+    def add(self, item: str) -> None:
+        self.bundle.add(item)
+        self._total += self._ints[item]
+
+    def remove(self, item: str) -> None:
+        self.bundle.remove(item)
+        self._total -= self._ints[item]
+
+
+class Additive(_Sum):
+    kind = "additive"
+
+
+class BudgetAdditive(_Sum):
     kind = "budget_additive"
 
     def __init__(self, values: Mapping[str, float], cap: float):
-        self._values = {str(k): _as_nonneg_float(v, f"value of {k!r}") for k, v in values.items()}
+        super().__init__(values)
         self._cap = _as_nonneg_float(cap, "cap")
-        self._items = frozenset(self._values)
-
-    @property
-    def items(self) -> FrozenSet[str]:
-        return self._items
-
-    def value(self, bundle: Iterable[str]) -> float:
-        s = self._bundle(bundle)
-        return min(self._cap, float(sum(self._values[j] for j in sorted(s))))
 
     def params(self) -> dict:
-        return {"values": dict(sorted(self._values.items())), "cap": self._cap}
+        return {**super().params(), "cap": self._cap}
 
 
 class Coverage(Valuation):
@@ -139,13 +227,57 @@ class Coverage(Valuation):
         covered: set[str] = set()
         for j in s:
             covered |= self._covers[j]
-        return float(sum(self._weights[e] for e in sorted(covered)))
+        return math.fsum(self._weights[e] for e in covered)
 
     def params(self) -> dict:
         return {
             "covers": {k: sorted(v) for k, v in sorted(self._covers.items())},
             "element_weights": dict(sorted(self._weights.items())),
         }
+
+    def bundle_state(self, bundle: Iterable[str]) -> BundleState:
+        return _CoverState(self, bundle)
+
+    @cached_property
+    def _exact(self) -> Tuple[Dict[str, int], int]:
+        return exact_ints(self._weights)
+
+
+class _CoverState(BundleState):
+    """Covered weight as an exact int, with how many items of R cover each element."""
+
+    def __init__(self, v: Coverage, bundle: Iterable[str]):
+        self._covers, (self._ints, self._q) = v._covers, v._exact
+        self._count = dict.fromkeys(self._ints, 0)
+        self._total = 0
+        super().__init__(v, bundle)
+
+    def value(self) -> float:
+        return self._total / self._q
+
+    def plus(self, item: str) -> float:
+        count, ints = self._count, self._ints
+        return (self._total + sum(ints[e] for e in self._covers[item] if not count[e])) / self._q
+
+    def minus(self, item: str) -> float:
+        count, ints = self._count, self._ints
+        return (self._total - sum(ints[e] for e in self._covers[item] if count[e] == 1)) / self._q
+
+    def add(self, item: str) -> None:
+        self.bundle.add(item)
+        count = self._count
+        for e in self._covers[item]:
+            if not count[e]:
+                self._total += self._ints[e]
+            count[e] += 1
+
+    def remove(self, item: str) -> None:
+        self.bundle.remove(item)
+        count = self._count
+        for e in self._covers[item]:
+            count[e] -= 1
+            if not count[e]:
+                self._total -= self._ints[e]
 
 
 class PartitionMatroidRank(Valuation):
@@ -183,6 +315,42 @@ class PartitionMatroidRank(Valuation):
             "capacities": dict(sorted(self._capacities.items())),
             "scale": self._scale,
         }
+
+    def bundle_state(self, bundle: Iterable[str]) -> BundleState:
+        return _RankState(self, bundle)
+
+
+class _RankState(BundleState):
+    """Rank as an int, with how many items of R fall in each class."""
+
+    def __init__(self, v: PartitionMatroidRank, bundle: Iterable[str]):
+        self._classes, self._capacities, self._scale = v._classes, v._capacities, v._scale
+        self._filled = dict.fromkeys(v._capacities, 0)
+        self._rank = 0
+        super().__init__(v, bundle)
+
+    def value(self) -> float:
+        return self._scale * float(self._rank)
+
+    def plus(self, item: str) -> float:
+        label = self._classes[item]
+        return self._scale * float(self._rank + (self._filled[label] < self._capacities[label]))
+
+    def minus(self, item: str) -> float:
+        label = self._classes[item]
+        return self._scale * float(self._rank - (self._filled[label] <= self._capacities[label]))
+
+    def add(self, item: str) -> None:
+        self.bundle.add(item)
+        label = self._classes[item]
+        self._rank += self._filled[label] < self._capacities[label]
+        self._filled[label] += 1
+
+    def remove(self, item: str) -> None:
+        self.bundle.remove(item)
+        label = self._classes[item]
+        self._rank -= self._filled[label] <= self._capacities[label]
+        self._filled[label] -= 1
 
 
 class ExplicitTable(Valuation):
@@ -240,6 +408,35 @@ class ExplicitTable(Valuation):
 
     def params(self) -> dict:
         return {"order": list(self._order), "values": [float(v) for v in self._values]}
+
+    def bundle_state(self, bundle: Iterable[str]) -> BundleState:
+        return _MaskState(self, bundle)
+
+
+class _MaskState(BundleState):
+    """The table index of R."""
+
+    def __init__(self, v: ExplicitTable, bundle: Iterable[str]):
+        self._values, self._bit = v._values, v._bit
+        self._mask = 0
+        super().__init__(v, bundle)
+
+    def value(self) -> float:
+        return float(self._values[self._mask])
+
+    def plus(self, item: str) -> float:
+        return float(self._values[self._mask | 1 << self._bit[item]])
+
+    def minus(self, item: str) -> float:
+        return float(self._values[self._mask & ~(1 << self._bit[item])])
+
+    def add(self, item: str) -> None:
+        self.bundle.add(item)
+        self._mask |= 1 << self._bit[item]
+
+    def remove(self, item: str) -> None:
+        self.bundle.remove(item)
+        self._mask &= ~(1 << self._bit[item])
 
 
 VALUATION_KINDS = {

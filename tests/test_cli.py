@@ -111,6 +111,17 @@ def test_solve_invalid_instance(tmp_path, capsys):
     assert "invalid instance" in capsys.readouterr().err
 
 
+def test_overflowing_values_are_an_input_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    doc = instance_to_json(random_instance("additive", 2, 4, 0))
+    for entry in doc["valuations"]:
+        entry["params"]["values"] = dict.fromkeys(entry["params"]["values"], 1e308)
+    path.write_text(canonical_json(doc))
+    assert main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid instance") and "overflow" in err and "Traceback" not in err
+
+
 def test_solve_forced_certificate_failure_exits_2(inst_file, monkeypatch, capsys):
     import nswfair.cli as cli_mod
 

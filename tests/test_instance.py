@@ -81,6 +81,16 @@ def test_validate_catches_structural_problems():
     assert any("domain" in problem for problem in validate(bad_domain))
 
 
+def test_validate_bounds_every_shifted_value():
+    # vbar(S) <= 2 * v(all items) must be finite: 8e307 passes, 1e308 does not,
+    # and neither does a sum that overflows only when the items are added up.
+    assert validate(make_instance({"1": {"a": 8e307}})) == []
+    for values in ({"a": 1e308}, {"a": 1e308, "b": 1e308}):
+        assert validate(make_instance({"1": values})) == [
+            "values of agent '1' overflow: 2 * v(all items) is not finite"
+        ]
+
+
 def test_complete_with_leftovers_dumps_to_best_earliest(e1):
     alloc = Allocation.of({"1": ["a"], "2": ["b"]})
     done = complete_with_leftovers(e1, alloc)

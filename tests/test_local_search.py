@@ -17,9 +17,10 @@ from nswfair import (
     solve_nsw,
     verify_local_opt,
 )
-from nswfair.valuations import Valuation
-from nswfair.generate import FAMILIES, random_instance
-from nswfair.local_search import _Gains
+from nswfair.valuations import ExplicitTable, Valuation, endow
+from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
+from nswfair.instance import NEG_INF
+from nswfair.local_search import SwapRecord, _Gains
 
 from conftest import make_instance
 
@@ -253,7 +254,9 @@ def test_memoised_gains_match_direct_recomputation_mid_search():
 
 def test_search_oracle_calls_per_swap_stay_memoised(monkeypatch):
     # Re-evaluating whole bundles for every triple costs about 600 value()
-    # calls per swap on this instance; the gain table needs about 45.
+    # calls per swap on this instance. The coverage bundle states answer every
+    # gain, so the search calls value() only in setup: v(J) per agent and |J|
+    # singletons per participating agent to find its favorite.
     import nswfair.pipeline as pipeline
     from nswfair import solve_nsw
     from nswfair.valuations import Coverage
@@ -275,8 +278,10 @@ def test_search_oracle_calls_per_swap_stay_memoised(monkeypatch):
     monkeypatch.setattr(Coverage, "value", counted_value)
     monkeypatch.setattr(pipeline, "local_search", counted_search)
     report = solve_nsw(random_instance("coverage", 12, 120, 11), 0.1)
+    n_abar, size = len(report.search.abar), len(report.search.universe)
     assert report.swaps > 100
-    assert count["calls"] <= 100 * report.swaps
+    assert n_abar == 12
+    assert count["calls"] == n_abar * (size + 1)
 
 
 def test_one_price_table_per_solve(monkeypatch):
@@ -306,3 +311,97 @@ def test_one_price_table_per_solve(monkeypatch):
     n_abar, size = len(search.abar), len(search.universe)
     assert n_abar == inst.n
     assert count["calls"] == n_abar * (size + 1) + n_abar + size == 1428
+
+
+@pytest.mark.parametrize("eps_bar", [math.nan, -0.5])
+def test_eps_bar_must_be_a_nonnegative_number(eps_bar):
+    # With a nan threshold every comparison is false, which would certify anything.
+    inst = random_instance("additive", 3, 9, 0)
+    with pytest.raises(ValueError, match="eps_bar"):
+        local_search(inst, inst.items, eps_bar)
+    with pytest.raises(ValueError, match="eps_bar"):
+        verify_local_opt(inst, {"a0": set(inst.items)}, eps_bar)
+
+
+def full_restart_search(inst, universe, eps_bar):
+    """Reference search: restart the scan from the top after every swap, with
+    logs of fresh value() calls memoised per bundle version."""
+    universe = inst.sort_items(universe)
+    abar = [a for a, v in zip(inst.agents, inst.valuations) if universe and v.value(universe) > 0.0]
+    shifted = {a: endow(inst.valuation_of(a), universe) for a in abar}
+    w = {a: inst.weight_floats[inst.agent_index[a]] for a in abar}
+    held = {a: set(universe) if a in abar[:1] else set() for a in inst.agents}
+    version, logs = dict.fromkeys(abar, 0), {}
+
+    def log_vbar(a, plus=(), minus=()):
+        key = (a, version[a], plus, minus)
+        if key not in logs:
+            logs[key] = math.log(shifted[a].value(held[a] - set(minus) | set(plus)))
+        return logs[key]
+
+    def triples():
+        for g in abar:
+            for j in inst.sort_items(held[g]):
+                give = w[g] * (log_vbar(g, minus=(j,)) - log_vbar(g))
+                for t in abar:
+                    if t != g:
+                        yield g, j, t, give + w[t] * (log_vbar(t, plus=(j,)) - log_vbar(t))
+
+    threshold, trace = math.log1p(eps_bar), []
+    while (hit := next((triple for triple in triples() if triple[3] > threshold), None)) is not None:
+        g, j, t, gain = hit
+        held[g].remove(j)
+        held[t].add(j)
+        version[g] += 1
+        version[t] += 1
+        trace.append(SwapRecord(len(trace) + 1, g, j, t, gain))
+    gains = [triple[3] for triple in triples()]
+    bundles = {a: frozenset(b) for a, b in held.items()}
+    return tuple(trace), bundles, (len(gains), max(gains, default=NEG_INF))
+
+
+def assert_search_matches_full_restart(inst, eps=0.1):
+    eb = epsilon_bar(eps, max(inst.m, 1))
+    result = local_search(inst, inst.items, eb)
+    trace, bundles, (triples, max_gain) = full_restart_search(inst, inst.items, eb)
+    assert result.trace == trace
+    assert result.bundles == bundles
+    assert (result.certificate.triples_checked, result.certificate.max_log_gain) == (triples, max_gain)
+
+
+@pytest.mark.parametrize("n,m", [(2, 5), (5, 30), (12, 120)])
+@pytest.mark.parametrize("weight_mode", WEIGHT_MODES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_search_matches_a_full_restart_search(family, weight_mode, n, m):
+    assert_search_matches_full_restart(random_instance(family, n, m, n + m, weight_mode=weight_mode))
+
+
+class SquareRootOfSum(Valuation):
+    """sqrt of an additive valuation: submodular, with no bundle state of its own."""
+
+    kind = "test_sqrt"
+
+    def __init__(self, base):
+        self.base = base
+
+    @property
+    def items(self):
+        return self.base.items
+
+    def value(self, bundle):
+        return math.sqrt(self.base.value(bundle))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tables_and_stateless_valuations_match_a_full_restart_search(seed):
+    # Tables of coverage valuations scaled by 0.1, so their entries are not integers.
+    base = random_instance("coverage", 3, 8, seed, weight_mode="random_rational")
+    masks = range(1 << base.m)
+    subsets = [[j for i, j in enumerate(base.items) if mask >> i & 1] for mask in masks]
+    tables = tuple(
+        ExplicitTable(base.items, [0.1 * v.value(s) for s in subsets]) for v in base.valuations
+    )
+    assert_search_matches_full_restart(Instance(base.agents, base.weights, base.items, tables))
+    base = random_instance("additive", 4, 20, seed, weight_mode="random_rational")
+    roots = tuple(SquareRootOfSum(v) for v in base.valuations)
+    assert_search_matches_full_restart(Instance(base.agents, base.weights, base.items, roots))

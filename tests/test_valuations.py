@@ -1,6 +1,7 @@
 """Valuation families, the shifted wrapper, and the structure checker."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -220,3 +221,69 @@ def test_local_tests_match_the_pairwise_definition(data, m):
     )
     items = [f"g{i}" for i in range(m)]
     assert (check_submodular(Table(items, vals), items) == []) == pairwise
+
+
+# Non-integer floats, subnormals and values near 1e300 whose sums over six
+# items stay far below the float range, so 2 * v(all items) is finite.
+AWKWARD = st.one_of(
+    st.sampled_from([0.0, 0.1, 1 / 3, 5e-324, 1.0, 2.5, 1e300, 3.3e299]),
+    st.floats(min_value=0.0, max_value=1e300),
+)
+
+
+@st.composite
+def valuations(draw):
+    m = draw(st.integers(min_value=1, max_value=6))
+    items = [f"g{i}" for i in range(m)]
+    family = draw(st.sampled_from(["additive", "budget_additive", "coverage", "matroid", "table"]))
+    if family in ("additive", "budget_additive"):
+        values = {j: draw(AWKWARD) for j in items}
+        v = Additive(values) if family == "additive" else BudgetAdditive(values, cap=draw(AWKWARD))
+    elif family == "matroid":
+        classes = {j: draw(st.sampled_from(["c0", "c1"])) for j in items}
+        capacities = {"c0": draw(st.integers(0, 3)), "c1": draw(st.integers(0, 3))}
+        v = PartitionMatroidRank(classes, capacities, scale=draw(AWKWARD))
+    else:
+        ground = [f"u{i}" for i in range(4)]
+        covers = {j: draw(st.lists(st.sampled_from(ground), unique=True, max_size=4)) for j in items}
+        v = Coverage(covers, {u: draw(AWKWARD) for u in ground})
+        if family == "table":
+            subsets = [[j for i, j in enumerate(items) if mask >> i & 1] for mask in range(1 << m)]
+            v = ExplicitTable(items, [v.value(s) for s in subsets])
+    assert math.isfinite(2 * v.value(items))
+    return v, items
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), case=valuations())
+def test_bundle_state_equals_value_bit_for_bit(data, case):
+    v, items = case
+    start = data.draw(st.sets(st.sampled_from(items)), label="start")
+    state = v.bundle_state(start)
+    held = set(start)
+    for step in range(data.draw(st.integers(0, 12), label="steps") + 1):
+        if step:
+            item = data.draw(st.sampled_from(items))
+            if item in held:
+                state.remove(item)
+                held.remove(item)
+            else:
+                state.add(item)
+                held.add(item)
+        assert state.bundle == held
+        assert state.value().hex() == v.value(held).hex()
+        for j in items:
+            answer, changed = (state.minus(j), held - {j}) if j in held else (state.plus(j), held | {j})
+            assert answer.hex() == v.value(changed).hex(), (j, sorted(held))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), values=st.lists(AWKWARD, min_size=1, max_size=6))
+def test_sums_are_correctly_rounded(data, values):
+    items = [f"g{i}" for i in range(len(values))]
+    bundle = data.draw(st.sets(st.sampled_from(items)))
+    exact = float(sum((Fraction(x) for j, x in zip(items, values) if j in bundle), Fraction(0)))
+    assert Additive(dict(zip(items, values))).value(bundle) == exact
+    # each item covers its own element, so coverage sums the same weights
+    coverage = Coverage({j: [f"u{j}"] for j in items}, {f"u{j}": x for j, x in zip(items, values)})
+    assert coverage.value(bundle) == exact
