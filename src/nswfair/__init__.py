@@ -30,7 +30,6 @@ from .instance import (
     load_allocation,
     load_instance,
     nsw_log,
-    save_allocation,
     save_instance,
     validate,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "random_instance",
     "ratio",
     "ratio_of_logs",
-    "save_allocation",
     "save_instance",
     "solve_assignment",
     "solve_lex_assignment",

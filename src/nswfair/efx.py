@@ -9,6 +9,11 @@ welfare), then tops up with singleton upgrades and envy-cycle completion.
 
 Welfare here is always measured with equal weights 1/n, matching the
 fairness guarantees, which hold for symmetric weighting only.
+
+The trim steps read v_i(S_k) and every v_i(S_k - j) from one bundle state
+per (agent, bundle) (:meth:`Valuation.bundle_state`), bit for bit equal to
+``value()``; :func:`half_efx_check`, the independent checker, calls
+``value()`` on sets.
 """
 
 from __future__ import annotations
@@ -78,26 +83,23 @@ class FeasibilityGraph:
     bundles: Tuple[FrozenSet[str], ...]
     edges: FrozenSet[Tuple[int, int]]
 
-    def neighbors(self, agent: int) -> List[int]:
-        return sorted(c for (i, c) in self.edges if i == agent)
-
 
 def build_feasibility_graph(inst: Instance, bundles: Sequence[FrozenSet[str]]) -> FeasibilityGraph:
     n = inst.n
     edges: Set[Tuple[int, int]] = set()
     for i in range(n):
-        v = inst.valuations[i]
+        states = [inst.valuations[i].bundle_state(bundle) for bundle in bundles]
         removal_max = 0.0
         for k in range(n):
             for j in bundles[k]:
-                removal_max = max(removal_max, v.value(bundles[k] - {j}))
-        own = v.value(bundles[i])
+                removal_max = max(removal_max, states[k].minus(j))
+        own = states[i].value()
         if own >= 0.5 * removal_max:
             edges.add((i, i))
         for k in range(n):
             if k == i:
                 continue
-            whole = v.value(bundles[k])
+            whole = states[k].value()
             if whole > 2.0 * own and whole >= removal_max:
                 edges.add((i, k))
         if not any(e[0] == i for e in edges):
@@ -167,8 +169,9 @@ def make_fair_or_efficient(inst: Instance, t_alloc: Allocation) -> FairnessOutco
         v1 = inst.valuations[first_unmatched]
         best: Optional[Tuple[int, str, float]] = None
         for k in range(n):
+            state = v1.bundle_state(s_bundles[k])
             for g in inst.sort_items(s_bundles[k]):
-                val = v1.value(s_bundles[k] - {g})
+                val = state.minus(g)
                 if best is None or val > best[2]:
                     best = (k, g, val)
         if best is None:

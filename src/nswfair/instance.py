@@ -37,7 +37,6 @@ __all__ = [
     "allocation_to_json",
     "allocation_from_json",
     "load_allocation",
-    "save_allocation",
     "canonical_json",
 ]
 
@@ -261,8 +260,3 @@ def allocation_from_json(doc: Mapping) -> Allocation:
 def load_allocation(path) -> Allocation:
     with open(path, "r", encoding="utf-8") as fh:
         return allocation_from_json(json.load(fh))
-
-
-def save_allocation(inst: Instance, alloc: Allocation, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(allocation_to_json(inst, alloc)))

@@ -13,31 +13,36 @@ strictly. Scanning order is fixed (agents by index, items by index, takers by
 index) and the first improving move is applied, so runs are deterministic.
 
 Every swap is scored through one gain table, :class:`_Gains`, which memoises
-the three logs a gain needs: log vbar_a(R_a) per agent, log vbar_i(R_i - j)
-per (giver, item) and log vbar_k(R_k + j) per (taker, item). Each is filled
-on first use, from a bundle state per agent (:meth:`Valuation.bundle_state`)
-that answers v(R), v(R + j) and v(R - j) from running counts instead of
-re-evaluating the whole bundle. Accepting a swap changes only the giver's and
-the taker's bundles, so it updates exactly their states and clears exactly
-their memo entries; every other agent keeps its own.
+each swap's two terms: the giver's w_i * log(vbar_i(R_i - j) / vbar_i(R_i))
+per (giver, item) and the taker's w_k * log(vbar_k(R_k + j) / vbar_k(R_k))
+per (taker, item). Each is filled on first use, from a bundle state per agent
+(:meth:`Valuation.bundle_state`) that answers v(R), v(R + j) and v(R - j)
+from running counts instead of re-evaluating the whole bundle. Accepting a
+swap changes only the giver's and the taker's bundles, so it updates exactly
+their states and clears exactly their memo entries; every other agent keeps
+its own.
 
-After a swap the scan does not restart from the top. It keeps the invariant
-that every triple before the last swap's (giver, item) position is
-non-improving. The triples there whose giver and taker both differ from the
-swap's are unchanged, so only those touching the swap's giver or taker are
-rechecked, in scan order, before the scan resumes at the swap's position.
-The first improving triple found is therefore the one a full restart would
-find. Each state is bit for bit equal to ``value()``, which is correctly
-rounded and so independent of summation order, so the gains, the swap trace
-and the certificates are the floats a fresh evaluation gives. One full scan
-after the last swap, all of it memo hits, certifies the local optimum.
+After a swap the scan walks again from the top, but keeps a frontier: the
+swap count at which each agent's bundle last changed, and the swap count at
+which each item's position (its holder, the item) last passed with no
+improving triple. At a position whose giver is unchanged since it passed,
+only the takers changed since are scored; every other triple there has the
+same two bundles, so the same memoised gain, as when it was found
+non-improving. The first improving triple found is therefore the one a full
+restart would find. Each state is bit for bit equal to ``value()``, which is
+correctly rounded and so independent of summation order, so the gains, the
+swap trace and the certificates are the floats a fresh evaluation gives. One
+full scan after the last swap, all of it memo hits, certifies the local
+optimum.
 
 Fresh tables back :func:`verify_local_opt`, which re-checks every triple on
 the final bundles, and :func:`prices`, which turns local optimality into both
 price vectors with provable spending caps. Their states call ``value()`` on
-sets, so the recheck does not depend on the family states. The certificates
-are records: neither :func:`prices` nor :func:`check_spending` raises on what
-it finds.
+sets, so the recheck does not depend on the family states. Each of the three
+takes the solve's table of singleton values v_i({j}) for the endowments, or
+asks ``value()`` for them when called alone, with the same result. The
+certificates are records: neither :func:`prices` nor :func:`check_spending`
+raises on what it finds.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import AllocationError, InvariantViolation
 from .instance import NEG_INF, Instance
@@ -68,6 +73,7 @@ __all__ = [
 SPENDING_TOLERANCE = 1e-9
 
 _Swap = Tuple[str, str, str, float]  # (giver, item, taker, log-gain)
+_Singletons = Optional[Sequence[Sequence[float]]]  # v_i({j}), rows by agent index, columns by item index
 
 
 def swap_bound(size: int, eps_bar: float) -> float:
@@ -126,13 +132,14 @@ class LocalSearchResult:
 
 
 class _Gains:
-    """Swap gains over live bundles of a universe J, each vbar memoised until it changes.
+    """Swap gains over live bundles of a universe J, each memoised until a bundle it reads changes.
 
     ``abar``: the agents valuing J positively, in index order, each endowed with its favorite
-    item of J. Memo misses are answered by one bundle state per agent, made by ``state`` from
-    the agent's valuation and bundle on first use: each family's own by default, or the
-    ``value()``-backed :class:`BundleState` for a recheck. Change ``bundles`` only through
-    :meth:`move`, which keeps the states and the memo in step.
+    item of J, read from ``singletons`` (the n x m table of v_i({j}), agents and items in index
+    order) when given and from ``value()`` otherwise. Memo misses are answered by one bundle
+    state per agent, made by ``state`` from the agent's valuation and bundle on first use: each
+    family's own by default, or the ``value()``-backed :class:`BundleState` for a recheck.
+    Change ``bundles`` only through :meth:`move`, which keeps the states and the memo in step.
     """
 
     def __init__(
@@ -143,22 +150,27 @@ class _Gains:
         state: Callable[[Valuation, Iterable[str]], BundleState] = (
             lambda v, bundle: v.bundle_state(bundle)
         ),
+        singletons: _Singletons = None,
     ):
         self.inst = inst
         self.universe = inst.sort_items(universe)
         self.bundles = bundles
         self.abar: List[str] = []
         self.endowed: Dict[str, EndowedValuation] = {}
-        for agent, v in zip(inst.agents, inst.valuations):
+        columns = [inst.item_index[j] for j in self.universe]
+        for i, (agent, v) in enumerate(zip(inst.agents, inst.valuations)):
             if self.universe and v.value(self.universe) > 0.0:
                 self.abar.append(agent)
-                self.endowed[agent] = endow(v, self.universe)
+                singles = None if singletons is None else [singletons[i][c] for c in columns]
+                self.endowed[agent] = endow(v, self.universe, singles)
         self.weight = {a: inst.weight_floats[inst.agent_index[a]] for a in self.abar}
+        self.others = {a: [t for t in self.abar if t != a] for a in self.abar}
         self._new_state = state
         self._states: Dict[str, BundleState] = {}
+        self._rows: Dict[str, List[str]] = {}
         self._cur: Dict[str, Tuple[float, float]] = {}
-        self._rem: Dict[str, Dict[str, Tuple[float, float]]] = {a: {} for a in self.abar}
-        self._add: Dict[str, Dict[str, float]] = {a: {} for a in self.abar}
+        self._give: Dict[str, Dict[str, float]] = {a: {} for a in self.abar}
+        self._take: Dict[str, Dict[str, float]] = {a: {} for a in self.abar}
 
     def _state(self, agent: str) -> BundleState:
         state = self._states.get(agent)
@@ -171,6 +183,13 @@ class _Gains:
         vbar = self.endowed[agent].offset + value
         return vbar, math.log(vbar)
 
+    def row(self, agent: str) -> List[str]:
+        """R_agent in index order."""
+        row = self._rows.get(agent)
+        if row is None:
+            row = self._rows[agent] = self.inst.sort_items(self.bundles[agent])
+        return row
+
     def current(self, agent: str) -> Tuple[float, float]:
         """vbar(R_agent) and its log."""
         hit = self._cur.get(agent)
@@ -180,58 +199,32 @@ class _Gains:
 
     def removed(self, agent: str, item: str) -> Tuple[float, float]:
         """vbar(R_agent - item) and its log."""
-        row = self._rem[agent]
+        return self._vbar(agent, self._state(agent).minus(item))
+
+    def give(self, giver: str, item: str) -> float:
+        """The giver's term of a swap: w_g * (log vbar_g(R_g - j) - log vbar_g(R_g))."""
+        row = self._give[giver]
         hit = row.get(item)
         if hit is None:
-            hit = row[item] = self._vbar(agent, self._state(agent).minus(item))
+            hit = row[item] = self.weight[giver] * (self.removed(giver, item)[1] - self.current(giver)[1])
         return hit
 
-    def added(self, agent: str, item: str) -> float:
-        """log vbar(R_agent + item)."""
-        row = self._add[agent]
+    def take(self, taker: str, item: str) -> float:
+        """The taker's term of a swap: w_t * (log vbar_t(R_t + j) - log vbar_t(R_t))."""
+        row = self._take[taker]
         hit = row.get(item)
         if hit is None:
-            hit = row[item] = self._vbar(agent, self._state(agent).plus(item))[1]
+            log_with = self._vbar(taker, self._state(taker).plus(item))[1]
+            hit = row[item] = self.weight[taker] * (log_with - self.current(taker)[1])
         return hit
 
-    def _swaps(self, giver: str, items: Iterable[str], takers: List[str]) -> Iterator[_Swap]:
-        """(giver, item, taker, log-gain) of each item of ``giver`` to each taker, in that order.
-
-        The gain is w_g * (log vbar_g(R_g - j) - log vbar_g(R_g))
-        + w_t * (log vbar_t(R_t + j) - log vbar_t(R_t)), with the giver's
-        term computed once per item.
-        """
-        w = self.weight
-        for item in items:
-            give = w[giver] * (self.removed(giver, item)[1] - self.current(giver)[1])
-            for taker in takers:
-                if taker != giver:
-                    take = w[taker] * (self.added(taker, item) - self.current(taker)[1])
-                    yield giver, item, taker, give + take
-
-    def scan(self, after: Optional[Tuple[str, str]] = None) -> Iterator[_Swap]:
-        """Every swap in scan order, or only those past the position ``after`` = (giver, item).
-
-        Stop iterating after a :meth:`move`.
-        """
-        start = 0 if after is None else self.abar.index(after[0])
-        for giver in self.abar[start:]:
-            items = self.inst.sort_items(self.bundles[giver])
-            if after is not None and giver == after[0]:
-                items = [j for j in items if self.inst.item_index[j] > self.inst.item_index[after[1]]]
-            yield from self._swaps(giver, items, self.abar)
-
-    def rescan(self, before: Tuple[str, str], touched: Tuple[str, str]) -> Iterator[_Swap]:
-        """The swaps before the position ``before`` = (giver, item) whose giver or taker is in
-        ``touched``, in scan order. Stop iterating after a :meth:`move`."""
-        takers = [a for a in self.abar if a in touched]
+    def scan(self) -> Iterator[_Swap]:
+        """(giver, item, taker, log-gain) of every swap, in scan order."""
         for giver in self.abar:
-            items = self.inst.sort_items(self.bundles[giver])
-            if giver == before[0]:
-                items = [j for j in items if self.inst.item_index[j] < self.inst.item_index[before[1]]]
-            yield from self._swaps(giver, items, self.abar if giver in touched else takers)
-            if giver == before[0]:
-                return
+            for item in self.row(giver):
+                give = self.give(giver, item)
+                for taker in self.others[giver]:
+                    yield giver, item, taker, give + self.take(taker, item)
 
     def move(self, giver: str, item: str, taker: str) -> None:
         self._state(giver).remove(item)
@@ -239,9 +232,45 @@ class _Gains:
         self.bundles[giver].discard(item)
         self.bundles[taker].add(item)
         for agent in (giver, taker):
+            self._rows.pop(agent, None)
             self._cur.pop(agent, None)
-            self._rem[agent].clear()
-            self._add[agent].clear()
+            self._give[agent].clear()
+            self._take[agent].clear()
+
+
+def _first_improving(
+    table: _Gains, threshold: float, changed: Dict[str, int], verified: Dict[str, int], now: int
+) -> Optional[_Swap]:
+    """The first swap in scan order whose gain beats ``threshold``, found by scoring only the
+    triples that can have changed since their position was last verified.
+
+    ``changed[a]`` is the swap count at which agent a's bundle last changed and ``verified[j]``
+    the swap count at which item j's position, under its current holder, last passed with no
+    improving triple. A position whose giver is unchanged since then scores only the takers
+    changed since then; every other triple there has the same two bundles, so the same gain, as
+    when it was found non-improving. Each position that passes is verified at ``now``.
+    """
+    recent = sorted(table.abar, key=changed.__getitem__, reverse=True)
+    rank = {a: k for k, a in enumerate(table.abar)}
+    since: Dict[int, List[str]] = {}  # verified count -> takers changed after it, in index order
+    takes = table._take
+    for giver in table.abar:
+        giver_changed, others = changed[giver], table.others[giver]
+        for item in table.row(giver):
+            seen = verified[item]
+            takers = others if giver_changed > seen else since.get(seen)
+            if takers is None:
+                fresh = itertools.takewhile(lambda a: changed[a] > seen, recent)
+                takers = since[seen] = sorted(fresh, key=rank.__getitem__)
+            if takers:
+                give = table.give(giver, item)
+                for taker in takers:
+                    take = takes[taker].get(item)  # table.take with its memo hit inlined: the hottest line
+                    gain = give + (table.take(taker, item) if take is None else take)
+                    if gain > threshold:
+                        return giver, item, taker, gain
+            verified[item] = now
+    return None
 
 
 def _threshold(eps_bar: float) -> float:
@@ -251,33 +280,36 @@ def _threshold(eps_bar: float) -> float:
     return math.log1p(eps_bar)
 
 
-def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> LocalSearchResult:
+def local_search(
+    inst: Instance, universe: Iterable[str], eps_bar: float, singletons: _Singletons = None
+) -> LocalSearchResult:
     """Redistribute ``universe`` into an eps_bar-local optimum.
 
     Agents valuing the universe at zero receive nothing and take no part.
     Initially the smallest-index participating agent holds everything.
+    ``singletons``, the n x m table of v_i({j}), spares the endowment's
+    ``value()`` calls and changes no result.
     """
     threshold = _threshold(eps_bar)
-    table = _Gains(inst, universe, {a: set() for a in inst.agents})
+    table = _Gains(inst, universe, {a: set() for a in inst.agents}, singletons=singletons)
     if table.abar:
         table.bundles[table.abar[0]] = set(table.universe)  # no state exists yet
     max_swaps = swap_bound(len(table.universe) + 1, eps_bar) if eps_bar > 0 else math.inf
     trace: List[SwapRecord] = []
-    pending = table.scan()
+    changed = dict.fromkeys(table.abar, 0)
+    verified = dict.fromkeys(table.universe, -1)
     while True:
-        hit = next((swap for swap in pending if swap[3] > threshold), None)
+        hit = _first_improving(table, threshold, changed, verified, len(trace))
         if hit is None:
             break
         giver, item, taker, gain = hit
         table.move(giver, item, taker)
         trace.append(SwapRecord(len(trace) + 1, giver, item, taker, gain))
+        changed[giver] = changed[taker] = len(trace)
         if len(trace) > max_swaps:
             raise InvariantViolation(
                 f"swap count {len(trace)} exceeded the certified bound {max_swaps:.3f}"
             )
-        # Every swap before (giver, item) was non-improving; only those touching giver or taker changed.
-        at = (giver, item)
-        pending = itertools.chain(table.rescan(at, (giver, taker)), table.scan(after=at))
     gains = [gain for *_, gain in table.scan()]
     return LocalSearchResult(
         universe=tuple(table.universe),
@@ -292,7 +324,7 @@ def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> Loc
     )
 
 
-def _gains_for_bundles(inst: Instance, bundles: Mapping[str, Iterable[str]]) -> _Gains:
+def _gains_for_bundles(inst: Instance, bundles: Mapping[str, Iterable[str]], singles: _Singletons) -> _Gains:
     union: set = set()
     sets: Dict[str, set] = {a: set() for a in inst.agents}
     for agent, bundle in bundles.items():
@@ -303,7 +335,7 @@ def _gains_for_bundles(inst: Instance, bundles: Mapping[str, Iterable[str]]) -> 
             raise AllocationError("bundles overlap")
         union |= b
         sets[agent] = b
-    table = _Gains(inst, union, sets, BundleState)
+    table = _Gains(inst, union, sets, BundleState, singles)
     outside = {a for a, b in sets.items() if b} - set(table.abar)
     if outside:
         raise AllocationError(
@@ -313,7 +345,7 @@ def _gains_for_bundles(inst: Instance, bundles: Mapping[str, Iterable[str]]) -> 
 
 
 def verify_local_opt(
-    inst: Instance, bundles: Mapping[str, Iterable[str]], eps_bar: float
+    inst: Instance, bundles: Mapping[str, Iterable[str]], eps_bar: float, singletons: _Singletons = None
 ) -> List[Tuple[str, str, str]]:
     """Exhaustively re-check local optimality of ``bundles``.
 
@@ -321,9 +353,10 @@ def verify_local_opt(
     log(1 + eps_bar); the empty list certifies an eps_bar-local optimum. A fresh
     table of the kind :func:`local_search` scores with rechecks the search's
     memo independently, and verifying a search output is exact, not a tolerance game.
+    ``singletons`` is read as by :func:`local_search`.
     """
     threshold = _threshold(eps_bar)
-    table = _gains_for_bundles(inst, bundles)
+    table = _gains_for_bundles(inst, bundles, singletons)
     return [
         (giver, taker, item)
         for giver, item, taker, gain in table.scan()
@@ -349,16 +382,19 @@ class PriceVector:
         return float(sum(self.values[j] for j in sorted(items)))
 
 
-def prices(inst: Instance, bundles: Mapping[str, Iterable[str]]) -> Tuple[PriceVector, PriceVector]:
+def prices(
+    inst: Instance, bundles: Mapping[str, Iterable[str]], singletons: _Singletons = None
+) -> Tuple[PriceVector, PriceVector]:
     """Asymmetric and symmetric prices of the items held by participating
     agents, from one gain table; a symmetric price above 1 is recorded, and
-    as prices are nonnegative it breaks a cap."""
-    table = _gains_for_bundles(inst, bundles)
+    as prices are nonnegative it breaks a cap. ``singletons`` is read as by
+    :func:`local_search`."""
+    table = _gains_for_bundles(inst, bundles, singletons)
     asymmetric = PriceVector("asymmetric", {}, {})
     symmetric = PriceVector("symmetric", {}, {})
     for agent in table.abar:
         with_item, log_with = table.current(agent)
-        for item in inst.sort_items(table.bundles[agent]):
+        for item in table.row(agent):
             without, log_without = table.removed(agent, item)
             asymmetric.values[item] = table.weight[agent] * (log_with - log_without)
             symmetric.values[item] = with_item / without - 1.0

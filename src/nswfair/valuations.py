@@ -30,10 +30,11 @@ for the matroid rank, and the current mask for tables.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple, TypeVar
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, TypeVar
+)
 
 import numpy as np
 
@@ -470,16 +471,20 @@ class EndowedValuation:
         return self.offset + self.base.value(bundle)
 
 
-def endow(v: Valuation, candidates: Sequence[str]) -> EndowedValuation:
+def endow(
+    v: Valuation, candidates: Sequence[str], singles: Optional[Sequence[float]] = None
+) -> EndowedValuation:
     """Shift ``v`` by its favorite item among ``candidates`` (given in index order).
 
-    Ties pick the earliest candidate. Raises :class:`AgentNotEndowable` when no
-    candidate has positive value.
+    ``singles`` holds v({j}) of each candidate, in the same order; without it
+    :meth:`Valuation.value` is asked. Ties pick the earliest candidate. Raises
+    :class:`AgentNotEndowable` when no candidate has positive value.
     """
+    if singles is None:
+        singles = [v.value([j]) for j in candidates]
     favorite = None
     best = 0.0
-    for j in candidates:
-        val = v.value([j])
+    for j, val in zip(candidates, singles):
         if val > best:
             best = val
             favorite = j
@@ -524,46 +529,26 @@ def _mask_set(universe: Sequence[str], mask: int) -> FrozenSet[str]:
 
 
 def check_submodular(
-    v: Valuation,
-    universe: Sequence[str],
-    mode: str = "exhaustive",
-    trials: int = 256,
-    seed: int = 0,
-    tol: float = 0.0,
+    v: Valuation, universe: Sequence[str], mode: str = "exhaustive", tol: float = 0.0
 ) -> List[StructureViolation]:
     """Screen ``v`` for submodularity and monotonicity violations on ``universe``.
 
-    Exhaustive mode evaluates all 2^|universe| subsets, for at most
-    ``ExplicitTable.MAX_ITEMS`` items, and runs the local tests that
+    The one ``mode``, exhaustive, evaluates all 2^|universe| subsets, for at
+    most ``ExplicitTable.MAX_ITEMS`` items, and runs the local tests that
     :class:`ExplicitTable` enforces, with at most one witness per item,
     (S, S + i) for monotonicity, and per item pair, (S + i, S + j) for
-    submodularity. Sampled mode draws ``trials`` random pairs (S, T) from
-    ``seed``. An empty list means no violation was found. ``tol`` is a slack
-    on each compared difference, in exhaustive mode each local one, so a
-    pairwise violation spread over k local steps may reach k * tol unseen.
+    submodularity. An empty list means no violation was found. ``tol`` is a
+    slack on each local difference, so a pairwise violation spread over k
+    local steps may reach k * tol unseen.
     """
+    if mode != "exhaustive":
+        raise ValueError(f"mode must be 'exhaustive', got {mode!r}")
     universe = list(universe)
     u = len(universe)
-    if mode == "exhaustive":
-        if u > ExplicitTable.MAX_ITEMS:
-            raise ValueError(f"exhaustive mode supports at most {ExplicitTable.MAX_ITEMS} items, got {u}")
-        vals = np.array([v.value(_mask_set(universe, mask)) for mask in range(1 << u)], dtype=float)
-        return [
-            StructureViolation(kind, _mask_set(universe, left), _mask_set(universe, right))
-            for kind, left, right in _local_violations(vals, tol, tol)
-        ]
-    if mode == "sampled":
-        rng = random.Random(seed)
-        violations: List[StructureViolation] = []
-        for _ in range(trials):
-            s_mask = rng.getrandbits(u) if u else 0
-            t_mask = rng.getrandbits(u) if u else 0
-            s = _mask_set(universe, s_mask)
-            t = _mask_set(universe, t_mask)
-            vs, vt = v.value(s), v.value(t)
-            if vs + vt < v.value(s | t) + v.value(s & t) - tol:
-                violations.append(StructureViolation("submodularity", s, t))
-            if v.value(s | t) < max(vs, vt) - tol:
-                violations.append(StructureViolation("monotonicity", s if vs >= vt else t, s | t))
-        return violations
-    raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+    if u > ExplicitTable.MAX_ITEMS:
+        raise ValueError(f"exhaustive mode supports at most {ExplicitTable.MAX_ITEMS} items, got {u}")
+    vals = np.array([v.value(_mask_set(universe, mask)) for mask in range(1 << u)], dtype=float)
+    return [
+        StructureViolation(kind, _mask_set(universe, left), _mask_set(universe, right))
+        for kind, left, right in _local_violations(vals, tol, tol)
+    ]

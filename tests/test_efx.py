@@ -7,6 +7,7 @@ import pytest
 
 from nswfair import (
     Allocation,
+    Instance,
     LemmaViolation,
     build_feasibility_graph,
     envy_cycle_complete,
@@ -16,8 +17,10 @@ from nswfair import (
     solve_nsw,
 )
 from nswfair.generate import FAMILIES, random_instance
+from nswfair.valuations import Valuation
 
 from conftest import make_instance
+from test_local_search import SquareRootOfSum
 
 
 def sym_welfare_log(inst, alloc):
@@ -57,7 +60,6 @@ def test_checker_is_strict_at_exactly_half():
 def test_feasibility_graph_self_edges(e1):
     graph = build_feasibility_graph(e1, [frozenset({"a", "d"}), frozenset({"b", "c"})])
     assert graph.edges == frozenset({(0, 0), (1, 1)})
-    assert graph.neighbors(0) == [0]
 
 
 def test_feasibility_graph_foreign_edge():
@@ -190,3 +192,55 @@ def test_outcome_contract_raises_on_a_failed_checker(e1, monkeypatch):
     monkeypatch.setattr(efx_mod, "half_efx_check", lambda inst, alloc: [("2", "1", "a")])
     with pytest.raises(LemmaViolation, match="fails the checker"):
         make_fair_or_efficient(e1, Allocation.of({"1": ["a", "d"], "2": ["b", "c"]}))
+
+
+class ValueOnly(Valuation):
+    """Wraps a valuation behind value() alone, so its bundle state asks value() each time."""
+
+    kind = "test_value_only"
+
+    def __init__(self, base):
+        self.base = base
+
+    @property
+    def items(self):
+        return self.base.items
+
+    def value(self, bundle):
+        return self.base.value(bundle)
+
+
+def reference_edges(inst, bundles):
+    """The feasibility graph's edges from value() on sets."""
+    edges = set()
+    for i, v in enumerate(inst.valuations):
+        removal_max = max([0.0] + [v.value(b - {j}) for b in bundles for j in b])
+        own = v.value(bundles[i])
+        edges |= {(i, i)} if own >= 0.5 * removal_max else set()
+        edges |= {
+            (i, k) for k, b in enumerate(bundles) if k != i and v.value(b) > 2.0 * own and v.value(b) >= removal_max
+        }
+    return frozenset(edges)
+
+
+def test_state_reads_match_value_reads_on_random_partials():
+    # The random partial allocations of acceptance criterion 7, then square roots of additive
+    # valuations, which have no state of their own.
+    rng = random.Random(20260814)
+    cases = []
+    for t in range(1000):
+        inst = random_instance(FAMILIES[t % 4], n=2 + t % 2, m=4 + t % 3, seed=40_000 + t)
+        picks = [rng.randrange(inst.n + 1) for _ in inst.items]
+        cases.append((inst, picks))
+    for seed in range(20):
+        base = random_instance("additive", 3, 6, seed)
+        roots = tuple(SquareRootOfSum(v) for v in base.valuations)
+        inst = Instance(base.agents, base.weights, base.items, roots)
+        cases.append((inst, [rng.randrange(inst.n + 1) for _ in inst.items]))
+    for inst, picks in cases:
+        bundles = [frozenset(j for j, p in zip(inst.items, picks) if p == i) for i in range(inst.n)]
+        reference = Instance(inst.agents, inst.weights, inst.items, tuple(map(ValueOnly, inst.valuations)))
+        if all(bundles):
+            assert build_feasibility_graph(inst, bundles).edges == reference_edges(inst, bundles)
+        alloc = Allocation({a: b for a, b in zip(inst.agents, bundles)})
+        assert make_fair_or_efficient(inst, alloc) == make_fair_or_efficient(reference, alloc)

@@ -9,17 +9,23 @@ import pytest
 from nswfair import (
     Additive,
     Allocation,
+    Coverage,
     Instance,
     brute_force_opt,
+    check_spending,
     guarantee_factor,
+    local_search,
     nsw_log,
     phi,
+    prices,
     solve_nsw,
+    verify_local_opt,
 )
 from nswfair.generate import FAMILIES, random_instance
 from nswfair.local_search import swap_bound
 
 from conftest import make_instance
+from test_golden import CASES, case_id
 
 
 def test_reference_solve(e1):
@@ -191,3 +197,37 @@ def test_solver_is_deterministic():
     a = solve_nsw(inst, eps=0.2)
     b = solve_nsw(inst, eps=0.2)
     assert a.to_json() == b.to_json()
+
+
+def test_one_singleton_table_per_solve(monkeypatch):
+    # Phase 1 evaluates v_i({j}) once for every agent and item; the search, the
+    # recheck and the prices read their favorites from that table.
+    singles = []
+    base_value = Coverage.value
+
+    def counted_value(self, bundle):
+        bundle = frozenset(bundle)
+        singles.extend(bundle if len(bundle) == 1 else ())
+        return base_value(self, bundle)
+
+    monkeypatch.setattr(Coverage, "value", counted_value)
+    inst = random_instance("coverage", 12, 120, 11)
+    assert solve_nsw(inst, 0.1).feasible
+    assert len(singles) == inst.n * inst.m == 1440
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_certificate_stages_alone_match_the_solve(case):
+    # The solve hands phase 1's singleton table to each stage; called alone, a
+    # stage asks value() for the singletons and must give the same floats.
+    family, mode, n, m, seed = case
+    inst = random_instance(family, n, m, seed, mode)
+    report = solve_nsw(inst, 0.1)
+    if report.search is None:
+        return
+    search = local_search(inst, report.search.universe, report.eps_bar)
+    assert search == report.search
+    assert tuple(verify_local_opt(inst, search.bundles, report.eps_bar)) == report.certificates.local_opt_violations
+    asymmetric, symmetric = map(check_spending, prices(inst, search.bundles))
+    assert asymmetric == report.certificates.spending_asymmetric
+    assert symmetric == report.certificates.spending_symmetric

@@ -163,10 +163,6 @@ def test_check_submodular_flags_supermodular_table():
     )
 
 
-def test_check_submodular_sampled_mode_finds_same_defect():
-    assert check_submodular(COMPLEMENTS, ["a", "b"], mode="sampled", trials=200, seed=7)
-
-
 def test_check_submodular_witnesses_are_local():
     # v(S) = min(|S|, 2) with {a, b, c} bumped to 4: submodularity breaks on
     # top of each single item, monotonicity nowhere.
