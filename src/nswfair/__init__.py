@@ -33,7 +33,7 @@ from .instance import (
     save_instance,
     validate,
 )
-from .local_search import (
+from .search import (
     check_spending,
     epsilon_bar,
     local_search,

@@ -12,8 +12,9 @@ fairness guarantees, which hold for symmetric weighting only.
 
 The trim steps read v_i(S_k) and every v_i(S_k - j) from one bundle state
 per (agent, bundle) (:meth:`Valuation.bundle_state`), bit for bit equal to
-``value()``; :func:`half_efx_check`, the independent checker, calls
-``value()`` on sets.
+``value()``, and the loose-item comparisons read the instance's singleton
+table (:attr:`Instance.singletons`); :func:`half_efx_check`, the independent
+checker, calls ``value()`` on sets.
 """
 
 from __future__ import annotations
@@ -77,22 +78,30 @@ class FeasibilityGraph:
     good as the best single-item-removal bundle anywhere, and to a foreign
     bundle when taking it whole would at least double the agent's value and
     beat every single-item removal. Every agent has degree >= 1.
+    ``best_removal[i]`` is agent i's first best single-item removal (k, j,
+    v_i(S_k - j)), bundles by index and items in index order, or None when
+    every bundle is empty.
     """
 
-    n: int
-    bundles: Tuple[FrozenSet[str], ...]
     edges: FrozenSet[Tuple[int, int]]
+    best_removal: Tuple[Optional[Tuple[int, str, float]], ...]
 
 
 def build_feasibility_graph(inst: Instance, bundles: Sequence[FrozenSet[str]]) -> FeasibilityGraph:
     n = inst.n
+    rows = [inst.sort_items(bundle) for bundle in bundles]
     edges: Set[Tuple[int, int]] = set()
+    best_removal: List[Optional[Tuple[int, str, float]]] = []
     for i in range(n):
         states = [inst.valuations[i].bundle_state(bundle) for bundle in bundles]
-        removal_max = 0.0
+        best: Optional[Tuple[int, str, float]] = None
         for k in range(n):
-            for j in bundles[k]:
-                removal_max = max(removal_max, states[k].minus(j))
+            for j in rows[k]:
+                val = states[k].minus(j)
+                if best is None or val > best[2]:
+                    best = (k, j, val)
+        best_removal.append(best)
+        removal_max = max(0.0, best[2]) if best else 0.0
         own = states[i].value()
         if own >= 0.5 * removal_max:
             edges.add((i, i))
@@ -104,7 +113,7 @@ def build_feasibility_graph(inst: Instance, bundles: Sequence[FrozenSet[str]]) -
                 edges.add((i, k))
         if not any(e[0] == i for e in edges):
             raise InvariantViolation(f"agent {inst.agents[i]!r} has no feasible bundle edge")
-    return FeasibilityGraph(n=n, bundles=tuple(bundles), edges=frozenset(edges))
+    return FeasibilityGraph(edges=frozenset(edges), best_removal=tuple(best_removal))
 
 
 @dataclass(frozen=True)
@@ -166,14 +175,7 @@ def make_fair_or_efficient(inst: Instance, t_alloc: Allocation) -> FairnessOutco
             result = [s_bundles[rho[i]] for i in range(n)]
             return _outcome(inst, "half_efx", result, t_bundles)
         first_unmatched = next(i for i in range(n) if rho[i] is None)
-        v1 = inst.valuations[first_unmatched]
-        best: Optional[Tuple[int, str, float]] = None
-        for k in range(n):
-            state = v1.bundle_state(s_bundles[k])
-            for g in inst.sort_items(s_bundles[k]):
-                val = state.minus(g)
-                if best is None or val > best[2]:
-                    best = (k, g, val)
+        best = graph.best_removal[first_unmatched]
         if best is None:
             raise InvariantViolation("no agent holds an item while one agent is unmatched")
         h, g_h, _ = best
@@ -217,7 +219,7 @@ def envy_cycle_complete(inst: Instance, t_alloc: Allocation, unallocated: Set[st
     for i in range(n):
         own = inst.valuations[i].value(bundles[i])
         for j in pool:
-            if own < inst.valuations[i].value([j]):
+            if own < inst.singletons[i][inst.item_index[j]]:
                 raise ValueError(
                     f"agent {inst.agents[i]!r} values loose item {j!r} above its bundle"
                 )
@@ -302,7 +304,7 @@ def guarantee_half_efx(inst: Instance, s_alloc: Allocation) -> Allocation:
         for i in range(inst.n):
             own = inst.valuations[i].value(bundles[i])
             for j in inst.sort_items(pool):
-                if own < inst.valuations[i].value([j]):
+                if own < inst.singletons[i][inst.item_index[j]]:
                     upgrade = (i, j)
                     break
             if upgrade:

@@ -72,6 +72,11 @@ class Instance:
     def weight_floats(self) -> Tuple[float, ...]:
         return tuple(float(w) for w in self.weights)
 
+    @cached_property
+    def singletons(self) -> Tuple[Tuple[float, ...], ...]:
+        """v_i({j}), rows by agent index and columns by item index, evaluated once per instance."""
+        return tuple(tuple(v.value([j]) for j in self.items) for v in self.valuations)
+
     def valuation_of(self, agent: str) -> Valuation:
         return self.valuations[self.agent_index[agent]]
 
@@ -179,17 +184,10 @@ def complete_with_leftovers(inst: Instance, alloc: Allocation) -> Allocation:
     _check_structure(inst, alloc)
     bundles = {a: set(alloc.bundle(a)) for a in inst.agents}
     done = alloc.allocated()
-    for j in inst.items:
-        if j in done:
-            continue
-        winner = 0
-        best = None
-        for i, agent in enumerate(inst.agents):
-            val = inst.valuations[i].value([j])
-            if best is None or val > best:
-                best = val
-                winner = i
-        bundles[inst.agents[winner]].add(j)
+    for c, j in enumerate(inst.items):
+        if j not in done:
+            column = [row[c] for row in inst.singletons]
+            bundles[inst.agents[column.index(max(column))]].add(j)
     return Allocation.of(bundles)
 
 

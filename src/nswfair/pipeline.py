@@ -8,10 +8,11 @@ Phase 2 runs the swap local search on the leftover universe J with threshold
 eps_bar = (1 + eps)^(1/m) - 1. Phase 3 rematches the phase-1 items on top of
 the local-search bundles, maximizing sum_i w_i * log v_i(R_i + sigma(i)).
 
-Phase 1's scores come from the n x m table of singleton values v_i({j}),
-evaluated once per solve. The search, the local-optimality recheck and the
-prices read each agent's favorite item and offset from that table instead of
-evaluating the singletons again; the table lives for one solve only.
+Phase 1's scores come from the instance's table of singleton values
+v_i({j}) (:attr:`Instance.singletons`), evaluated once per instance. The
+search, the local-optimality recheck and the prices read each agent's
+favorite item and offset from that table, and leftover items go to the
+column maximum, so no stage evaluates a singleton again.
 
 The report embeds verification certificates (exhaustive local-optimality
 recheck and both spending-cap reports) plus the approximation factors
@@ -27,7 +28,7 @@ from typing import Dict, Optional, Tuple
 
 from .errors import InvariantViolation
 from .instance import NEG_INF, Allocation, Instance, complete_with_leftovers, nsw_log, validate
-from .local_search import (
+from .search import (
     LocalSearchResult,
     SpendingReport,
     check_spending,
@@ -217,16 +218,15 @@ def solve_nsw(inst: Instance, eps: float) -> SolveReport:
     if inst.m < inst.n:
         return _infeasible_report(inst, eps, eps_bar if inst.m else 0.0)
     w = inst.weight_floats
-    singletons = [[v.value([j]) for j in inst.items] for v in inst.valuations]
     phase1 = solve_assignment(
-        [[w[i] * math.log(val) if val > 0.0 else NEG_INF for val in row] for i, row in enumerate(singletons)]
+        [[wi * math.log(val) if val > 0.0 else NEG_INF for val in row] for wi, row in zip(w, inst.singletons)]
     )
     if phase1.total == NEG_INF:
         return _infeasible_report(inst, eps, eps_bar)
     tau = {inst.agents[i]: inst.items[c] for i, c in enumerate(phase1.assignment)}
     h_items = inst.sort_items(tau.values())
 
-    search = local_search(inst, frozenset(inst.items) - set(h_items), eps_bar, singletons)
+    search = local_search(inst, frozenset(inst.items) - set(h_items), eps_bar)
 
     def rematch_score(i: int, j: int) -> float:
         agent = inst.agents[i]
@@ -241,9 +241,9 @@ def solve_nsw(inst: Instance, eps: float) -> SolveReport:
     allocation = Allocation({a: frozenset(search.bundles[a] | {sigma[a]}) for a in inst.agents})
     allocation = complete_with_leftovers(inst, allocation)
 
-    asymmetric, symmetric = prices(inst, search.bundles, singletons)
+    asymmetric, symmetric = prices(inst, search.bundles)
     certificates = SolveCertificates(
-        local_opt_violations=tuple(verify_local_opt(inst, search.bundles, eps_bar, singletons)),
+        local_opt_violations=tuple(verify_local_opt(inst, search.bundles, eps_bar)),
         spending_asymmetric=check_spending(asymmetric),
         spending_symmetric=check_spending(symmetric),
         swap_limit=swap_bound(inst.m, eps_bar),

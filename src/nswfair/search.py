@@ -38,11 +38,10 @@ optimum.
 Fresh tables back :func:`verify_local_opt`, which re-checks every triple on
 the final bundles, and :func:`prices`, which turns local optimality into both
 price vectors with provable spending caps. Their states call ``value()`` on
-sets, so the recheck does not depend on the family states. Each of the three
-takes the solve's table of singleton values v_i({j}) for the endowments, or
-asks ``value()`` for them when called alone, with the same result. The
-certificates are records: neither :func:`prices` nor :func:`check_spending`
-raises on what it finds.
+sets, so the recheck does not depend on the family states. All three read the
+endowments from the instance's singleton table (:attr:`Instance.singletons`).
+The certificates are records: neither :func:`prices` nor
+:func:`check_spending` raises on what it finds.
 """
 
 from __future__ import annotations
@@ -50,10 +49,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import AllocationError, InvariantViolation
-from .instance import NEG_INF, Instance
+from .instance import NEG_INF, Allocation, Instance, _check_structure
 from .valuations import BundleState, EndowedValuation, Valuation, endow
 
 __all__ = [
@@ -73,7 +72,6 @@ __all__ = [
 SPENDING_TOLERANCE = 1e-9
 
 _Swap = Tuple[str, str, str, float]  # (giver, item, taker, log-gain)
-_Singletons = Optional[Sequence[Sequence[float]]]  # v_i({j}), rows by agent index, columns by item index
 
 
 def swap_bound(size: int, eps_bar: float) -> float:
@@ -135,8 +133,7 @@ class _Gains:
     """Swap gains over live bundles of a universe J, each memoised until a bundle it reads changes.
 
     ``abar``: the agents valuing J positively, in index order, each endowed with its favorite
-    item of J, read from ``singletons`` (the n x m table of v_i({j}), agents and items in index
-    order) when given and from ``value()`` otherwise. Memo misses are answered by one bundle
+    item of J, read from :attr:`Instance.singletons`. Memo misses are answered by one bundle
     state per agent, made by ``state`` from the agent's valuation and bundle on first use: each
     family's own by default, or the ``value()``-backed :class:`BundleState` for a recheck.
     Change ``bundles`` only through :meth:`move`, which keeps the states and the memo in step.
@@ -150,7 +147,6 @@ class _Gains:
         state: Callable[[Valuation, Iterable[str]], BundleState] = (
             lambda v, bundle: v.bundle_state(bundle)
         ),
-        singletons: _Singletons = None,
     ):
         self.inst = inst
         self.universe = inst.sort_items(universe)
@@ -158,11 +154,10 @@ class _Gains:
         self.abar: List[str] = []
         self.endowed: Dict[str, EndowedValuation] = {}
         columns = [inst.item_index[j] for j in self.universe]
-        for i, (agent, v) in enumerate(zip(inst.agents, inst.valuations)):
+        for agent, v, row in zip(inst.agents, inst.valuations, inst.singletons):
             if self.universe and v.value(self.universe) > 0.0:
                 self.abar.append(agent)
-                singles = None if singletons is None else [singletons[i][c] for c in columns]
-                self.endowed[agent] = endow(v, self.universe, singles)
+                self.endowed[agent] = endow(v, self.universe, [row[c] for c in columns])
         self.weight = {a: inst.weight_floats[inst.agent_index[a]] for a in self.abar}
         self.others = {a: [t for t in self.abar if t != a] for a in self.abar}
         self._new_state = state
@@ -280,18 +275,14 @@ def _threshold(eps_bar: float) -> float:
     return math.log1p(eps_bar)
 
 
-def local_search(
-    inst: Instance, universe: Iterable[str], eps_bar: float, singletons: _Singletons = None
-) -> LocalSearchResult:
+def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> LocalSearchResult:
     """Redistribute ``universe`` into an eps_bar-local optimum.
 
     Agents valuing the universe at zero receive nothing and take no part.
     Initially the smallest-index participating agent holds everything.
-    ``singletons``, the n x m table of v_i({j}), spares the endowment's
-    ``value()`` calls and changes no result.
     """
     threshold = _threshold(eps_bar)
-    table = _Gains(inst, universe, {a: set() for a in inst.agents}, singletons=singletons)
+    table = _Gains(inst, universe, {a: set() for a in inst.agents})
     if table.abar:
         table.bundles[table.abar[0]] = set(table.universe)  # no state exists yet
     max_swaps = swap_bound(len(table.universe) + 1, eps_bar) if eps_bar > 0 else math.inf
@@ -324,18 +315,11 @@ def local_search(
     )
 
 
-def _gains_for_bundles(inst: Instance, bundles: Mapping[str, Iterable[str]], singles: _Singletons) -> _Gains:
-    union: set = set()
-    sets: Dict[str, set] = {a: set() for a in inst.agents}
-    for agent, bundle in bundles.items():
-        if agent not in inst.agent_index:
-            raise AllocationError(f"unknown agent {agent!r}")
-        b = set(bundle)
-        if union & b:
-            raise AllocationError("bundles overlap")
-        union |= b
-        sets[agent] = b
-    table = _Gains(inst, union, sets, BundleState, singles)
+def _gains_for_bundles(inst: Instance, bundles: Mapping[str, Iterable[str]]) -> _Gains:
+    alloc = Allocation.of(bundles)
+    _check_structure(inst, alloc)
+    sets = {a: set(alloc.bundle(a)) for a in inst.agents}
+    table = _Gains(inst, alloc.allocated(), sets, BundleState)
     outside = {a for a, b in sets.items() if b} - set(table.abar)
     if outside:
         raise AllocationError(
@@ -345,7 +329,7 @@ def _gains_for_bundles(inst: Instance, bundles: Mapping[str, Iterable[str]], sin
 
 
 def verify_local_opt(
-    inst: Instance, bundles: Mapping[str, Iterable[str]], eps_bar: float, singletons: _Singletons = None
+    inst: Instance, bundles: Mapping[str, Iterable[str]], eps_bar: float
 ) -> List[Tuple[str, str, str]]:
     """Exhaustively re-check local optimality of ``bundles``.
 
@@ -353,10 +337,9 @@ def verify_local_opt(
     log(1 + eps_bar); the empty list certifies an eps_bar-local optimum. A fresh
     table of the kind :func:`local_search` scores with rechecks the search's
     memo independently, and verifying a search output is exact, not a tolerance game.
-    ``singletons`` is read as by :func:`local_search`.
     """
     threshold = _threshold(eps_bar)
-    table = _gains_for_bundles(inst, bundles, singletons)
+    table = _gains_for_bundles(inst, bundles)
     return [
         (giver, taker, item)
         for giver, item, taker, gain in table.scan()
@@ -382,14 +365,11 @@ class PriceVector:
         return float(sum(self.values[j] for j in sorted(items)))
 
 
-def prices(
-    inst: Instance, bundles: Mapping[str, Iterable[str]], singletons: _Singletons = None
-) -> Tuple[PriceVector, PriceVector]:
+def prices(inst: Instance, bundles: Mapping[str, Iterable[str]]) -> Tuple[PriceVector, PriceVector]:
     """Asymmetric and symmetric prices of the items held by participating
     agents, from one gain table; a symmetric price above 1 is recorded, and
-    as prices are nonnegative it breaks a cap. ``singletons`` is read as by
-    :func:`local_search`."""
-    table = _gains_for_bundles(inst, bundles, singletons)
+    as prices are nonnegative it breaks a cap."""
+    table = _gains_for_bundles(inst, bundles)
     asymmetric = PriceVector("asymmetric", {}, {})
     symmetric = PriceVector("symmetric", {}, {})
     for agent in table.abar:

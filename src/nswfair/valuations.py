@@ -32,9 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (
-    Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, TypeVar
-)
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -471,17 +469,13 @@ class EndowedValuation:
         return self.offset + self.base.value(bundle)
 
 
-def endow(
-    v: Valuation, candidates: Sequence[str], singles: Optional[Sequence[float]] = None
-) -> EndowedValuation:
+def endow(v: Valuation, candidates: Sequence[str], singles: Sequence[float]) -> EndowedValuation:
     """Shift ``v`` by its favorite item among ``candidates`` (given in index order).
 
-    ``singles`` holds v({j}) of each candidate, in the same order; without it
-    :meth:`Valuation.value` is asked. Ties pick the earliest candidate. Raises
-    :class:`AgentNotEndowable` when no candidate has positive value.
+    ``singles`` holds v({j}) of each candidate, in the same order. Ties pick
+    the earliest candidate. Raises :class:`AgentNotEndowable` when no
+    candidate has positive value.
     """
-    if singles is None:
-        singles = [v.value([j]) for j in candidates]
     favorite = None
     best = 0.0
     for j, val in zip(candidates, singles):
@@ -528,25 +522,21 @@ def _mask_set(universe: Sequence[str], mask: int) -> FrozenSet[str]:
     return frozenset(universe[i] for i in range(len(universe)) if mask >> i & 1)
 
 
-def check_submodular(
-    v: Valuation, universe: Sequence[str], mode: str = "exhaustive", tol: float = 0.0
-) -> List[StructureViolation]:
+def check_submodular(v: Valuation, universe: Sequence[str], tol: float = 0.0) -> List[StructureViolation]:
     """Screen ``v`` for submodularity and monotonicity violations on ``universe``.
 
-    The one ``mode``, exhaustive, evaluates all 2^|universe| subsets, for at
-    most ``ExplicitTable.MAX_ITEMS`` items, and runs the local tests that
+    It evaluates all 2^|universe| subsets, for at most
+    ``ExplicitTable.MAX_ITEMS`` items, and runs the local tests that
     :class:`ExplicitTable` enforces, with at most one witness per item,
     (S, S + i) for monotonicity, and per item pair, (S + i, S + j) for
     submodularity. An empty list means no violation was found. ``tol`` is a
     slack on each local difference, so a pairwise violation spread over k
     local steps may reach k * tol unseen.
     """
-    if mode != "exhaustive":
-        raise ValueError(f"mode must be 'exhaustive', got {mode!r}")
     universe = list(universe)
     u = len(universe)
     if u > ExplicitTable.MAX_ITEMS:
-        raise ValueError(f"exhaustive mode supports at most {ExplicitTable.MAX_ITEMS} items, got {u}")
+        raise ValueError(f"check_submodular supports at most {ExplicitTable.MAX_ITEMS} items, got {u}")
     vals = np.array([v.value(_mask_set(universe, mask)) for mask in range(1 << u)], dtype=float)
     return [
         StructureViolation(kind, _mask_set(universe, left), _mask_set(universe, right))

@@ -283,7 +283,7 @@ def test_entrypoint_maps_to_sys_exit(tmp_path, monkeypatch):
 
 def test_verify_reports_a_cap_failure_as_fail(inst_file, monkeypatch, capsys):
     import nswfair.pipeline as pipeline
-    from nswfair.local_search import SpendingReport
+    from nswfair.search import SpendingReport
 
     real = pipeline.check_spending
 

@@ -24,7 +24,7 @@ from nswfair import (
 from nswfair.valuations import ExplicitTable, Valuation, endow
 from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
 from nswfair.instance import NEG_INF
-from nswfair.local_search import SwapRecord, _Gains
+from nswfair.search import SwapRecord, _Gains
 
 from conftest import make_instance
 
@@ -89,7 +89,7 @@ def test_trace_gains_replay_as_potential_deltas(e1):
 
 
 def test_swap_guard_raises_past_the_bound(e1, monkeypatch):
-    search_module = importlib.import_module("nswfair.local_search")
+    search_module = importlib.import_module("nswfair.search")
     monkeypatch.setattr(search_module, "swap_bound", lambda size, eps_bar: 0.5)
     with pytest.raises(InvariantViolation, match="swap count 1 exceeded"):
         local_search(e1, ["c", "d"], epsilon_bar(0.1, 4))
@@ -333,7 +333,8 @@ def full_restart_search(inst, universe, eps_bar):
     logs of fresh value() calls memoised per bundle version."""
     universe = inst.sort_items(universe)
     abar = [a for a, v in zip(inst.agents, inst.valuations) if universe and v.value(universe) > 0.0]
-    shifted = {a: endow(inst.valuation_of(a), universe) for a in abar}
+    valuations = {a: inst.valuation_of(a) for a in abar}
+    shifted = {a: endow(v, universe, [v.value([j]) for j in universe]) for a, v in valuations.items()}
     w = {a: inst.weight_floats[inst.agent_index[a]] for a in abar}
     held = {a: set(universe) if a in abar[:1] else set() for a in inst.agents}
     version, logs = dict.fromkeys(abar, 0), {}

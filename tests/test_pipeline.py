@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nswfair import (
     Additive,
@@ -14,6 +16,7 @@ from nswfair import (
     brute_force_opt,
     check_spending,
     guarantee_factor,
+    guarantee_half_efx,
     local_search,
     nsw_log,
     phi,
@@ -21,8 +24,9 @@ from nswfair import (
     solve_nsw,
     verify_local_opt,
 )
+from nswfair.cli import _checks, _fair_checks
 from nswfair.generate import FAMILIES, random_instance
-from nswfair.local_search import swap_bound
+from nswfair.search import swap_bound
 
 from conftest import make_instance
 from test_golden import CASES, case_id
@@ -200,8 +204,9 @@ def test_solver_is_deterministic():
 
 
 def test_one_singleton_table_per_solve(monkeypatch):
-    # Phase 1 evaluates v_i({j}) once for every agent and item; the search, the
-    # recheck and the prices read their favorites from that table.
+    # The instance evaluates v_i({j}) once for every agent and item; phase 1, the
+    # search, the recheck and the prices read that table, and a second solve of
+    # the same instance evaluates no singleton at all.
     singles = []
     base_value = Coverage.value
 
@@ -212,22 +217,64 @@ def test_one_singleton_table_per_solve(monkeypatch):
 
     monkeypatch.setattr(Coverage, "value", counted_value)
     inst = random_instance("coverage", 12, 120, 11)
-    assert solve_nsw(inst, 0.1).feasible
+    first = solve_nsw(inst, 0.1)
+    assert first.feasible
     assert len(singles) == inst.n * inst.m == 1440
+    singles.clear()
+    assert solve_nsw(inst, 0.1).to_json() == first.to_json()
+    assert singles == []
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_certificate_stages_alone_match_the_solve(case):
-    # The solve hands phase 1's singleton table to each stage; called alone, a
-    # stage asks value() for the singletons and must give the same floats.
+    # Each stage called alone, on a fresh instance whose singleton table the
+    # stage fills itself, gives the floats the solve gave.
     family, mode, n, m, seed = case
-    inst = random_instance(family, n, m, seed, mode)
-    report = solve_nsw(inst, 0.1)
+    report = solve_nsw(random_instance(family, n, m, seed, mode), 0.1)
     if report.search is None:
         return
+    inst = random_instance(family, n, m, seed, mode)
     search = local_search(inst, report.search.universe, report.eps_bar)
     assert search == report.search
     assert tuple(verify_local_opt(inst, search.bundles, report.eps_bar)) == report.certificates.local_opt_violations
     asymmetric, symmetric = map(check_spending, prices(inst, search.bundles))
     assert asymmetric == report.certificates.spending_asymmetric
     assert symmetric == report.certificates.spending_symmetric
+
+
+EXTREME_VALUES = st.sampled_from([0.0, 5e-324, 1e-300, 1e-5, 0.1, 1 / 3, 1.0, 7.0, 1e6, 1e150, 1e300])
+
+
+@st.composite
+def extreme_additive_instances(draw):
+    """(agents, weights, items, values) of an additive instance: 1-4 agents, 0-9 items (fewer
+    items than agents allowed), values from zero and the smallest subnormal up to 1e300."""
+    n, m = draw(st.integers(1, 4), label="n"), draw(st.integers(0, 9), label="m")
+    items = tuple(f"g{j}" for j in range(m))
+    values = [{j: draw(EXTREME_VALUES) for j in items} for _ in range(n)]
+    if draw(st.sampled_from(["symmetric", "random_rational"])) == "symmetric":
+        weights = [Fraction(1, n)] * n
+    else:
+        parts = [draw(st.integers(1, 10)) for _ in range(n)]
+        weights = [Fraction(p, sum(parts)) for p in parts]
+    return tuple(f"a{i}" for i in range(n)), tuple(weights), items, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=extreme_additive_instances(), eps=st.sampled_from([1e-12, 1e-6, 0.01, 0.1, 1.0]))
+def test_extreme_values_solve_to_passing_checks_or_raise_value_error(data, eps):
+    # Bad input raises ValueError (exit 1); anything else escaping is a bug.
+    def build():
+        agents, weights, items, values = data
+        return Instance(agents, weights, items, tuple(Additive(v) for v in values))
+
+    inst = build()
+    try:
+        report = solve_nsw(inst, eps)
+    except ValueError:
+        return
+    assert solve_nsw(build(), eps).to_json() == report.to_json()
+    assert all(ok in (True, None) for _, ok in _checks(report))
+    if report.feasible and inst.is_symmetric():
+        fair = guarantee_half_efx(inst, report.allocation)
+        assert all(ok for _, ok in _fair_checks(inst, fair, nsw_log(inst, fair), report.log_nsw))

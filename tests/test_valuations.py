@@ -85,7 +85,7 @@ def test_params_round_trip():
 
 def test_endow_picks_earliest_best_and_shifts():
     v = Additive({"a": 4, "b": 1, "c": 1, "d": 1})
-    vb = endow(v, ["c", "d"])  # candidates in index order; both worth 1
+    vb = endow(v, ["c", "d"], [1.0, 1.0])  # candidates in index order; both worth 1
     assert vb.favorite == "c"
     assert vb.offset == 1.0
     assert vb.value([]) == 1.0
@@ -95,12 +95,12 @@ def test_endow_picks_earliest_best_and_shifts():
 def test_endow_requires_positive_value():
     v = Additive({"a": 0, "b": 0})
     with pytest.raises(AgentNotEndowable):
-        endow(v, ["a", "b"])
+        endow(v, ["a", "b"], [0.0, 0.0])
 
 
 def test_endowed_single_items_at_most_double_empty():
     v = BudgetAdditive({"a": 9, "b": 7, "c": 2}, cap=8)
-    vb = endow(v, ["a", "b", "c"])
+    vb = endow(v, ["a", "b", "c"], [v.value([j]) for j in "abc"])
     empty = vb.value([])
     for j in ("a", "b", "c"):
         assert vb.value([j]) <= 2 * empty
