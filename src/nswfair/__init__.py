@@ -14,7 +14,6 @@ from .efx import (
     make_fair_or_efficient,
 )
 from .errors import (
-    AgentNotEndowable,
     AllocationError,
     InfeasibleMatching,
     InvariantViolation,
@@ -47,23 +46,19 @@ from .valuations import (
     Additive,
     BudgetAdditive,
     Coverage,
-    EndowedValuation,
     ExplicitTable,
     PartitionMatroidRank,
     check_submodular,
-    endow,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Additive",
-    "AgentNotEndowable",
     "Allocation",
     "AllocationError",
     "BudgetAdditive",
     "Coverage",
-    "EndowedValuation",
     "ExplicitTable",
     "FAMILIES",
     "FairnessOutcome",
@@ -82,7 +77,6 @@ __all__ = [
     "check_spending",
     "check_submodular",
     "complete_with_leftovers",
-    "endow",
     "envy_cycle_complete",
     "epsilon_bar",
     "guarantee_factor",

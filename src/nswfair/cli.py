@@ -28,8 +28,8 @@ from .instance import (
     instance_to_json,
     load_allocation,
     load_instance,
+    malformed,
     nsw_log,
-    save_instance,
     validate,
 )
 from .oracle import brute_force_opt, ratio_of_logs
@@ -55,7 +55,7 @@ def _fmt(x: float) -> str:
 def _load_checked(path: str) -> Instance:
     try:
         inst = load_instance(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot read instance {path}: {exc}") from exc
     problems = validate(inst)
     if problems:
@@ -185,7 +185,7 @@ def cmd_efx(args) -> int:
     if args.allocation:
         try:
             start = load_allocation(args.allocation)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise CliError(f"cannot read allocation {args.allocation}: {exc}") from exc
     else:
         start = solve_nsw(inst, args.eps).allocation
@@ -230,25 +230,26 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        families = list(doc.get("families", FAMILIES))
-        bad = [f for f in families if f not in FAMILIES]
-        if bad:
-            raise CliError(f"unknown families {bad}")
-        mode = doc.get("weight_mode", "symmetric")
-        if mode not in WEIGHT_MODES:
-            raise CliError(f"weight_mode must be one of {WEIGHT_MODES}")
-        return cls(
-            families=families,
-            n_values=[int(x) for x in doc.get("n", [2, 3])],
-            m_values=[int(x) for x in doc.get("m", [4, 5, 6, 7])],
-            weight_mode=mode,
-            eps=float(doc.get("eps", 0.1)),
-            trials=int(doc.get("trials", 3)),
-            seed=int(doc.get("seed", 0)),
-            exact=bool(doc.get("exact", True)),
-            efx=bool(doc.get("efx", True)),
-            verify=bool(doc.get("verify", False)),
-        )
+        with malformed("experiment config"):
+            families = list(doc.get("families", FAMILIES))
+            bad = [f for f in families if f not in FAMILIES]
+            if bad:
+                raise CliError(f"unknown families {bad}")
+            mode = doc.get("weight_mode", "symmetric")
+            if mode not in WEIGHT_MODES:
+                raise CliError(f"weight_mode must be one of {WEIGHT_MODES}")
+            return cls(
+                families=families,
+                n_values=[int(x) for x in doc.get("n", [2, 3])],
+                m_values=[int(x) for x in doc.get("m", [4, 5, 6, 7])],
+                weight_mode=mode,
+                eps=float(doc.get("eps", 0.1)),
+                trials=int(doc.get("trials", 3)),
+                seed=int(doc.get("seed", 0)),
+                exact=bool(doc.get("exact", True)),
+                efx=bool(doc.get("efx", True)),
+                verify=bool(doc.get("verify", False)),
+            )
 
 
 EXPERIMENT_COLUMNS = [
@@ -270,7 +271,7 @@ def cmd_experiment(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = ExperimentConfig.from_dict(json.load(fh))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot read experiment config {args.config}: {exc}") from exc
     rows: List[List[str]] = []
     max_ratio: dict[str, float] = {}

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Literal, Mapping, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Literal, Optional, Sequence, Set, Tuple
 
 from .errors import InvariantViolation, LemmaViolation
 from .instance import NEG_INF, Allocation, Instance

@@ -5,10 +5,6 @@ class UnknownItem(ValueError):
     """A bundle referenced an item outside the valuation's domain."""
 
 
-class AgentNotEndowable(ValueError):
-    """No single item has positive value, so the shifted valuation is undefined."""
-
-
 class InfeasibleMatching(ValueError):
     """A perfect-on-agents matching was requested with more agents than columns."""
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
 from .errors import AllocationError
 from .valuations import Valuation, valuation_from_params
@@ -216,19 +217,35 @@ def instance_to_json(inst: Instance) -> dict:
     }
 
 
+@contextmanager
+def malformed(what: str) -> Iterator[None]:
+    """Turn the errors a JSON document of the wrong shape raises while it is read into ValueError."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {what}: {type(exc).__name__}: {exc}") from None
+
+
+def _weight(pair) -> Fraction:
+    if not (isinstance(pair, list) and len(pair) == 2 and all(type(x) is int for x in pair) and pair[1]):
+        raise ValueError(f"a weight must be a pair of JSON integers with a nonzero denominator, got {pair!r}")
+    return Fraction(*pair)
+
+
 def instance_from_json(doc: Mapping) -> Instance:
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
-    agents = tuple(str(entry["id"]) for entry in doc["agents"])
-    weights = tuple(Fraction(int(entry["weight"][0]), int(entry["weight"][1])) for entry in doc["agents"])
-    items = tuple(str(j) for j in doc["items"])
-    by_agent = {entry["agent"]: entry for entry in doc["valuations"]}
-    missing = set(agents) - by_agent.keys()
-    if missing:
-        raise ValueError(f"no valuation given for agents {sorted(missing)}")
-    valuations = tuple(
-        valuation_from_params(by_agent[a]["kind"], by_agent[a]["params"]) for a in agents
-    )
+    with malformed("instance"):
+        if doc.get("format_version") != FORMAT_VERSION:
+            raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
+        agents = tuple(str(entry["id"]) for entry in doc["agents"])
+        weights = tuple(_weight(entry["weight"]) for entry in doc["agents"])
+        items = tuple(str(j) for j in doc["items"])
+        by_agent = {entry["agent"]: entry for entry in doc["valuations"]}
+        missing = set(agents) - by_agent.keys()
+        if missing:
+            raise ValueError(f"no valuation given for agents {sorted(missing)}")
+        valuations = tuple(
+            valuation_from_params(by_agent[a]["kind"], by_agent[a]["params"]) for a in agents
+        )
     return Instance(agents=agents, weights=weights, items=items, valuations=valuations)
 
 
@@ -250,9 +267,10 @@ def allocation_to_json(inst: Instance, alloc: Allocation) -> dict:
 
 
 def allocation_from_json(doc: Mapping) -> Allocation:
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
-    return Allocation.of({str(a): [str(j) for j in items] for a, items in doc["bundles"].items()})
+    with malformed("allocation"):
+        if doc.get("format_version") != FORMAT_VERSION:
+            raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
+        return Allocation.of({str(a): [str(j) for j in items] for a, items in doc["bundles"].items()})
 
 
 def load_allocation(path) -> Allocation:

@@ -56,7 +56,6 @@ def brute_force_opt(inst: Instance) -> OptResult:
         if best_assign is None or log_value > best_log:
             best_log = log_value
             best_assign = assign
-    assert best_assign is not None
     bundles = [[] for _ in range(n)]
     for j, owner in enumerate(best_assign):
         bundles[owner].append(items[j])

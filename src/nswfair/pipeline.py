@@ -1,6 +1,6 @@
 """Three-phase Nash welfare solver: match, redistribute, rematch.
 
-Phase 1 endows every agent with one item through a max-weight matching on
+Phase 1 gives every agent one item through a max-weight matching on
 single-item scores w_i * log v_i(j); if no agent-covering matching with
 positive values exists, no complete allocation has positive welfare and an
 arbitrary complete allocation flagged ``log_nsw = -inf`` is returned.
@@ -10,9 +10,9 @@ the local-search bundles, maximizing sum_i w_i * log v_i(R_i + sigma(i)).
 
 Phase 1's scores come from the instance's table of singleton values
 v_i({j}) (:attr:`Instance.singletons`), evaluated once per instance. The
-search, the local-optimality recheck and the prices read each agent's
-favorite item and offset from that table, and leftover items go to the
-column maximum, so no stage evaluates a singleton again.
+search, the local-optimality recheck and the prices read from that table
+which agents take part and each one's favorite item and shift, and leftover
+items go to the column maximum, so no stage evaluates a singleton again.
 
 The report embeds verification certificates (exhaustive local-optimality
 recheck and both spending-cap reports) plus the approximation factors
@@ -98,8 +98,8 @@ class GuaranteeFactors:
 
 
 def guarantee_factor(inst: Instance, eps: float) -> GuaranteeFactors:
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be a finite nonnegative number, got {eps!r}")
     nu = float(inst.n * max(inst.weights))
     return GuaranteeFactors(
         symmetric=(4.0 + eps) if inst.is_symmetric() else None,

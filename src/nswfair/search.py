@@ -1,10 +1,11 @@
 """First-improvement swap search over the unmatched items, with certificates.
 
-The search redistributes a universe J among the agents that value it
-positively (called ``abar`` here). Each such agent is scored through the
-positively shifted valuation vbar(S) = v(favorite) + v(S), so empty bundles
-keep positive value and log-gains are always defined. A single move takes
-item j from agent i and hands it to agent k; it is accepted when
+The search redistributes a universe J among the agents with a positive
+singleton value in J (``abar``; for monotone submodular v with v(empty) = 0,
+those with v(J) > 0). Each is scored through the shifted valuation
+vbar(S) = v(favorite) + v(S), its favorite being its first item of J of
+largest singleton value, so empty bundles keep positive value and log-gains
+are defined. A move takes item j from agent i to agent k; it is accepted when
 
     w_i * log(vbar_i(R_i - j) / vbar_i(R_i))
   + w_k * log(vbar_k(R_k + j) / vbar_k(R_k))  >  log(1 + eps_bar)
@@ -38,8 +39,8 @@ optimum.
 Fresh tables back :func:`verify_local_opt`, which re-checks every triple on
 the final bundles, and :func:`prices`, which turns local optimality into both
 price vectors with provable spending caps. Their states call ``value()`` on
-sets, so the recheck does not depend on the family states. All three read the
-endowments from the instance's singleton table (:attr:`Instance.singletons`).
+sets, so the recheck does not depend on the family states. All three read
+``abar``, the favorites and the shifts from :attr:`Instance.singletons` alone.
 The certificates are records: neither :func:`prices` nor
 :func:`check_spending` raises on what it finds.
 """
@@ -53,7 +54,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
 
 from .errors import AllocationError, InvariantViolation
 from .instance import NEG_INF, Allocation, Instance, _check_structure
-from .valuations import BundleState, EndowedValuation, Valuation, endow
+from .valuations import BundleState, Valuation
 
 __all__ = [
     "epsilon_bar",
@@ -132,11 +133,13 @@ class LocalSearchResult:
 class _Gains:
     """Swap gains over live bundles of a universe J, each memoised until a bundle it reads changes.
 
-    ``abar``: the agents valuing J positively, in index order, each endowed with its favorite
-    item of J, read from :attr:`Instance.singletons`. Memo misses are answered by one bundle
-    state per agent, made by ``state`` from the agent's valuation and bundle on first use: each
-    family's own by default, or the ``value()``-backed :class:`BundleState` for a recheck.
-    Change ``bundles`` only through :meth:`move`, which keeps the states and the memo in step.
+    ``abar``: the agents with a positive singleton value in J, in index order; ``favorite`` and
+    ``offset`` map each to its first item of J of largest singleton value and that value (the
+    shift of vbar), all read from :attr:`Instance.singletons`. Memo misses are answered by one
+    bundle state per agent, made by ``state`` from the agent's valuation and bundle on first
+    use: each family's own by default, or the ``value()``-backed :class:`BundleState` for a
+    recheck. Change ``bundles`` only through :meth:`move`, which keeps the states and the memo
+    in step.
     """
 
     def __init__(
@@ -151,13 +154,15 @@ class _Gains:
         self.inst = inst
         self.universe = inst.sort_items(universe)
         self.bundles = bundles
-        self.abar: List[str] = []
-        self.endowed: Dict[str, EndowedValuation] = {}
-        columns = [inst.item_index[j] for j in self.universe]
-        for agent, v, row in zip(inst.agents, inst.valuations, inst.singletons):
-            if self.universe and v.value(self.universe) > 0.0:
-                self.abar.append(agent)
-                self.endowed[agent] = endow(v, self.universe, [row[c] for c in columns])
+        self.favorite: Dict[str, str] = {}
+        self.offset: Dict[str, float] = {}
+        for agent, row in zip(inst.agents, inst.singletons):
+            singles = [row[inst.item_index[j]] for j in self.universe]
+            best = max(singles, default=0.0)
+            if best > 0.0:
+                self.favorite[agent] = self.universe[singles.index(best)]
+                self.offset[agent] = best
+        self.abar: List[str] = list(self.offset)
         self.weight = {a: inst.weight_floats[inst.agent_index[a]] for a in self.abar}
         self.others = {a: [t for t in self.abar if t != a] for a in self.abar}
         self._new_state = state
@@ -170,12 +175,12 @@ class _Gains:
     def _state(self, agent: str) -> BundleState:
         state = self._states.get(agent)
         if state is None:
-            state = self._states[agent] = self._new_state(self.endowed[agent].base, self.bundles[agent])
+            state = self._states[agent] = self._new_state(self.inst.valuation_of(agent), self.bundles[agent])
         return state
 
     def _vbar(self, agent: str, value: float) -> Tuple[float, float]:
         """vbar_agent of a bundle worth ``value``, and its log."""
-        vbar = self.endowed[agent].offset + value
+        vbar = self.offset[agent] + value
         return vbar, math.log(vbar)
 
     def row(self, agent: str) -> List[str]:
@@ -278,7 +283,7 @@ def _threshold(eps_bar: float) -> float:
 def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> LocalSearchResult:
     """Redistribute ``universe`` into an eps_bar-local optimum.
 
-    Agents valuing the universe at zero receive nothing and take no part.
+    Agents with no positive single item in the universe receive nothing and take no part.
     Initially the smallest-index participating agent holds everything.
     """
     threshold = _threshold(eps_bar)
@@ -306,7 +311,7 @@ def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> Loc
         universe=tuple(table.universe),
         bundles={a: frozenset(b) for a, b in table.bundles.items()},
         abar=tuple(table.abar),
-        favorites={a: table.endowed[a].favorite for a in table.abar},
+        favorites=table.favorite,
         swaps=len(trace),
         trace=tuple(trace),
         certificate=LocalOptCertificate(
@@ -323,7 +328,7 @@ def _gains_for_bundles(inst: Instance, bundles: Mapping[str, Iterable[str]]) -> 
     outside = {a for a, b in sets.items() if b} - set(table.abar)
     if outside:
         raise AllocationError(
-            f"agents {sorted(outside)} hold items but value the universe at zero"
+            f"agents {sorted(outside)} hold items but value no single allocated item positively"
         )
     return table
 

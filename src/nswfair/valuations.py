@@ -8,10 +8,6 @@ Shipped families (all monotone, submodular, v(empty) = 0 by construction):
 * ``PartitionMatroidRank``v(S) = scale * sum_c min(capacity_c, |S ∩ class c|)
 * ``ExplicitTable``       explicit table over all subsets of <= 20 items
 
-``EndowedValuation`` is the positively shifted wrapper used by the local
-search: vbar(S) = v(favorite) + v(S), which makes the empty set worth a
-positive amount while preserving monotonicity and submodularity.
-
 Every oracle is immutable after construction and evaluates as a pure
 function: repeated calls with equal arguments return bit-identical floats.
 Sums are correctly rounded (``math.fsum``), so a value does not depend on the
@@ -30,13 +26,12 @@ for the matroid rank, and the current mask for tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from .errors import AgentNotEndowable, UnknownItem
+from .errors import UnknownItem
 
 __all__ = [
     "Valuation",
@@ -46,10 +41,8 @@ __all__ = [
     "Coverage",
     "PartitionMatroidRank",
     "ExplicitTable",
-    "EndowedValuation",
     "VALUATION_KINDS",
     "valuation_from_params",
-    "endow",
     "StructureViolation",
     "check_submodular",
 ]
@@ -450,41 +443,6 @@ def valuation_from_params(kind: str, params: Mapping) -> Valuation:
     except KeyError:
         raise ValueError(f"unknown valuation kind {kind!r}") from None
     return cls(**params)
-
-
-@dataclass(frozen=True)
-class EndowedValuation:
-    """Positively shifted wrapper vbar(S) = offset + base(S) with offset > 0.
-
-    ``favorite`` is the smallest-index item of the local-search universe with
-    maximum singleton value and ``offset`` equals its value, so every single
-    item j satisfies vbar({j}) <= 2 * vbar(empty).
-    """
-
-    base: Valuation
-    favorite: str
-    offset: float
-
-    def value(self, bundle: Iterable[str]) -> float:
-        return self.offset + self.base.value(bundle)
-
-
-def endow(v: Valuation, candidates: Sequence[str], singles: Sequence[float]) -> EndowedValuation:
-    """Shift ``v`` by its favorite item among ``candidates`` (given in index order).
-
-    ``singles`` holds v({j}) of each candidate, in the same order. Ties pick
-    the earliest candidate. Raises :class:`AgentNotEndowable` when no
-    candidate has positive value.
-    """
-    favorite = None
-    best = 0.0
-    for j, val in zip(candidates, singles):
-        if val > best:
-            best = val
-            favorite = j
-    if favorite is None:
-        raise AgentNotEndowable("no candidate item has positive value")
-    return EndowedValuation(base=v, favorite=favorite, offset=best)
 
 
 class StructureViolation(NamedTuple):

@@ -16,7 +16,6 @@ from nswfair import (
     Allocation,
     brute_force_opt,
     check_submodular,
-    endow,
     guarantee_half_efx,
     half_efx_check,
     make_fair_or_efficient,
@@ -233,11 +232,11 @@ def test_criterion_8_phi_anchors(announce):
     announce(8, not bad, "phi anchors and the nu+2 envelope hold on [0, 10]")
 
 
-def _endowed_table(vbar, items):
-    vals = []
-    for mask in range(1 << len(items)):
-        vals.append(vbar.value([items[b] for b in range(len(items)) if mask >> b & 1]))
-    return vals
+def _endowed_table(v, items):
+    """vbar(S) = v(favorite) + v(S) on every subset S of ``items``, by mask."""
+    offset = max(v.value([j]) for j in items)
+    subsets = ([items[b] for b in range(len(items)) if mask >> b & 1] for mask in range(1 << len(items)))
+    return [offset + v.value(subset) for subset in subsets]
 
 
 def _ratio_property_failures(vals, m):
@@ -279,8 +278,7 @@ def test_criterion_9_structure_suites(announce):
                 v = inst.valuation_of(agent)
                 if v.value(inst.items) <= 0.0:
                     continue
-                singles = [v.value([j]) for j in inst.items]
-                vals = _endowed_table(endow(v, inst.items, singles), list(inst.items))
+                vals = _endowed_table(v, list(inst.items))
                 endowed_checked += 1
                 if _ratio_property_failures(vals, 8):
                     bad.append((family, seed, agent, "ratio"))

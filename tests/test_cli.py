@@ -1,18 +1,22 @@
 """CLI surface: subcommands, exit codes, file outputs."""
 
+import copy
 import csv
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nswfair
-from nswfair import solve_nsw
+from nswfair import Additive, ExplicitTable, Instance, solve_nsw
 from nswfair.cli import EXPERIMENT_COLUMNS, entrypoint, main
-from nswfair.generate import random_instance
+from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
 from nswfair.instance import (
     Allocation,
     allocation_to_json,
@@ -380,3 +384,82 @@ def test_verify_output_does_not_depend_on_asserts(tmp_path):
     assert runs[0].returncode == 0, runs[0].stderr
     assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)
     assert runs[0].stdout.count("PASS") >= 8
+
+
+_BASE = instance_to_json(random_instance("additive", 2, 4, 0))
+
+
+def _edited(path, value):
+    """The 2x4 additive instance document with the entry at ``path`` set to ``value``."""
+    doc = entry = copy.deepcopy(_BASE)
+    *parents, last = path
+    for key in parents:
+        entry = entry[key]
+    entry[last] = value
+    return doc
+
+
+MALFORMED_FILES = {
+    "weight [1, 0]": ("solve", _edited(("agents", 0, "weight"), [1, 0])),
+    "weight [1]": ("solve", _edited(("agents", 0, "weight"), [1])),
+    "weight [1.5, 2]": ("solve", _edited(("agents", 0, "weight"), [1.5, 2])),
+    "weight [true, 2]": ("solve", _edited(("agents", 0, "weight"), [True, 2])),
+    "agent entry a string": ("solve", _edited(("agents", 0), "a0")),
+    "unknown params key": ("solve", _edited(("valuations", 0, "params", "bogus"), 1)),
+    "items null": ("solve", _edited(("items",), None)),
+    "value [1]": ("solve", _edited(("valuations", 0, "params", "values", "g0"), [1])),
+    "valuations [1, 2]": ("solve", _edited(("valuations",), [1, 2])),
+    "instance [1, 2]": ("solve", [1, 2]),
+    "bundles [1, 2]": ("efx", {"format_version": 1, "bundles": [1, 2]}),
+    "bundle 5": ("efx", {"format_version": 1, "bundles": {"a0": 5}}),
+    "config [1, 2]": ("experiment", [1, 2]),
+    "config n 5": ("experiment", {"n": 5}),
+}
+
+
+@pytest.mark.parametrize("command,doc", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
+def test_malformed_input_files_exit_1_with_an_error_line(tmp_path, capsys, command, doc):
+    inst, path = tmp_path / "instance.json", tmp_path / "input.json"
+    inst.write_text(canonical_json(_BASE))
+    path.write_text(json.dumps(doc))
+    argv = {
+        "solve": ["solve", str(path)],
+        "efx": ["efx", str(inst), "--allocation", str(path)],
+        "experiment": ["experiment", str(path)],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0].startswith("error: ") and "Traceback" not in err
+
+
+def test_an_agent_with_no_positive_single_leftover_takes_no_part(tmp_path, capsys):
+    # A values a and b together at 1e-10 and each alone at 0: submodular within the
+    # table's 1e-9 slack, v_A({a, b}) > 0 with no positive single item. A gets x and
+    # B gets c in phase 1; the leftovers a and b go to no one in the search.
+    items = ("x", "a", "b", "c")
+    masks = [{items[i] for i in range(4) if mask >> i & 1} for mask in range(16)]
+    a = ExplicitTable(items, [("x" in s) + 1e-10 * ({"a", "b"} <= s) for s in masks])
+    b = Additive({"x": 0, "a": 0, "b": 0, "c": 5})
+    path = tmp_path / "instance.json"
+    path.write_text(canonical_json(instance_to_json(Instance(("A", "B"), (Fraction(1, 2),) * 2, items, (a, b)))))
+    assert main(["verify", str(path), "--exact", "--efx"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8 and all(line.startswith("PASS  ") for line in lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    weight_mode=st.sampled_from(WEIGHT_MODES),
+    n=st.integers(1, 4),
+    m=st.integers(1, 9),
+    seed=st.integers(0, 50),
+    eps=st.sampled_from(["1e-12", "0.01", "0.1", "1"]),
+)
+def test_verify_exits_0_on_every_family(tmp_path_factory, family, weight_mode, n, m, seed, eps):
+    inst = random_instance(family, n, m, seed, weight_mode)
+    path = tmp_path_factory.mktemp("verify") / "instance.json"
+    path.write_text(canonical_json(instance_to_json(inst)))
+    argv = ["verify", str(path), "--eps", eps]
+    argv += ["--exact"] * (n**m <= 10**4) + ["--efx"] * inst.is_symmetric()
+    assert main(argv) == 0

@@ -1,0 +1,48 @@
+"""Source hygiene of the package, checked with the standard library's ``ast``.
+
+No ``assert`` statements (they vanish under ``python -O``, so a check that
+matters raises instead) and no unused imports. The package ``__init__``
+imports to re-export, and ``__future__`` imports are directives, so both
+are exempt from the import check. A name counts as used where the code reads
+it; quoted annotations are not parsed, and with ``from __future__ import
+annotations`` none needs quoting.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nswfair"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def unused_imports(tree: ast.Module):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name}: assert statements on lines {lines}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    unused = unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not unused, f"{path.name}: unused imports (line, name) {unused}"
+
+
+def test_the_import_check_sees_an_unused_import():
+    tree = ast.parse("import os.path\nfrom typing import Dict, List as L\n\ndef f(x: L[int]) -> None:\n    pass\n")
+    assert unused_imports(tree) == [(1, "os"), (2, "Dict")]

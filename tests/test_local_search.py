@@ -21,7 +21,7 @@ from nswfair import (
     solve_nsw,
     verify_local_opt,
 )
-from nswfair.valuations import ExplicitTable, Valuation, endow
+from nswfair.valuations import ExplicitTable, Valuation
 from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
 from nswfair.instance import NEG_INF
 from nswfair.search import SwapRecord, _Gains
@@ -63,6 +63,37 @@ def test_two_agent_leftover_search(e1):
     assert cert.threshold == pytest.approx(math.log1p(eb), rel=1e-15)
     assert cert.max_log_gain <= cert.threshold
     assert cert.triples_checked == 2
+
+
+def test_favorite_is_the_first_item_of_the_universe_with_the_largest_single_value():
+    # Items in index order a, b, c, d; the universe is passed out of order and
+    # agent 1's best single value in it, 2, is tied between b and d.
+    inst = make_instance(
+        {
+            "1": {"a": 9, "b": 2, "c": 1, "d": 2},
+            "2": {"a": 1, "b": 0, "c": 3, "d": 0},
+            "3": {"a": 5, "b": 0, "c": 0, "d": 0},  # nothing in the universe: takes no part
+        }
+    )
+    result = local_search(inst, ["d", "c", "b"], epsilon_bar(0.1, 4))
+    assert result.abar == ("1", "2")
+    assert result.favorites == {"1": "b", "2": "c"}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_shift_is_the_largest_single_value_and_abar_values_the_universe(family):
+    # vbar({j}) <= 2 * vbar(empty) for every j in J, and the agents with a positive
+    # single value in J are exactly those with v(J) > 0.
+    inst = random_instance(family, 6, 14, 2)
+    universe = inst.items[3:]
+    result = local_search(inst, universe, epsilon_bar(0.1, inst.m))
+    table = _Gains(inst, universe, {})
+    assert result.abar == tuple(a for a, v in zip(inst.agents, inst.valuations) if v.value(universe) > 0.0)
+    assert result.favorites == table.favorite
+    for agent in result.abar:
+        v = inst.valuation_of(agent)
+        assert table.offset[agent] == v.value([result.favorites[agent]]) > 0.0
+        assert all(v.value([j]) <= table.offset[agent] for j in universe)
 
 
 def test_trace_gains_replay_as_potential_deltas(e1):
@@ -243,7 +274,7 @@ def test_memoised_gains_match_direct_recomputation_mid_search():
         table.move(*next((g, j, t) for g, j, t, gain in scanned if gain > threshold))
 
     def log_vbar(agent, bundle):
-        return math.log(table.endowed[agent].value(bundle))
+        return math.log(table.offset[agent] + inst.valuation_of(agent).value(bundle))
 
     w = {a: inst.weight_floats[inst.agent_index[a]] for a in table.abar}
     scanned = list(table.scan())
@@ -259,8 +290,8 @@ def test_memoised_gains_match_direct_recomputation_mid_search():
 def test_search_oracle_calls_per_swap_stay_memoised(monkeypatch):
     # Re-evaluating whole bundles for every triple costs about 600 value()
     # calls per swap on this instance. The coverage bundle states answer every
-    # gain and the favorites come from phase 1's singleton table, so the search
-    # calls value() only in setup: v(J) once per agent.
+    # gain, and who takes part, each favorite and each shift come from phase 1's
+    # singleton table, so the search calls value() not at all.
     import nswfair.pipeline as pipeline
     from nswfair import solve_nsw
     from nswfair.valuations import Coverage
@@ -286,13 +317,13 @@ def test_search_oracle_calls_per_swap_stay_memoised(monkeypatch):
     assert report.swaps > 100
     assert n_abar == 12
     assert size == 108
-    assert count["calls"] == n_abar
+    assert count["calls"] == 0
 
 
 def test_one_price_table_per_solve(monkeypatch):
-    # One table prices both variants: setup (one universe value per agent; the
-    # favorites come from phase 1's singleton table), then vbar(R) per agent
-    # and vbar(R - j) per item. A table per variant doubles that.
+    # One table prices both variants: vbar(R) per agent and vbar(R - j) per
+    # item, with no setup call (who takes part and each shift come from phase
+    # 1's singleton table). A table per variant doubles that.
     import nswfair.pipeline as pipeline
 
     count = {"on": False, "calls": 0}
@@ -315,7 +346,7 @@ def test_one_price_table_per_solve(monkeypatch):
     search = solve_nsw(inst, 0.1).search
     n_abar, size = len(search.abar), len(search.universe)
     assert n_abar == inst.n
-    assert count["calls"] == n_abar + n_abar + size == 132
+    assert count["calls"] == n_abar + size == 120
 
 
 @pytest.mark.parametrize("eps_bar", [math.nan, -0.5])
@@ -334,7 +365,7 @@ def full_restart_search(inst, universe, eps_bar):
     universe = inst.sort_items(universe)
     abar = [a for a, v in zip(inst.agents, inst.valuations) if universe and v.value(universe) > 0.0]
     valuations = {a: inst.valuation_of(a) for a in abar}
-    shifted = {a: endow(v, universe, [v.value([j]) for j in universe]) for a, v in valuations.items()}
+    shift = {a: max(v.value([j]) for j in universe) for a, v in valuations.items()}
     w = {a: inst.weight_floats[inst.agent_index[a]] for a in abar}
     held = {a: set(universe) if a in abar[:1] else set() for a in inst.agents}
     version, logs = dict.fromkeys(abar, 0), {}
@@ -342,7 +373,7 @@ def full_restart_search(inst, universe, eps_bar):
     def log_vbar(a, plus=(), minus=()):
         key = (a, version[a], plus, minus)
         if key not in logs:
-            logs[key] = math.log(shifted[a].value(held[a] - set(minus) | set(plus)))
+            logs[key] = math.log(shift[a] + valuations[a].value(held[a] - set(minus) | set(plus)))
         return logs[key]
 
     def triples():

@@ -161,6 +161,13 @@ def test_guarantee_factors_asymmetric():
     assert g.strong <= g.asymmetric + 1e-12
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -0.1])
+def test_guarantee_factors_need_a_finite_nonnegative_eps(e1, eps):
+    # A nan eps would make every factor nan and every ratio check fail silently.
+    with pytest.raises(ValueError, match="eps must be a finite nonnegative number"):
+        guarantee_factor(e1, eps)
+
+
 def test_rematching_never_loses_to_the_first_matching():
     for seed in range(8):
         inst = random_instance("budget_additive", n=3, m=6, seed=seed)

@@ -1,4 +1,4 @@
-"""Valuation families, the shifted wrapper, and the structure checker."""
+"""Valuation families and the structure checker."""
 
 import math
 from fractions import Fraction
@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 from nswfair import (
     Additive,
-    AgentNotEndowable,
     BudgetAdditive,
     Coverage,
     ExplicitTable,
     PartitionMatroidRank,
     UnknownItem,
     check_submodular,
-    endow,
 )
 from nswfair.valuations import Valuation, valuation_from_params
 
@@ -81,29 +79,6 @@ def test_params_round_trip():
         clone = valuation_from_params(v.kind, v.params())
         for bundle in ([], ["a"], ["b"], ["a", "b"]):
             assert clone.value(bundle) == v.value(bundle)
-
-
-def test_endow_picks_earliest_best_and_shifts():
-    v = Additive({"a": 4, "b": 1, "c": 1, "d": 1})
-    vb = endow(v, ["c", "d"], [1.0, 1.0])  # candidates in index order; both worth 1
-    assert vb.favorite == "c"
-    assert vb.offset == 1.0
-    assert vb.value([]) == 1.0
-    assert vb.value(["d"]) == 2.0
-
-
-def test_endow_requires_positive_value():
-    v = Additive({"a": 0, "b": 0})
-    with pytest.raises(AgentNotEndowable):
-        endow(v, ["a", "b"], [0.0, 0.0])
-
-
-def test_endowed_single_items_at_most_double_empty():
-    v = BudgetAdditive({"a": 9, "b": 7, "c": 2}, cap=8)
-    vb = endow(v, ["a", "b", "c"], [v.value([j]) for j in "abc"])
-    empty = vb.value([])
-    for j in ("a", "b", "c"):
-        assert vb.value([j]) <= 2 * empty
 
 
 def test_check_submodular_passes_additive():
