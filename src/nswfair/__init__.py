@@ -40,7 +40,7 @@ from .search import (
     verify_local_opt,
 )
 from .matching import solve_assignment, solve_lex_assignment
-from .oracle import brute_force_opt, ratio, ratio_of_logs
+from .oracle import brute_force_opt, ratio_of_logs
 from .pipeline import GuaranteeFactors, SolveReport, guarantee_factor, phi, solve_nsw
 from .valuations import (
     Additive,
@@ -90,7 +90,6 @@ __all__ = [
     "phi",
     "prices",
     "random_instance",
-    "ratio",
     "ratio_of_logs",
     "save_instance",
     "solve_assignment",

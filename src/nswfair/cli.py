@@ -215,6 +215,16 @@ def cmd_verify(args) -> int:
     return 0
 
 
+_JSON_TYPES = {"integer": (int,), "number": (int, float), "boolean": (bool,)}
+
+
+def _json_typed(value, kind: str, what: str):
+    """``value`` when its JSON type is ``kind``; ``type()`` keeps booleans from counting as numbers."""
+    if type(value) not in _JSON_TYPES[kind]:
+        raise CliError(f"{what} must be a JSON {kind}, got {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     families: List[str]
@@ -240,15 +250,15 @@ class ExperimentConfig:
                 raise CliError(f"weight_mode must be one of {WEIGHT_MODES}")
             return cls(
                 families=families,
-                n_values=[int(x) for x in doc.get("n", [2, 3])],
-                m_values=[int(x) for x in doc.get("m", [4, 5, 6, 7])],
+                n_values=[_json_typed(x, "integer", "n") for x in doc.get("n", [2, 3])],
+                m_values=[_json_typed(x, "integer", "m") for x in doc.get("m", [4, 5, 6, 7])],
                 weight_mode=mode,
-                eps=float(doc.get("eps", 0.1)),
-                trials=int(doc.get("trials", 3)),
-                seed=int(doc.get("seed", 0)),
-                exact=bool(doc.get("exact", True)),
-                efx=bool(doc.get("efx", True)),
-                verify=bool(doc.get("verify", False)),
+                eps=float(_json_typed(doc.get("eps", 0.1), "number", "eps")),
+                trials=_json_typed(doc.get("trials", 3), "integer", "trials"),
+                seed=_json_typed(doc.get("seed", 0), "integer", "seed"),
+                exact=_json_typed(doc.get("exact", True), "boolean", "exact"),
+                efx=_json_typed(doc.get("efx", True), "boolean", "efx"),
+                verify=_json_typed(doc.get("verify", False), "boolean", "verify"),
             )
 
 
@@ -339,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--exact", action="store_true", help="also brute-force the optimum and report the ratio")
     p.add_argument("--efx", action="store_true", help="also run the fairness pipeline")
-    p.add_argument("--verify", action="store_true", help="treat any failed certificate as an error")
+    p.add_argument("--verify", action="store_true", help="with --exact, also check the ratio against the guarantee factor")
     p.add_argument("--out", default=None)
     p.add_argument("--trace", default=None, help="write the swap trace CSV here")
     p.set_defaults(func=cmd_solve)
@@ -376,10 +386,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SizeGuardExceeded, ValueError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except LemmaViolation as exc:

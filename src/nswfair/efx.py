@@ -7,8 +7,8 @@ single item of it, at more than twice their own bundle's value. The driver
 half the welfare or strictly shrinks the allocated support without losing
 welfare), then tops up with singleton upgrades and envy-cycle completion.
 
-Welfare here is always measured with equal weights 1/n, matching the
-fairness guarantees, which hold for symmetric weighting only.
+Equal weights are required, since the fairness guarantees hold for
+symmetric weighting only; welfare is :func:`nsw_log`.
 
 The trim steps read v_i(S_k) and every v_i(S_k - j) from one bundle state
 per (agent, bundle) (:meth:`Valuation.bundle_state`), bit for bit equal to
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Literal, Optional, Sequence, Set, Tuple
 
 from .errors import InvariantViolation, LemmaViolation
-from .instance import NEG_INF, Allocation, Instance
+from .instance import Allocation, Instance, _check_structure, nsw_log
 from .matching import solve_lex_assignment
 
 __all__ = [
@@ -41,17 +41,8 @@ _LOG_HALF = -math.log(2.0)
 _TOL = 1e-9
 
 
-def _sym_nsw_log(inst: Instance, bundles: Sequence[FrozenSet[str]]) -> float:
-    total = 0.0
-    for i in range(inst.n):
-        val = inst.valuations[i].value(bundles[i])
-        if val <= 0.0:
-            return NEG_INF
-        total += math.log(val)
-    return total / inst.n
-
-
 def _bundles_by_index(inst: Instance, alloc: Allocation) -> List[FrozenSet[str]]:
+    _check_structure(inst, alloc)
     return [alloc.bundle(a) for a in inst.agents]
 
 
@@ -125,24 +116,17 @@ class FairnessOutcome:
     allocation: Allocation
 
 
-def _outcome(
-    inst: Instance,
-    tag: str,
-    bundles: Sequence[FrozenSet[str]],
-    input_bundles: Sequence[FrozenSet[str]],
-) -> FairnessOutcome:
+def _outcome(inst: Instance, tag: str, bundles: Sequence[FrozenSet[str]], t_alloc: Allocation) -> FairnessOutcome:
     alloc = Allocation({a: bundles[i] for i, a in enumerate(inst.agents)})
-    before = _sym_nsw_log(inst, input_bundles)
-    after = _sym_nsw_log(inst, bundles)
+    before = nsw_log(inst, t_alloc)
+    after = nsw_log(inst, alloc)
     if tag == "half_efx":
         if not after >= before + _LOG_HALF - _TOL:
             raise LemmaViolation(f"welfare dropped below half: log NSW {before} -> {after}")
         if half_efx_check(inst, alloc):
             raise LemmaViolation("claimed 1/2-EFX output fails the checker")
     else:
-        support_in = frozenset().union(*input_bundles) if input_bundles else frozenset()
-        support_out = frozenset().union(*bundles) if bundles else frozenset()
-        if not support_out < support_in:
+        if not alloc.allocated() < t_alloc.allocated():
             raise LemmaViolation("support did not strictly shrink")
         if not after >= before - _TOL:
             raise LemmaViolation(f"support shrink lost welfare: log NSW {before} -> {after}")
@@ -158,14 +142,16 @@ def make_fair_or_efficient(inst: Instance, t_alloc: Allocation) -> FairnessOutco
     1/2-EFX result; otherwise the best single-item removal for the first
     unmatched agent is either trimmed away (when its owner keeps half of
     T_h), or an alternating path reallocation strictly shrinks the support
-    while the product welfare cannot drop.
+    while the product welfare cannot drop. Requires equal weights.
     """
+    if not inst.is_symmetric():
+        raise ValueError("the fairness guarantee needs equal agent weights")
     t_bundles = _bundles_by_index(inst, t_alloc)
     n, m = inst.n, inst.m
     if any(not b for b in t_bundles):
         # Zero welfare on input: the all-empty allocation is trivially 1/2-EFX.
         empty = [frozenset()] * n
-        return _outcome(inst, "half_efx", empty, t_bundles)
+        return _outcome(inst, "half_efx", empty, t_alloc)
     s_bundles: List[FrozenSet[str]] = list(t_bundles)
     for _ in range(m + 2):
         graph = build_feasibility_graph(inst, s_bundles)
@@ -173,7 +159,7 @@ def make_fair_or_efficient(inst: Instance, t_alloc: Allocation) -> FairnessOutco
         rho = solve_lex_assignment(n_rows=n, n_cols=n, edges=set(graph.edges), must_match=trimmed)
         if all(c is not None for c in rho):
             result = [s_bundles[rho[i]] for i in range(n)]
-            return _outcome(inst, "half_efx", result, t_bundles)
+            return _outcome(inst, "half_efx", result, t_alloc)
         first_unmatched = next(i for i in range(n) if rho[i] is None)
         best = graph.best_removal[first_unmatched]
         if best is None:
@@ -186,35 +172,31 @@ def make_fair_or_efficient(inst: Instance, t_alloc: Allocation) -> FairnessOutco
         # Alternating path: own bundle, then the agent matched to it, repeated.
         rho_inv = {c: i for i, c in enumerate(rho) if c is not None}
         path = [first_unmatched]
-        while True:
-            bundle_node = path[-1]
-            if bundle_node == h:
-                ends_at_h = True
-                break
-            nxt = rho_inv.get(bundle_node)
-            if nxt is None:
-                ends_at_h = False
-                break
-            path.append(nxt)
+        while path[-1] != h and path[-1] in rho_inv:
+            path.append(rho_inv[path[-1]])
         result = list(t_bundles)
         result[first_unmatched] = s_bundles[h] - {g_h}
         for f in range(1, len(path)):
             result[path[f]] = s_bundles[path[f - 1]]
-        if not ends_at_h:
+        if path[-1] != h:
             result[h] = t_bundles[h] - (s_bundles[h] - {g_h})
-        return _outcome(inst, "support_shrunk", result, t_bundles)
+        return _outcome(inst, "support_shrunk", result, t_alloc)
     raise InvariantViolation("trim loop ran past the item count")
 
 
 def envy_cycle_complete(inst: Instance, t_alloc: Allocation, unallocated: Set[str]) -> Allocation:
     """Hand out ``unallocated`` one item at a time to an unenvied agent.
 
-    Precondition: every agent values its bundle at least as much as any
+    Precondition: ``unallocated`` holds only instance items outside every
+    bundle, and every agent values its bundle at least as much as any
     single unallocated item; this is what keeps 1/2-EFX stable while bundles
     rotate along envy cycles and grow one item at a time.
     """
     bundles = _bundles_by_index(inst, t_alloc)
     n = inst.n
+    stray = set(unallocated) - (set(inst.items) - t_alloc.allocated())
+    if stray:
+        raise ValueError(f"items {sorted(stray)} are unknown or already allocated")
     pool = inst.sort_items(unallocated)
     for i in range(n):
         own = inst.valuations[i].value(bundles[i])
@@ -287,8 +269,6 @@ def guarantee_half_efx(inst: Instance, s_alloc: Allocation) -> Allocation:
     returns a 1/2-EFX core, upgrades any agent to a loose single item it
     prefers over its whole bundle, then completes with envy cycles.
     """
-    if not inst.is_symmetric():
-        raise ValueError("the fairness guarantee needs equal agent weights")
     current = s_alloc
     for _ in range(inst.m + 2):
         outcome = make_fair_or_efficient(inst, current)

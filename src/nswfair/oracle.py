@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import SizeGuardExceeded
-from .instance import NEG_INF, Allocation, Instance, nsw_log, validate
+from .instance import NEG_INF, Allocation, Instance, validate
 
-__all__ = ["SIZE_GUARD", "OptResult", "brute_force_opt", "ratio_of_logs", "ratio"]
+__all__ = ["SIZE_GUARD", "OptResult", "brute_force_opt", "ratio_of_logs"]
 
 SIZE_GUARD = 10**8
 
@@ -71,8 +71,3 @@ def ratio_of_logs(opt_log: float, alloc_log: float) -> float:
         return float("inf")
     return math.exp(opt_log - alloc_log)
 
-
-def ratio(inst: Instance, alloc: Allocation) -> float:
-    """How far ``alloc`` sits from the exact optimum (>= 1 up to rounding)."""
-    opt = brute_force_opt(inst)
-    return ratio_of_logs(opt.opt_log, nsw_log(inst, alloc))

@@ -15,12 +15,12 @@ order of the bundle's items.
 
 ``Valuation.bundle_state(bundle)`` returns a :class:`BundleState`: a live
 bundle R that answers v(R), v(R + j) and v(R - j) and changes by ``add(j)``
-and ``remove(j)``. The base form calls ``value()`` on sets. Each shipped
-family keeps running counts instead, with the same floats bit for bit:
-exact integer sums for the additive families and coverage (every float is an
-integer count of 1/q, q the largest power-of-two denominator, and int / int
-rounds correctly), per-element cover counts for coverage, per-class counts
-for the matroid rank, and the current mask for tables.
+and ``remove(j)``. The base form calls ``value()`` on sets; tables use it.
+The generator families keep running counts instead, with the same floats bit
+for bit: exact integer sums for the additive families and coverage (every
+float is an integer count of 1/q, q the largest power-of-two denominator, and
+int / int rounds correctly), per-element cover counts for coverage, per-class
+counts for the matroid rank.
 """
 
 from __future__ import annotations
@@ -374,7 +374,7 @@ class ExplicitTable(Valuation):
         if vals[0] != 0.0:
             raise ValueError("the empty set must have value 0")
         slack = self.SUBMODULAR_SLACK * max(1.0, float(vals.max()))
-        for kind, left, right in _local_violations(vals, 0.0, slack):
+        for kind, left, right in _local_violations(vals, slack):
             if kind == "monotonicity":
                 added = self._order[(left ^ right).bit_length() - 1]
                 raise ValueError(f"table is not monotone: adding {added!r} to mask {left} lowers the value")
@@ -401,35 +401,6 @@ class ExplicitTable(Valuation):
     def params(self) -> dict:
         return {"order": list(self._order), "values": [float(v) for v in self._values]}
 
-    def bundle_state(self, bundle: Iterable[str]) -> BundleState:
-        return _MaskState(self, bundle)
-
-
-class _MaskState(BundleState):
-    """The table index of R."""
-
-    def __init__(self, v: ExplicitTable, bundle: Iterable[str]):
-        self._values, self._bit = v._values, v._bit
-        self._mask = 0
-        super().__init__(v, bundle)
-
-    def value(self) -> float:
-        return float(self._values[self._mask])
-
-    def plus(self, item: str) -> float:
-        return float(self._values[self._mask | 1 << self._bit[item]])
-
-    def minus(self, item: str) -> float:
-        return float(self._values[self._mask & ~(1 << self._bit[item])])
-
-    def add(self, item: str) -> None:
-        self.bundle.add(item)
-        self._mask |= 1 << self._bit[item]
-
-    def remove(self, item: str) -> None:
-        self.bundle.remove(item)
-        self._mask &= ~(1 << self._bit[item])
-
 
 VALUATION_KINDS = {
     cls.kind: cls for cls in (Additive, BudgetAdditive, Coverage, PartitionMatroidRank, ExplicitTable)
@@ -453,11 +424,11 @@ class StructureViolation(NamedTuple):
     right: FrozenSet[str]
 
 
-def _local_violations(vals: np.ndarray, mono_tol: float, sub_tol: float) -> Iterator[Tuple[str, int, int]]:
+def _local_violations(vals: np.ndarray, slack: float) -> Iterator[Tuple[str, int, int]]:
     """Failed local tests of a 2^m-entry table, as (kind, left mask, right mask).
 
-    With d_i(S) = v(S + i) - v(S): monotone is d_i(S) >= -mono_tol, witness
-    (S, S + i); submodular is d_i(S + j) <= d_i(S) + sub_tol for i < j,
+    With d_i(S) = v(S + i) - v(S): monotone is d_i(S) >= 0, witness
+    (S, S + i); submodular is d_i(S + j) <= d_i(S) + slack for i < j,
     witness (S + i, S + j). Whole-array differences, one axis per item; at
     most one witness, the smallest S, per item i and per pair (i, j).
     """
@@ -468,11 +439,11 @@ def _local_violations(vals: np.ndarray, mono_tol: float, sub_tol: float) -> Iter
         axis_i = m - 1 - i  # axis 0 holds the most significant bit
         gain = np.diff(table, axis=axis_i)
         base = masks.take([0], axis=axis_i)
-        for s in base[gain < -mono_tol][:1].tolist():
+        for s in base[gain < 0][:1].tolist():
             yield "monotonicity", s, s | 1 << i
         for j in range(i + 1, m):
             axis_j = m - 1 - j
-            for s in base.take([0], axis=axis_j)[np.diff(gain, axis=axis_j) > sub_tol][:1].tolist():
+            for s in base.take([0], axis=axis_j)[np.diff(gain, axis=axis_j) > slack][:1].tolist():
                 yield "submodularity", s | 1 << i, s | 1 << j
 
 
@@ -480,16 +451,15 @@ def _mask_set(universe: Sequence[str], mask: int) -> FrozenSet[str]:
     return frozenset(universe[i] for i in range(len(universe)) if mask >> i & 1)
 
 
-def check_submodular(v: Valuation, universe: Sequence[str], tol: float = 0.0) -> List[StructureViolation]:
+def check_submodular(v: Valuation, universe: Sequence[str]) -> List[StructureViolation]:
     """Screen ``v`` for submodularity and monotonicity violations on ``universe``.
 
     It evaluates all 2^|universe| subsets, for at most
     ``ExplicitTable.MAX_ITEMS`` items, and runs the local tests that
     :class:`ExplicitTable` enforces, with at most one witness per item,
     (S, S + i) for monotonicity, and per item pair, (S + i, S + j) for
-    submodularity. An empty list means no violation was found. ``tol`` is a
-    slack on each local difference, so a pairwise violation spread over k
-    local steps may reach k * tol unseen.
+    submodularity. An empty list means no violation was found; the tests are
+    exact, with no rounding slack.
     """
     universe = list(universe)
     u = len(universe)
@@ -498,5 +468,5 @@ def check_submodular(v: Valuation, universe: Sequence[str], tol: float = 0.0) ->
     vals = np.array([v.value(_mask_set(universe, mask)) for mask in range(1 << u)], dtype=float)
     return [
         StructureViolation(kind, _mask_set(universe, left), _mask_set(universe, right))
-        for kind, left, right in _local_violations(vals, tol, tol)
+        for kind, left, right in _local_violations(vals, 0.0)
     ]

@@ -414,6 +414,15 @@ MALFORMED_FILES = {
     "bundle 5": ("efx", {"format_version": 1, "bundles": {"a0": 5}}),
     "config [1, 2]": ("experiment", [1, 2]),
     "config n 5": ("experiment", {"n": 5}),
+    "config exact 'false'": ("experiment", {"exact": "false"}),
+    "config efx 'no'": ("experiment", {"efx": "no"}),
+    "config verify 1": ("experiment", {"verify": 1}),
+    "config n [2.9]": ("experiment", {"n": [2.9]}),
+    "config m [true]": ("experiment", {"m": [True]}),
+    "config trials 1.9": ("experiment", {"trials": 1.9}),
+    "config seed '0'": ("experiment", {"seed": "0"}),
+    "config eps true": ("experiment", {"eps": True}),
+    "config eps '0.1'": ("experiment", {"eps": "0.1"}),
 }
 
 

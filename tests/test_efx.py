@@ -7,6 +7,7 @@ import pytest
 
 from nswfair import (
     Allocation,
+    AllocationError,
     Instance,
     LemmaViolation,
     build_feasibility_graph,
@@ -106,6 +107,26 @@ def test_envy_cycle_requires_settled_pool(e1):
         envy_cycle_complete(e1, Allocation.of({"1": ["a"], "2": []}), {"b"})
 
 
+@pytest.mark.parametrize("pool", [{"z"}, {"a"}], ids=["foreign item", "allocated item"])
+def test_envy_cycle_pool_holds_only_loose_instance_items(e1, pool):
+    with pytest.raises(ValueError, match="unknown or already allocated"):
+        envy_cycle_complete(e1, Allocation.of({"1": ["a"], "2": ["b"]}), pool)
+
+
+MALFORMED_ALLOCATIONS = {
+    "item twice, full driver": (guarantee_half_efx, {"1": ["a", "b"], "2": ["a", "c", "d"]}),
+    "item twice, one pass": (make_fair_or_efficient, {"1": ["a", "b"], "2": ["a", "c", "d"]}),
+    "unknown agent": (guarantee_half_efx, {"1": ["a", "b"], "3": ["c", "d"]}),
+    "foreign item": (half_efx_check, {"1": ["a", "z"], "2": ["b"]}),
+}
+
+
+@pytest.mark.parametrize("fn,bundles", MALFORMED_ALLOCATIONS.values(), ids=MALFORMED_ALLOCATIONS)
+def test_fairness_functions_reject_malformed_allocations(e1, fn, bundles):
+    with pytest.raises(AllocationError):
+        fn(e1, Allocation.of(bundles))
+
+
 def test_envy_cycle_without_pool_is_identity(e1):
     alloc = Allocation.of({"1": ["a", "d"], "2": ["b", "c"]})
     assert envy_cycle_complete(e1, alloc, set()) == alloc
@@ -124,13 +145,14 @@ def test_envy_cycle_feeds_the_unenvied_agent():
     assert result == Allocation.of({"1": ["a"], "2": ["b", "c"]})
 
 
-def test_guarantee_needs_equal_weights():
+@pytest.mark.parametrize("fn", [guarantee_half_efx, make_fair_or_efficient])
+def test_fairness_needs_equal_weights(fn):
     inst = make_instance(
         {"1": {"a": 1, "b": 1}, "2": {"a": 1, "b": 1}},
         weights=[(3, 4), (1, 4)],
     )
-    with pytest.raises(ValueError):
-        guarantee_half_efx(inst, Allocation.of({"1": ["a"], "2": ["b"]}))
+    with pytest.raises(ValueError, match="equal agent weights"):
+        fn(inst, Allocation.of({"1": ["a"], "2": ["b"]}))
 
 
 def test_guarantee_keeps_a_fair_input(e1):

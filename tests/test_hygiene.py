@@ -1,7 +1,10 @@
 """Source hygiene of the package, checked with the standard library's ``ast``.
 
 No ``assert`` statements (they vanish under ``python -O``, so a check that
-matters raises instead) and no unused imports. The package ``__init__``
+matters raises instead), no unused imports, and export lists that name only
+what exists: every name in a module's ``__all__`` is defined there, and the
+package's ``__all__`` is exactly what its ``__init__`` imports, so a deleted
+name cannot linger in one list. The package ``__init__``
 imports to re-export, and ``__future__`` imports are directives, so both
 are exempt from the import check. A name counts as used where the code reads
 it; quoted annotations are not parsed, and with ``from __future__ import
@@ -9,6 +12,7 @@ annotations`` none needs quoting.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,22 @@ def test_no_unused_imports(path):
 def test_the_import_check_sees_an_unused_import():
     tree = ast.parse("import os.path\nfrom typing import Dict, List as L\n\ndef f(x: L[int]) -> None:\n    pass\n")
     assert unused_imports(tree) == [(1, "os"), (2, "Dict")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_exported_name_exists(path):
+    name = "nswfair" if path.stem == "__init__" else f"nswfair.{path.stem}"
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+    assert not missing, f"{path.name}: __all__ names {missing} that the module does not define"
+
+
+def test_package_exports_exactly_what_it_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert set(importlib.import_module("nswfair").__all__) == imported

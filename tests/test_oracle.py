@@ -9,7 +9,6 @@ from nswfair import (
     SizeGuardExceeded,
     brute_force_opt,
     nsw_log,
-    ratio,
     ratio_of_logs,
 )
 from nswfair.generate import FAMILIES, random_instance
@@ -71,10 +70,12 @@ def test_ratio_conventions(e1):
     assert ratio_of_logs(neg, neg) == 1.0
     assert ratio_of_logs(0.0, neg) == float("inf")
     assert ratio_of_logs(math.log(4), math.log(2)) == pytest.approx(2.0, rel=1e-12)
-    assert ratio(e1, Allocation.of({"1": ["a", "d"], "2": ["b", "c"]})) == pytest.approx(1.0)
+    opt_log = brute_force_opt(e1).opt_log
+    best = Allocation.of({"1": ["a", "d"], "2": ["b", "c"]})
+    assert ratio_of_logs(opt_log, nsw_log(e1, best)) == pytest.approx(1.0)
     worse = Allocation.of({"1": ["b", "c"], "2": ["a", "d"]})
-    assert ratio(e1, worse) == pytest.approx(math.sqrt(5), rel=1e-12)
-    assert nsw_log(e1, worse) < brute_force_opt(e1).opt_log
+    assert ratio_of_logs(opt_log, nsw_log(e1, worse)) == pytest.approx(math.sqrt(5), rel=1e-12)
+    assert nsw_log(e1, worse) < opt_log
 
 
 def test_size_guard_rejects_oversized_instances():
