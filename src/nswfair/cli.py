@@ -238,9 +238,17 @@ class ExperimentConfig:
     efx: bool
     verify: bool
 
+    KEYS = ("families", "n", "m", "weight_mode", "eps", "trials", "seed", "exact", "efx", "verify")
+
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         with malformed("experiment config"):
+            unknown = sorted(set(doc.keys()) - set(cls.KEYS))
+            if unknown:
+                raise CliError(f"unknown config keys {unknown}; known keys are {list(cls.KEYS)}")
+            trials = _json_typed(doc.get("trials", 3), "integer", "trials")
+            if trials < 0:
+                raise CliError(f"trials must be nonnegative, got {trials}")
             families = list(doc.get("families", FAMILIES))
             bad = [f for f in families if f not in FAMILIES]
             if bad:
@@ -254,7 +262,7 @@ class ExperimentConfig:
                 m_values=[_json_typed(x, "integer", "m") for x in doc.get("m", [4, 5, 6, 7])],
                 weight_mode=mode,
                 eps=float(_json_typed(doc.get("eps", 0.1), "number", "eps")),
-                trials=_json_typed(doc.get("trials", 3), "integer", "trials"),
+                trials=trials,
                 seed=_json_typed(doc.get("seed", 0), "integer", "seed"),
                 exact=_json_typed(doc.get("exact", True), "boolean", "exact"),
                 efx=_json_typed(doc.get("efx", True), "boolean", "efx"),

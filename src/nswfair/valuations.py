@@ -45,6 +45,7 @@ __all__ = [
     "valuation_from_params",
     "StructureViolation",
     "check_submodular",
+    "subset_values",
 ]
 
 
@@ -447,6 +448,24 @@ def _local_violations(vals: np.ndarray, slack: float) -> Iterator[Tuple[str, int
                 yield "submodularity", s | 1 << i, s | 1 << j
 
 
+def _power_lists(items: Sequence[str]) -> List[List[str]]:
+    """Every subset of ``items`` as a list in index order, at position mask (bit t selects item t)."""
+    subsets: List[List[str]] = [[]]
+    for item in items:
+        subsets += [s + [item] for s in subsets]
+    return subsets
+
+
+def subset_values(v: Valuation, items: Sequence[str]) -> np.ndarray:
+    """v(S) for every subset S of ``items``, a float64 array indexed by mask: bit t selects
+    ``items[t]`` and S is passed to :meth:`Valuation.value` as a list in index order. That is
+    2^len(items) ``value()`` calls; the subsets are built from two half-size lists, so memory
+    beyond the result is O(2^(len/2))."""
+    half = len(items) // 2
+    low, high = _power_lists(items[:half]), _power_lists(items[half:])
+    return np.fromiter((v.value(lo + hi) for hi in high for lo in low), dtype=float, count=1 << len(items))
+
+
 def _mask_set(universe: Sequence[str], mask: int) -> FrozenSet[str]:
     return frozenset(universe[i] for i in range(len(universe)) if mask >> i & 1)
 
@@ -465,7 +484,7 @@ def check_submodular(v: Valuation, universe: Sequence[str]) -> List[StructureVio
     u = len(universe)
     if u > ExplicitTable.MAX_ITEMS:
         raise ValueError(f"check_submodular supports at most {ExplicitTable.MAX_ITEMS} items, got {u}")
-    vals = np.array([v.value(_mask_set(universe, mask)) for mask in range(1 << u)], dtype=float)
+    vals = subset_values(v, universe)
     return [
         StructureViolation(kind, _mask_set(universe, left), _mask_set(universe, right))
         for kind, left, right in _local_violations(vals, 0.0)

@@ -423,6 +423,9 @@ MALFORMED_FILES = {
     "config seed '0'": ("experiment", {"seed": "0"}),
     "config eps true": ("experiment", {"eps": True}),
     "config eps '0.1'": ("experiment", {"eps": "0.1"}),
+    "config trails 1": ("experiment", {"trails": 1}),
+    "config bogus 1": ("experiment", {"bogus": 1}),
+    "config trials -1": ("experiment", {"trials": -1}),
 }
 
 

@@ -120,3 +120,34 @@ def test_cli_golden_set_covers_every_case():
 @pytest.mark.parametrize("case", CLI_CASES, ids=case_id)
 def test_cli_golden_digest(case, tmp_path, capsys):
     assert cli_digest(case, tmp_path) == CLI_GOLDEN[case_id(case)]
+
+
+# `nswfair exact FILE --out` on the same files: opt_log, the lexicographically
+# smallest argmax and the allocation count, frozen from the per-allocation loop.
+EXACT_GOLDEN = {
+    "additive-symmetric-3x8-s2000": "7d6873682c55860c08dd8e1e25c2bce8beb7003ed0373b07b0cd0e60e19e10dc",
+    "additive-random_rational-3x8-s2001": "5365c7c418caa0f8bf8fa6eac506dc739126e7f79a12aa462b59fb939ebac25c",
+    "budget_additive-symmetric-3x8-s2010": "b9ccf76c5e1d8ff8fd02c85e1c90e79187243ce1646c8999a262036a315aa704",
+    "budget_additive-random_rational-3x8-s2011": "2b1d69744d8ac5931be4ff20985999cdf96dd703e349e581c497394299c29fb2",
+    "coverage-symmetric-3x8-s2020": "68deb12563e97d8a413aa0ec7d0c44b08a4c4c03430d860aae4ca5ec2d10f4f4",
+    "coverage-random_rational-3x8-s2021": "3cd057cd86f73da4995393804cb251f08b171f7b2c2a35f37b28ee988707b275",
+    "partition_matroid_rank-symmetric-3x8-s2030": "980d96561040b6f79affe4d7004f54ea46b38a50b80986f3e2fa923b910ae068",
+    "partition_matroid_rank-random_rational-3x8-s2031": "16bcc101be9b54b7d43c3db2ebbd068e1e865c5019f7628820b24c3616830901",
+}
+
+
+def exact_digest(case, tmp_path) -> str:
+    family, mode, n, m, seed = case
+    path, out = tmp_path / "instance.json", tmp_path / "exact.json"
+    save_instance(random_instance(family, n, m, seed, mode), str(path))
+    assert main(["exact", str(path), "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_exact_golden_set_covers_every_case():
+    assert sorted(EXACT_GOLDEN) == sorted(case_id(c) for c in CLI_CASES)
+
+
+@pytest.mark.parametrize("case", CLI_CASES, ids=case_id)
+def test_exact_golden_digest(case, tmp_path, capsys):
+    assert exact_digest(case, tmp_path) == EXACT_GOLDEN[case_id(case)]

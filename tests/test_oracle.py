@@ -1,4 +1,4 @@
-"""Brute-force optimum: frozen values, independent enumeration, guard."""
+"""Brute-force optimum: frozen values, independent enumeration, the reference loop, cost and guard."""
 
 import math
 
@@ -9,12 +9,15 @@ from nswfair import (
     SizeGuardExceeded,
     brute_force_opt,
     nsw_log,
+    oracle,
     ratio_of_logs,
 )
-from nswfair.generate import FAMILIES, random_instance
+from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
 from nswfair.oracle import SIZE_GUARD
+from nswfair.valuations import Valuation
 
 from conftest import make_instance
+from reference_oracle import reference_opt
 
 
 def two_agent_opt_by_subsets(inst):
@@ -98,3 +101,95 @@ def test_oracle_validates_input():
     )
     with pytest.raises(ValueError):
         brute_force_opt(broken)
+
+
+def assert_same_as_reference(inst):
+    got, want = brute_force_opt(inst), reference_opt(inst)
+    assert float.hex(got.opt_log) == float.hex(want.opt_log)
+    assert got.argmax == want.argmax
+    assert got.enumerated == want.enumerated == inst.n**inst.m
+
+
+@pytest.mark.parametrize("mode", WEIGHT_MODES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_matches_the_reference_loop_bit_for_bit(family, mode):
+    # m < n leaves some agent empty-handed, so every allocation there is -inf
+    for n in range(1, 5):
+        for m in range(9):
+            assert_same_as_reference(random_instance(family, n, m, seed=10 * n + m, weight_mode=mode))
+
+
+def test_matches_the_reference_loop_on_all_zero_agents():
+    zero = make_instance({"1": {"a": 0, "b": 0, "c": 0}, "2": {"a": 1, "b": 2, "c": 3}, "3": {"a": 0, "b": 5, "c": 0}})
+    assert brute_force_opt(zero).opt_log == float("-inf")
+    assert_same_as_reference(zero)
+    assert_same_as_reference(make_instance({"1": {"a": 0}}))
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        random_instance("partition_matroid_rank", 3, 11, seed=0),
+        random_instance("partition_matroid_rank", 3, 11, seed=1, weight_mode="random_rational"),
+        # identical agents: by symmetry the optimum is reached in every block
+        make_instance({str(i): dict.fromkeys("abcdefghijk", 1) for i in range(3)}),
+    ],
+    ids=["pmr-symmetric", "pmr-random", "identical"],
+)
+def test_ties_across_blocks_go_to_the_first(inst):
+    assert inst.n**inst.m > oracle.BLOCK  # 3^11: three blocks of 3^10
+    assert_same_as_reference(inst)
+
+
+class CountingValuation(Valuation):
+    """Wraps a valuation and counts the value() calls made outside ``validate``."""
+
+    def __init__(self, inner, counter):
+        self.inner, self.counter = inner, counter
+
+    @property
+    def items(self):
+        return self.inner.items
+
+    def value(self, bundle):
+        self.counter["calls"] += not self.counter["validating"]
+        return self.inner.value(bundle)
+
+
+def counted(inst, monkeypatch):
+    counter = {"calls": 0, "validating": False}
+    validate = oracle.validate
+
+    def validating(instance):
+        counter["validating"] = True
+        try:
+            return validate(instance)
+        finally:
+            counter["validating"] = False
+
+    monkeypatch.setattr(oracle, "validate", validating)
+    valuations = tuple(CountingValuation(v, counter) for v in inst.valuations)
+    return type(inst)(inst.agents, inst.weights, inst.items, valuations), counter
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_each_agent_and_bundle_is_evaluated_once(family, monkeypatch):
+    inst, counter = counted(random_instance(family, 3, 8, seed=1), monkeypatch)
+    brute_force_opt(inst)
+    assert counter["calls"] == 3 * 2**8  # the per-allocation loop made about 18.5k
+
+
+def test_one_agent_is_one_allocation_and_builds_no_table(monkeypatch):
+    inst, counter = counted(random_instance("coverage", 1, 40, seed=0), monkeypatch)
+    monkeypatch.setattr(oracle, "subset_values", None)  # a table would fail here
+    result = brute_force_opt(inst)
+    assert counter["calls"] == 1 and result.enumerated == 1
+    assert result.argmax == Allocation.of({inst.agents[0]: inst.items})
+    assert result.opt_log == nsw_log(inst, result.argmax)
+    assert_same_as_reference(random_instance("coverage", 1, 40, seed=0))
+
+
+def test_size_guard_refuses_before_any_table(monkeypatch):
+    monkeypatch.setattr(oracle, "subset_values", None)
+    with pytest.raises(SizeGuardExceeded):
+        brute_force_opt(random_instance("additive", n=3, m=17, seed=0))
