@@ -281,9 +281,10 @@ def guarantee_half_efx(inst: Instance, s_alloc: Allocation) -> Allocation:
     pool = set(inst.items) - set().union(*bundles)
     for _ in range(inst.n * inst.m + 2):
         upgrade = None
+        loose = inst.sort_items(pool)
         for i in range(inst.n):
             own = inst.valuations[i].value(bundles[i])
-            for j in inst.sort_items(pool):
+            for j in loose:
                 if own < inst.singletons[i][inst.item_index[j]]:
                     upgrade = (i, j)
                     break

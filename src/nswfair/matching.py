@@ -23,10 +23,25 @@ distinct matchings have distinct preference sums and the optimum is unique:
 among equal-score matchings the agent with the smallest index gets the
 smallest feasible column, and so on down. Any exact algorithm therefore
 returns the same matching.
+
+Before packing, :func:`solve_assignment` keeps only each row's n best finite
+cells, n the number of rows, ranked by higher score, then smaller column.
+That is exactly the order of the row's packed weights: head and the row's
+preference multiplier are common to the row, float comparison is exact, and
+the packed scores are the floats scaled by one common power of two. The
+optimum never uses a dropped cell. Suppose it matched row r to a column
+outside r's top n. The other n - 1 rows hold at most n - 1 of those n
+columns, so one is free, and moving r there keeps the cardinality and raises
+the score, or keeps the score and takes a smaller column, which raises the
+preference. That contradicts optimality. The argument never asks that every
+row be matched, so it holds for non-covering tables too. At most n^2 cells
+are packed whatever m is, where each Dijkstra pop would otherwise relax m
+weights of about n * log2(m + 1) bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -105,7 +120,8 @@ def solve_assignment(scores: Sequence[Sequence[float]]) -> AssignmentResult:
 
     Covers every row when a finite-score row-covering matching exists and
     otherwise returns the maximum-cardinality finite matching with
-    ``total = -inf``; more rows than columns is rejected outright.
+    ``total = -inf``; more rows than columns is rejected outright, and so is
+    a ``nan`` or ``+inf`` score (:class:`ValueError` naming its cell).
     """
     n = len(scores)
     m = len(scores[0]) if n else 0
@@ -113,9 +129,18 @@ def solve_assignment(scores: Sequence[Sequence[float]]) -> AssignmentResult:
         raise ValueError("score table rows must have equal length")
     if n > m:
         raise InfeasibleMatching(f"{n} rows cannot all be matched into {m} columns")
-    ints, _ = exact_ints(
-        {(r, c): float(s) for r, row in enumerate(scores) for c, s in enumerate(row) if s != NEG_INF}
-    )
+    kept: Dict[Tuple[int, int], float] = {}
+    for r, row in enumerate(scores):
+        row = [float(s) for s in row]
+        finite = [c for c, s in enumerate(row) if NEG_INF < s < math.inf]
+        if len(finite) + row.count(NEG_INF) < m:
+            c = next(c for c, s in enumerate(row) if not s < math.inf)
+            raise ValueError(f"score at row {r}, column {c} is {row[c]!r}; expected a finite number or -inf")
+        # The row's n best finite cells: higher score first and, the sort being stable, the
+        # smaller column first on a tie, as the packed weights rank them.
+        finite.sort(key=row.__getitem__, reverse=True)
+        kept.update(((r, c), row[c]) for c in finite[:n])
+    ints, _ = exact_ints(kept)
     radix = (m + 1) ** n
     head = (2 * n * max(map(abs, ints.values()), default=0) + 1) * radix + 1
     weights = {(r, c): head + s * radix + _lex_preference(r, c, n, m) for (r, c), s in ints.items()}

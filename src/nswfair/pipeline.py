@@ -6,7 +6,8 @@ positive values exists, no complete allocation has positive welfare and an
 arbitrary complete allocation flagged ``log_nsw = -inf`` is returned.
 Phase 2 runs the swap local search on the leftover universe J with threshold
 eps_bar = (1 + eps)^(1/m) - 1. Phase 3 rematches the phase-1 items on top of
-the local-search bundles, maximizing sum_i w_i * log v_i(R_i + sigma(i)).
+the local-search bundles, maximizing sum_i w_i * log v_i(R_i + sigma(i)),
+each v_i(R_i + h) read from one bundle state of R_i per agent.
 
 Phase 1's scores come from the instance's table of singleton values
 v_i({j}) (:attr:`Instance.singletons`), evaluated once per instance. The
@@ -228,9 +229,10 @@ def solve_nsw(inst: Instance, eps: float) -> SolveReport:
 
     search = local_search(inst, frozenset(inst.items) - set(h_items), eps_bar)
 
+    states = [v.bundle_state(search.bundles[a]) for v, a in zip(inst.valuations, inst.agents)]
+
     def rematch_score(i: int, j: int) -> float:
-        agent = inst.agents[i]
-        val = inst.valuations[i].value(search.bundles[agent] | {h_items[j]})
+        val = states[i].plus(h_items[j])
         return w[i] * math.log(val) if val > 0.0 else NEG_INF
 
     phase3 = solve_assignment([[rematch_score(i, j) for j in range(len(h_items))] for i in range(inst.n)])

@@ -1,4 +1,4 @@
-"""Exact matching solver against an exhaustive enumeration oracle."""
+"""Exact matching solver against an exhaustive enumeration oracle and the unpruned packing."""
 
 import itertools
 import math
@@ -6,10 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_matching import reference_assignment
 
+from nswfair import matching
 from nswfair.errors import InfeasibleMatching, LemmaViolation
+from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
 from nswfair.matching import (
     NEG_INF,
     _lex_preference,
@@ -84,6 +87,21 @@ def test_tie_break_is_index_lexicographic():
     assert solve_assignment([[0.0, 0.0], [0.0, 0.0]]).assignment == (0, 1)
     # agent 0 keeps the smaller column even when swapping would tie
     assert solve_assignment([[5.0, 5.0], [5.0, 5.0]]).assignment == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "table, cell",
+    [
+        ([[math.nan, 1.0], [0.0, 2.0]], "row 0, column 0"),
+        ([[0.0, 1.0], [math.inf, 2.0]], "row 1, column 0"),
+        # one row keeps one cell, so the sort would drop these unseen
+        ([[5.0, 4.0, math.nan]], "row 0, column 2"),
+        ([[5.0, NEG_INF, math.inf]], "row 0, column 2"),
+    ],
+)
+def test_non_finite_scores_rejected(table, cell):
+    with pytest.raises(ValueError, match=cell):
+        solve_assignment(table)
 
 
 @st.composite
@@ -213,3 +231,63 @@ def test_tie_heavy_totals_agree_with_scipy():
         table = [[float(rng.randint(-2, 2)) for _ in range(m)] for _ in range(n)]
         rows, cols = optimize.linear_sum_assignment(table, maximize=True)
         assert solve_assignment(table).total == sum(table[r][c] for r, c in zip(rows, cols))
+
+
+@st.composite
+def wide_tables(draw):
+    """1-3 rows and up to 9 columns of tie-heavy integer scores with -inf holes, so rows
+    with more than n finite cells (pruned), fewer than n, and non-covering tables occur."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n, 9))
+    cell = st.one_of(st.just(NEG_INF), st.integers(-2, 2).map(float))
+    return [[draw(cell) for _ in range(m)] for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_tables())
+@example([[1.0, 1.0, 1.0, 1.0, 1.0], [NEG_INF, 0.0, NEG_INF, NEG_INF, 2.0], [NEG_INF, 0.0, NEG_INF, NEG_INF, 2.0]])
+@example([[2.0, 2.0, 2.0, 1.0, 1.0, 1.0], [2.0, 2.0, NEG_INF, NEG_INF, NEG_INF, NEG_INF]])
+def test_pruned_wide_tables_agree_with_enumeration(table):
+    oracle, _ = enumerate_best(table)
+    result = solve_assignment(table)
+    reference = reference_assignment(table)
+    assert result.assignment == reference.assignment == oracle
+    assert result.total.hex() == reference.total.hex()
+
+
+def phase1_table(inst):
+    """The pipeline's phase-1 scores w_i * log v_i({j}), -inf where v_i({j}) = 0."""
+    return [
+        [wi * math.log(val) if val > 0.0 else NEG_INF for val in row]
+        for wi, row in zip(inst.weight_floats, inst.singletons)
+    ]
+
+
+@pytest.mark.parametrize("n, m", [(20, 200), (40, 400)])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_pruned_phase1_matches_unpruned_packing(family, n, m):
+    for mode in WEIGHT_MODES:
+        for seed in (1, 2, 3):
+            table = phase1_table(random_instance(family, n, m, seed, mode))
+            result = solve_assignment(table)
+            reference = reference_assignment(table)
+            assert result.assignment == reference.assignment, (mode, seed)
+            assert result.total.hex() == reference.total.hex(), (mode, seed)
+
+
+def test_matching_engine_sees_at_most_n_squared_edges(monkeypatch):
+    edge_counts = []
+    engine = matching._max_weight_matching
+
+    def counting(n_rows, n_cols, weights):
+        edge_counts.append(len(weights))
+        return engine(n_rows, n_cols, weights)
+
+    monkeypatch.setattr(matching, "_max_weight_matching", counting)
+    # every row has far more than n finite cells, so exactly n are kept per row
+    table = phase1_table(random_instance("partition_matroid_rank", 20, 200, 1))
+    assert solve_assignment(table).assignment == reference_assignment(table).assignment
+    assert edge_counts[0] == 20 * 20
+    # a row with fewer than n finite cells keeps them all
+    solve_assignment([[1.0] * 6, [NEG_INF, 0.0, NEG_INF, NEG_INF, NEG_INF, NEG_INF], [0.0] * 6])
+    assert edge_counts[1] == 3 + 1 + 3
