@@ -13,8 +13,10 @@ symmetric weighting only; welfare is :func:`nsw_log`.
 The trim steps read v_i(S_k) and every v_i(S_k - j) from one bundle state
 per (agent, bundle) (:meth:`Valuation.bundle_state`), bit for bit equal to
 ``value()``, and the loose-item comparisons read the instance's singleton
-table (:attr:`Instance.singletons`); :func:`half_efx_check`, the independent
-checker, calls ``value()`` on sets.
+table (:attr:`Instance.singletons`). Envy-cycle completion keeps one table
+v_i(S_k) in step with the bundles: a rotation permutes its columns, and an
+item handed out recomputes one column. :func:`half_efx_check`, the
+independent checker, calls ``value()`` on sets.
 """
 
 from __future__ import annotations
@@ -184,6 +186,28 @@ def make_fair_or_efficient(inst: Instance, t_alloc: Allocation) -> FairnessOutco
     raise InvariantViolation("trim loop ran past the item count")
 
 
+def _find_cycle(adj: Sequence[Sequence[int]]) -> Optional[List[int]]:
+    """The first cycle a depth-first walk from each node in index order meets, or None."""
+    state = [0] * len(adj)  # 0 fresh, 1 on the trail, 2 done
+    for start in range(len(adj)):
+        if state[start]:
+            continue
+        state[start] = 1
+        trail, walks = [start], [iter(adj[start])]
+        while walks:
+            nxt = next(walks[-1], None)
+            if nxt is None:
+                state[trail.pop()] = 2
+                walks.pop()
+            elif state[nxt] == 1:
+                return trail[trail.index(nxt):]
+            elif state[nxt] == 0:
+                state[nxt] = 1
+                trail.append(nxt)
+                walks.append(iter(adj[nxt]))
+    return None
+
+
 def envy_cycle_complete(inst: Instance, t_alloc: Allocation, unallocated: Set[str]) -> Allocation:
     """Hand out ``unallocated`` one item at a time to an unenvied agent.
 
@@ -191,6 +215,10 @@ def envy_cycle_complete(inst: Instance, t_alloc: Allocation, unallocated: Set[st
     bundle, and every agent values its bundle at least as much as any
     single unallocated item; this is what keeps 1/2-EFX stable while bundles
     rotate along envy cycles and grow one item at a time.
+
+    One table ``values[i][k] = v_i(S_k)``, built with n^2 ``value()`` calls when
+    the pool is non-empty, answers the precondition and the envy graph. A
+    rotation permutes its columns with the bundles; an item given to k redoes column k.
     """
     bundles = _bundles_by_index(inst, t_alloc)
     n = inst.n
@@ -198,67 +226,31 @@ def envy_cycle_complete(inst: Instance, t_alloc: Allocation, unallocated: Set[st
     if stray:
         raise ValueError(f"items {sorted(stray)} are unknown or already allocated")
     pool = inst.sort_items(unallocated)
-    for i in range(n):
-        own = inst.valuations[i].value(bundles[i])
+    values = [[v.value(bundle) for bundle in bundles] for v in inst.valuations] if pool else []
+    for i, row in enumerate(values):
         for j in pool:
-            if own < inst.singletons[i][inst.item_index[j]]:
-                raise ValueError(
-                    f"agent {inst.agents[i]!r} values loose item {j!r} above its bundle"
-                )
-
-    def envy_edges() -> List[List[int]]:
-        values = [[inst.valuations[i].value(bundles[k]) for k in range(n)] for i in range(n)]
-        return [
-            [k for k in range(n) if k != i and values[i][i] < values[i][k]]
-            for i in range(n)
-        ]
-
-    def find_cycle(adj: List[List[int]]) -> Optional[List[int]]:
-        color = [0] * n  # 0 fresh, 1 on stack, 2 done
-        for start in range(n):
-            if color[start]:
-                continue
-            stack: List[Tuple[int, int]] = [(start, 0)]
-            trail: List[int] = []
-            color[start] = 1
-            trail.append(start)
-            while stack:
-                node, ptr = stack[-1]
-                if ptr < len(adj[node]):
-                    stack[-1] = (node, ptr + 1)
-                    nxt = adj[node][ptr]
-                    if color[nxt] == 1:
-                        return trail[trail.index(nxt):]
-                    if color[nxt] == 0:
-                        color[nxt] = 1
-                        trail.append(nxt)
-                        stack.append((nxt, 0))
-                else:
-                    color[node] = 2
-                    trail.pop()
-                    stack.pop()
-        return None
-
+            if row[i] < inst.singletons[i][inst.item_index[j]]:
+                raise ValueError(f"agent {inst.agents[i]!r} values loose item {j!r} above its bundle")
     rotations = 0
     max_rotations = n * (len(pool) + n + 1) + 1
-    while pool:
+    for j in pool:
         while True:
-            adj = envy_edges()
-            cycle = find_cycle(adj)
+            adj = [[k for k in range(n) if k != i and row[i] < row[k]] for i, row in enumerate(values)]
+            cycle = _find_cycle(adj)
             if cycle is None:
                 break
-            shifted = [bundles[cycle[(t + 1) % len(cycle)]] for t in range(len(cycle))]
-            for t, agent in enumerate(cycle):
-                bundles[agent] = shifted[t]
+            for seq in (bundles, *values):
+                shifted = [seq[k] for k in cycle[1:] + cycle[:1]]
+                for k, x in zip(cycle, shifted):
+                    seq[k] = x
             rotations += 1
             if rotations > max_rotations:
                 raise InvariantViolation("envy-cycle elimination failed to make progress")
-        indegree = [0] * n
-        for i in range(n):
-            for k in adj[i]:
-                indegree[k] += 1
-        source = next(i for i in range(n) if indegree[i] == 0)
-        bundles[source] = bundles[source] | {pool.pop(0)}
+        envied = {k for row in adj for k in row}
+        source = next(i for i in range(n) if i not in envied)
+        bundles[source] = bundles[source] | {j}
+        for v, row in zip(inst.valuations, values):
+            row[source] = v.value(bundles[source])
     return Allocation({a: bundles[i] for i, a in enumerate(inst.agents)})
 
 

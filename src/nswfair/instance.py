@@ -239,10 +239,11 @@ def instance_from_json(doc: Mapping) -> Instance:
         agents = tuple(str(entry["id"]) for entry in doc["agents"])
         weights = tuple(_weight(entry["weight"]) for entry in doc["agents"])
         items = tuple(str(j) for j in doc["items"])
-        by_agent = {entry["agent"]: entry for entry in doc["valuations"]}
-        missing = set(agents) - by_agent.keys()
-        if missing:
-            raise ValueError(f"no valuation given for agents {sorted(missing)}")
+        keys = [str(entry["agent"]) for entry in doc["valuations"]]
+        wrong = sorted({a for a in keys + list(agents) if keys.count(a) != (1 if a in agents else 0)})
+        if wrong:
+            raise ValueError(f"valuations must name each listed agent once and no other agent; wrong for {wrong}")
+        by_agent = dict(zip(keys, doc["valuations"]))
         valuations = tuple(
             valuation_from_params(by_agent[a]["kind"], by_agent[a]["params"]) for a in agents
         )

@@ -99,12 +99,13 @@ class GuaranteeFactors:
 
 
 def guarantee_factor(inst: Instance, eps: float) -> GuaranteeFactors:
-    if not 0.0 <= eps < math.inf:
-        raise ValueError(f"eps must be a finite nonnegative number, got {eps!r}")
     nu = float(inst.n * max(inst.weights))
+    asymmetric = (nu + 2.0 + eps) * math.e
+    if not (eps >= 0.0 and math.isfinite(asymmetric)):
+        raise ValueError(f"eps must be a finite nonnegative number small enough for finite factors, got {eps!r}")
     return GuaranteeFactors(
         symmetric=(4.0 + eps) if inst.is_symmetric() else None,
-        asymmetric=(nu + 2.0 + eps) * math.e,
+        asymmetric=asymmetric,
         strong=(phi(nu) + eps) * math.e,
     )
 
@@ -186,7 +187,7 @@ class SolveReport:
         }
 
 
-def _infeasible_report(inst: Instance, eps: float, eps_bar: float) -> SolveReport:
+def _infeasible_report(inst: Instance, eps: float, eps_bar: float, guarantee: GuaranteeFactors) -> SolveReport:
     bundles = {a: frozenset() for a in inst.agents}
     if inst.agents:
         bundles[inst.agents[0]] = frozenset(inst.items)
@@ -199,7 +200,7 @@ def _infeasible_report(inst: Instance, eps: float, eps_bar: float) -> SolveRepor
         sigma={},
         eps=eps,
         eps_bar=eps_bar,
-        guarantee=guarantee_factor(inst, eps),
+        guarantee=guarantee,
         certificates=SolveCertificates((), None, None, 0.0),
         search=None,
     )
@@ -216,14 +217,15 @@ def solve_nsw(inst: Instance, eps: float) -> SolveReport:
     if problems:
         raise ValueError("; ".join(problems))
     eps_bar = epsilon_bar(eps, max(inst.m, 1))
+    guarantee = guarantee_factor(inst, eps)
     if inst.m < inst.n:
-        return _infeasible_report(inst, eps, eps_bar if inst.m else 0.0)
+        return _infeasible_report(inst, eps, eps_bar if inst.m else 0.0, guarantee)
     w = inst.weight_floats
     phase1 = solve_assignment(
         [[wi * math.log(val) if val > 0.0 else NEG_INF for val in row] for wi, row in zip(w, inst.singletons)]
     )
     if phase1.total == NEG_INF:
-        return _infeasible_report(inst, eps, eps_bar)
+        return _infeasible_report(inst, eps, eps_bar, guarantee)
     tau = {inst.agents[i]: inst.items[c] for i, c in enumerate(phase1.assignment)}
     h_items = inst.sort_items(tau.values())
 
@@ -258,7 +260,7 @@ def solve_nsw(inst: Instance, eps: float) -> SolveReport:
         sigma=sigma,
         eps=eps,
         eps_bar=eps_bar,
-        guarantee=guarantee_factor(inst, eps),
+        guarantee=guarantee,
         certificates=certificates,
         search=search,
     )

@@ -50,6 +50,8 @@ __all__ = [
 
 
 def _as_nonneg_float(value, what: str) -> float:
+    if isinstance(value, (bool, str)):  # JSON true and "2" are not numbers
+        raise ValueError(f"{what} must be a number, got {value!r}")
     x = float(value)
     if not math.isfinite(x) or x < 0:
         raise ValueError(f"{what} must be a finite nonnegative number, got {value!r}")
@@ -280,7 +282,7 @@ class PartitionMatroidRank(Valuation):
         self._classes = {str(k): str(v) for k, v in classes.items()}
         self._capacities: Dict[str, int] = {}
         for label, cap in capacities.items():
-            if int(cap) != cap or cap < 0:
+            if isinstance(cap, (bool, str)) or int(cap) != cap or cap < 0:
                 raise ValueError(f"capacity of class {label!r} must be a nonnegative integer")
             self._capacities[str(label)] = int(cap)
         missing = set(self._classes.values()) - self._capacities.keys()
@@ -369,6 +371,8 @@ class ExplicitTable(Valuation):
             raise ValueError(f"explicit tables support at most {self.MAX_ITEMS} items, got {m}")
         if len(values) != 1 << m:
             raise ValueError(f"table must have 2^{m} = {1 << m} entries, got {len(values)}")
+        if any(isinstance(v, (bool, str)) for v in values):
+            raise ValueError("table entries must be numbers, not booleans or strings")
         vals = np.asarray([float(v) for v in values], dtype=float)
         if not np.all(np.isfinite(vals)) or np.any(vals < 0):
             raise ValueError("table entries must be finite and nonnegative")

@@ -134,7 +134,7 @@ def test_solve_forced_certificate_failure_exits_2(inst_file, monkeypatch, capsys
     assert "certificate violation" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("eps", ["nan", "inf", "5e-324", "1e-320"])
+@pytest.mark.parametrize("eps", ["nan", "inf", "5e-324", "1e-320", "1e308"])
 def test_solve_rejects_an_unusable_eps(tmp_path, capsys, eps):
     path = str(tmp_path / "instance.json")
     assert main(["gen", "additive", "2", "6", "--seed", "0", "--out", path]) == 0
@@ -387,11 +387,13 @@ def test_verify_output_does_not_depend_on_asserts(tmp_path):
 
 
 _BASE = instance_to_json(random_instance("additive", 2, 4, 0))
+_BUDGET, _COVER, _RANK = (instance_to_json(random_instance(f, 2, 4, 0)) for f in FAMILIES[1:])
+_TABLE = instance_to_json(Instance(("a0", "a1"), (Fraction(1, 2),) * 2, ("g0",), (ExplicitTable(["g0"], [0, 1]),) * 2))
 
 
-def _edited(path, value):
-    """The 2x4 additive instance document with the entry at ``path`` set to ``value``."""
-    doc = entry = copy.deepcopy(_BASE)
+def _edited(path, value, base=_BASE):
+    """The 2x4 additive instance document (or ``base``) with the entry at ``path`` set to ``value``."""
+    doc = entry = copy.deepcopy(base)
     *parents, last = path
     for key in parents:
         entry = entry[key]
@@ -426,6 +428,22 @@ MALFORMED_FILES = {
     "config trails 1": ("experiment", {"trails": 1}),
     "config bogus 1": ("experiment", {"bogus": 1}),
     "config trials -1": ("experiment", {"trials": -1}),
+    "valuation twice": ("solve", _edited(("valuations",), _BASE["valuations"] + _BASE["valuations"][:1])),
+    "valuation of an unknown agent": (
+        "solve",
+        _edited(("valuations",), _BASE["valuations"] + [{"agent": "zz", "kind": "nonsense", "params": {}}]),
+    ),
+    "valuation of agent 0 for ids 'a0', 'a1'": ("solve", _edited(("valuations", 0, "agent"), 0)),
+    "value true": ("solve", _edited(("valuations", 0, "params", "values", "g0"), True)),
+    "value '2'": ("solve", _edited(("valuations", 0, "params", "values", "g0"), "2")),
+    "cap true": ("solve", _edited(("valuations", 0, "params", "cap"), True, _BUDGET)),
+    "cap '5'": ("solve", _edited(("valuations", 0, "params", "cap"), "5", _BUDGET)),
+    "element weight true": ("solve", _edited(("valuations", 0, "params", "element_weights", "u0"), True, _COVER)),
+    "capacity true": ("solve", _edited(("valuations", 0, "params", "capacities", "c0"), True, _RANK)),
+    "capacity '1'": ("solve", _edited(("valuations", 0, "params", "capacities", "c0"), "1", _RANK)),
+    "scale true": ("solve", _edited(("valuations", 0, "params", "scale"), True, _RANK)),
+    "table entry true": ("solve", _edited(("valuations", 0, "params", "values", 1), True, _TABLE)),
+    "table entry '1'": ("solve", _edited(("valuations", 0, "params", "values", 1), "1", _TABLE)),
 }
 
 
@@ -475,3 +493,26 @@ def test_verify_exits_0_on_every_family(tmp_path_factory, family, weight_mode, n
     argv = ["verify", str(path), "--eps", eps]
     argv += ["--exact"] * (n**m <= 10**4) + ["--efx"] * inst.is_symmetric()
     assert main(argv) == 0
+
+
+def test_integer_agent_ids_load_as_strings(tmp_path, capsys):
+    doc = copy.deepcopy(_BASE)
+    for t, (agent, valuation) in enumerate(zip(doc["agents"], doc["valuations"])):
+        agent["id"] = valuation["agent"] = t + 1
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert main(["solve", str(path), "--out", str(out)]) == 0
+    assert sorted(json.loads(out.read_text())["allocation"]) == ["1", "2"]
+
+
+@pytest.mark.parametrize("command", ["solve --out", "solve --trace", "gen --out", "experiment --out", "efx --out", "exact --out"])
+def test_an_unwritable_output_path_is_an_input_error(inst_file, tmp_path, capsys, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"families": ["additive"], "n": [2], "m": [3], "trials": 1}))
+    name, flag = command.split()
+    target = str(tmp_path / "missing" / "out")
+    first = {"gen": ["additive", "2", "3"], "experiment": [str(config)]}.get(name, [inst_file])
+    assert main([name, *first, flag, target]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and target in err.splitlines()[0] and "Traceback" not in err

@@ -1,5 +1,6 @@
 """Half-EFX checker, feasibility graph, trim-or-reallocate, envy cycles."""
 
+import itertools
 import math
 import random
 
@@ -21,6 +22,7 @@ from nswfair.generate import FAMILIES, random_instance
 from nswfair.valuations import Valuation
 
 from conftest import make_instance
+from reference_efx import reference_envy_cycle_complete
 from test_local_search import SquareRootOfSum
 
 
@@ -266,3 +268,80 @@ def test_state_reads_match_value_reads_on_random_partials():
             assert build_feasibility_graph(inst, bundles).edges == reference_edges(inst, bundles)
         alloc = Allocation({a: b for a, b in zip(inst.agents, bundles)})
         assert make_fair_or_efficient(inst, alloc) == make_fair_or_efficient(reference, alloc)
+
+
+SWEEP_SIZES = [(2, 5), (3, 8), (4, 12), (5, 20), (10, 100), (20, 200)]
+
+
+def test_envy_cycle_completion_matches_the_reference(monkeypatch):
+    # Each staged allocation and pool that guarantee_half_efx hands to envy-cycle completion,
+    # from the solver's allocation and from all items with the first agent, also goes through
+    # the reference, which rebuilds every v_i(S_k) after each rotation and item.
+    import nswfair.efx as efx_mod
+
+    complete, find_cycle = efx_mod.envy_cycle_complete, efx_mod._find_cycle
+    seen = {"pools": 0, "rotations": 0}
+
+    def checked(inst, alloc, pool):
+        result = complete(inst, alloc, pool)
+        assert result == reference_envy_cycle_complete(inst, alloc, pool)
+        seen["pools"] += bool(pool)
+        return result
+
+    def counted(adj):
+        cycle = find_cycle(adj)
+        seen["rotations"] += cycle is not None
+        return cycle
+
+    monkeypatch.setattr(efx_mod, "envy_cycle_complete", checked)
+    monkeypatch.setattr(efx_mod, "_find_cycle", counted)
+    for family, (n, m), seed in itertools.product(FAMILIES, SWEEP_SIZES, range(6)):
+        inst = random_instance(family, n, m, seed)
+        for start in (solve_nsw(inst, 0.1).allocation, Allocation.of({inst.agents[0]: inst.items})):
+            assert guarantee_half_efx(inst, start).is_complete(inst)
+    # the sweep rotates: these counts are part of what it checks
+    assert seen == {"pools": 150, "rotations": 516}
+
+
+class CountingValuation(ValueOnly):
+    """Counts the value() calls made on it."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.calls = 0
+
+    def value(self, bundle):
+        self.calls += 1
+        return self.base.value(bundle)
+
+
+@pytest.mark.parametrize("loose", range(5))
+def test_envy_cycle_value_calls(monkeypatch, loose):
+    # Each agent prefers the next agent's bundle, so the first item waits for one rotation.
+    # The table costs n^2 calls when the pool is non-empty, each item n more, a rotation none.
+    import nswfair.efx as efx_mod
+
+    base = make_instance(
+        {
+            "1": {"a": 5, "b": 6, "c": 1, "d": 1, "e": 1, "f": 1, "g": 1},
+            "2": {"a": 1, "b": 5, "c": 6, "d": 1, "e": 1, "f": 1, "g": 1},
+            "3": {"a": 6, "b": 1, "c": 5, "d": 1, "e": 1, "f": 1, "g": 1},
+        }
+    )
+    inst = Instance(base.agents, base.weights, base.items, tuple(map(CountingValuation, base.valuations)))
+    inst.singletons  # the instance's cached table, not part of the count
+    find_cycle, cycles = efx_mod._find_cycle, []
+
+    def recorded(adj):
+        cycles.append(find_cycle(adj))
+        return cycles[-1]
+
+    monkeypatch.setattr(efx_mod, "_find_cycle", recorded)
+    for v in inst.valuations:
+        v.calls = 0
+    pool = set("defg"[:loose])
+    result = envy_cycle_complete(inst, Allocation.of({"1": ["a"], "2": ["b"], "3": ["c"]}), pool)
+    assert sum(v.calls for v in inst.valuations) == (3 * 3 + 3 * loose if loose else 0)
+    assert [c for c in cycles if c] == ([[0, 1, 2]] if loose else [])
+    assert result.is_complete(inst) == (loose == 4)
+    assert half_efx_check(inst, result) == []

@@ -24,6 +24,7 @@ from nswfair import (
     solve_nsw,
     verify_local_opt,
 )
+import nswfair.pipeline as pipeline_mod
 from nswfair.cli import _checks, _fair_checks
 from nswfair.generate import FAMILIES, random_instance
 from nswfair.search import swap_bound
@@ -161,11 +162,18 @@ def test_guarantee_factors_asymmetric():
     assert g.strong <= g.asymmetric + 1e-12
 
 
-@pytest.mark.parametrize("eps", [math.nan, math.inf, -0.1])
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -0.1, 1e308])
 def test_guarantee_factors_need_a_finite_nonnegative_eps(e1, eps):
     # A nan eps would make every factor nan and every ratio check fail silently.
     with pytest.raises(ValueError, match="eps must be a finite nonnegative number"):
         guarantee_factor(e1, eps)
+
+
+def test_an_overflowing_guarantee_factor_is_refused_before_the_solve(e1, monkeypatch):
+    # (n * w_max + 2 + eps) * e is inf for eps = 1e308, whatever the instance.
+    monkeypatch.setattr(pipeline_mod, "solve_assignment", None)  # phase 1 must not start
+    with pytest.raises(ValueError, match="small enough for finite factors"):
+        solve_nsw(e1, 1e308)
 
 
 def test_rematching_never_loses_to_the_first_matching():
