@@ -8,10 +8,13 @@ concrete data (a solver bug, never the input's fault).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -63,21 +66,48 @@ def _load_checked(path: str) -> Instance:
     return inst
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _write_files(*outputs: Tuple[Optional[str], str]) -> None:
+    """Write each (path, text) whose path is set, all or nothing: each text goes to a staged
+    file beside its path, and the staged files replace their paths only once all are written.
+    An error names the path it could not write and leaves every path as it was."""
+    staged: List[Tuple[str, str]] = []
+    try:
+        for k, (path, text) in enumerate(outputs):
+            if not path:
+                continue
+            head, tail = os.path.split(path)
+            part = os.path.join(head, f".{tail}.{os.getpid()}-{k}.partial")
+            staged.append((part, path))
+            if os.path.isdir(path):  # os.replace cannot put a file there
+                raise CliError(f"cannot write {path}: it is a directory")
+            try:
+                with open(part, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        for part, path in staged:
+            os.replace(part, path)
+    finally:
+        for part, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
+
+
+def _write_or_print(path: Optional[str], text: str) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_files((path, text))
     else:
         sys.stdout.write(text)
 
 
-def _write_trace(path: str, report: SolveReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "giver", "item", "taker", "log_gain"])
-        if report.search is not None:
-            for rec in report.search.trace:
-                writer.writerow([rec.step, rec.giver, rec.item, rec.taker, repr(rec.log_gain)])
+def _trace_csv(report: SolveReport) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["iteration", "giver", "item", "taker", "log_gain"])
+    if report.search is not None:
+        for rec in report.search.trace:
+            writer.writerow([rec.step, rec.giver, rec.item, rec.taker, repr(rec.log_gain)])
+    return buf.getvalue()
 
 
 def cmd_gen(args) -> int:
@@ -86,7 +116,7 @@ def cmd_gen(args) -> int:
     if args.m < 1:
         raise CliError("m must be at least 1")
     inst = random_instance(args.family, args.n, args.m, args.seed, args.weights)
-    _write_text(args.out, canonical_json(instance_to_json(inst)))
+    _write_or_print(args.out, canonical_json(instance_to_json(inst)))
     return 0
 
 
@@ -158,10 +188,7 @@ def cmd_solve(args) -> int:
         doc["efx"] = {"allocation": allocation, "log_nsw": _fmt(fair_log), "half_efx": True}
         lines.append(f"efx: half-efx ok, log_nsw {_fmt(fair_log)}")  # shown only if _require passes
     _require(checks, "solve")
-    if args.trace:
-        _write_trace(args.trace, report)
-    if args.out:
-        _write_text(args.out, canonical_json(doc))
+    _write_files((args.trace, _trace_csv(report)), (args.out, canonical_json(doc)))
     print("\n".join(lines))
     return 0
 
@@ -174,8 +201,7 @@ def cmd_exact(args) -> int:
         "argmax": allocation_to_json(inst, opt.argmax),
         "enumerated": opt.enumerated,
     }
-    if args.out:
-        _write_text(args.out, canonical_json(doc))
+    _write_files((args.out, canonical_json(doc)))
     print(f"opt log_nsw: {_fmt(opt.opt_log)} over {opt.enumerated} allocations")
     return 0
 
@@ -193,8 +219,7 @@ def cmd_efx(args) -> int:
     fair = guarantee_half_efx(inst, start)
     after = nsw_log(inst, fair)
     _require(_fair_checks(inst, fair, after, before), "efx")
-    if args.out:
-        _write_text(args.out, canonical_json(allocation_to_json(inst, fair)))
+    _write_files((args.out, canonical_json(allocation_to_json(inst, fair))))
     print(f"half-efx ok; log_nsw {_fmt(before)} -> {_fmt(after)} (floor {_fmt(before - math.log(2.0))})")
     return 0
 
@@ -215,7 +240,7 @@ def cmd_verify(args) -> int:
     return 0
 
 
-_JSON_TYPES = {"integer": (int,), "number": (int, float), "boolean": (bool,)}
+_JSON_TYPES = {"integer": (int,), "number": (int, float), "boolean": (bool,), "array": (list,)}
 
 
 def _json_typed(value, kind: str, what: str):
@@ -249,17 +274,21 @@ class ExperimentConfig:
             trials = _json_typed(doc.get("trials", 3), "integer", "trials")
             if trials < 0:
                 raise CliError(f"trials must be nonnegative, got {trials}")
-            families = list(doc.get("families", FAMILIES))
+            families = _json_typed(doc.get("families", list(FAMILIES)), "array", "families")
             bad = [f for f in families if f not in FAMILIES]
             if bad:
                 raise CliError(f"unknown families {bad}")
+            sizes = {
+                key: [_json_typed(x, "integer", key) for x in _json_typed(doc.get(key, default), "array", key)]
+                for key, default in (("n", [2, 3]), ("m", [4, 5, 6, 7]))
+            }
             mode = doc.get("weight_mode", "symmetric")
             if mode not in WEIGHT_MODES:
                 raise CliError(f"weight_mode must be one of {WEIGHT_MODES}")
             return cls(
                 families=families,
-                n_values=[_json_typed(x, "integer", "n") for x in doc.get("n", [2, 3])],
-                m_values=[_json_typed(x, "integer", "m") for x in doc.get("m", [4, 5, 6, 7])],
+                n_values=sizes["n"],
+                m_values=sizes["m"],
                 weight_mode=mode,
                 eps=float(_json_typed(doc.get("eps", 0.1), "number", "eps")),
                 trials=trials,
@@ -310,7 +339,7 @@ def cmd_experiment(args) -> int:
                 max_ratio[family] = max(max_ratio.get(family, 1.0), r)
         checks = _checks(report, exact if config.verify else None)
         efx_pass = ""
-        if config.efx:
+        if config.efx and inst.is_symmetric():  # the 1/2-EFX stage needs equal weights
             fair = guarantee_half_efx(inst, report.allocation)
             fair_checks = _fair_checks(inst, fair, nsw_log(inst, fair), report.log_nsw)
             efx_pass = "yes" if fair_checks[0][1] else "no"
@@ -335,7 +364,7 @@ def cmd_experiment(args) -> int:
         if family in max_ratio:
             rows.append([f"max_ratio[{family}]", "", "", family, "", "", "", f"{max_ratio[family]:.6f}", "", "", ""])
     lines = [",".join(EXPERIMENT_COLUMNS)] + [",".join(row) for row in rows]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_or_print(args.out, "\n".join(lines) + "\n")
     return 0
 
 

@@ -17,10 +17,10 @@ order of the bundle's items.
 bundle R that answers v(R), v(R + j) and v(R - j) and changes by ``add(j)``
 and ``remove(j)``. The base form calls ``value()`` on sets; tables use it.
 The generator families keep running counts instead, with the same floats bit
-for bit: exact integer sums for the additive families and coverage (every
-float is an integer count of 1/q, q the largest power-of-two denominator, and
-int / int rounds correctly), per-element cover counts for coverage, per-class
-counts for the matroid rank.
+for bit (every float is an integer count of 1/q, q the largest power-of-two
+denominator, and int / int rounds correctly): an exact sum of item values for
+the additive pair, and one count per element for coverage and the matroid rank,
+both v(S) = sum_e w_e * min(c_e, how many items of S hold e).
 """
 
 from __future__ import annotations
@@ -212,6 +212,8 @@ class Coverage(Valuation):
                 raise ValueError(f"item {item!r} covers unweighted elements {sorted(missing)}")
             self._covers[str(item)] = cov
         self._items = frozenset(self._covers)
+        # Built here: a cached_property writes to __dict__, which slows value()'s attribute reads.
+        self._counts = self._covers, exact_ints(self._weights), dict.fromkeys(self._weights, 1)
 
     @property
     def items(self) -> FrozenSet[str]:
@@ -231,48 +233,7 @@ class Coverage(Valuation):
         }
 
     def bundle_state(self, bundle: Iterable[str]) -> BundleState:
-        return _CoverState(self, bundle)
-
-    @cached_property
-    def _exact(self) -> Tuple[Dict[str, int], int]:
-        return exact_ints(self._weights)
-
-
-class _CoverState(BundleState):
-    """Covered weight as an exact int, with how many items of R cover each element."""
-
-    def __init__(self, v: Coverage, bundle: Iterable[str]):
-        self._covers, (self._ints, self._q) = v._covers, v._exact
-        self._count = dict.fromkeys(self._ints, 0)
-        self._total = 0
-        super().__init__(v, bundle)
-
-    def value(self) -> float:
-        return self._total / self._q
-
-    def plus(self, item: str) -> float:
-        count, ints = self._count, self._ints
-        return (self._total + sum(ints[e] for e in self._covers[item] if not count[e])) / self._q
-
-    def minus(self, item: str) -> float:
-        count, ints = self._count, self._ints
-        return (self._total - sum(ints[e] for e in self._covers[item] if count[e] == 1)) / self._q
-
-    def add(self, item: str) -> None:
-        self.bundle.add(item)
-        count = self._count
-        for e in self._covers[item]:
-            if not count[e]:
-                self._total += self._ints[e]
-            count[e] += 1
-
-    def remove(self, item: str) -> None:
-        self.bundle.remove(item)
-        count = self._count
-        for e in self._covers[item]:
-            count[e] -= 1
-            if not count[e]:
-                self._total -= self._ints[e]
+        return _CountState(self, bundle)
 
 
 class PartitionMatroidRank(Valuation):
@@ -290,6 +251,9 @@ class PartitionMatroidRank(Valuation):
             raise ValueError(f"classes {sorted(missing)} have no capacity")
         self._scale = _as_nonneg_float(scale, "scale")
         self._items = frozenset(self._classes)
+        one = {label: (label,) for label in self._capacities}  # one tuple per class, shared by its items
+        holds = {j: one[label] for j, label in self._classes.items()}
+        self._counts = holds, exact_ints(dict.fromkeys(self._capacities, self._scale)), self._capacities
 
     @property
     def items(self) -> FrozenSet[str]:
@@ -312,40 +276,52 @@ class PartitionMatroidRank(Valuation):
         }
 
     def bundle_state(self, bundle: Iterable[str]) -> BundleState:
-        return _RankState(self, bundle)
+        return _CountState(self, bundle)
 
 
-class _RankState(BundleState):
-    """Rank as an int, with how many items of R fall in each class."""
+class _CountState(BundleState):
+    """v(R) = sum_e w_e * min(c_e, how many items of R hold e) as an exact int, from the
+    valuation's ``_counts``: the elements each item holds, the weights as :func:`exact_ints`
+    and the capacities c_e. Coverage caps each element at 1; the rank has one element per class."""
 
-    def __init__(self, v: PartitionMatroidRank, bundle: Iterable[str]):
-        self._classes, self._capacities, self._scale = v._classes, v._capacities, v._scale
-        self._filled = dict.fromkeys(v._capacities, 0)
-        self._rank = 0
+    def __init__(self, v: Valuation, bundle: Iterable[str]):
+        self._holds, (self._ints, self._q), self._caps = v._counts
+        self._count = dict.fromkeys(self._caps, 0)
+        self._total = 0
         super().__init__(v, bundle)
 
     def value(self) -> float:
-        return self._scale * float(self._rank)
+        return self._total / self._q
 
     def plus(self, item: str) -> float:
-        label = self._classes[item]
-        return self._scale * float(self._rank + (self._filled[label] < self._capacities[label]))
+        count, caps, gain = self._count, self._caps, 0
+        for e in self._holds[item]:
+            if count[e] < caps[e]:
+                gain += self._ints[e]
+        return (self._total + gain) / self._q
 
     def minus(self, item: str) -> float:
-        label = self._classes[item]
-        return self._scale * float(self._rank - (self._filled[label] <= self._capacities[label]))
+        count, caps, loss = self._count, self._caps, 0
+        for e in self._holds[item]:
+            if count[e] <= caps[e]:
+                loss += self._ints[e]
+        return (self._total - loss) / self._q
 
     def add(self, item: str) -> None:
         self.bundle.add(item)
-        label = self._classes[item]
-        self._rank += self._filled[label] < self._capacities[label]
-        self._filled[label] += 1
+        count, caps = self._count, self._caps
+        for e in self._holds[item]:
+            if count[e] < caps[e]:
+                self._total += self._ints[e]
+            count[e] += 1
 
     def remove(self, item: str) -> None:
         self.bundle.remove(item)
-        label = self._classes[item]
-        self._rank -= self._filled[label] <= self._capacities[label]
-        self._filled[label] -= 1
+        count, caps = self._count, self._caps
+        for e in self._holds[item]:
+            count[e] -= 1
+            if count[e] < caps[e]:
+                self._total -= self._ints[e]
 
 
 class ExplicitTable(Valuation):

@@ -55,6 +55,8 @@ def test_gen_writes_to_stdout(capsys):
 def test_gen_rejects_bad_sizes(capsys):
     assert main(["gen", "additive", "0", "3"]) == 1
     assert "error" in capsys.readouterr().err
+    assert main(["gen", "additive", "2", "0"]) == 1
+    assert capsys.readouterr().err == "error: m must be at least 1\n"
 
 
 def test_unknown_family_is_a_usage_error(capsys):
@@ -444,11 +446,16 @@ MALFORMED_FILES = {
     "scale true": ("solve", _edited(("valuations", 0, "params", "scale"), True, _RANK)),
     "table entry true": ("solve", _edited(("valuations", 0, "params", "values", 1), True, _TABLE)),
     "table entry '1'": ("solve", _edited(("valuations", 0, "params", "values", 1), "1", _TABLE)),
+    "config families {'additive': 1}": ("experiment", {"families": {"additive": 1}, "n": [2], "m": [3], "trials": 1}),
+    "config families 'additive'": ("experiment", {"families": "additive", "n": [2], "m": [3], "trials": 1}),
+    "config n {}": ("experiment", {"n": {}, "m": [3], "trials": 1}),
+    "config m {}": ("experiment", {"n": [2], "m": {}, "trials": 1}),
 }
 
 
-@pytest.mark.parametrize("command,doc", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
-def test_malformed_input_files_exit_1_with_an_error_line(tmp_path, capsys, command, doc):
+def _main_on_file(tmp_path, command, doc):
+    """Run ``command`` with ``doc`` as its input file: the instance of ``solve``, the starting
+    allocation of ``efx`` (on the 2x4 additive instance) or the config of ``experiment``."""
     inst, path = tmp_path / "instance.json", tmp_path / "input.json"
     inst.write_text(canonical_json(_BASE))
     path.write_text(json.dumps(doc))
@@ -457,9 +464,76 @@ def test_malformed_input_files_exit_1_with_an_error_line(tmp_path, capsys, comma
         "efx": ["efx", str(inst), "--allocation", str(path)],
         "experiment": ["experiment", str(path)],
     }[command]
-    assert main(argv) == 1
+    return main(argv)
+
+
+@pytest.mark.parametrize("command,doc", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
+def test_malformed_input_files_exit_1_with_an_error_line(tmp_path, capsys, command, doc):
+    assert _main_on_file(tmp_path, command, doc) == 1
     err = capsys.readouterr().err
     assert err.splitlines()[0].startswith("error: ") and "Traceback" not in err
+
+
+_AGENT_0, _VALUATION_0 = _BASE["agents"][0], _BASE["valuations"][0]
+_NAN, _INF = float("nan"), float("inf")  # json.dumps writes NaN and Infinity, which json.load reads
+
+# Each input check, reached through the CLI, and a fragment of the error line it gives.
+INPUT_CHECKS = {
+    "no agents": ("solve", {**_BASE, "agents": [], "valuations": []}, "at least one agent"),
+    "agent a0 twice": (
+        "solve",
+        {**_BASE, "agents": [_AGENT_0, {**_AGENT_0, "weight": [1, 2]}], "valuations": [_VALUATION_0]},
+        "agent ids must be unique",
+    ),
+    "item g0 twice": ("solve", _edited(("items", 1), "g0"), "item ids must be unique"),
+    "weight 0": (
+        "solve",
+        _edited(("agents", 1, "weight"), [1, 1], _edited(("agents", 0, "weight"), [0, 1])),
+        "weight of agent 'a0' must be positive",
+    ),
+    "weight -1/2": (
+        "solve",
+        _edited(("agents", 1, "weight"), [3, 2], _edited(("agents", 0, "weight"), [-1, 2])),
+        "weight of agent 'a0' must be positive",
+    ),
+    "allocation format_version 2": ("efx", {"format_version": 2, "bundles": {}}, "unsupported format_version 2"),
+    "value NaN": ("solve", _edited(("valuations", 0, "params", "values", "g0"), _NAN), "finite nonnegative"),
+    "value Infinity": ("solve", _edited(("valuations", 0, "params", "values", "g0"), _INF), "finite nonnegative"),
+    "value -1": ("solve", _edited(("valuations", 0, "params", "values", "g0"), -1), "finite nonnegative"),
+    "cap NaN": ("solve", _edited(("valuations", 0, "params", "cap"), _NAN, _BUDGET), "finite nonnegative"),
+    "scale -1": ("solve", _edited(("valuations", 0, "params", "scale"), -1, _RANK), "finite nonnegative"),
+    "item covers an unweighted element": (
+        "solve",
+        _edited(("valuations", 0, "params", "covers", "g0"), ["zz"], _COVER),
+        "covers unweighted elements ['zz']",
+    ),
+    "class with no capacity": (
+        "solve",
+        _edited(("valuations", 0, "params", "classes", "g0"), "c9", _RANK),
+        "classes ['c9'] have no capacity",
+    ),
+    "table order g0 twice": (
+        "solve",
+        _edited(("valuations", 0, "params", "order"), ["g0", "g0"], _TABLE),
+        "duplicate item ids in table order",
+    ),
+    "table of 21 items": (
+        "solve",
+        _edited(("valuations", 0, "params", "order"), [f"g{i}" for i in range(21)], _TABLE),
+        "at most 20 items, got 21",
+    ),
+    "table entry NaN": ("solve", _edited(("valuations", 0, "params", "values", 1), _NAN, _TABLE), "finite"),
+    "table entry Infinity": ("solve", _edited(("valuations", 0, "params", "values", 1), _INF, _TABLE), "finite"),
+    "kind 'mystery'": ("solve", _edited(("valuations", 0, "kind"), "mystery"), "unknown valuation kind 'mystery'"),
+    "config weight_mode 'uniform'": ("experiment", {"weight_mode": "uniform"}, "weight_mode must be one of"),
+}
+
+
+@pytest.mark.parametrize("command,doc,fragment", INPUT_CHECKS.values(), ids=INPUT_CHECKS)
+def test_each_input_check_exits_1_naming_its_problem(tmp_path, capsys, command, doc, fragment):
+    assert _main_on_file(tmp_path, command, doc) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err.splitlines()[0] and "Traceback" not in err
 
 
 def test_an_agent_with_no_positive_single_leftover_takes_no_part(tmp_path, capsys):
@@ -516,3 +590,32 @@ def test_an_unwritable_output_path_is_an_input_error(inst_file, tmp_path, capsys
     assert main([name, *first, flag, target]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and target in err.splitlines()[0] and "Traceback" not in err
+
+
+def test_outputs_are_all_or_nothing(tmp_path, capsys):
+    inst = str(tmp_path / "i.json")
+    assert main(["gen", "additive", "2", "5", "--out", inst]) == 0
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    before = sorted(os.listdir(tmp_path))
+    for out in (tmp_path / "missing" / "o.json", tmp_path):  # a path under a missing directory, a directory
+        for trace in (tmp_path / "t.csv", kept):
+            assert main(["solve", inst, "--trace", str(trace), "--out", str(out)]) == 1
+            assert str(out) in capsys.readouterr().err.splitlines()[0]
+    assert sorted(os.listdir(tmp_path)) == before
+    assert kept.read_text() == "old\n"
+    assert main(["solve", inst, "--trace", str(kept), "--out", str(tmp_path / "o.json")]) == 0
+    assert sorted(os.listdir(tmp_path)) == sorted(before + ["o.json"])
+    assert kept.read_bytes().startswith(b"iteration,giver,item,taker,log_gain\r\n")
+
+
+def test_experiment_runs_the_fairness_stage_only_on_equal_weights(tmp_path):
+    config, out = tmp_path / "config.json", tmp_path / "results.csv"
+    config.write_text(json.dumps({"weight_mode": "random_rational", "n": [1, 3], "m": [4], "trials": 1, "seed": 1}))
+    assert main(["experiment", str(config), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        body = [row for row in list(csv.reader(fh))[1:] if not row[0].startswith("max_ratio")]
+    assert len(body) == 2 * len(FAMILIES)
+    equal = [random_instance(f, int(n), 4, 1, "random_rational").is_symmetric() for _, n, _, f, *_ in body]
+    assert equal.count(False) >= len(FAMILIES)  # every 3-agent instance here has unequal weights
+    assert [row[10] for row in body] == ["yes" if e else "" for e in equal]

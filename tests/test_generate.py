@@ -52,6 +52,8 @@ def test_rejects_unknown_inputs():
         random_instance("additive", n=2, m=2, seed=0, weight_mode="uniformish")
     with pytest.raises(ValueError):
         random_instance("additive", n=0, m=2, seed=0)
+    with pytest.raises(ValueError, match="m must be nonnegative"):
+        random_instance("additive", n=2, m=-1, seed=0)
 
 
 def test_zero_items_allowed():

@@ -79,6 +79,10 @@ def test_validate_catches_structural_problems():
         valuations=(Additive({"a": 1}),),
     )
     assert any("domain" in problem for problem in validate(bad_domain))
+    v = Additive({"a": 1})
+    for weights, valuations in (((Fraction(1),), (v, v)), ((Fraction(1, 2),) * 2, (v,))):
+        misaligned = Instance(agents=("1", "2"), weights=weights, items=("a",), valuations=valuations)
+        assert validate(misaligned) == ["weights and valuations must align with the agent list"]
 
 
 def test_validate_bounds_every_shifted_value():
