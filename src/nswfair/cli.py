@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .efx import guarantee_half_efx, half_efx_check
@@ -240,63 +239,51 @@ def cmd_verify(args) -> int:
     return 0
 
 
-_JSON_TYPES = {"integer": (int,), "number": (int, float), "boolean": (bool,), "array": (list,)}
+_JSON_TYPES = {"integer": (int,), "number": (int, float), "boolean": (bool,), "string": (str,), "array": (list,)}
+
+# The experiment config schema: each key's JSON type and default.
+EXPERIMENT_KEYS = {
+    "families": ("array", list(FAMILIES)),
+    "n": ("array", [2, 3]),
+    "m": ("array", [4, 5, 6, 7]),
+    "weight_mode": ("string", "symmetric"),
+    "eps": ("number", 0.1),
+    "trials": ("integer", 3),
+    "seed": ("integer", 0),
+    "exact": ("boolean", True),
+    "efx": ("boolean", True),
+    "verify": ("boolean", False),
+}
 
 
-def _json_typed(value, kind: str, what: str):
-    """``value`` when its JSON type is ``kind``; ``type()`` keeps booleans from counting as numbers."""
+def _json_typed(value, kind: str, what: str) -> None:
+    """Raise unless ``value`` has JSON type ``kind``; ``type()`` keeps booleans from counting as numbers."""
     if type(value) not in _JSON_TYPES[kind]:
         raise CliError(f"{what} must be a JSON {kind}, got {value!r}")
-    return value
 
 
-@dataclass
-class ExperimentConfig:
-    families: List[str]
-    n_values: List[int]
-    m_values: List[int]
-    weight_mode: str
-    eps: float
-    trials: int
-    seed: int
-    exact: bool
-    efx: bool
-    verify: bool
-
-    KEYS = ("families", "n", "m", "weight_mode", "eps", "trials", "seed", "exact", "efx", "verify")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        with malformed("experiment config"):
-            unknown = sorted(set(doc.keys()) - set(cls.KEYS))
-            if unknown:
-                raise CliError(f"unknown config keys {unknown}; known keys are {list(cls.KEYS)}")
-            trials = _json_typed(doc.get("trials", 3), "integer", "trials")
-            if trials < 0:
-                raise CliError(f"trials must be nonnegative, got {trials}")
-            families = _json_typed(doc.get("families", list(FAMILIES)), "array", "families")
-            bad = [f for f in families if f not in FAMILIES]
-            if bad:
-                raise CliError(f"unknown families {bad}")
-            sizes = {
-                key: [_json_typed(x, "integer", key) for x in _json_typed(doc.get(key, default), "array", key)]
-                for key, default in (("n", [2, 3]), ("m", [4, 5, 6, 7]))
-            }
-            mode = doc.get("weight_mode", "symmetric")
-            if mode not in WEIGHT_MODES:
-                raise CliError(f"weight_mode must be one of {WEIGHT_MODES}")
-            return cls(
-                families=families,
-                n_values=sizes["n"],
-                m_values=sizes["m"],
-                weight_mode=mode,
-                eps=float(_json_typed(doc.get("eps", 0.1), "number", "eps")),
-                trials=trials,
-                seed=_json_typed(doc.get("seed", 0), "integer", "seed"),
-                exact=_json_typed(doc.get("exact", True), "boolean", "exact"),
-                efx=_json_typed(doc.get("efx", True), "boolean", "efx"),
-                verify=_json_typed(doc.get("verify", False), "boolean", "verify"),
-            )
+def experiment_config(doc) -> dict:
+    """Every key of :data:`EXPERIMENT_KEYS`, from ``doc`` or its default, checked; ``eps`` as a float."""
+    with malformed("experiment config"):
+        unknown = sorted(set(doc.keys()) - EXPERIMENT_KEYS.keys())
+        if unknown:
+            raise CliError(f"unknown config keys {unknown}; known keys are {list(EXPERIMENT_KEYS)}")
+        config = {key: doc.get(key, default) for key, (_, default) in EXPERIMENT_KEYS.items()}
+        # Before the type checks, so a weight_mode of any wrong type names the choices.
+        if config["weight_mode"] not in WEIGHT_MODES:
+            raise CliError(f"weight_mode must be one of {WEIGHT_MODES}")
+        for key, (kind, _) in EXPERIMENT_KEYS.items():
+            _json_typed(config[key], kind, key)
+        for key in ("n", "m"):
+            for x in config[key]:
+                _json_typed(x, "integer", key)
+        if config["trials"] < 0:
+            raise CliError(f"trials must be nonnegative, got {config['trials']}")
+        bad = [f for f in config["families"] if f not in FAMILIES]
+        if bad:
+            raise CliError(f"unknown families {bad}")
+        config["eps"] = float(config["eps"])
+        return config
 
 
 EXPERIMENT_COLUMNS = [
@@ -317,19 +304,19 @@ EXPERIMENT_COLUMNS = [
 def cmd_experiment(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = ExperimentConfig.from_dict(json.load(fh))
+            config = experiment_config(json.load(fh))
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read experiment config {args.config}: {exc}") from exc
     rows: List[List[str]] = []
     max_ratio: dict[str, float] = {}
-    grid = itertools.product(config.families, config.n_values, config.m_values, range(config.trials))
+    grid = itertools.product(config["families"], config["n"], config["m"], range(config["trials"]))
     for family, n, m, trial in grid:
-        seed = config.seed + trial
+        seed = config["seed"] + trial
         name = f"{family}-n{n}-m{m}-s{seed}"
-        inst = random_instance(family, n, m, seed, config.weight_mode)
-        report = solve_nsw(inst, config.eps)
+        inst = random_instance(family, n, m, seed, config["weight_mode"])
+        report = solve_nsw(inst, config["eps"])
         exact = opt_log = r = None
-        if config.exact:
+        if config["exact"]:
             try:
                 opt_log, r = exact = _exact(inst, report)
             except SizeGuardExceeded as exc:
@@ -337,13 +324,13 @@ def cmd_experiment(args) -> int:
                 continue
             if math.isfinite(opt_log):
                 max_ratio[family] = max(max_ratio.get(family, 1.0), r)
-        checks = _checks(report, exact if config.verify else None)
+        checks = _checks(report, exact if config["verify"] else None)
         efx_pass = ""
-        if config.efx and inst.is_symmetric():  # the 1/2-EFX stage needs equal weights
+        if config["efx"] and inst.is_symmetric():  # the 1/2-EFX stage needs equal weights
             fair = guarantee_half_efx(inst, report.allocation)
             fair_checks = _fair_checks(inst, fair, nsw_log(inst, fair), report.log_nsw)
             efx_pass = "yes" if fair_checks[0][1] else "no"
-            checks += fair_checks if config.verify else []
+            checks += fair_checks if config["verify"] else []
         _require(checks, f"instance {name}")
         rows.append(
             [
@@ -351,7 +338,7 @@ def cmd_experiment(args) -> int:
                 str(n),
                 str(m),
                 family,
-                repr(config.eps),
+                repr(config["eps"]),
                 _fmt(report.log_nsw),
                 "" if opt_log is None else _fmt(opt_log),
                 "" if r is None else f"{r:.6f}",
@@ -360,7 +347,7 @@ def cmd_experiment(args) -> int:
                 efx_pass,
             ]
         )
-    for family in config.families:
+    for family in config["families"]:
         if family in max_ratio:
             rows.append([f"max_ratio[{family}]", "", "", family, "", "", "", f"{max_ratio[family]:.6f}", "", "", ""])
     lines = [",".join(EXPERIMENT_COLUMNS)] + [",".join(row) for row in rows]

@@ -16,7 +16,7 @@ per (agent, bundle) (:meth:`Valuation.bundle_state`), bit for bit equal to
 table (:attr:`Instance.singletons`). Envy-cycle completion keeps one table
 v_i(S_k) in step with the bundles: a rotation permutes its columns, and an
 item handed out recomputes one column. :func:`half_efx_check`, the
-independent checker, calls ``value()`` on sets.
+independent checker, calls ``value()`` on sets and relies on monotonicity.
 """
 
 from __future__ import annotations
@@ -49,16 +49,17 @@ def _bundles_by_index(inst: Instance, alloc: Allocation) -> List[FrozenSet[str]]
 
 
 def half_efx_check(inst: Instance, alloc: Allocation) -> List[Tuple[str, str, str]]:
-    """All witnesses (i, k, j) with v_i(S_i) < v_i(S_k - j) / 2; empty means 1/2-EFX."""
+    """All witnesses (i, k, j) with v_i(S_i) < v_i(S_k - j) / 2; empty means 1/2-EFX. Valuations
+    must be monotone: then v_i(S_k - j) <= v_i(S_k), and a bundle with v_i(S_i) >= v_i(S_k) / 2 is skipped."""
     bundles = _bundles_by_index(inst, alloc)
     violations: List[Tuple[str, str, str]] = []
-    for i, agent in enumerate(inst.agents):
-        own = inst.valuations[i].value(bundles[i])
+    for i, (agent, v) in enumerate(zip(inst.agents, inst.valuations)):
+        own = v.value(bundles[i])
         for k in range(inst.n):
-            if k == i:
+            if k == i or own >= 0.5 * v.value(bundles[k]):
                 continue
             for j in inst.sort_items(bundles[k]):
-                if own < 0.5 * inst.valuations[i].value(bundles[k] - {j}):
+                if own < 0.5 * v.value(bundles[k] - {j}):
                     violations.append((agent, inst.agents[k], j))
     return violations
 
@@ -208,6 +209,12 @@ def _find_cycle(adj: Sequence[Sequence[int]]) -> Optional[List[int]]:
     return None
 
 
+def _loose_upgrade(inst: Instance, own: Sequence[float], loose: Sequence[str]) -> Optional[Tuple[int, str]]:
+    """The first (agent i, loose item j), agents then items in order, with own[i] < v_i({j}), or None."""
+    table, index = inst.singletons, inst.item_index
+    return next(((i, j) for i, row in enumerate(table) for j in loose if own[i] < row[index[j]]), None)
+
+
 def envy_cycle_complete(inst: Instance, t_alloc: Allocation, unallocated: Set[str]) -> Allocation:
     """Hand out ``unallocated`` one item at a time to an unenvied agent.
 
@@ -227,10 +234,10 @@ def envy_cycle_complete(inst: Instance, t_alloc: Allocation, unallocated: Set[st
         raise ValueError(f"items {sorted(stray)} are unknown or already allocated")
     pool = inst.sort_items(unallocated)
     values = [[v.value(bundle) for bundle in bundles] for v in inst.valuations] if pool else []
-    for i, row in enumerate(values):
-        for j in pool:
-            if row[i] < inst.singletons[i][inst.item_index[j]]:
-                raise ValueError(f"agent {inst.agents[i]!r} values loose item {j!r} above its bundle")
+    upgrade = _loose_upgrade(inst, [row[i] for i, row in enumerate(values)], pool)
+    if upgrade:
+        i, j = upgrade
+        raise ValueError(f"agent {inst.agents[i]!r} values loose item {j!r} above its bundle")
     rotations = 0
     max_rotations = n * (len(pool) + n + 1) + 1
     for j in pool:
@@ -271,23 +278,16 @@ def guarantee_half_efx(inst: Instance, s_alloc: Allocation) -> Allocation:
         raise InvariantViolation("support shrinking failed to reach a fair core")
     bundles = _bundles_by_index(inst, current)
     pool = set(inst.items) - set().union(*bundles)
+    own = [v.value(bundle) for v, bundle in zip(inst.valuations, bundles)]
     for _ in range(inst.n * inst.m + 2):
-        upgrade = None
-        loose = inst.sort_items(pool)
-        for i in range(inst.n):
-            own = inst.valuations[i].value(bundles[i])
-            for j in loose:
-                if own < inst.singletons[i][inst.item_index[j]]:
-                    upgrade = (i, j)
-                    break
-            if upgrade:
-                break
+        upgrade = _loose_upgrade(inst, own, inst.sort_items(pool))
         if upgrade is None:
             break
         i, j = upgrade
-        pool |= set(bundles[i])
+        pool |= bundles[i]
         pool.discard(j)
         bundles[i] = frozenset({j})
+        own[i] = inst.singletons[i][inst.item_index[j]]
     else:
         raise InvariantViolation("singleton upgrades failed to settle")
     staged = Allocation({a: bundles[i] for i, a in enumerate(inst.agents)})

@@ -26,7 +26,6 @@ both v(S) = sum_e w_e * min(c_e, how many items of S hold e).
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple, TypeVar
 
 import numpy as np
@@ -59,13 +58,14 @@ def _as_nonneg_float(value, what: str) -> float:
 
 
 class Valuation:
-    """Monotone set function over a fixed finite item domain with v(empty) = 0."""
+    """Monotone set function over a fixed finite item domain ``items`` with v(empty) = 0. Monotone
+    (v(S) <= v(T) for S within T) is a precondition: :func:`nswfair.efx.half_efx_check` relies on it."""
 
     kind: str = "abstract"
 
     @property
     def items(self) -> FrozenSet[str]:
-        raise NotImplementedError
+        return self._items
 
     def value(self, bundle: Iterable[str]) -> float:
         """Evaluate the bundle. Raises :class:`UnknownItem` on foreign ids."""
@@ -137,10 +137,7 @@ class _Sum(Valuation):
     def __init__(self, values: Mapping[str, float]):
         self._values = {str(k): _as_nonneg_float(v, f"value of {k!r}") for k, v in values.items()}
         self._items = frozenset(self._values)
-
-    @property
-    def items(self) -> FrozenSet[str]:
-        return self._items
+        self._exact = exact_ints(self._values)
 
     def value(self, bundle: Iterable[str]) -> float:
         return min(self._cap, math.fsum(self._values[j] for j in self._bundle(bundle)))
@@ -150,10 +147,6 @@ class _Sum(Valuation):
 
     def bundle_state(self, bundle: Iterable[str]) -> BundleState:
         return _SumState(self, bundle)
-
-    @cached_property
-    def _exact(self) -> Tuple[Dict[str, int], int]:
-        return exact_ints(self._values)
 
 
 class _SumState(BundleState):
@@ -215,10 +208,6 @@ class Coverage(Valuation):
         # Built here: a cached_property writes to __dict__, which slows value()'s attribute reads.
         self._counts = self._covers, exact_ints(self._weights), dict.fromkeys(self._weights, 1)
 
-    @property
-    def items(self) -> FrozenSet[str]:
-        return self._items
-
     def value(self, bundle: Iterable[str]) -> float:
         s = self._bundle(bundle)
         covered: set[str] = set()
@@ -255,17 +244,13 @@ class PartitionMatroidRank(Valuation):
         holds = {j: one[label] for j, label in self._classes.items()}
         self._counts = holds, exact_ints(dict.fromkeys(self._capacities, self._scale)), self._capacities
 
-    @property
-    def items(self) -> FrozenSet[str]:
-        return self._items
-
     def value(self, bundle: Iterable[str]) -> float:
         s = self._bundle(bundle)
         filled: Dict[str, int] = {}
         for j in s:
             label = self._classes[j]
             filled[label] = filled.get(label, 0) + 1
-        rank = sum(min(self._capacities[label], count) for label, count in sorted(filled.items()))
+        rank = sum(min(self._capacities[label], count) for label, count in filled.items())
         return self._scale * float(rank)
 
     def params(self) -> dict:
@@ -367,10 +352,6 @@ class ExplicitTable(Valuation):
         self._values = vals
         self._bit = {j: i for i, j in enumerate(self._order)}
         self._items = frozenset(self._order)
-
-    @property
-    def items(self) -> FrozenSet[str]:
-        return self._items
 
     def value(self, bundle: Iterable[str]) -> float:
         s = self._bundle(bundle)

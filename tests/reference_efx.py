@@ -1,16 +1,70 @@
-"""Envy-cycle completion that rebuilds every v_i(S_k) through ``value()``, kept as a
-reference for ``envy_cycle_complete``.
+"""Plain references for the 1/2-EFX stage, which ``tests/test_efx.py`` checks the solver against.
 
-It recomputes the whole n x n table after every rotation and for every loose
-item, where the solver keeps one table in step with the bundles.
-``tests/test_efx.py`` checks that both hand out the same bundles.
+* ``reference_half_efx_check`` scans every (agent, bundle, item) through ``value()``;
+  ``half_efx_check`` skips bundles that monotonicity rules out.
+* ``reference_guarantee_half_efx`` runs the singleton upgrades as a rescan that asks
+  ``value()`` for each agent it visits on every pass; the solver keeps one list of own values.
+* ``reference_envy_cycle_complete`` recomputes the whole n x n table after every rotation and
+  for every loose item, where the solver keeps one table in step with the bundles.
 """
 
 from typing import List, Optional, Set, Tuple
 
-from nswfair.efx import _bundles_by_index
+from nswfair.efx import _bundles_by_index, envy_cycle_complete, make_fair_or_efficient
 from nswfair.errors import InvariantViolation
 from nswfair.instance import Allocation, Instance
+
+
+def reference_half_efx_check(inst: Instance, alloc: Allocation) -> List[Tuple[str, str, str]]:
+    """All witnesses (i, k, j) with v_i(S_i) < v_i(S_k - j) / 2, every bundle scanned."""
+    bundles = _bundles_by_index(inst, alloc)
+    violations: List[Tuple[str, str, str]] = []
+    for i, agent in enumerate(inst.agents):
+        own = inst.valuations[i].value(bundles[i])
+        for k in range(inst.n):
+            if k == i:
+                continue
+            for j in inst.sort_items(bundles[k]):
+                if own < 0.5 * inst.valuations[i].value(bundles[k] - {j}):
+                    violations.append((agent, inst.agents[k], j))
+    return violations
+
+
+def reference_guarantee_half_efx(inst: Instance, s_alloc: Allocation) -> Tuple[Allocation, int]:
+    """``guarantee_half_efx``'s output and the number of singleton upgrades it made."""
+    current = s_alloc
+    for _ in range(inst.m + 2):
+        outcome = make_fair_or_efficient(inst, current)
+        current = outcome.allocation
+        if outcome.tag == "half_efx":
+            break
+    else:
+        raise InvariantViolation("support shrinking failed to reach a fair core")
+    bundles = _bundles_by_index(inst, current)
+    pool = set(inst.items) - set().union(*bundles)
+    upgrades = 0
+    for _ in range(inst.n * inst.m + 2):
+        upgrade = None
+        loose = inst.sort_items(pool)
+        for i in range(inst.n):
+            own = inst.valuations[i].value(bundles[i])
+            for j in loose:
+                if own < inst.singletons[i][inst.item_index[j]]:
+                    upgrade = (i, j)
+                    break
+            if upgrade:
+                break
+        if upgrade is None:
+            break
+        i, j = upgrade
+        pool |= set(bundles[i])
+        pool.discard(j)
+        bundles[i] = frozenset({j})
+        upgrades += 1
+    else:
+        raise InvariantViolation("singleton upgrades failed to settle")
+    staged = Allocation({a: bundles[i] for i, a in enumerate(inst.agents)})
+    return envy_cycle_complete(inst, staged, pool), upgrades
 
 
 def reference_envy_cycle_complete(inst: Instance, t_alloc: Allocation, unallocated: Set[str]) -> Allocation:

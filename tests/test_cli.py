@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import nswfair
 from nswfair import Additive, ExplicitTable, Instance, solve_nsw
-from nswfair.cli import EXPERIMENT_COLUMNS, entrypoint, main
+from nswfair.cli import EXPERIMENT_COLUMNS, EXPERIMENT_KEYS, entrypoint, main
 from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
 from nswfair.instance import (
     Allocation,
@@ -274,6 +274,14 @@ def test_experiment_rejects_unknown_family(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"families": ["mystery"]}))
     assert main(["experiment", str(config)]) == 1
+
+
+def test_readme_experiment_config_shows_the_schema_defaults():
+    # The README's config block lists every key, in table order, at its default.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Experiment config", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert list(json.loads(block).items()) == [(key, default) for key, (_, default) in EXPERIMENT_KEYS.items()]
 
 
 def test_entrypoint_maps_to_sys_exit(tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ from nswfair.generate import FAMILIES, random_instance
 from nswfair.valuations import Valuation
 
 from conftest import make_instance
-from reference_efx import reference_envy_cycle_complete
+from reference_efx import reference_envy_cycle_complete, reference_guarantee_half_efx, reference_half_efx_check
 from test_local_search import SquareRootOfSum
 
 
@@ -345,3 +345,58 @@ def test_envy_cycle_value_calls(monkeypatch, loose):
     assert [c for c in cycles if c] == ([[0, 1, 2]] if loose else [])
     assert result.is_complete(inst) == (loose == 4)
     assert half_efx_check(inst, result) == []
+
+
+def _random_partials(count, seed):
+    """(instance, allocation) pairs, all families at 2-5 agents and 6-12 items, each item held by a
+    random agent with probability 0.35 and loose otherwise."""
+    rng = random.Random(seed)
+    for t in range(count):
+        inst = random_instance(FAMILIES[t % 4], n=2 + t % 4, m=6 + t % 7, seed=50_000 + t)
+        picks = [rng.randrange(inst.n) if rng.random() < 0.35 else None for _ in inst.items]
+        bundles = [frozenset(j for j, p in zip(inst.items, picks) if p == i) for i in range(inst.n)]
+        yield inst, Allocation(dict(zip(inst.agents, bundles)))
+
+
+def test_checker_matches_the_full_scan_on_random_partials():
+    # The checker skips each bundle worth at most twice the agent's own; the reference scans all.
+    with_witnesses = 0
+    for inst, alloc in _random_partials(400, 20261018):
+        witnesses = half_efx_check(inst, alloc)
+        assert witnesses == reference_half_efx_check(inst, alloc)
+        with_witnesses += bool(witnesses)
+    assert with_witnesses == 195
+
+
+def test_singleton_upgrades_match_the_reference_loop():
+    # guarantee_half_efx keeps one list of own values; the reference asks value() on every pass.
+    upgrades = []
+    for inst, alloc in _random_partials(400, 20261018):
+        expected, count = reference_guarantee_half_efx(inst, alloc)
+        assert guarantee_half_efx(inst, alloc) == expected
+        upgrades.append(count)
+    assert sum(count >= 2 for count in upgrades) == 344 and max(upgrades) == 14
+
+
+def test_singleton_upgrades_call_value_once_per_agent(monkeypatch):
+    # Three upgrades in a chain, each freeing the item the next agent wants: 1 takes d and frees
+    # a, 2 takes a and frees b, 3 takes e. The old rescan made 1 + 2 + 3 + 3 value() calls.
+    import nswfair.efx as efx_mod
+
+    base = make_instance(
+        {
+            "1": {"a": 1, "b": 0, "c": 0, "d": 5, "e": 0},
+            "2": {"a": 3, "b": 1, "c": 0, "d": 0, "e": 0},
+            "3": {"a": 0, "b": 0, "c": 1, "d": 0, "e": 2},
+        }
+    )
+    inst = Instance(base.agents, base.weights, base.items, tuple(map(CountingValuation, base.valuations)))
+    inst.singletons  # the instance's cached table, not part of the count
+    for v in inst.valuations:
+        v.calls = 0
+    staged = []
+    monkeypatch.setattr(efx_mod, "make_fair_or_efficient", lambda _, alloc: efx_mod.FairnessOutcome("half_efx", alloc))
+    monkeypatch.setattr(efx_mod, "envy_cycle_complete", lambda inst, alloc, pool: staged.append((alloc, pool)))
+    guarantee_half_efx(inst, Allocation.of({"1": ["a"], "2": ["b"], "3": ["c"]}))
+    assert staged == [(Allocation.of({"1": ["d"], "2": ["a"], "3": ["e"]}), {"b", "c"})]
+    assert [v.calls for v in inst.valuations] == [1, 1, 1]
