@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .efx import guarantee_half_efx, half_efx_check
 from .errors import InvariantViolation, LemmaViolation, SizeGuardExceeded
@@ -68,7 +68,11 @@ def _load_checked(path: str) -> Instance:
 def _write_files(*outputs: Tuple[Optional[str], str]) -> None:
     """Write each (path, text) whose path is set, all or nothing: each text goes to a staged
     file beside its path, and the staged files replace their paths only once all are written.
-    An error names the path it could not write and leaves every path as it was."""
+    An error names the path it could not write and leaves every path as it was; so do two paths
+    that resolve to one file, of which only the last text would survive."""
+    real = [os.path.realpath(path) for path, _ in outputs if path]
+    if len(set(real)) < len(real):
+        raise CliError(f"two outputs resolve to the same file {max(real, key=real.count)}")
     staged: List[Tuple[str, str]] = []
     try:
         for k, (path, text) in enumerate(outputs):
@@ -122,40 +126,60 @@ def cmd_gen(args) -> int:
 Checks = List[Tuple[str, Optional[bool]]]
 
 
-def _exact(inst: Instance, report: SolveReport) -> Tuple[float, float]:
-    """The brute-force optimum's log NSW and the ratio of ``report`` to it."""
-    opt_log = brute_force_opt(inst).opt_log
-    return opt_log, ratio_of_logs(opt_log, report.log_nsw)
+class _Run(NamedTuple):
+    """A solve's ``report`` (None for a start allocation read from a file) and the start's log NSW;
+    on request the optimum's log NSW with the ratio to it, and a 1/2-EFX output with its log NSW."""
+
+    inst: Instance
+    start_log: float
+    report: Optional[SolveReport] = None
+    opt_log: Optional[float] = None
+    ratio: Optional[float] = None
+    fair: Optional[Allocation] = None
+    fair_log: Optional[float] = None
 
 
-def _checks(report: SolveReport, exact: Optional[Tuple[float, float]] = None) -> Checks:
-    """The one check list of a solve: (name, ok), ok None when no positive-welfare allocation
-    exists. ``exact`` (from :func:`_exact`) adds the ratio; a 1/2-EFX output adds :func:`_fair_checks`."""
-    certs = report.certificates
-    checks = [
-        ("local optimum recheck", not certs.local_opt_violations),
-        ("asymmetric spending caps", certs.spending_asymmetric.within_caps() if report.feasible else None),
-        ("symmetric spending caps", certs.spending_symmetric.within_caps() if report.feasible else None),
-        ("swap budget", report.swaps <= certs.swap_limit),
-    ]
-    if exact is not None:
-        opt_log, r = exact
-        bound = report.guarantee.best()
-        if math.isfinite(opt_log):
-            checks.append((f"ratio {r:.4f} within factor {bound:.4f}", r <= bound + 1e-9))
-        else:
-            checks.append((f"ratio within factor {bound:.4f}", None))
+def _solve(inst: Instance, eps: float, exact: bool = False, efx: bool = False) -> _Run:
+    """Solve ``inst``; with ``exact`` then brute-force the optimum, with ``efx`` then run the
+    1/2-EFX stage on the solver's allocation."""
+    report = solve_nsw(inst, eps)
+    run = _Run(inst, report.log_nsw, report)
+    if exact:
+        opt_log = brute_force_opt(inst).opt_log
+        run = run._replace(opt_log=opt_log, ratio=ratio_of_logs(opt_log, report.log_nsw))
+    return _made_fair(run, report.allocation) if efx else run
+
+
+def _made_fair(run: _Run, start: Allocation) -> _Run:
+    fair = guarantee_half_efx(run.inst, start)
+    return run._replace(fair=fair, fair_log=nsw_log(run.inst, fair))
+
+
+def _checks(run: _Run, ratio: bool = True) -> Checks:
+    """The one check list, (name, ok) with ok None when no positive-welfare allocation exists: the
+    solve's four certificate entries, the ratio to the optimum when ``ratio`` is set and the optimum
+    was computed, then the 1/2-EFX output's three entries, each part only if ``run`` holds it."""
+    checks: Checks = []
+    report = run.report
+    if report is not None:
+        certs = report.certificates
+        checks += [
+            ("local optimum recheck", not certs.local_opt_violations),
+            ("asymmetric spending caps", certs.spending_asymmetric.within_caps() if report.feasible else None),
+            ("symmetric spending caps", certs.spending_symmetric.within_caps() if report.feasible else None),
+            ("swap budget", report.swaps <= certs.swap_limit),
+        ]
+    if ratio and run.opt_log is not None:
+        bound, known = report.guarantee.best(), math.isfinite(run.opt_log)
+        shown = f" {run.ratio:.4f}" if known else ""
+        checks.append((f"ratio{shown} within factor {bound:.4f}", run.ratio <= bound + 1e-9 if known else None))
+    if run.fair is not None:
+        checks += [
+            ("half-efx", not half_efx_check(run.inst, run.fair)),
+            ("efx completeness", run.fair.is_complete(run.inst)),
+            ("efx welfare floor", run.fair_log >= run.start_log - math.log(2.0) - 1e-9),
+        ]
     return checks
-
-
-def _fair_checks(inst: Instance, fair: Allocation, fair_log: float, start_log: float) -> Checks:
-    """The check list of a 1/2-EFX output ``fair`` of log NSW ``fair_log``,
-    made from an allocation of log NSW ``start_log``."""
-    return [
-        ("half-efx", not half_efx_check(inst, fair)),
-        ("efx completeness", fair.is_complete(inst)),
-        ("efx welfare floor", fair_log >= start_log - math.log(2.0) - 1e-9),
-    ]
 
 
 def _require(checks: Checks, where: str) -> None:
@@ -166,27 +190,22 @@ def _require(checks: Checks, where: str) -> None:
 
 def cmd_solve(args) -> int:
     inst = _load_checked(args.instance)
-    report = solve_nsw(inst, args.eps)
+    run = _solve(inst, args.eps, args.exact, args.efx)
+    report = run.report
     doc = report.to_json()
     lines = [
         f"log_nsw: {_fmt(report.log_nsw)} (nsw {report.nsw():.6f})",
         f"swaps: {report.swaps} (limit {report.certificates.swap_limit:.3f})",
         f"guarantee: best factor {report.guarantee.best():.6f}",
     ]
-    exact = None
     if args.exact:
-        opt_log, r = exact = _exact(inst, report)
-        doc["exact"] = {"opt_log_nsw": _fmt(opt_log), "ratio": r}
-        lines.append(f"exact: opt log_nsw {_fmt(opt_log)}, ratio {r:.6f}")
-    checks = _checks(report, exact if args.verify else None)
+        doc["exact"] = {"opt_log_nsw": _fmt(run.opt_log), "ratio": run.ratio}
+        lines.append(f"exact: opt log_nsw {_fmt(run.opt_log)}, ratio {run.ratio:.6f}")
     if args.efx:
-        fair = guarantee_half_efx(inst, report.allocation)
-        fair_log = nsw_log(inst, fair)
-        checks += _fair_checks(inst, fair, fair_log, report.log_nsw)
-        allocation = {a: inst.sort_items(b) for a, b in sorted(fair.bundles.items())}
-        doc["efx"] = {"allocation": allocation, "log_nsw": _fmt(fair_log), "half_efx": True}
-        lines.append(f"efx: half-efx ok, log_nsw {_fmt(fair_log)}")  # shown only if _require passes
-    _require(checks, "solve")
+        allocation = {a: inst.sort_items(b) for a, b in sorted(run.fair.bundles.items())}
+        doc["efx"] = {"allocation": allocation, "log_nsw": _fmt(run.fair_log), "half_efx": True}
+        lines.append(f"efx: half-efx ok, log_nsw {_fmt(run.fair_log)}")  # shown only if _require passes
+    _require(_checks(run, ratio=args.verify), "solve")
     _write_files((args.trace, _trace_csv(report)), (args.out, canonical_json(doc)))
     print("\n".join(lines))
     return 0
@@ -212,24 +231,18 @@ def cmd_efx(args) -> int:
             start = load_allocation(args.allocation)
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot read allocation {args.allocation}: {exc}") from exc
+        run = _made_fair(_Run(inst, nsw_log(inst, start)), start)
     else:
-        start = solve_nsw(inst, args.eps).allocation
-    before = nsw_log(inst, start)
-    fair = guarantee_half_efx(inst, start)
-    after = nsw_log(inst, fair)
-    _require(_fair_checks(inst, fair, after, before), "efx")
-    _write_files((args.out, canonical_json(allocation_to_json(inst, fair))))
+        run = _solve(inst, args.eps, efx=True)
+    _require(_checks(run), "efx")
+    _write_files((args.out, canonical_json(allocation_to_json(inst, run.fair))))
+    before, after = run.start_log, run.fair_log
     print(f"half-efx ok; log_nsw {_fmt(before)} -> {_fmt(after)} (floor {_fmt(before - math.log(2.0))})")
     return 0
 
 
 def cmd_verify(args) -> int:
-    inst = _load_checked(args.instance)
-    report = solve_nsw(inst, args.eps)
-    checks = _checks(report, _exact(inst, report) if args.exact else None)
-    if args.efx:
-        fair = guarantee_half_efx(inst, report.allocation)
-        checks += _fair_checks(inst, fair, nsw_log(inst, fair), report.log_nsw)
+    checks = _checks(_solve(_load_checked(args.instance), args.eps, args.exact, args.efx))
     for name, ok in checks:
         if ok is None:
             print(f"SKIP  {name} (no positive-welfare allocation)")
@@ -314,24 +327,17 @@ def cmd_experiment(args) -> int:
         seed = config["seed"] + trial
         name = f"{family}-n{n}-m{m}-s{seed}"
         inst = random_instance(family, n, m, seed, config["weight_mode"])
-        report = solve_nsw(inst, config["eps"])
-        exact = opt_log = r = None
-        if config["exact"]:
-            try:
-                opt_log, r = exact = _exact(inst, report)
-            except SizeGuardExceeded as exc:
-                print(f"warning: skipping {name}: {exc}", file=sys.stderr)
-                continue
-            if math.isfinite(opt_log):
-                max_ratio[family] = max(max_ratio.get(family, 1.0), r)
-        checks = _checks(report, exact if config["verify"] else None)
-        efx_pass = ""
-        if config["efx"] and inst.is_symmetric():  # the 1/2-EFX stage needs equal weights
-            fair = guarantee_half_efx(inst, report.allocation)
-            fair_checks = _fair_checks(inst, fair, nsw_log(inst, fair), report.log_nsw)
-            efx_pass = "yes" if fair_checks[0][1] else "no"
-            checks += fair_checks if config["verify"] else []
-        _require(checks, f"instance {name}")
+        try:  # the 1/2-EFX stage needs equal weights
+            run = _solve(inst, config["eps"], config["exact"], config["efx"] and inst.is_symmetric())
+        except SizeGuardExceeded as exc:
+            print(f"warning: skipping {name}: {exc}", file=sys.stderr)
+            continue
+        report, opt_log, r = run.report, run.opt_log, run.ratio
+        if opt_log is not None and math.isfinite(opt_log):
+            max_ratio[family] = max(max_ratio.get(family, 1.0), r)
+        checks = _checks(run, ratio=config["verify"])
+        efx_pass = {None: "", True: "yes", False: "no"}[dict(checks).get("half-efx")]
+        _require(checks if config["verify"] else checks[:4], f"instance {name}")  # else the solve's four
         rows.append(
             [
                 name,

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
 from .errors import AllocationError
-from .valuations import Valuation, valuation_from_params
+from .valuations import Valuation, as_list, valuation_from_params
 
 __all__ = [
     "FORMAT_VERSION",
@@ -236,14 +236,15 @@ def instance_from_json(doc: Mapping) -> Instance:
     with malformed("instance"):
         if doc.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
-        agents = tuple(str(entry["id"]) for entry in doc["agents"])
-        weights = tuple(_weight(entry["weight"]) for entry in doc["agents"])
-        items = tuple(str(j) for j in doc["items"])
-        keys = [str(entry["agent"]) for entry in doc["valuations"]]
+        entries, valuation_docs = as_list(doc["agents"], "agents"), as_list(doc["valuations"], "valuations")
+        agents = tuple(str(entry["id"]) for entry in entries)
+        weights = tuple(_weight(entry["weight"]) for entry in entries)
+        items = tuple(str(j) for j in as_list(doc["items"], "items"))
+        keys = [str(entry["agent"]) for entry in valuation_docs]
         wrong = sorted({a for a in keys + list(agents) if keys.count(a) != (1 if a in agents else 0)})
         if wrong:
             raise ValueError(f"valuations must name each listed agent once and no other agent; wrong for {wrong}")
-        by_agent = dict(zip(keys, doc["valuations"]))
+        by_agent = dict(zip(keys, valuation_docs))
         valuations = tuple(
             valuation_from_params(by_agent[a]["kind"], by_agent[a]["params"]) for a in agents
         )
@@ -271,7 +272,8 @@ def allocation_from_json(doc: Mapping) -> Allocation:
     with malformed("allocation"):
         if doc.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
-        return Allocation.of({str(a): [str(j) for j in items] for a, items in doc["bundles"].items()})
+        bundles = doc["bundles"].items()
+        return Allocation.of({str(a): [str(j) for j in as_list(b, f"bundle of {a!r}")] for a, b in bundles})
 
 
 def load_allocation(path) -> Allocation:

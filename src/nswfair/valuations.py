@@ -19,13 +19,15 @@ and ``remove(j)``. The base form calls ``value()`` on sets; tables use it.
 The generator families keep running counts instead, with the same floats bit
 for bit (every float is an integer count of 1/q, q the largest power-of-two
 denominator, and int / int rounds correctly): an exact sum of item values for
-the additive pair, and one count per element for coverage and the matroid rank,
-both v(S) = sum_e w_e * min(c_e, how many items of S hold e).
+the additive pair, and for coverage and the matroid rank, both
+v(S) = sum_e w_e * min(c_e, how many items of S hold e), one count for each
+element of the items a state has met (not for the whole ground set).
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple, TypeVar
 
 import numpy as np
@@ -46,6 +48,13 @@ __all__ = [
     "check_submodular",
     "subset_values",
 ]
+
+
+def as_list(value, what: str):
+    """``value``, if a list, tuple or set: a JSON string or object would be read as its characters or keys."""
+    if not isinstance(value, (list, tuple, set, frozenset)):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
 
 
 def _as_nonneg_float(value, what: str) -> float:
@@ -199,7 +208,7 @@ class Coverage(Valuation):
         }
         self._covers: Dict[str, FrozenSet[str]] = {}
         for item, elems in covers.items():
-            cov = frozenset(str(e) for e in elems)
+            cov = frozenset(str(e) for e in as_list(elems, f"cover of item {item!r}"))
             missing = cov - self._weights.keys()
             if missing:
                 raise ValueError(f"item {item!r} covers unweighted elements {sorted(missing)}")
@@ -267,11 +276,13 @@ class PartitionMatroidRank(Valuation):
 class _CountState(BundleState):
     """v(R) = sum_e w_e * min(c_e, how many items of R hold e) as an exact int, from the
     valuation's ``_counts``: the elements each item holds, the weights as :func:`exact_ints`
-    and the capacities c_e. Coverage caps each element at 1; the rank has one element per class."""
+    and the capacities c_e. Coverage caps each element at 1; the rank has one element per class.
+    Counts start empty and an element's is made, at 0, when first read: a state counts only the
+    elements of items it has held or been asked about, so building one costs its bundle's size."""
 
     def __init__(self, v: Valuation, bundle: Iterable[str]):
         self._holds, (self._ints, self._q), self._caps = v._counts
-        self._count = dict.fromkeys(self._caps, 0)
+        self._count: Dict[str, int] = defaultdict(int)
         self._total = 0
         super().__init__(v, bundle)
 
@@ -324,7 +335,7 @@ class ExplicitTable(Valuation):
     SUBMODULAR_SLACK = 1e-9
 
     def __init__(self, order: Sequence[str], values: Sequence[float]):
-        self._order = tuple(str(j) for j in order)
+        self._order = tuple(str(j) for j in as_list(order, "table order"))
         if len(set(self._order)) != len(self._order):
             raise ValueError("duplicate item ids in table order")
         m = len(self._order)

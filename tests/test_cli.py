@@ -315,6 +315,59 @@ def test_verify_reports_a_cap_failure_as_fail(inst_file, monkeypatch, capsys):
     assert "certificate violation" in captured.err
 
 
+def _over_asymmetric_cap(monkeypatch):
+    """Patch ``pipeline.check_spending`` so that agent a0 overruns its asymmetric cap."""
+    import nswfair.pipeline as pipeline
+    from nswfair.search import SpendingReport
+
+    real = pipeline.check_spending
+
+    def over_cap(price_vector):
+        report = real(price_vector)
+        if price_vector.variant != "asymmetric":
+            return report
+        return SpendingReport(report.variant, {**report.per_agent, "a0": (0.75, 0.5)}, 0.9, 1.0)
+
+    monkeypatch.setattr(pipeline, "check_spending", over_cap)
+
+
+def test_efx_command_enforces_the_solve_certificates(inst_file, tmp_path, monkeypatch, capsys):
+    _over_asymmetric_cap(monkeypatch)
+    out = tmp_path / "fair.json"
+    assert main(["efx", inst_file, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "efx: failed asymmetric spending caps" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_two_outputs_on_one_file_are_refused(inst_file, tmp_path, capsys):
+    out = tmp_path / "r.out"
+    assert main(["solve", inst_file, "--trace", str(out), "--out", str(out)]) == 1
+    assert "same file" in capsys.readouterr().err and not out.exists()
+    (tmp_path / "link.out").symlink_to(out)
+    assert main(["solve", inst_file, "--trace", str(tmp_path / "link.out"), "--out", str(out)]) == 1
+    assert not out.exists() and sorted(os.listdir(tmp_path)) == ["instance.json", "link.out"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_solving_command_enforces_the_list_verify_prints(tmp_path, monkeypatch, capsys, family):
+    import nswfair.cli as cli_mod
+
+    enforced = []
+    real = cli_mod._require
+    monkeypatch.setattr(cli_mod, "_require", lambda checks, where: enforced.append(checks) or real(checks, where))
+    path = str(tmp_path / "instance.json")
+    assert main(["gen", family, "2", "4", "--seed", "1", "--out", path]) == 0
+    assert main(["verify", path, "--exact", "--efx"]) == 0
+    printed = [line.split("  ", 1)[1].split(" (no positive")[0] for line in capsys.readouterr().out.splitlines()]
+    assert len(printed) == 8
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"families": [family], "n": [2], "m": [4], "trials": 1, "seed": 1, "verify": True}))
+    assert main(["solve", path, "--exact", "--verify", "--efx"]) == 0
+    assert main(["experiment", str(config)]) == 0
+    assert [[name for name, _ in checks] for checks in enforced] == [printed] * 3
+
+
 def test_solve_efx_rejects_an_incomplete_fair_allocation(inst_file, monkeypatch, capsys):
     import nswfair.cli as cli_mod
 
@@ -458,6 +511,12 @@ MALFORMED_FILES = {
     "config families 'additive'": ("experiment", {"families": "additive", "n": [2], "m": [3], "trials": 1}),
     "config n {}": ("experiment", {"n": {}, "m": [3], "trials": 1}),
     "config m {}": ("experiment", {"n": [2], "m": {}, "trials": 1}),
+    "items 'g0g1g2g3'": ("solve", _edited(("items",), "g0g1g2g3")),
+    "agents 'a0a1'": ("solve", _edited(("agents",), "a0a1")),
+    "valuations 'a0'": ("solve", _edited(("valuations",), "a0")),
+    "bundle 'g0'": ("efx", {"format_version": 1, "bundles": {"a0": "g0", "a1": ["g1", "g2", "g3"]}}),
+    "cover 'u0'": ("solve", _edited(("valuations", 0, "params", "covers", "g0"), "u0", _COVER)),
+    "table order 'g0'": ("solve", _edited(("valuations", 0, "params", "order"), "g0", _TABLE)),
 }
 
 
@@ -480,6 +539,23 @@ def test_malformed_input_files_exit_1_with_an_error_line(tmp_path, capsys, comma
     assert _main_on_file(tmp_path, command, doc) == 1
     err = capsys.readouterr().err
     assert err.splitlines()[0].startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "case,field",
+    [
+        ("items 'g0g1g2g3'", "items"),
+        ("agents 'a0a1'", "agents"),
+        ("valuations 'a0'", "valuations"),
+        ("bundle 'g0'", "bundle of 'a0'"),
+        ("cover 'u0'", "cover of item 'g0'"),
+        ("table order 'g0'", "table order"),
+    ],
+)
+def test_a_string_where_a_list_belongs_is_named(tmp_path, capsys, case, field):
+    # A string is iterable, so unchecked it would be read as a list of its characters.
+    assert _main_on_file(tmp_path, *MALFORMED_FILES[case]) == 1
+    assert f"{field} must be a list, got '" in capsys.readouterr().err
 
 
 _AGENT_0, _VALUATION_0 = _BASE["agents"][0], _BASE["valuations"][0]

@@ -16,7 +16,6 @@ from nswfair import (
     brute_force_opt,
     check_spending,
     guarantee_factor,
-    guarantee_half_efx,
     local_search,
     nsw_log,
     phi,
@@ -25,7 +24,7 @@ from nswfair import (
     verify_local_opt,
 )
 import nswfair.pipeline as pipeline_mod
-from nswfair.cli import _checks, _fair_checks
+from nswfair.cli import _checks, _made_fair, _Run
 from nswfair.generate import FAMILIES, random_instance
 from nswfair.search import swap_bound
 
@@ -289,7 +288,7 @@ def test_extreme_values_solve_to_passing_checks_or_raise_value_error(data, eps):
     except ValueError:
         return
     assert solve_nsw(build(), eps).to_json() == report.to_json()
-    assert all(ok in (True, None) for _, ok in _checks(report))
+    run = _Run(inst, report.log_nsw, report)
+    assert all(ok in (True, None) for _, ok in _checks(run))
     if report.feasible and inst.is_symmetric():
-        fair = guarantee_half_efx(inst, report.allocation)
-        assert all(ok for _, ok in _fair_checks(inst, fair, nsw_log(inst, fair), report.log_nsw))
+        assert all(ok for _, ok in _checks(_made_fair(run, report.allocation)))

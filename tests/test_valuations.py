@@ -16,6 +16,7 @@ from nswfair import (
     UnknownItem,
     check_submodular,
 )
+from nswfair.generate import random_instance
 from nswfair.valuations import Valuation, valuation_from_params
 
 
@@ -246,6 +247,19 @@ def test_bundle_state_equals_value_bit_for_bit(data, case):
         for j in items:
             answer, changed = (state.minus(j), held - {j}) if j in held else (state.plus(j), held | {j})
             assert answer.hex() == v.value(changed).hex(), (j, sorted(held))
+
+
+@pytest.mark.parametrize("family", ["coverage", "partition_matroid_rank"])
+def test_a_count_state_holds_counts_only_for_elements_its_items_hold(family):
+    v = random_instance(family, 1, 200, 1).valuations[0]
+    holds = v._counts[0]
+    state = v.bundle_state([])
+    assert not state._count and state.value() == 0.0
+    bundle = ["g3", "g17", "g100"]
+    for item in bundle:
+        state.add(item)
+    assert state._count.keys() == {e for item in bundle for e in holds[item]} != set()
+    assert state.value() == v.value(bundle)
 
 
 @settings(max_examples=200, deadline=None)
