@@ -33,6 +33,7 @@ from .instance import (
     validate,
 )
 from .search import (
+    certificate_table,
     check_spending,
     epsilon_bar,
     local_search,
@@ -74,6 +75,7 @@ __all__ = [
     "WEIGHT_MODES",
     "brute_force_opt",
     "build_feasibility_graph",
+    "certificate_table",
     "check_spending",
     "check_submodular",
     "complete_with_leftovers",

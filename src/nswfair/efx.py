@@ -14,9 +14,10 @@ The trim steps read v_i(S_k) and every v_i(S_k - j) from one bundle state
 per (agent, bundle) (:meth:`Valuation.bundle_state`), bit for bit equal to
 ``value()``, and the loose-item comparisons read the instance's singleton
 table (:attr:`Instance.singletons`). Envy-cycle completion keeps one table
-v_i(S_k) in step with the bundles: a rotation permutes its columns, and an
-item handed out recomputes one column. :func:`half_efx_check`, the
-independent checker, calls ``value()`` on sets and relies on monotonicity.
+v_i(S_k), and the bundle states it is read from, in step with the bundles: a
+rotation permutes their columns, and an item handed out is added to one
+column's states. :func:`half_efx_check`, the independent checker, calls
+``value()`` on sets and relies on monotonicity.
 """
 
 from __future__ import annotations
@@ -223,9 +224,10 @@ def envy_cycle_complete(inst: Instance, t_alloc: Allocation, unallocated: Set[st
     single unallocated item; this is what keeps 1/2-EFX stable while bundles
     rotate along envy cycles and grow one item at a time.
 
-    One table ``values[i][k] = v_i(S_k)``, built with n^2 ``value()`` calls when
-    the pool is non-empty, answers the precondition and the envy graph. A
-    rotation permutes its columns with the bundles; an item given to k redoes column k.
+    One table ``values[i][k] = v_i(S_k)``, read from n^2 bundle states when the
+    pool is non-empty, answers the precondition and the envy graph. A rotation
+    permutes the columns of both with the bundles; an item given to k is added to
+    column k's states, and the table reads their values.
     """
     bundles = _bundles_by_index(inst, t_alloc)
     n = inst.n
@@ -233,7 +235,8 @@ def envy_cycle_complete(inst: Instance, t_alloc: Allocation, unallocated: Set[st
     if stray:
         raise ValueError(f"items {sorted(stray)} are unknown or already allocated")
     pool = inst.sort_items(unallocated)
-    values = [[v.value(bundle) for bundle in bundles] for v in inst.valuations] if pool else []
+    states = [[v.bundle_state(bundle) for bundle in bundles] for v in inst.valuations] if pool else []
+    values = [[state.value() for state in row] for row in states]
     upgrade = _loose_upgrade(inst, [row[i] for i, row in enumerate(values)], pool)
     if upgrade:
         i, j = upgrade
@@ -246,7 +249,7 @@ def envy_cycle_complete(inst: Instance, t_alloc: Allocation, unallocated: Set[st
             cycle = _find_cycle(adj)
             if cycle is None:
                 break
-            for seq in (bundles, *values):
+            for seq in (bundles, *values, *states):
                 shifted = [seq[k] for k in cycle[1:] + cycle[:1]]
                 for k, x in zip(cycle, shifted):
                     seq[k] = x
@@ -256,8 +259,9 @@ def envy_cycle_complete(inst: Instance, t_alloc: Allocation, unallocated: Set[st
         envied = {k for row in adj for k in row}
         source = next(i for i in range(n) if i not in envied)
         bundles[source] = bundles[source] | {j}
-        for v, row in zip(inst.valuations, values):
-            row[source] = v.value(bundles[source])
+        for row, state_row in zip(values, states):
+            state_row[source].add(j)
+            row[source] = state_row[source].value()
     return Allocation({a: bundles[i] for i, a in enumerate(inst.agents)})
 
 

@@ -15,10 +15,11 @@ search, the local-optimality recheck and the prices read from that table
 which agents take part and each one's favorite item and shift, and leftover
 items go to the column maximum, so no stage evaluates a singleton again.
 
-The report embeds verification certificates (exhaustive local-optimality
-recheck and both spending-cap reports) plus the approximation factors
-implied by the instance's weight profile. The certificates are records:
-``solve_nsw`` returns them whatever they show, and the caller judges them.
+The report embeds verification certificates plus the approximation factors
+implied by the instance's weight profile. One :func:`certificate_table` serves
+the local-optimality recheck, then both price vectors and spending reports.
+The certificates are records: ``solve_nsw`` returns them whatever they show,
+and the caller judges them.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .instance import NEG_INF, Allocation, Instance, complete_with_leftovers, ns
 from .search import (
     LocalSearchResult,
     SpendingReport,
+    certificate_table,
     check_spending,
     epsilon_bar,
     local_search,
@@ -245,13 +247,10 @@ def solve_nsw(inst: Instance, eps: float) -> SolveReport:
     allocation = Allocation({a: frozenset(search.bundles[a] | {sigma[a]}) for a in inst.agents})
     allocation = complete_with_leftovers(inst, allocation)
 
-    asymmetric, symmetric = prices(inst, search.bundles)
-    certificates = SolveCertificates(
-        local_opt_violations=tuple(verify_local_opt(inst, search.bundles, eps_bar)),
-        spending_asymmetric=check_spending(asymmetric),
-        spending_symmetric=check_spending(symmetric),
-        swap_limit=swap_bound(inst.m, eps_bar),
-    )
+    table = certificate_table(inst, search.bundles)
+    violations = tuple(verify_local_opt(table, eps_bar))
+    asymmetric, symmetric = map(check_spending, prices(table))
+    certificates = SolveCertificates(violations, asymmetric, symmetric, swap_bound(inst.m, eps_bar))
     return SolveReport(
         allocation=allocation,
         log_nsw=nsw_log(inst, allocation),

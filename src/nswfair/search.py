@@ -13,15 +13,15 @@ are defined. A move takes item j from agent i to agent k; it is accepted when
 strictly. Scanning order is fixed (agents by index, items by index, takers by
 index) and the first improving move is applied, so runs are deterministic.
 
-Every swap is scored through one gain table, :class:`_Gains`, which memoises
-each swap's two terms: the giver's w_i * log(vbar_i(R_i - j) / vbar_i(R_i))
-per (giver, item) and the taker's w_k * log(vbar_k(R_k + j) / vbar_k(R_k))
-per (taker, item). Each is filled on first use, from a bundle state per agent
-(:meth:`Valuation.bundle_state`) that answers v(R), v(R + j) and v(R - j)
-from running counts instead of re-evaluating the whole bundle. Accepting a
-swap changes only the giver's and the taker's bundles, so it updates exactly
-their states and clears exactly their memo entries; every other agent keeps
-its own.
+Every swap is scored through one gain table, :class:`_Gains`, from two
+memos: vbar_i(R_i - j) and its log per (giver, item), which give the giver's
+term w_i * log(vbar_i(R_i - j) / vbar_i(R_i)), and the taker's term
+w_k * log(vbar_k(R_k + j) / vbar_k(R_k)) per (taker, item). Each is filled on
+first use, from a bundle state per agent (:meth:`Valuation.bundle_state`)
+that answers v(R), v(R + j) and v(R - j) from running counts instead of
+re-evaluating the whole bundle. Accepting a swap changes only the giver's and
+the taker's bundles, so it updates exactly their states and clears exactly
+their memo entries; every other agent keeps its own.
 
 After a swap the scan walks again from the top, but keeps a frontier: the
 swap count at which each agent's bundle last changed, and the swap count at
@@ -36,13 +36,13 @@ swap trace and the certificates are the floats a fresh evaluation gives. One
 full scan after the last swap, all of it memo hits, certifies the local
 optimum.
 
-Fresh tables back :func:`verify_local_opt`, which re-checks every triple on
-the final bundles, and :func:`prices`, which turns local optimality into both
-price vectors with provable spending caps. Their states call ``value()`` on
-sets, so the recheck does not depend on the family states. All three read
-``abar``, the favorites and the shifts from :attr:`Instance.singletons` alone.
-The certificates are records: neither :func:`prices` nor
-:func:`check_spending` raises on what it finds.
+One fresh table over the final bundles, :func:`certificate_table`, backs
+:func:`verify_local_opt`, which re-checks every triple, and then :func:`prices`,
+which reads the recheck's vbar(R) and vbar(R - j) into both price vectors with
+provable spending caps. Its states call ``value()`` on sets, so the recheck
+depends on neither the search's memo nor the family states. The certificates
+are records: neither :func:`prices` nor :func:`check_spending` raises on what
+it finds.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ __all__ = [
     "LocalOptCertificate",
     "LocalSearchResult",
     "local_search",
+    "certificate_table",
     "verify_local_opt",
     "PriceVector",
     "prices",
@@ -135,11 +136,11 @@ class _Gains:
 
     ``abar``: the agents with a positive singleton value in J, in index order; ``favorite`` and
     ``offset`` map each to its first item of J of largest singleton value and that value (the
-    shift of vbar), all read from :attr:`Instance.singletons`. Memo misses are answered by one
-    bundle state per agent, made by ``state`` from the agent's valuation and bundle on first
-    use: each family's own by default, or the ``value()``-backed :class:`BundleState` for a
-    recheck. Change ``bundles`` only through :meth:`move`, which keeps the states and the memo
-    in step.
+    shift of vbar), all read from :attr:`Instance.singletons`. vbar(R), each vbar(R - j) and
+    each taker's term are memoised; memo misses are answered by one bundle state per agent,
+    made by ``state`` from the agent's valuation and bundle on first use: each family's own by
+    default, or the ``value()``-backed :class:`BundleState` of :func:`certificate_table`.
+    Change ``bundles`` only through :meth:`move`, which keeps the states and the memo in step.
     """
 
     def __init__(
@@ -169,7 +170,7 @@ class _Gains:
         self._states: Dict[str, BundleState] = {}
         self._rows: Dict[str, List[str]] = {}
         self._cur: Dict[str, Tuple[float, float]] = {}
-        self._give: Dict[str, Dict[str, float]] = {a: {} for a in self.abar}
+        self._removed: Dict[str, Dict[str, Tuple[float, float]]] = {a: {} for a in self.abar}
         self._take: Dict[str, Dict[str, float]] = {a: {} for a in self.abar}
 
     def _state(self, agent: str) -> BundleState:
@@ -199,15 +200,15 @@ class _Gains:
 
     def removed(self, agent: str, item: str) -> Tuple[float, float]:
         """vbar(R_agent - item) and its log."""
-        return self._vbar(agent, self._state(agent).minus(item))
+        row = self._removed[agent]
+        hit = row.get(item)
+        if hit is None:
+            hit = row[item] = self._vbar(agent, self._state(agent).minus(item))
+        return hit
 
     def give(self, giver: str, item: str) -> float:
         """The giver's term of a swap: w_g * (log vbar_g(R_g - j) - log vbar_g(R_g))."""
-        row = self._give[giver]
-        hit = row.get(item)
-        if hit is None:
-            hit = row[item] = self.weight[giver] * (self.removed(giver, item)[1] - self.current(giver)[1])
-        return hit
+        return self.weight[giver] * (self.removed(giver, item)[1] - self.current(giver)[1])
 
     def take(self, taker: str, item: str) -> float:
         """The taker's term of a swap: w_t * (log vbar_t(R_t + j) - log vbar_t(R_t))."""
@@ -234,7 +235,7 @@ class _Gains:
         for agent in (giver, taker):
             self._rows.pop(agent, None)
             self._cur.pop(agent, None)
-            self._give[agent].clear()
+            self._removed[agent].clear()
             self._take[agent].clear()
 
 
@@ -320,7 +321,9 @@ def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> Loc
     )
 
 
-def _gains_for_bundles(inst: Instance, bundles: Mapping[str, Iterable[str]]) -> _Gains:
+def certificate_table(inst: Instance, bundles: Mapping[str, Iterable[str]]) -> _Gains:
+    """The gain table over ``bundles`` that :func:`verify_local_opt` and :func:`prices` read;
+    its states, built on first use, call ``value()`` on sets."""
     alloc = Allocation.of(bundles)
     _check_structure(inst, alloc)
     sets = {a: set(alloc.bundle(a)) for a in inst.agents}
@@ -333,18 +336,11 @@ def _gains_for_bundles(inst: Instance, bundles: Mapping[str, Iterable[str]]) -> 
     return table
 
 
-def verify_local_opt(
-    inst: Instance, bundles: Mapping[str, Iterable[str]], eps_bar: float
-) -> List[Tuple[str, str, str]]:
-    """Exhaustively re-check local optimality of ``bundles``.
-
-    Returns every (giver, taker, item) triple whose swap gain strictly beats
-    log(1 + eps_bar); the empty list certifies an eps_bar-local optimum. A fresh
-    table of the kind :func:`local_search` scores with rechecks the search's
-    memo independently, and verifying a search output is exact, not a tolerance game.
-    """
+def verify_local_opt(table: _Gains, eps_bar: float) -> List[Tuple[str, str, str]]:
+    """Exhaustively re-check local optimality: every (giver, taker, item) triple of ``table``
+    whose swap gain strictly beats log(1 + eps_bar); the empty list certifies an eps_bar-local
+    optimum. The recheck is exact, not a tolerance game, and independent of the search's memo."""
     threshold = _threshold(eps_bar)
-    table = _gains_for_bundles(inst, bundles)
     return [
         (giver, taker, item)
         for giver, item, taker, gain in table.scan()
@@ -370,11 +366,10 @@ class PriceVector:
         return float(sum(self.values[j] for j in sorted(items)))
 
 
-def prices(inst: Instance, bundles: Mapping[str, Iterable[str]]) -> Tuple[PriceVector, PriceVector]:
-    """Asymmetric and symmetric prices of the items held by participating
-    agents, from one gain table; a symmetric price above 1 is recorded, and
-    as prices are nonnegative it breaks a cap."""
-    table = _gains_for_bundles(inst, bundles)
+def prices(table: _Gains) -> Tuple[PriceVector, PriceVector]:
+    """Asymmetric and symmetric prices of the items held by participating agents, from the
+    vbar(R) and vbar(R - j) ``table`` memoised (all of them, after :func:`verify_local_opt`);
+    a symmetric price above 1 is recorded, and as prices are nonnegative it breaks a cap."""
     asymmetric = PriceVector("asymmetric", {}, {})
     symmetric = PriceVector("symmetric", {}, {})
     for agent in table.abar:

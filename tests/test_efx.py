@@ -347,6 +347,26 @@ def test_envy_cycle_value_calls(monkeypatch, loose):
     assert half_efx_check(inst, result) == []
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_envy_cycle_completion_on_family_states_calls_no_value(monkeypatch, family):
+    # The generator families answer the table from their own bundle states, so completing
+    # from all items with the first agent (34 loose items) evaluates nothing.
+    import nswfair.efx as efx_mod
+
+    inst = random_instance(family, 6, 40, 0)
+    staged = []
+    monkeypatch.setattr(efx_mod, "envy_cycle_complete", lambda inst, alloc, pool: staged.append((alloc, pool)))
+    guarantee_half_efx(inst, Allocation.of({inst.agents[0]: inst.items}))
+    [(alloc, pool)] = staged
+    assert len(pool) == 34
+    kind, calls = type(inst.valuations[0]), []
+    base_value = kind.value
+    monkeypatch.setattr(kind, "value", lambda self, bundle: calls.append(bundle) or base_value(self, bundle))
+    result = envy_cycle_complete(inst, alloc, pool)
+    assert calls == []
+    assert result == reference_envy_cycle_complete(inst, alloc, pool)
+
+
 def _random_partials(count, seed):
     """(instance, allocation) pairs, all families at 2-5 agents and 6-12 items, each item held by a
     random agent with probability 0.35 and loose otherwise."""

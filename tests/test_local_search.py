@@ -2,6 +2,7 @@
 
 import importlib
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from nswfair import (
     Coverage,
     Instance,
     InvariantViolation,
+    certificate_table,
     check_spending,
     epsilon_bar,
     local_search,
@@ -129,22 +131,22 @@ def test_swap_guard_raises_past_the_bound(e1, monkeypatch):
 def test_verify_local_opt_flags_the_initial_allocation(e1):
     eb = epsilon_bar(0.1, 4)
     bad = {"1": {"c", "d"}, "2": set()}
-    assert verify_local_opt(e1, bad, eb) == [("1", "2", "c"), ("1", "2", "d")]
+    assert verify_local_opt(certificate_table(e1, bad), eb) == [("1", "2", "c"), ("1", "2", "d")]
     good = local_search(e1, ["c", "d"], eb).bundles
-    assert verify_local_opt(e1, good, eb) == []
+    assert verify_local_opt(certificate_table(e1, good), eb) == []
 
 
 def test_verify_rejects_malformed_bundles(e1):
     with pytest.raises(AllocationError):
-        verify_local_opt(e1, {"1": {"c"}, "2": {"c"}}, 0.1)
+        verify_local_opt(certificate_table(e1, {"1": {"c"}, "2": {"c"}}), 0.1)
     zeros = make_instance({"1": {"a": 1}, "2": {"a": 0}})
     with pytest.raises(AllocationError):
-        verify_local_opt(zeros, {"2": {"a"}}, 0.1)
+        verify_local_opt(certificate_table(zeros, {"2": {"a"}}), 0.1)
 
 
 def test_price_reference_values(e1):
     bundles = {"1": {"d"}, "2": {"c"}}
-    asym, sym = prices(e1, bundles)
+    asym, sym = prices(certificate_table(e1, bundles))
     # Each bundle is a single unit item on top of a unit favorite, so the
     # ratio vbar(R)/vbar(R - j) is exactly 2 for both items.
     assert asym.values["d"] == pytest.approx(0.34657359027997264, abs=1e-15)
@@ -154,7 +156,7 @@ def test_price_reference_values(e1):
 
 def test_spending_reference_values(e1):
     bundles = {"1": {"d"}, "2": {"c"}}
-    asym, sym = map(check_spending, prices(e1, bundles))
+    asym, sym = map(check_spending, prices(certificate_table(e1, bundles)))
     assert asym.per_agent["1"] == (pytest.approx(math.log(2) / 2), 0.5)
     assert asym.total_spent == pytest.approx(math.log(2))
     assert asym.total_cap == 1.0
@@ -177,7 +179,7 @@ def test_spending_over_a_cap_is_reported_not_raised():
 
     base = random_instance("additive", 2, 6, 0)
     inst = Instance(base.agents, base.weights, base.items, (Squares(), base.valuations[1]))
-    sym = check_spending(prices(inst, {"a0": set(inst.items), "a1": set()})[1])
+    sym = check_spending(prices(certificate_table(inst, {"a0": set(inst.items), "a1": set()}))[1])
     # vbar = 1 + v: each of the six items is priced 37 / 26 - 1
     assert sym.per_agent["a0"] == (pytest.approx(6 * (37 / 26 - 1)), 1.0)
     assert not sym.within_caps()
@@ -192,7 +194,7 @@ def test_check_spending_calls_no_valuation(monkeypatch):
     inst = random_instance("coverage", 4, 24, 3)
     eb = epsilon_bar(0.1, inst.m)
     bundles = local_search(inst, inst.items, eb).bundles
-    price_vectors = prices(inst, bundles)
+    price_vectors = prices(certificate_table(inst, bundles))
     calls = []
     monkeypatch.setattr(Coverage, "value", lambda self, bundle: calls.append(bundle))
     reports = [check_spending(pv) for pv in price_vectors]
@@ -214,7 +216,7 @@ def test_zero_value_agents_sit_out():
     assert result.abar == ("2",)
     assert result.bundles["1"] == frozenset()
     assert result.bundles["2"] == frozenset({"a", "b"})
-    assert verify_local_opt(inst, result.bundles, 0.1) == []
+    assert verify_local_opt(certificate_table(inst, result.bundles), 0.1) == []
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -231,9 +233,9 @@ def test_random_instances_reach_certified_optima(family, seed):
         assert assigned == []
     holders = {a for a, b in result.bundles.items() if b}
     assert holders <= set(result.abar)
-    assert verify_local_opt(inst, result.bundles, eb) == []
+    assert verify_local_opt(certificate_table(inst, result.bundles), eb) == []
     assert result.swaps <= math.log(len(inst.items) + 1) / math.log1p(eb) + 1
-    for price_vector in prices(inst, result.bundles):
+    for price_vector in prices(certificate_table(inst, result.bundles)):
         assert check_spending(price_vector).within_caps()
 
 
@@ -254,7 +256,7 @@ def test_asymmetric_weights_respect_caps():
     )
     eb = epsilon_bar(0.1, 3)
     result = local_search(inst, inst.items, eb)
-    report = check_spending(prices(inst, result.bundles)[0])
+    report = check_spending(prices(certificate_table(inst, result.bundles))[0])
     assert report.within_caps()
     assert all(spent <= cap + 1e-9 for spent, cap in report.per_agent.values())
     assert report.per_agent["1"][1] == 0.25
@@ -321,32 +323,44 @@ def test_search_oracle_calls_per_swap_stay_memoised(monkeypatch):
 
 
 def test_one_price_table_per_solve(monkeypatch):
-    # One table prices both variants: vbar(R) per agent and vbar(R - j) per
-    # item, with no setup call (who takes part and each shift come from phase
-    # 1's singleton table). A table per variant doubles that.
+    # One certificate table serves the recheck and both price vectors. The recheck
+    # evaluates vbar(R) per agent, vbar(R - j) per held item and vbar(R + j) per other
+    # taker of each item; its states are built on first use, so building the table
+    # calls nothing. Prices then read vbar(R) and vbar(R - j) from the recheck's memo,
+    # where a table of their own would call value() once per agent and once per item.
     import nswfair.pipeline as pipeline
 
-    count = {"on": False, "calls": 0}
+    stage, calls, entered = [None], Counter(), []
     base_value = Coverage.value
 
     def counted_value(self, bundle):
-        count["calls"] += count["on"]
+        calls[stage[0]] += 1
         return base_value(self, bundle)
 
-    def counted_prices(*args):
-        count["on"] = True
-        try:
-            return prices(*args)
-        finally:
-            count["on"] = False
+    def counted(name):
+        fn = getattr(pipeline, name)
+
+        def run(*args):
+            stage[0] = name
+            entered.append(name)
+            try:
+                return fn(*args)
+            finally:
+                stage[0] = None
+
+        return run
 
     monkeypatch.setattr(Coverage, "value", counted_value)
-    monkeypatch.setattr(pipeline, "prices", counted_prices)
+    for name in ("certificate_table", "verify_local_opt", "prices"):
+        monkeypatch.setattr(pipeline, name, counted(name))
     inst = random_instance("coverage", 12, 120, 11)
     search = solve_nsw(inst, 0.1).search
     n_abar, size = len(search.abar), len(search.universe)
-    assert n_abar == inst.n
-    assert count["calls"] == n_abar + size == 120
+    assert (n_abar, size) == (12, 108)
+    assert entered == ["certificate_table", "verify_local_opt", "prices"]
+    assert calls["certificate_table"] == 0
+    assert calls["verify_local_opt"] == n_abar * (1 + size) == 1308
+    assert calls["prices"] == 0
 
 
 @pytest.mark.parametrize("eps_bar", [math.nan, -0.5])
@@ -356,7 +370,7 @@ def test_eps_bar_must_be_a_nonnegative_number(eps_bar):
     with pytest.raises(ValueError, match="eps_bar"):
         local_search(inst, inst.items, eps_bar)
     with pytest.raises(ValueError, match="eps_bar"):
-        verify_local_opt(inst, {"a0": set(inst.items)}, eps_bar)
+        verify_local_opt(certificate_table(inst, {"a0": set(inst.items)}), eps_bar)
 
 
 def full_restart_search(inst, universe, eps_bar):

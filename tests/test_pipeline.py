@@ -14,6 +14,7 @@ from nswfair import (
     Coverage,
     Instance,
     brute_force_opt,
+    certificate_table,
     check_spending,
     guarantee_factor,
     local_search,
@@ -242,7 +243,8 @@ def test_one_singleton_table_per_solve(monkeypatch):
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_certificate_stages_alone_match_the_solve(case):
     # Each stage called alone, on a fresh instance whose singleton table the
-    # stage fills itself, gives the floats the solve gave.
+    # stage fills itself, gives the floats the solve gave, in either order on
+    # one certificate table.
     family, mode, n, m, seed = case
     report = solve_nsw(random_instance(family, n, m, seed, mode), 0.1)
     if report.search is None:
@@ -250,10 +252,14 @@ def test_certificate_stages_alone_match_the_solve(case):
     inst = random_instance(family, n, m, seed, mode)
     search = local_search(inst, report.search.universe, report.eps_bar)
     assert search == report.search
-    assert tuple(verify_local_opt(inst, search.bundles, report.eps_bar)) == report.certificates.local_opt_violations
-    asymmetric, symmetric = map(check_spending, prices(inst, search.bundles))
-    assert asymmetric == report.certificates.spending_asymmetric
-    assert symmetric == report.certificates.spending_symmetric
+    certs = report.certificates
+    spending = (certs.spending_asymmetric, certs.spending_symmetric)
+    priced_first = certificate_table(inst, search.bundles)
+    assert tuple(map(check_spending, prices(priced_first))) == spending
+    assert tuple(verify_local_opt(priced_first, report.eps_bar)) == certs.local_opt_violations
+    checked_first = certificate_table(inst, search.bundles)
+    assert tuple(verify_local_opt(checked_first, report.eps_bar)) == certs.local_opt_violations
+    assert tuple(map(check_spending, prices(checked_first))) == spending
 
 
 EXTREME_VALUES = st.sampled_from([0.0, 5e-324, 1e-300, 1e-5, 0.1, 1 / 3, 1.0, 7.0, 1e6, 1e150, 1e300])
