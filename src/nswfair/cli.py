@@ -12,7 +12,6 @@ import contextlib
 import csv
 import io
 import itertools
-import json
 import math
 import os
 import sys
@@ -32,10 +31,12 @@ from .instance import (
     load_instance,
     malformed,
     nsw_log,
+    read_json,
     validate,
 )
 from .oracle import brute_force_opt, ratio_of_logs
 from .pipeline import SolveReport, solve_nsw
+from .valuations import as_number
 
 __all__ = ["main", "entrypoint"]
 
@@ -54,11 +55,16 @@ def _fmt(x: float) -> str:
     return "-inf" if x == NEG_INF else f"{x:.6f}"
 
 
-def _load_checked(path: str) -> Instance:
+def _read(load, path: str, what: str):
+    """``load(path)``; a file it cannot open or read is an input error that names ``what`` and ``path``."""
     try:
-        inst = load_instance(path)
+        return load(path)
     except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read instance {path}: {exc}") from exc
+        raise CliError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _load_checked(path: str) -> Instance:
+    inst = _read(load_instance, path, "instance")
     problems = validate(inst)
     if problems:
         raise CliError(f"invalid instance {path}: " + "; ".join(problems))
@@ -227,10 +233,7 @@ def cmd_exact(args) -> int:
 def cmd_efx(args) -> int:
     inst = _load_checked(args.instance)
     if args.allocation:
-        try:
-            start = load_allocation(args.allocation)
-        except (OSError, ValueError) as exc:
-            raise CliError(f"cannot read allocation {args.allocation}: {exc}") from exc
+        start = _read(load_allocation, args.allocation, "allocation")
         run = _made_fair(_Run(inst, nsw_log(inst, start)), start)
     else:
         run = _solve(inst, args.eps, efx=True)
@@ -276,7 +279,8 @@ def _json_typed(value, kind: str, what: str) -> None:
 
 
 def experiment_config(doc) -> dict:
-    """Every key of :data:`EXPERIMENT_KEYS`, from ``doc`` or its default, checked; ``eps`` as a float."""
+    """Every key of :data:`EXPERIMENT_KEYS`, from ``doc`` or its default, checked; ``eps`` and
+    ``trials`` read by :func:`as_number`."""
     with malformed("experiment config"):
         unknown = sorted(set(doc.keys()) - EXPERIMENT_KEYS.keys())
         if unknown:
@@ -290,12 +294,11 @@ def experiment_config(doc) -> dict:
         for key in ("n", "m"):
             for x in config[key]:
                 _json_typed(x, "integer", key)
-        if config["trials"] < 0:
-            raise CliError(f"trials must be nonnegative, got {config['trials']}")
+        config["trials"] = int(as_number(config["trials"], "trials", integer=True))
         bad = [f for f in config["families"] if f not in FAMILIES]
         if bad:
             raise CliError(f"unknown families {bad}")
-        config["eps"] = float(config["eps"])
+        config["eps"] = as_number(config["eps"], "eps")
         return config
 
 
@@ -315,14 +318,12 @@ EXPERIMENT_COLUMNS = [
 
 
 def cmd_experiment(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = experiment_config(json.load(fh))
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read experiment config {args.config}: {exc}") from exc
+    config = _read(lambda path: experiment_config(read_json(path)), args.config, "experiment config")
     rows: List[List[str]] = []
     max_ratio: dict[str, float] = {}
-    grid = itertools.product(config["families"], config["n"], config["m"], range(config["trials"]))
+    sizes = itertools.product(config["families"], config["n"], config["m"])
+    # Trials innermost and lazy: itertools.product would first build the whole range as a tuple.
+    grid = ((*size, trial) for size in sizes for trial in range(config["trials"]))
     for family, n, m, trial in grid:
         seed = config["seed"] + trial
         name = f"{family}-n{n}-m{m}-s{seed}"

@@ -9,6 +9,10 @@ Allocations map agents to disjoint bundles; the objective is
 with ``float('-inf')`` marking any allocation that leaves some agent at
 value zero. All index-based tie-breaking in the solver refers to the agent
 and item orders stored here.
+
+Every input file (instance, allocation, experiment config) is parsed by
+:func:`read_json` alone; it raises OSError or ValueError on any file it
+cannot read, a document nested too deeply included.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ __all__ = [
     "complete_with_leftovers",
     "instance_to_json",
     "instance_from_json",
+    "read_json",
     "load_instance",
     "save_instance",
     "allocation_to_json",
@@ -251,9 +256,17 @@ def instance_from_json(doc: Mapping) -> Instance:
     return Instance(agents=agents, weights=weights, items=items, valuations=valuations)
 
 
-def load_instance(path) -> Instance:
+def read_json(path):
+    """The JSON document in file ``path``; one nested too deeply for the parser is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("document is nested too deeply") from None
+
+
+def load_instance(path) -> Instance:
+    return instance_from_json(read_json(path))
 
 
 def save_instance(inst: Instance, path) -> None:
@@ -277,5 +290,4 @@ def allocation_from_json(doc: Mapping) -> Allocation:
 
 
 def load_allocation(path) -> Allocation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return allocation_from_json(json.load(fh))
+    return allocation_from_json(read_json(path))

@@ -8,6 +8,10 @@ Shipped families (all monotone, submodular, v(empty) = 0 by construction):
 * ``PartitionMatroidRank``v(S) = scale * sum_c min(capacity_c, |S ∩ class c|)
 * ``ExplicitTable``       explicit table over all subsets of <= 20 items
 
+Every number a constructor reads goes through :func:`as_number`, the one
+rule for a number in an input file: finite, nonnegative, within float range,
+and integral for a capacity.
+
 Every oracle is immutable after construction and evaluates as a pure
 function: repeated calls with equal arguments return bit-identical floats.
 Sums are correctly rounded (``math.fsum``), so a value does not depend on the
@@ -47,6 +51,7 @@ __all__ = [
     "StructureViolation",
     "check_submodular",
     "subset_values",
+    "as_number",
 ]
 
 
@@ -57,12 +62,19 @@ def as_list(value, what: str):
     return value
 
 
-def _as_nonneg_float(value, what: str) -> float:
-    if isinstance(value, (bool, str)):  # JSON true and "2" are not numbers
+def as_number(value, what: str, integer: bool = False) -> float:
+    """``value``, a number read from an input file, as a finite nonnegative float, integral if
+    ``integer`` is set; else a ValueError naming ``what``. JSON ``true`` and ``"2"`` are not
+    numbers, and an integer too large for a float is not finite."""
+    if isinstance(value, (bool, str)):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    x = float(value)
-    if not math.isfinite(x) or x < 0:
-        raise ValueError(f"{what} must be a finite nonnegative number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x) or x < 0 or integer and not x.is_integer():
+        kind = "integer" if integer else "number"
+        raise ValueError(f"{what} must be a finite nonnegative {kind}, got {value!r}")
     return x
 
 
@@ -144,7 +156,7 @@ class _Sum(Valuation):
     _cap = math.inf
 
     def __init__(self, values: Mapping[str, float]):
-        self._values = {str(k): _as_nonneg_float(v, f"value of {k!r}") for k, v in values.items()}
+        self._values = {str(k): as_number(v, f"value of {k!r}") for k, v in values.items()}
         self._items = frozenset(self._values)
         self._exact = exact_ints(self._values)
 
@@ -193,7 +205,7 @@ class BudgetAdditive(_Sum):
 
     def __init__(self, values: Mapping[str, float], cap: float):
         super().__init__(values)
-        self._cap = _as_nonneg_float(cap, "cap")
+        self._cap = as_number(cap, "cap")
 
     def params(self) -> dict:
         return {**super().params(), "cap": self._cap}
@@ -203,9 +215,7 @@ class Coverage(Valuation):
     kind = "coverage"
 
     def __init__(self, covers: Mapping[str, Iterable[str]], element_weights: Mapping[str, float]):
-        self._weights = {
-            str(k): _as_nonneg_float(v, f"weight of element {k!r}") for k, v in element_weights.items()
-        }
+        self._weights = {str(k): as_number(v, f"weight of element {k!r}") for k, v in element_weights.items()}
         self._covers: Dict[str, FrozenSet[str]] = {}
         for item, elems in covers.items():
             cov = frozenset(str(e) for e in as_list(elems, f"cover of item {item!r}"))
@@ -241,13 +251,11 @@ class PartitionMatroidRank(Valuation):
         self._classes = {str(k): str(v) for k, v in classes.items()}
         self._capacities: Dict[str, int] = {}
         for label, cap in capacities.items():
-            if isinstance(cap, (bool, str)) or int(cap) != cap or cap < 0:
-                raise ValueError(f"capacity of class {label!r} must be a nonnegative integer")
-            self._capacities[str(label)] = int(cap)
+            self._capacities[str(label)] = int(as_number(cap, f"capacity of class {label!r}", integer=True))
         missing = set(self._classes.values()) - self._capacities.keys()
         if missing:
             raise ValueError(f"classes {sorted(missing)} have no capacity")
-        self._scale = _as_nonneg_float(scale, "scale")
+        self._scale = as_number(scale, "scale")
         self._items = frozenset(self._classes)
         one = {label: (label,) for label in self._capacities}  # one tuple per class, shared by its items
         holds = {j: one[label] for j, label in self._classes.items()}
@@ -343,11 +351,7 @@ class ExplicitTable(Valuation):
             raise ValueError(f"explicit tables support at most {self.MAX_ITEMS} items, got {m}")
         if len(values) != 1 << m:
             raise ValueError(f"table must have 2^{m} = {1 << m} entries, got {len(values)}")
-        if any(isinstance(v, (bool, str)) for v in values):
-            raise ValueError("table entries must be numbers, not booleans or strings")
-        vals = np.asarray([float(v) for v in values], dtype=float)
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise ValueError("table entries must be finite and nonnegative")
+        vals = np.asarray([as_number(v, f"table entry {k}") for k, v in enumerate(values)], dtype=float)
         if vals[0] != 0.0:
             raise ValueError("the empty set must have value 0")
         slack = self.SUBMODULAR_SLACK * max(1.0, float(vals.max()))

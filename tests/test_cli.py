@@ -1,7 +1,9 @@
 """CLI surface: subcommands, exit codes, file outputs."""
 
+import contextlib
 import copy
 import csv
+import io
 import json
 import os
 import subprocess
@@ -520,14 +522,25 @@ MALFORMED_FILES = {
 }
 
 
+class _Text(str):
+    """A document given as its JSON text, for one that ``json.dumps`` cannot write."""
+
+
+_DEEP = _Text("[" * 5000 + "]" * 5000)  # nested deeper than the JSON parser's recursion limit
+
+
 def _main_on_file(tmp_path, command, doc):
-    """Run ``command`` with ``doc`` as its input file: the instance of ``solve``, the starting
-    allocation of ``efx`` (on the 2x4 additive instance) or the config of ``experiment``."""
+    """Run ``command`` with ``doc`` as its input file: the instance of ``solve``, ``exact``,
+    ``verify`` (with ``--exact --efx``) or ``efx solve``, the starting allocation of ``efx``
+    (on the 2x4 additive instance) or the config of ``experiment``."""
     inst, path = tmp_path / "instance.json", tmp_path / "input.json"
     inst.write_text(canonical_json(_BASE))
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, _Text) else json.dumps(doc))
     argv = {
         "solve": ["solve", str(path)],
+        "exact": ["exact", str(path)],
+        "verify": ["verify", str(path), "--exact", "--efx"],
+        "efx solve": ["efx", str(path)],
         "efx": ["efx", str(inst), "--allocation", str(path)],
         "experiment": ["experiment", str(path)],
     }[command]
@@ -560,6 +573,7 @@ def test_a_string_where_a_list_belongs_is_named(tmp_path, capsys, case, field):
 
 _AGENT_0, _VALUATION_0 = _BASE["agents"][0], _BASE["valuations"][0]
 _NAN, _INF = float("nan"), float("inf")  # json.dumps writes NaN and Infinity, which json.load reads
+_HUGE = 10**400  # a JSON integer too large for a float
 
 # Each input check, reached through the CLI, and a fragment of the error line it gives.
 INPUT_CHECKS = {
@@ -610,6 +624,48 @@ INPUT_CHECKS = {
     "table entry Infinity": ("solve", _edited(("valuations", 0, "params", "values", 1), _INF, _TABLE), "finite"),
     "kind 'mystery'": ("solve", _edited(("valuations", 0, "kind"), "mystery"), "unknown valuation kind 'mystery'"),
     "config weight_mode 'uniform'": ("experiment", {"weight_mode": "uniform"}, "weight_mode must be one of"),
+    # Integers beyond float range, and infinite or NaN capacities: one number rule reads them all.
+    "value 10^400": (
+        "solve",
+        _edited(("valuations", 0, "params", "values", "g0"), _HUGE),
+        "value of 'g0' must be a finite nonnegative number",
+    ),
+    "cap 10^400": (
+        "solve",
+        _edited(("valuations", 0, "params", "cap"), _HUGE, _BUDGET),
+        "cap must be a finite nonnegative number",
+    ),
+    "element weight 10^400": (
+        "solve",
+        _edited(("valuations", 0, "params", "element_weights", "u0"), _HUGE, _COVER),
+        "weight of element 'u0' must be a finite nonnegative number",
+    ),
+    "scale 10^400": (
+        "solve",
+        _edited(("valuations", 0, "params", "scale"), _HUGE, _RANK),
+        "scale must be a finite nonnegative number",
+    ),
+    **{
+        f"capacity {x}": (
+            "solve",
+            _edited(("valuations", 0, "params", "capacities", "c0"), x, _RANK),
+            "capacity of class 'c0' must be a finite nonnegative integer",
+        )
+        for x in (_INF, -_INF, _NAN)
+    },
+    "table entry 10^400": (
+        "solve",
+        _edited(("valuations", 0, "params", "values", 1), _HUGE, _TABLE),
+        "table entry 1 must be a finite nonnegative number",
+    ),
+    "config eps 10^400": ("experiment", {"eps": _HUGE}, "eps must be a finite nonnegative number"),
+    # Refused when the config is read, even with no trial to solve.
+    "config eps -1": ("experiment", {"eps": -1, "trials": 0}, "eps must be a finite nonnegative number"),
+    "config trials 10^400": ("experiment", {"trials": _HUGE}, "trials must be a finite nonnegative integer"),
+    **{
+        f"{command} nested 5,000 deep": (command, _DEEP, "input.json: document is nested too deeply")
+        for command in ("solve", "efx", "experiment")
+    },
 }
 
 
@@ -703,3 +759,39 @@ def test_experiment_runs_the_fairness_stage_only_on_equal_weights(tmp_path):
     equal = [random_instance(f, int(n), 4, 1, "random_rational").is_symmetric() for _, n, _, f, *_ in body]
     assert equal.count(False) >= len(FAMILIES)  # every 3-agent instance here has unequal weights
     assert [row[10] for row in body] == ["yes" if e else "" for e in equal]
+
+
+_AWKWARD = [_HUGE, -_HUGE, _NAN, _INF, -_INF, True, "2", None, [], {}, [[1]], [[[]], 2]]
+_TABLE_2 = instance_to_json(
+    Instance(("a0", "a1"), (Fraction(1, 2),) * 2, ("g0", "g1"), (ExplicitTable(["g0", "g1"], [0, 1, 2, 3]),) * 2)
+)
+# Valid documents, each with the commands that read it; the allocation is a start for the 2x4 instance.
+_VALID = [
+    *((doc, ("solve", "exact", "efx solve", "verify")) for doc in (_BASE, _BUDGET, _COVER, _RANK, _TABLE_2)),
+    ({"format_version": 1, "bundles": {"a0": ["g0", "g3"], "a1": ["g1", "g2"]}}, ("efx",)),
+    ({"families": ["additive"], "n": [2], "m": [3], "trials": 1, "seed": 4, "eps": 0.5, "verify": True}, ("experiment",)),
+]
+# The config's instance sizes are left alone: n or m at 10^400 asks for an instance of that size.
+_SIZES = {("n", 0), ("m", 0)}
+
+
+def _leaves(doc, path=()):
+    """The path to each value in ``doc`` that is not a nonempty list or object."""
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    paths = [leaf for key, child in children for leaf in _leaves(child, path + (key,))]
+    return paths or [path]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_input_files_exit_0_or_1_and_never_raise(tmp_path_factory, data):
+    doc, commands = data.draw(st.sampled_from(_VALID), label="document")
+    paths = [p for p in _leaves(doc) if p not in _SIZES]
+    for path in data.draw(st.lists(st.sampled_from(paths), min_size=1, max_size=2, unique=True), label="leaves"):
+        doc = _edited(path, data.draw(st.sampled_from(_AWKWARD), label=str(path)), doc)
+    command = data.draw(st.sampled_from(commands), label="command")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = _main_on_file(tmp_path_factory.mktemp("mutated"), command, doc)
+    assert code in (0, 1), err.getvalue()
+    assert code == 0 or err.getvalue().startswith("error: ")

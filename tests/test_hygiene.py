@@ -4,7 +4,9 @@ No ``assert`` statements (they vanish under ``python -O``, so a check that
 matters raises instead), no unused imports, and export lists that name only
 what exists: every name in a module's ``__all__`` is defined there, and the
 package's ``__all__`` is exactly what its ``__init__`` imports, so a deleted
-name cannot linger in one list. The package ``__init__``
+name cannot linger in one list. Input documents have one reader:
+``json.load`` and ``json.loads`` are called only in ``instance.read_json``,
+so no other reader can grow its own rules. The package ``__init__``
 imports to re-export, and ``__future__`` imports are directives, so both
 are exempt from the import check. A name counts as used where the code reads
 it; quoted annotations are not parsed, and with ``from __future__ import
@@ -69,3 +71,40 @@ def test_package_exports_exactly_what_it_imports():
         for alias in node.names
     }
     assert set(importlib.import_module("nswfair").__all__) == imported
+
+
+def json_load_calls(tree: ast.Module):
+    """(enclosing function, line) of each call of ``json.load`` or ``json.loads``; None outside a function."""
+    calls = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            func = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and isinstance(func, ast.Attribute) and func.attr in ("load", "loads"):
+                if isinstance(func.value, ast.Name) and func.value.id == "json":
+                    calls.append((function, child.lineno))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(tree, None)
+    return calls
+
+
+def test_every_input_file_is_parsed_by_read_json_alone():
+    readers = sorted(
+        (path.stem, function)
+        for path in MODULES
+        for function, _ in json_load_calls(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert readers == [("instance", "read_json")], f"json.load or json.loads called in {readers}"
+    imports = [
+        path.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "json"
+    ]
+    assert not imports, f"{imports}: json imported by name, so a call would not read as json.load"
+
+
+def test_the_reader_check_sees_every_call():
+    tree = ast.parse("import json\nx = json.loads('1')\n\ndef f(p):\n    def g():\n        return json.load(p)\n    return g\n")
+    assert json_load_calls(tree) == [(None, 2), ("g", 6)]
