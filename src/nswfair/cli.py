@@ -21,7 +21,9 @@ from .efx import guarantee_half_efx, half_efx_check
 from .errors import InvariantViolation, LemmaViolation, SizeGuardExceeded
 from .generate import FAMILIES, WEIGHT_MODES, random_instance
 from .instance import (
+    LOG2,
     NEG_INF,
+    TOLERANCE,
     Allocation,
     Instance,
     allocation_to_json,
@@ -131,6 +133,9 @@ def cmd_gen(args) -> int:
 
 Checks = List[Tuple[str, Optional[bool]]]
 
+# The names of the solve's own checks, in :func:`_checks` order.
+SOLVE_CHECKS = ("local optimum recheck", "asymmetric spending caps", "symmetric spending caps", "swap budget")
+
 
 class _Run(NamedTuple):
     """A solve's ``report`` (None for a start allocation read from a file) and the start's log NSW;
@@ -169,21 +174,18 @@ def _checks(run: _Run, ratio: bool = True) -> Checks:
     report = run.report
     if report is not None:
         certs = report.certificates
-        checks += [
-            ("local optimum recheck", not certs.local_opt_violations),
-            ("asymmetric spending caps", certs.spending_asymmetric.within_caps() if report.feasible else None),
-            ("symmetric spending caps", certs.spending_symmetric.within_caps() if report.feasible else None),
-            ("swap budget", report.swaps <= certs.swap_limit),
-        ]
+        spending = (certs.spending_asymmetric, certs.spending_symmetric)
+        caps = [r.within_caps() for r in spending] if report.feasible else [None, None]
+        checks += zip(SOLVE_CHECKS, [not certs.local_opt_violations, *caps, report.swaps <= certs.swap_limit])
     if ratio and run.opt_log is not None:
         bound, known = report.guarantee.best(), math.isfinite(run.opt_log)
         shown = f" {run.ratio:.4f}" if known else ""
-        checks.append((f"ratio{shown} within factor {bound:.4f}", run.ratio <= bound + 1e-9 if known else None))
+        checks.append((f"ratio{shown} within factor {bound:.4f}", run.ratio <= bound + TOLERANCE if known else None))
     if run.fair is not None:
         checks += [
             ("half-efx", not half_efx_check(run.inst, run.fair)),
             ("efx completeness", run.fair.is_complete(run.inst)),
-            ("efx welfare floor", run.fair_log >= run.start_log - math.log(2.0) - 1e-9),
+            ("efx welfare floor", run.fair_log >= run.start_log - LOG2 - TOLERANCE),
         ]
     return checks
 
@@ -208,7 +210,7 @@ def cmd_solve(args) -> int:
         doc["exact"] = {"opt_log_nsw": _fmt(run.opt_log), "ratio": run.ratio}
         lines.append(f"exact: opt log_nsw {_fmt(run.opt_log)}, ratio {run.ratio:.6f}")
     if args.efx:
-        allocation = {a: inst.sort_items(b) for a, b in sorted(run.fair.bundles.items())}
+        allocation = allocation_to_json(inst, run.fair)["bundles"]
         doc["efx"] = {"allocation": allocation, "log_nsw": _fmt(run.fair_log), "half_efx": True}
         lines.append(f"efx: half-efx ok, log_nsw {_fmt(run.fair_log)}")  # shown only if _require passes
     _require(_checks(run, ratio=args.verify), "solve")
@@ -240,7 +242,7 @@ def cmd_efx(args) -> int:
     _require(_checks(run), "efx")
     _write_files((args.out, canonical_json(allocation_to_json(inst, run.fair))))
     before, after = run.start_log, run.fair_log
-    print(f"half-efx ok; log_nsw {_fmt(before)} -> {_fmt(after)} (floor {_fmt(before - math.log(2.0))})")
+    print(f"half-efx ok; log_nsw {_fmt(before)} -> {_fmt(after)} (floor {_fmt(before - LOG2)})")
     return 0
 
 
@@ -255,6 +257,8 @@ def cmd_verify(args) -> int:
     return 0
 
 
+DEFAULT_EPS = 0.1
+
 _JSON_TYPES = {"integer": (int,), "number": (int, float), "boolean": (bool,), "string": (str,), "array": (list,)}
 
 # The experiment config schema: each key's JSON type and default.
@@ -263,7 +267,7 @@ EXPERIMENT_KEYS = {
     "n": ("array", [2, 3]),
     "m": ("array", [4, 5, 6, 7]),
     "weight_mode": ("string", "symmetric"),
-    "eps": ("number", 0.1),
+    "eps": ("number", DEFAULT_EPS),
     "trials": ("integer", 3),
     "seed": ("integer", 0),
     "exact": ("boolean", True),
@@ -338,7 +342,7 @@ def cmd_experiment(args) -> int:
             max_ratio[family] = max(max_ratio.get(family, 1.0), r)
         checks = _checks(run, ratio=config["verify"])
         efx_pass = {None: "", True: "yes", False: "no"}[dict(checks).get("half-efx")]
-        _require(checks if config["verify"] else checks[:4], f"instance {name}")  # else the solve's four
+        _require(checks if config["verify"] else [c for c in checks if c[0] in SOLVE_CHECKS], f"instance {name}")
         rows.append(
             [
                 name,
@@ -377,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the approximate solver")
     p.add_argument("instance")
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--exact", action="store_true", help="also brute-force the optimum and report the ratio")
     p.add_argument("--efx", action="store_true", help="also run the fairness pipeline")
     p.add_argument("--verify", action="store_true", help="with --exact, also check the ratio against the guarantee factor")
@@ -388,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("efx", help="make an allocation 1/2-EFX and complete")
     p.add_argument("instance")
     p.add_argument("--allocation", default=None, help="starting allocation file (default: solve first)")
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_efx)
 
@@ -404,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="solve and hard-check every certified property")
     p.add_argument("instance")
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--efx", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -10,24 +10,23 @@ welfare), then tops up with singleton upgrades and envy-cycle completion.
 Equal weights are required, since the fairness guarantees hold for
 symmetric weighting only; welfare is :func:`nsw_log`.
 
-The trim steps read v_i(S_k) and every v_i(S_k - j) from one bundle state
-per (agent, bundle) (:meth:`Valuation.bundle_state`), bit for bit equal to
-``value()``, and the loose-item comparisons read the instance's singleton
-table (:attr:`Instance.singletons`). Envy-cycle completion keeps one table
-v_i(S_k), and the bundle states it is read from, in step with the bundles: a
-rotation permutes their columns, and an item handed out is added to one
-column's states. :func:`half_efx_check`, the independent checker, calls
-``value()`` on sets and relies on monotonicity.
+:func:`build_feasibility_graph` reads v_i(S_k) and every v_i(S_k - j) from one
+bundle state per (agent, bundle) (:meth:`Valuation.bundle_state`), bit for
+bit equal to ``value()``; the trim test calls ``value()`` twice a pass. The
+loose-item comparisons read the singleton table (:attr:`Instance.singletons`).
+Envy-cycle completion keeps one table v_i(S_k), and the bundle states it is
+read from, in step with the bundles: a rotation permutes their columns, and
+an item handed out is added to one column's states. The independent checker
+:func:`half_efx_check` calls ``value()`` on sets and relies on monotonicity.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import FrozenSet, List, Literal, Optional, Sequence, Set, Tuple
 
 from .errors import InvariantViolation, LemmaViolation
-from .instance import Allocation, Instance, _check_structure, nsw_log
+from .instance import LOG2, TOLERANCE, Allocation, Instance, _check_structure, nsw_log
 from .matching import solve_lex_assignment
 
 __all__ = [
@@ -39,9 +38,6 @@ __all__ = [
     "envy_cycle_complete",
     "guarantee_half_efx",
 ]
-
-_LOG_HALF = -math.log(2.0)
-_TOL = 1e-9
 
 
 def _bundles_by_index(inst: Instance, alloc: Allocation) -> List[FrozenSet[str]]:
@@ -125,14 +121,14 @@ def _outcome(inst: Instance, tag: str, bundles: Sequence[FrozenSet[str]], t_allo
     before = nsw_log(inst, t_alloc)
     after = nsw_log(inst, alloc)
     if tag == "half_efx":
-        if not after >= before + _LOG_HALF - _TOL:
+        if not after >= before - LOG2 - TOLERANCE:
             raise LemmaViolation(f"welfare dropped below half: log NSW {before} -> {after}")
         if half_efx_check(inst, alloc):
             raise LemmaViolation("claimed 1/2-EFX output fails the checker")
     else:
         if not alloc.allocated() < t_alloc.allocated():
             raise LemmaViolation("support did not strictly shrink")
-        if not after >= before - _TOL:
+        if not after >= before - TOLERANCE:
             raise LemmaViolation(f"support shrink lost welfare: log NSW {before} -> {after}")
     return FairnessOutcome(tag=tag, allocation=alloc)
 

@@ -19,6 +19,8 @@ __all__ = ["FAMILIES", "WEIGHT_MODES", "random_instance"]
 
 FAMILIES = ("additive", "budget_additive", "coverage", "partition_matroid_rank")
 WEIGHT_MODES = ("symmetric", "random_rational")
+# Largest n * m generated: a coverage instance takes about 433 bytes a cell, so 0.45 GB here.
+MAX_CELLS = 10**6
 
 
 def _weights(rng: random.Random, n: int, mode: str) -> Tuple[Fraction, ...]:
@@ -58,6 +60,8 @@ def random_instance(
         raise ValueError("n must be at least 1")
     if m < 0:
         raise ValueError("m must be nonnegative")
+    if n * max(m, 1) > MAX_CELLS:
+        raise ValueError(f"{n} agents and {m} items exceed the generator's limit of n * m <= {MAX_CELLS} cells")
     rng = random.Random(seed)
     agents = [f"a{i}" for i in range(n)]
     items = [f"g{j}" for j in range(m)]

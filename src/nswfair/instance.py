@@ -49,6 +49,21 @@ __all__ = [
 FORMAT_VERSION = 1
 
 NEG_INF = float("-inf")
+LOG2 = math.log(2.0)  # the log-welfare the 1/2-EFX stage may give up
+TOLERANCE = 1e-9  # absolute slack of every float check against a cap, a bound or a floor
+
+
+def welfare_term(weight: float, value: float) -> float:
+    """An agent's term of nsw_log: ``weight * log(value)``, or ``-inf`` when value <= 0."""
+    return weight * math.log(value) if value > 0.0 else NEG_INF
+
+
+def float_total(terms: Iterable[float]) -> float:
+    """0.0 + t_0 + t_1 + ..., left to right: every float total, whatever builtin ``sum()`` does."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
 
 
 @dataclass(frozen=True)
@@ -172,13 +187,8 @@ def _check_structure(inst: Instance, alloc: Allocation) -> None:
 def nsw_log(inst: Instance, alloc: Allocation) -> float:
     """Weighted log Nash welfare; ``-inf`` when any agent's bundle has value 0."""
     _check_structure(inst, alloc)
-    total = 0.0
-    for agent, w in zip(inst.agents, inst.weight_floats):
-        val = inst.valuation_of(agent).value(alloc.bundle(agent))
-        if val <= 0.0:
-            return NEG_INF
-        total += w * math.log(val)
-    return total
+    bundles = map(alloc.bundle, inst.agents)
+    return float_total(welfare_term(w, v.value(b)) for w, v, b in zip(inst.weight_floats, inst.valuations, bundles))
 
 
 def complete_with_leftovers(inst: Instance, alloc: Allocation) -> Allocation:

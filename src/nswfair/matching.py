@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import InfeasibleMatching, InvariantViolation, LemmaViolation
-from .instance import NEG_INF
+from .instance import NEG_INF, float_total
 from .valuations import exact_ints
 
 __all__ = ["NEG_INF", "AssignmentResult", "solve_assignment", "solve_lex_assignment"]
@@ -147,8 +147,7 @@ def solve_assignment(scores: Sequence[Sequence[float]]) -> AssignmentResult:
     assignment = _max_weight_matching(n, m, weights)
     if None in assignment:
         return AssignmentResult(tuple(assignment), NEG_INF)
-    total = sum((scores[r][c] for r, c in enumerate(assignment)), 0.0)
-    return AssignmentResult(tuple(assignment), total)
+    return AssignmentResult(tuple(assignment), float_total(scores[r][c] for r, c in enumerate(assignment)))
 
 
 def solve_lex_assignment(

@@ -3,20 +3,21 @@
 Instances with n^m > SIZE_GUARD = 10^8 are refused before any work starts.
 The search then runs in two steps.
 
-1. **Tables.** For every agent i, ``L_i[mask] = w_i * log v_i(S)``, or -inf
-   when v_i(S) <= 0, where bit t of mask selects item t and S is passed to
-   ``value()`` in index order (:func:`~nswfair.valuations.subset_values`).
+1. **Tables.** For every agent i, ``L_i[mask] = welfare_term(w_i, v_i(S))``,
+   that is w_i * log v_i(S) or -inf when v_i(S) <= 0, where bit t of mask
+   selects item t and S is passed to ``value()`` in index order
+   (:func:`~nswfair.valuations.subset_values`).
    That is n * 2^m ``value()`` calls and n * 2^m float64 of memory: 1 GiB at
    the largest size the guard allows with tables, n = 2 and m = 26. With one
-   agent there is one allocation, and no table is built.
+   agent there is one allocation, scored by :func:`~nswfair.instance.nsw_log`.
 2. **Enumeration.** Every complete allocation is a base-n counter over the m
    items, item 0 the most significant digit, taken in lexicographic order. A
    Python loop runs over the assignments of the leading items; one numpy
    block covers all assignments of the trailing k items, k the largest with
    n^k <= 2^16. Each block's log NSW is the left fold
-   ``0.0 + L_0[mask_0] + L_1[mask_1] + ...`` in agent order, the additions a
-   per-allocation loop would make, so the optimum is the same float bit for
-   bit.
+   ``0.0 + L_0[mask_0] + L_1[mask_1] + ...`` in agent order, the additions
+   :func:`~nswfair.instance.nsw_log` makes, so the optimum is the same float
+   bit for bit.
 
 Ties go to the lexicographically smallest allocation: ``np.argmax`` returns
 the first maximum within a block, and a later block replaces the best only
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeGuardExceeded
-from .instance import NEG_INF, Allocation, Instance, validate
+from .instance import NEG_INF, Allocation, Instance, nsw_log, validate, welfare_term
 from .valuations import subset_values
 
 __all__ = ["SIZE_GUARD", "OptResult", "brute_force_opt", "ratio_of_logs"]
@@ -51,7 +52,7 @@ class OptResult:
 def _log_table(inst: Instance, i: int) -> np.ndarray:
     """L_i[mask] = w_i * log v_i(S), or -inf when v_i(S) <= 0."""
     w, vals = inst.weight_floats[i], subset_values(inst.valuations[i], inst.items)
-    return np.fromiter((NEG_INF if x <= 0.0 else w * math.log(x) for x in vals), dtype=float, count=vals.size)
+    return np.fromiter((welfare_term(w, x) for x in vals), dtype=float, count=vals.size)
 
 
 def brute_force_opt(inst: Instance) -> OptResult:
@@ -64,9 +65,8 @@ def brute_force_opt(inst: Instance) -> OptResult:
     if total > SIZE_GUARD:
         raise SizeGuardExceeded(f"{n}^{m} = {total} allocations exceed the guard {SIZE_GUARD}")
     if n == 1:
-        val = inst.valuations[0].value(inst.items)
-        opt_log = NEG_INF if val <= 0.0 else 0.0 + inst.weight_floats[0] * math.log(val)
-        return OptResult(opt_log, Allocation.of({inst.agents[0]: inst.items}), total)
+        argmax = Allocation.of({inst.agents[0]: inst.items})
+        return OptResult(nsw_log(inst, argmax), argmax, total)
     tables = [_log_table(inst, i) for i in range(n)]
     k = 0
     while k < m and n ** (k + 1) <= BLOCK:

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation
-from .instance import NEG_INF, Allocation, Instance, complete_with_leftovers, nsw_log, validate
+from .instance import LOG2, NEG_INF, Allocation, Instance, complete_with_leftovers, nsw_log, validate, welfare_term
 from .search import (
     LocalSearchResult,
     SpendingReport,
@@ -45,8 +45,6 @@ from .matching import solve_assignment
 
 __all__ = ["phi", "GuaranteeFactors", "guarantee_factor", "SolveCertificates", "SolveReport", "solve_nsw"]
 
-_LN2 = math.log(2.0)
-
 
 def phi(nu: float) -> float:
     """sup over x in (0, 1] of 2^(1-x) * (1 + nu/x)^x.
@@ -60,7 +58,7 @@ def phi(nu: float) -> float:
         raise ValueError("nu must be nonnegative")
 
     def g(x: float) -> float:
-        return (1.0 - x) * _LN2 + x * math.log1p(nu / x)
+        return (1.0 - x) * LOG2 + x * math.log1p(nu / x)
 
     lo, hi = 1e-12, 1.0
     inv_gold = (math.sqrt(5.0) - 1.0) / 2.0
@@ -76,7 +74,7 @@ def phi(nu: float) -> float:
             hi, x2, g2 = x2, x1, g1
             x1 = hi - inv_gold * (hi - lo)
             g1 = g(x1)
-    best = max(g((lo + hi) / 2.0), _LN2, math.log1p(nu))
+    best = max(g((lo + hi) / 2.0), LOG2, math.log1p(nu))
     return math.exp(best)
 
 
@@ -208,6 +206,11 @@ def _infeasible_report(inst: Instance, eps: float, eps_bar: float, guarantee: Gu
     )
 
 
+def _welfare_scores(inst: Instance, values: Iterable[Sequence[float]]) -> List[List[float]]:
+    """The matching table of welfare terms w_i * log x, one row of values x per agent in index order."""
+    return [[welfare_term(w, x) for x in row] for w, row in zip(inst.weight_floats, values)]
+
+
 def solve_nsw(inst: Instance, eps: float) -> SolveReport:
     """Approximately maximize weighted Nash welfare over complete allocations.
 
@@ -222,10 +225,7 @@ def solve_nsw(inst: Instance, eps: float) -> SolveReport:
     guarantee = guarantee_factor(inst, eps)
     if inst.m < inst.n:
         return _infeasible_report(inst, eps, eps_bar if inst.m else 0.0, guarantee)
-    w = inst.weight_floats
-    phase1 = solve_assignment(
-        [[wi * math.log(val) if val > 0.0 else NEG_INF for val in row] for wi, row in zip(w, inst.singletons)]
-    )
+    phase1 = solve_assignment(_welfare_scores(inst, inst.singletons))
     if phase1.total == NEG_INF:
         return _infeasible_report(inst, eps, eps_bar, guarantee)
     tau = {inst.agents[i]: inst.items[c] for i, c in enumerate(phase1.assignment)}
@@ -234,12 +234,7 @@ def solve_nsw(inst: Instance, eps: float) -> SolveReport:
     search = local_search(inst, frozenset(inst.items) - set(h_items), eps_bar)
 
     states = [v.bundle_state(search.bundles[a]) for v, a in zip(inst.valuations, inst.agents)]
-
-    def rematch_score(i: int, j: int) -> float:
-        val = states[i].plus(h_items[j])
-        return w[i] * math.log(val) if val > 0.0 else NEG_INF
-
-    phase3 = solve_assignment([[rematch_score(i, j) for j in range(len(h_items))] for i in range(inst.n)])
+    phase3 = solve_assignment(_welfare_scores(inst, ([state.plus(h) for h in h_items] for state in states)))
     if phase3.total == NEG_INF:
         raise InvariantViolation("rematching lost the finite matching inherited from phase 1")
     sigma = {inst.agents[i]: h_items[c] for i, c in enumerate(phase3.assignment)}

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import AllocationError, InvariantViolation
-from .instance import NEG_INF, Allocation, Instance, _check_structure
+from .instance import NEG_INF, TOLERANCE, Allocation, Instance, _check_structure, float_total
 from .valuations import BundleState, Valuation
 
 __all__ = [
@@ -70,8 +70,6 @@ __all__ = [
     "SpendingReport",
     "check_spending",
 ]
-
-SPENDING_TOLERANCE = 1e-9
 
 _Swap = Tuple[str, str, str, float]  # (giver, item, taker, log-gain)
 
@@ -352,26 +350,27 @@ def verify_local_opt(table: _Gains, eps_bar: float) -> List[Tuple[str, str, str]
 class PriceVector:
     """Per-item prices extracted from a local optimum.
 
-    Asymmetric variant: p_j = w_i * log(vbar_i(R_i) / vbar_i(R_i - j)).
-    Symmetric variant:  p_j = vbar_i(R_i) / vbar_i(R_i - j) - 1.
+    Asymmetric variant: p_j = w_i * log(vbar_i(R_i) / vbar_i(R_i - j)), caps w_i and in total 1.
+    Symmetric variant:  p_j = vbar_i(R_i) / vbar_i(R_i - j) - 1, caps 1 and in total the agent count.
     ``budgets`` maps each participating agent, in index order, to the bundle
-    it was priced on and its spending cap under this variant.
+    it was priced on and its cap; ``total_cap`` caps their spending together.
     """
 
     variant: str
     values: Dict[str, float]
     budgets: Dict[str, Tuple[FrozenSet[str], float]]
+    total_cap: float
 
     def total(self, items: Iterable[str]) -> float:
-        return float(sum(self.values[j] for j in sorted(items)))
+        return float_total(self.values[j] for j in sorted(items))
 
 
 def prices(table: _Gains) -> Tuple[PriceVector, PriceVector]:
     """Asymmetric and symmetric prices of the items held by participating agents, from the
     vbar(R) and vbar(R - j) ``table`` memoised (all of them, after :func:`verify_local_opt`);
     a symmetric price above 1 is recorded, and as prices are nonnegative it breaks a cap."""
-    asymmetric = PriceVector("asymmetric", {}, {})
-    symmetric = PriceVector("symmetric", {}, {})
+    asymmetric = PriceVector("asymmetric", {}, {}, 1.0)
+    symmetric = PriceVector("symmetric", {}, {}, float(len(table.abar)))
     for agent in table.abar:
         with_item, log_with = table.current(agent)
         for item in table.row(agent):
@@ -392,20 +391,17 @@ class SpendingReport:
     total_cap: float
 
     def within_caps(self) -> bool:
-        """Every agent and the whole universe within its cap, up to 1e-9."""
-        return self.total_spent <= self.total_cap + SPENDING_TOLERANCE and all(
-            spent <= cap + SPENDING_TOLERANCE for spent, cap in self.per_agent.values()
+        """Every agent and the whole universe within its cap, up to :data:`~nswfair.instance.TOLERANCE`."""
+        return self.total_spent <= self.total_cap + TOLERANCE and all(
+            spent <= cap + TOLERANCE for spent, cap in self.per_agent.values()
         )
 
 
 def check_spending(price_vector: PriceVector) -> SpendingReport:
-    """Spending of each participating agent against the caps local optimality implies.
-
-    Asymmetric prices: each agent spends at most its weight and the whole
-    universe costs at most 1. Symmetric prices: each agent spends at most 1
-    and the universe costs at most the number of participating agents. The
-    sums come from ``price_vector`` alone, with no valuation call; the report
-    records the figures and :meth:`SpendingReport.within_caps` judges them.
+    """Spending of each participating agent, and of all together, against the caps
+    ``price_vector`` records, those local optimality implies. The sums come from
+    ``price_vector`` alone, with no valuation call; the report records the
+    figures and :meth:`SpendingReport.within_caps` judges them.
     """
     per_agent = {
         agent: (price_vector.total(bundle), cap) for agent, (bundle, cap) in price_vector.budgets.items()
@@ -413,6 +409,6 @@ def check_spending(price_vector: PriceVector) -> SpendingReport:
     return SpendingReport(
         variant=price_vector.variant,
         per_agent=per_agent,
-        total_spent=sum((spent for spent, _ in per_agent.values()), 0.0),
-        total_cap=1.0 if price_vector.variant == "asymmetric" else float(len(per_agent)),
+        total_spent=float_total(spent for spent, _ in per_agent.values()),
+        total_cap=price_vector.total_cap,
     )

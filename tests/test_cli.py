@@ -662,6 +662,9 @@ INPUT_CHECKS = {
     # Refused when the config is read, even with no trial to solve.
     "config eps -1": ("experiment", {"eps": -1, "trials": 0}, "eps must be a finite nonnegative number"),
     "config trials 10^400": ("experiment", {"trials": _HUGE}, "trials must be a finite nonnegative integer"),
+    # Refused before any list of agents or items is built.
+    "config n 10^12": ("experiment", {"n": [10**12]}, "exceed the generator's limit"),
+    "config m 10^12": ("experiment", {"m": [10**12]}, "exceed the generator's limit"),
     **{
         f"{command} nested 5,000 deep": (command, _DEEP, "input.json: document is nested too deeply")
         for command in ("solve", "efx", "experiment")
@@ -674,6 +677,13 @@ def test_each_input_check_exits_1_naming_its_problem(tmp_path, capsys, command, 
     assert _main_on_file(tmp_path, command, doc) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err.splitlines()[0] and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n, m", [(10**12, 1), (1, 10**12)])
+def test_gen_beyond_the_size_limit_exits_1(capsys, n, m):
+    assert main(["gen", "coverage", str(n), str(m)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceed the generator's limit" in err and "Traceback" not in err
 
 
 def test_an_agent_with_no_positive_single_leftover_takes_no_part(tmp_path, capsys):
@@ -771,8 +781,6 @@ _VALID = [
     ({"format_version": 1, "bundles": {"a0": ["g0", "g3"], "a1": ["g1", "g2"]}}, ("efx",)),
     ({"families": ["additive"], "n": [2], "m": [3], "trials": 1, "seed": 4, "eps": 0.5, "verify": True}, ("experiment",)),
 ]
-# The config's instance sizes are left alone: n or m at 10^400 asks for an instance of that size.
-_SIZES = {("n", 0), ("m", 0)}
 
 
 def _leaves(doc, path=()):
@@ -786,7 +794,7 @@ def _leaves(doc, path=()):
 @given(data=st.data())
 def test_mutated_input_files_exit_0_or_1_and_never_raise(tmp_path_factory, data):
     doc, commands = data.draw(st.sampled_from(_VALID), label="document")
-    paths = [p for p in _leaves(doc) if p not in _SIZES]
+    paths = _leaves(doc)
     for path in data.draw(st.lists(st.sampled_from(paths), min_size=1, max_size=2, unique=True), label="leaves"):
         doc = _edited(path, data.draw(st.sampled_from(_AWKWARD), label=str(path)), doc)
     command = data.draw(st.sampled_from(commands), label="command")

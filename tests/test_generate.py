@@ -1,11 +1,12 @@
 """Seeded instance generator: determinism, validity, weight modes."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from nswfair import validate
-from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
+from nswfair.generate import FAMILIES, MAX_CELLS, WEIGHT_MODES, random_instance
 from nswfair.instance import canonical_json, instance_to_json
 
 
@@ -60,3 +61,14 @@ def test_zero_items_allowed():
     inst = random_instance("additive", n=2, m=0, seed=0)
     assert inst.items == ()
     assert validate(inst) == []
+
+
+@pytest.mark.parametrize("n, m", [(10**12, 1), (1, 10**12), (10**12, 0), (MAX_CELLS // 1000 + 1, 1000)])
+def test_sizes_beyond_the_limit_are_refused_before_any_allocation(n, m):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceed the generator's limit"):
+            random_instance("coverage", n, m, seed=0)
+        assert tracemalloc.get_traced_memory()[1] < 100_000
+    finally:
+        tracemalloc.stop()

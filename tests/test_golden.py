@@ -7,7 +7,10 @@ A digest may only be regenerated for a deliberate behaviour change, and that
 change is then recorded in CHANGES.md.
 """
 
+import builtins
 import hashlib
+import math
+import sys
 
 import pytest
 
@@ -151,3 +154,35 @@ def test_exact_golden_set_covers_every_case():
 @pytest.mark.parametrize("case", CLI_CASES, ids=case_id)
 def test_exact_golden_digest(case, tmp_path, capsys):
     assert exact_digest(case, tmp_path) == EXACT_GOLDEN[case_id(case)]
+
+
+# Python 3.12 made builtin sum() of floats compensated (Neumaier summation), so
+# a float total taken with sum() can round differently from one interpreter to
+# the next. math.fsum, exact then rounded once, stands in for it here: with it
+# in place of sum() inside the package, every digest must stay the same.
+def _compensated_sum(iterable, start=0):
+    terms = list(iterable)
+    if terms and all(type(t) is float for t in terms) and type(start) in (int, float):
+        return math.fsum([start, *terms])
+    return builtins.sum(terms, start)
+
+
+@pytest.fixture
+def compensated_sum(monkeypatch):
+    for name, module in list(sys.modules.items()):
+        if name == "nswfair" or name.startswith("nswfair."):
+            monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+
+
+def test_compensated_sum_differs_from_the_left_fold():
+    assert _compensated_sum([0.1] * 10) == 1.0 != builtins.sum([0.1] * 10)
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_golden_digest_under_compensated_sum(case, compensated_sum):
+    assert solve_digest(case) == GOLDEN[case_id(case)]
+
+
+@pytest.mark.parametrize("case", CLI_CASES, ids=case_id)
+def test_cli_golden_digest_under_compensated_sum(case, tmp_path, capsys, compensated_sum):
+    assert cli_digest(case, tmp_path) == CLI_GOLDEN[case_id(case)]

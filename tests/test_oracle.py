@@ -189,6 +189,15 @@ def test_one_agent_is_one_allocation_and_builds_no_table(monkeypatch):
     assert_same_as_reference(random_instance("coverage", 1, 40, seed=0))
 
 
+@pytest.mark.parametrize("n, m", [(3, 8), (4, 6)])
+@pytest.mark.parametrize("mode", WEIGHT_MODES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_opt_log_is_the_argmax_nsw_log_bit_for_bit(family, mode, n, m):
+    inst = random_instance(family, n, m, seed=3, weight_mode=mode)
+    result = brute_force_opt(inst)
+    assert result.opt_log.hex() == nsw_log(inst, result.argmax).hex()
+
+
 def test_size_guard_refuses_before_any_table(monkeypatch):
     monkeypatch.setattr(oracle, "subset_values", None)
     with pytest.raises(SizeGuardExceeded):
