@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import math
@@ -366,6 +367,7 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nswfair", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -49,10 +49,16 @@ __all__ = ["phi", "GuaranteeFactors", "guarantee_factor", "SolveCertificates", "
 def phi(nu: float) -> float:
     """sup over x in (0, 1] of 2^(1-x) * (1 + nu/x)^x.
 
-    The log objective is concave in x, so a golden-section search plus the
-    two boundary candidates (x -> 0 gives 2, x = 1 gives 1 + nu) pins the
-    supremum to about 1e-9. phi(0) = 2, phi(nu) <= nu + 2 always, and the
-    maximum sits at x = 1 with value nu + 1 once nu >= 3.5.
+    The log objective g(x) = (1 - x) log 2 + x log(1 + nu/x) is concave in x, so a golden-section
+    search plus the two boundary candidates (x -> 0 gives 2, x = 1 gives 1 + nu) pins the supremum
+    to about 1e-9. phi(0) = 2 and phi(nu) <= nu + 2 always. With y = 1 + nu/x, g'(x) = 0 reads
+    log y + 1/y = 1 + log 2, free of nu; its root y* = 4.3110704... gives the interior maximiser
+    x* = nu / (y* - 1), so the maximum sits at x = 1 with value nu + 1 exactly when nu >= 3.3110704...
+
+    >>> phi(3.32)
+    4.32
+    >>> phi(3.3) > 4.3
+    True
     """
     if nu < 0:
         raise ValueError("nu must be nonnegative")
@@ -189,8 +195,7 @@ class SolveReport:
 
 def _infeasible_report(inst: Instance, eps: float, eps_bar: float, guarantee: GuaranteeFactors) -> SolveReport:
     bundles = {a: frozenset() for a in inst.agents}
-    if inst.agents:
-        bundles[inst.agents[0]] = frozenset(inst.items)
+    bundles[inst.agents[0]] = frozenset(inst.items)
     allocation = Allocation(bundles)
     return SolveReport(
         allocation=allocation,

@@ -19,22 +19,22 @@ term w_i * log(vbar_i(R_i - j) / vbar_i(R_i)), and the taker's term
 w_k * log(vbar_k(R_k + j) / vbar_k(R_k)) per (taker, item). Each is filled on
 first use, from a bundle state per agent (:meth:`Valuation.bundle_state`)
 that answers v(R), v(R + j) and v(R - j) from running counts instead of
-re-evaluating the whole bundle. Accepting a swap changes only the giver's and
-the taker's bundles, so it updates exactly their states and clears exactly
-their memo entries; every other agent keeps its own.
+re-evaluating the whole bundle.
 
-After a swap the scan walks again from the top, but keeps a frontier: the
-swap count at which each agent's bundle last changed, and the swap count at
-which each item's position (its holder, the item) last passed with no
-improving triple. At a position whose giver is unchanged since it passed,
-only the takers changed since are scored; every other triple there has the
-same two bundles, so the same memoised gain, as when it was found
-non-improving. The first improving triple found is therefore the one a full
-restart would find. Each state is bit for bit equal to ``value()``, which is
-correctly rounded and so independent of summation order, so the gains, the
-swap trace and the certificates are the floats a fresh evaluation gives. One
-full scan after the last swap, all of it memo hits, certifies the local
-optimum.
+The table also keeps the search's frontier: its swap count, the count at which
+each agent's bundle last changed, and the count at which each item's position
+(its holder, the item) last passed with no improving triple.
+:meth:`_Gains.move` alone decides what a swap changes: the giver's and the
+taker's states, memo entries and frontier counts, and nothing of any other
+agent. After a swap the scan walks again from the top; at a position whose
+giver is unchanged since it passed, it scores only the takers changed since.
+Every other triple there has the same two bundles, so the same memoised gain,
+as when it was found non-improving; the first improving triple found is
+therefore the one a full restart would find. Each state is bit for bit equal
+to ``value()``, which is correctly rounded and so independent of summation
+order, so the gains, the swap trace and the certificates are the floats a
+fresh evaluation gives. One full scan after the last swap, all of it memo
+hits, certifies the local optimum.
 
 One fresh table over the final bundles, :func:`certificate_table`, backs
 :func:`verify_local_opt`, which re-checks every triple, and then :func:`prices`,
@@ -47,7 +47,6 @@ it finds.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
@@ -138,7 +137,10 @@ class _Gains:
     each taker's term are memoised; memo misses are answered by one bundle state per agent,
     made by ``state`` from the agent's valuation and bundle on first use: each family's own by
     default, or the ``value()``-backed :class:`BundleState` of :func:`certificate_table`.
-    Change ``bundles`` only through :meth:`move`, which keeps the states and the memo in step.
+    The frontier: ``swaps`` counts the moves made, ``changed[a]`` is the count at which agent
+    a's bundle last changed and ``verified[j]`` the count at which item j's position last
+    passed. Change ``bundles`` only through :meth:`move`, which keeps the states, the memo and
+    the frontier in step.
     """
 
     def __init__(
@@ -170,6 +172,9 @@ class _Gains:
         self._cur: Dict[str, Tuple[float, float]] = {}
         self._removed: Dict[str, Dict[str, Tuple[float, float]]] = {a: {} for a in self.abar}
         self._take: Dict[str, Dict[str, float]] = {a: {} for a in self.abar}
+        self.swaps = 0
+        self.changed = dict.fromkeys(self.abar, 0)
+        self.verified = dict.fromkeys(self.universe, -1)
 
     def _state(self, agent: str) -> BundleState:
         state = self._states.get(agent)
@@ -230,46 +235,36 @@ class _Gains:
         self._state(taker).add(item)
         self.bundles[giver].discard(item)
         self.bundles[taker].add(item)
+        self.swaps += 1
         for agent in (giver, taker):
+            self.changed[agent] = self.swaps
             self._rows.pop(agent, None)
             self._cur.pop(agent, None)
             self._removed[agent].clear()
             self._take[agent].clear()
 
-
-def _first_improving(
-    table: _Gains, threshold: float, changed: Dict[str, int], verified: Dict[str, int], now: int
-) -> Optional[_Swap]:
-    """The first swap in scan order whose gain beats ``threshold``, found by scoring only the
-    triples that can have changed since their position was last verified.
-
-    ``changed[a]`` is the swap count at which agent a's bundle last changed and ``verified[j]``
-    the swap count at which item j's position, under its current holder, last passed with no
-    improving triple. A position whose giver is unchanged since then scores only the takers
-    changed since then; every other triple there has the same two bundles, so the same gain, as
-    when it was found non-improving. Each position that passes is verified at ``now``.
-    """
-    recent = sorted(table.abar, key=changed.__getitem__, reverse=True)
-    rank = {a: k for k, a in enumerate(table.abar)}
-    since: Dict[int, List[str]] = {}  # verified count -> takers changed after it, in index order
-    takes = table._take
-    for giver in table.abar:
-        giver_changed, others = changed[giver], table.others[giver]
-        for item in table.row(giver):
-            seen = verified[item]
-            takers = others if giver_changed > seen else since.get(seen)
-            if takers is None:
-                fresh = itertools.takewhile(lambda a: changed[a] > seen, recent)
-                takers = since[seen] = sorted(fresh, key=rank.__getitem__)
-            if takers:
-                give = table.give(giver, item)
-                for taker in takers:
-                    take = takes[taker].get(item)  # table.take with its memo hit inlined: the hottest line
-                    gain = give + (table.take(taker, item) if take is None else take)
-                    if gain > threshold:
-                        return giver, item, taker, gain
-            verified[item] = now
-    return None
+    def first_improving(self, threshold: float) -> Optional[_Swap]:
+        """The first swap in scan order whose gain beats ``threshold``. A position whose giver is
+        unchanged since it passed scores only the takers changed since, in index order; each
+        position that passes is verified at the current swap count."""
+        changed, verified, takes, now = self.changed, self.verified, self._take, self.swaps
+        since: Dict[int, List[str]] = {}  # verified count -> takers changed after it
+        for giver in self.abar:
+            giver_changed, others = changed[giver], self.others[giver]
+            for item in self.row(giver):
+                seen = verified[item]
+                takers = others if giver_changed > seen else since.get(seen)
+                if takers is None:
+                    takers = since[seen] = [a for a in self.abar if changed[a] > seen]
+                if takers:
+                    give = self.give(giver, item)
+                    for taker in takers:
+                        take = takes[taker].get(item)  # self.take with its memo hit inlined: the hottest line
+                        gain = give + (self.take(taker, item) if take is None else take)
+                        if gain > threshold:
+                            return giver, item, taker, gain
+                verified[item] = now
+        return None
 
 
 def _threshold(eps_bar: float) -> float:
@@ -291,20 +286,12 @@ def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> Loc
         table.bundles[table.abar[0]] = set(table.universe)  # no state exists yet
     max_swaps = swap_bound(len(table.universe) + 1, eps_bar) if eps_bar > 0 else math.inf
     trace: List[SwapRecord] = []
-    changed = dict.fromkeys(table.abar, 0)
-    verified = dict.fromkeys(table.universe, -1)
-    while True:
-        hit = _first_improving(table, threshold, changed, verified, len(trace))
-        if hit is None:
-            break
+    while (hit := table.first_improving(threshold)) is not None:
         giver, item, taker, gain = hit
         table.move(giver, item, taker)
-        trace.append(SwapRecord(len(trace) + 1, giver, item, taker, gain))
-        changed[giver] = changed[taker] = len(trace)
-        if len(trace) > max_swaps:
-            raise InvariantViolation(
-                f"swap count {len(trace)} exceeded the certified bound {max_swaps:.3f}"
-            )
+        trace.append(SwapRecord(table.swaps, giver, item, taker, gain))
+        if table.swaps > max_swaps:
+            raise InvariantViolation(f"swap count {table.swaps} exceeded the certified bound {max_swaps:.3f}")
     gains = [gain for *_, gain in table.scan()]
     return LocalSearchResult(
         universe=tuple(table.universe),

@@ -427,6 +427,52 @@ def test_search_matches_a_full_restart_search(family, weight_mode, n, m):
     assert_search_matches_full_restart(random_instance(family, n, m, n + m, weight_mode=weight_mode))
 
 
+class _CountedGains(_Gains):
+    """A gain table that counts the triples the frontier scores: each lookup in a taker's
+    memo, less those made by :meth:`take` itself (memo misses and full scans)."""
+
+    scored = 0
+
+    class Row(dict):
+        def get(self, key, default=None):
+            _CountedGains.scored += 1
+            return dict.get(self, key, default)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._take = {a: self.Row() for a in self.abar}
+
+    def take(self, taker, item):
+        _CountedGains.scored -= 1
+        return super().take(taker, item)
+
+
+@pytest.mark.parametrize(
+    "family,n,m,seed,weight_mode,scored,swaps",
+    [
+        ("coverage", 20, 200, 1, "symmetric", 78_564, 670),
+        ("additive", 12, 120, 11, "random_rational", 27_733, 356),
+        ("partition_matroid_rank", 20, 200, 1, "symmetric", 4_384, 56),
+    ],
+)
+def test_frontier_scores_a_fixed_set_of_triples(monkeypatch, family, n, m, seed, weight_mode, scored, swaps):
+    # The frontier scores only the triples that can have changed since their position was
+    # last verified; these counts pin that set, which an equal swap trace alone does not.
+    monkeypatch.setattr(importlib.import_module("nswfair.search"), "_Gains", _CountedGains)
+    monkeypatch.setattr(_CountedGains, "scored", 0)
+    inst = random_instance(family, n, m, seed, weight_mode=weight_mode)
+    result = local_search(inst, inst.items, epsilon_bar(0.1, inst.m))
+    assert (_CountedGains.scored, result.swaps) == (scored, swaps)
+
+
+def test_frontier_scores_a_fixed_set_of_triples_in_a_solve(monkeypatch):
+    # The 12x120 coverage search of README's "Search cost" section, on the universe phase 1 leaves.
+    monkeypatch.setattr(importlib.import_module("nswfair.search"), "_Gains", _CountedGains)
+    monkeypatch.setattr(_CountedGains, "scored", 0)
+    report = solve_nsw(random_instance("coverage", 12, 120, 11), 0.1)
+    assert (_CountedGains.scored, report.swaps) == (21_389, 328)
+
+
 class SquareRootOfSum(Valuation):
     """sqrt of an additive valuation: submodular, with no bundle state of its own."""
 
