@@ -95,8 +95,11 @@ class Instance:
 
     @cached_property
     def singletons(self) -> Tuple[Tuple[float, ...], ...]:
-        """v_i({j}), rows by agent index and columns by item index, evaluated once per instance."""
-        return tuple(tuple(v.value([j]) for j in self.items) for v in self.valuations)
+        """v_i({j}), rows by agent index and columns by item index, read once per instance from an
+        empty bundle state per valuation; an item outside a domain raises UnknownItem."""
+        for v in self.valuations:
+            v._bundle(self.items)  # a state checks only the bundle it starts from
+        return tuple(tuple(map(v.bundle_state(()).plus, self.items)) for v in self.valuations)
 
     def valuation_of(self, agent: str) -> Valuation:
         return self.valuations[self.agent_index[agent]]

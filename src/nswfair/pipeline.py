@@ -10,14 +10,15 @@ the local-search bundles, maximizing sum_i w_i * log v_i(R_i + sigma(i)),
 each v_i(R_i + h) read from one bundle state of R_i per agent.
 
 Phase 1's scores come from the instance's table of singleton values
-v_i({j}) (:attr:`Instance.singletons`), evaluated once per instance. The
+v_i({j}) (:attr:`Instance.singletons`), read once per instance. The
 search, the local-optimality recheck and the prices read from that table
 which agents take part and each one's favorite item and shift, and leftover
 items go to the column maximum, so no stage evaluates a singleton again.
 
 The report embeds verification certificates plus the approximation factors
-implied by the instance's weight profile. One :func:`certificate_table` serves
-the local-optimality recheck, then both price vectors and spending reports.
+implied by the instance's weight profile. One fresh :func:`certificate_table`,
+read through the family states as the search's table is, serves the
+local-optimality recheck, then both price vectors and spending reports.
 The certificates are records: ``solve_nsw`` returns them whatever they show,
 and the caller judges them.
 """

@@ -39,21 +39,20 @@ hits, certifies the local optimum.
 One fresh table over the final bundles, :func:`certificate_table`, backs
 :func:`verify_local_opt`, which re-checks every triple, and then :func:`prices`,
 which reads the recheck's vbar(R) and vbar(R - j) into both price vectors with
-provable spending caps. Its states call ``value()`` on sets, so the recheck
-depends on neither the search's memo nor the family states. The certificates
-are records: neither :func:`prices` nor :func:`check_spending` raises on what
-it finds.
+provable spending caps. It reads the family states as the search does, but
+shares no memo, state or frontier with it. The certificates are records:
+neither :func:`prices` nor :func:`check_spending` raises on what it finds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import AllocationError, InvariantViolation
 from .instance import NEG_INF, TOLERANCE, Allocation, Instance, _check_structure, float_total
-from .valuations import BundleState, Valuation
+from .valuations import BundleState
 
 __all__ = [
     "epsilon_bar",
@@ -135,23 +134,14 @@ class _Gains:
     ``offset`` map each to its first item of J of largest singleton value and that value (the
     shift of vbar), all read from :attr:`Instance.singletons`. vbar(R), each vbar(R - j) and
     each taker's term are memoised; memo misses are answered by one bundle state per agent,
-    made by ``state`` from the agent's valuation and bundle on first use: each family's own by
-    default, or the ``value()``-backed :class:`BundleState` of :func:`certificate_table`.
+    made by its valuation's :meth:`~nswfair.valuations.Valuation.bundle_state` on first use.
     The frontier: ``swaps`` counts the moves made, ``changed[a]`` is the count at which agent
     a's bundle last changed and ``verified[j]`` the count at which item j's position last
     passed. Change ``bundles`` only through :meth:`move`, which keeps the states, the memo and
     the frontier in step.
     """
 
-    def __init__(
-        self,
-        inst: Instance,
-        universe: Iterable[str],
-        bundles: Dict[str, set],
-        state: Callable[[Valuation, Iterable[str]], BundleState] = (
-            lambda v, bundle: v.bundle_state(bundle)
-        ),
-    ):
+    def __init__(self, inst: Instance, universe: Iterable[str], bundles: Dict[str, set]):
         self.inst = inst
         self.universe = inst.sort_items(universe)
         self.bundles = bundles
@@ -166,7 +156,6 @@ class _Gains:
         self.abar: List[str] = list(self.offset)
         self.weight = {a: inst.weight_floats[inst.agent_index[a]] for a in self.abar}
         self.others = {a: [t for t in self.abar if t != a] for a in self.abar}
-        self._new_state = state
         self._states: Dict[str, BundleState] = {}
         self._rows: Dict[str, List[str]] = {}
         self._cur: Dict[str, Tuple[float, float]] = {}
@@ -179,7 +168,7 @@ class _Gains:
     def _state(self, agent: str) -> BundleState:
         state = self._states.get(agent)
         if state is None:
-            state = self._states[agent] = self._new_state(self.inst.valuation_of(agent), self.bundles[agent])
+            state = self._states[agent] = self.inst.valuation_of(agent).bundle_state(self.bundles[agent])
         return state
 
     def _vbar(self, agent: str, value: float) -> Tuple[float, float]:
@@ -307,12 +296,12 @@ def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> Loc
 
 
 def certificate_table(inst: Instance, bundles: Mapping[str, Iterable[str]]) -> _Gains:
-    """The gain table over ``bundles`` that :func:`verify_local_opt` and :func:`prices` read;
-    its states, built on first use, call ``value()`` on sets."""
+    """A fresh gain table over ``bundles``, which :func:`verify_local_opt` and :func:`prices`
+    read; its states are the valuations' own, built on first use."""
     alloc = Allocation.of(bundles)
     _check_structure(inst, alloc)
     sets = {a: set(alloc.bundle(a)) for a in inst.agents}
-    table = _Gains(inst, alloc.allocated(), sets, BundleState)
+    table = _Gains(inst, alloc.allocated(), sets)
     outside = {a for a, b in sets.items() if b} - set(table.abar)
     if outside:
         raise AllocationError(
@@ -324,7 +313,7 @@ def certificate_table(inst: Instance, bundles: Mapping[str, Iterable[str]]) -> _
 def verify_local_opt(table: _Gains, eps_bar: float) -> List[Tuple[str, str, str]]:
     """Exhaustively re-check local optimality: every (giver, taker, item) triple of ``table``
     whose swap gain strictly beats log(1 + eps_bar); the empty list certifies an eps_bar-local
-    optimum. The recheck is exact, not a tolerance game, and independent of the search's memo."""
+    optimum. The recheck is exact and scores a fresh table, free of the search's memo and frontier."""
     threshold = _threshold(eps_bar)
     return [
         (giver, taker, item)

@@ -19,11 +19,11 @@ order of the bundle's items.
 
 ``Valuation.bundle_state(bundle)`` returns a :class:`BundleState`: a live
 bundle R that answers v(R), v(R + j) and v(R - j) and changes by ``add(j)``
-and ``remove(j)``. The base form calls ``value()`` on sets; tables use it.
-The generator families keep running counts instead, with the same floats bit
-for bit (every float is an integer count of 1/q, q the largest power-of-two
-denominator, and int / int rounds correctly): an exact sum of item values for
-the additive pair, and for coverage and the matroid rank, both
+and ``remove(j)``. The base form calls ``value()`` on sets; tables and other
+stateless valuations use it. The generator families keep running counts, the
+same floats bit for bit (every float is an integer count of 1/q, q the largest
+power-of-two denominator, and int / int rounds correctly): an exact sum of
+item values for the additive pair, and for coverage and the matroid rank, both
 v(S) = sum_e w_e * min(c_e, how many items of S hold e), one count for each
 element of the items a state has met (not for the whole ground set).
 """

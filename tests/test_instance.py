@@ -10,7 +10,12 @@ from nswfair import (
     Additive,
     Allocation,
     AllocationError,
+    BudgetAdditive,
+    Coverage,
+    ExplicitTable,
     Instance,
+    PartitionMatroidRank,
+    UnknownItem,
     brute_force_opt,
     complete_with_leftovers,
     load_instance,
@@ -25,6 +30,7 @@ from nswfair.instance import (
     instance_from_json,
     instance_to_json,
 )
+from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
 
 from conftest import make_instance
 
@@ -155,3 +161,32 @@ def test_argmax_invariant_under_scaling():
         {"1": {"a": 4, "b": 1, "c": 2}, "2": {"a": 6, "b": 15, "c": 3}}
     )
     assert brute_force_opt(base).argmax == brute_force_opt(scaled).argmax
+
+
+@pytest.mark.parametrize("mode", WEIGHT_MODES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_singleton_table_equals_value_bit_for_bit(family, mode):
+    # The table is read from bundle states; every cell is the float value([j]) gives.
+    for n, m, seed in [(3, 9, 0), (12, 120, 11), (20, 200, 1)]:
+        inst = random_instance(family, n, m, seed, mode)
+        assert [[x.hex() for x in row] for row in inst.singletons] == [
+            [v.value([j]).hex() for j in inst.items] for v in inst.valuations
+        ]
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        Additive({"a": 1, "b": 2}),
+        BudgetAdditive({"a": 1, "b": 2}, 2),
+        Coverage({"a": ["x"], "b": ["y"]}, {"x": 1, "y": 1}),
+        PartitionMatroidRank({"a": "c", "b": "c"}, {"c": 1}),
+        ExplicitTable(["a", "b"], [0, 1, 2, 3]),
+    ],
+    ids=lambda v: v.kind,
+)
+def test_singleton_table_rejects_an_item_outside_a_domain(v):
+    # The 1/2-EFX stage reads the table of an instance it does not validate.
+    inst = Instance(("x",), (Fraction(1),), ("a", "b", "z"), (v,))
+    with pytest.raises(UnknownItem):
+        inst.singletons

@@ -23,7 +23,7 @@ from nswfair import (
     solve_nsw,
     verify_local_opt,
 )
-from nswfair.valuations import ExplicitTable, Valuation
+from nswfair.valuations import VALUATION_KINDS, BundleState, ExplicitTable, Valuation, _CountState
 from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
 from nswfair.instance import NEG_INF
 from nswfair.search import SwapRecord, _Gains
@@ -323,21 +323,23 @@ def test_search_oracle_calls_per_swap_stay_memoised(monkeypatch):
 
 
 def test_one_price_table_per_solve(monkeypatch):
-    # One certificate table serves the recheck and both price vectors. The recheck
-    # evaluates vbar(R) per agent, vbar(R - j) per held item and vbar(R + j) per other
-    # taker of each item; its states are built on first use, so building the table
-    # calls nothing. Prices then read vbar(R) and vbar(R - j) from the recheck's memo,
-    # where a table of their own would call value() once per agent and once per item.
+    # One certificate table serves the recheck and both price vectors, and its states
+    # are the family's own, so no stage calls value(). The recheck reads vbar(R) per
+    # agent, vbar(R - j) per held item and vbar(R + j) per other taker of each item;
+    # its states are built on first use, so building the table reads nothing. Prices
+    # then read vbar(R) and vbar(R - j) from the recheck's memo, with no state read.
     import nswfair.pipeline as pipeline
 
-    stage, calls, entered = [None], Counter(), []
-    base_value = Coverage.value
+    stage, calls, reads, entered = [None], Counter(), Counter(), []
 
-    def counted_value(self, bundle):
-        calls[stage[0]] += 1
-        return base_value(self, bundle)
+    def counted(count, fn):
+        def run(self, *args):
+            count[stage[0]] += 1
+            return fn(self, *args)
 
-    def counted(name):
+        return run
+
+    def staged(name):
         fn = getattr(pipeline, name)
 
         def run(*args):
@@ -350,17 +352,79 @@ def test_one_price_table_per_solve(monkeypatch):
 
         return run
 
-    monkeypatch.setattr(Coverage, "value", counted_value)
+    monkeypatch.setattr(Coverage, "value", counted(calls, Coverage.value))
+    for read in ("value", "plus", "minus"):
+        monkeypatch.setattr(_CountState, read, counted(reads, getattr(_CountState, read)))
     for name in ("certificate_table", "verify_local_opt", "prices"):
-        monkeypatch.setattr(pipeline, name, counted(name))
+        monkeypatch.setattr(pipeline, name, staged(name))
     inst = random_instance("coverage", 12, 120, 11)
     search = solve_nsw(inst, 0.1).search
     n_abar, size = len(search.abar), len(search.universe)
     assert (n_abar, size) == (12, 108)
     assert entered == ["certificate_table", "verify_local_opt", "prices"]
-    assert calls["certificate_table"] == 0
-    assert calls["verify_local_opt"] == n_abar * (1 + size) == 1308
-    assert calls["prices"] == 0
+    assert calls["certificate_table"] == calls["verify_local_opt"] == calls["prices"] == 0
+    assert reads["certificate_table"] == 0
+    assert reads["verify_local_opt"] == n_abar * (1 + size) == 1308
+    assert reads["prices"] == 0
+
+
+def certificate_stage(inst, bundles, eps_bar):
+    """Violations, both price vectors and both spending reports of ``bundles``, floats as hex."""
+    table = certificate_table(inst, bundles)
+    violations = verify_local_opt(table, eps_bar)
+    price_vectors = prices(table)
+    stage = hexed((violations, price_vectors, tuple(map(check_spending, price_vectors))))
+    return stage, {type(state) for state in table._states.values()}
+
+
+def hexed(x):
+    """``x`` with every float as its hex string and every dict as its list of items, in order."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, dict):
+        return [(k, hexed(y)) for k, y in x.items()]
+    if isinstance(x, frozenset):
+        return sorted(x)
+    if isinstance(x, (tuple, list)):
+        return [hexed(y) for y in x]
+    return hexed(vars(x)) if hasattr(x, "__dataclass_fields__") else x
+
+
+def table_instance(seed, mode):
+    base = random_instance("coverage", 3, 8, seed, mode)
+    subsets = [[j for i, j in enumerate(base.items) if mask >> i & 1] for mask in range(1 << base.m)]
+    tables = tuple(ExplicitTable(base.items, [0.1 * v.value(s) for s in subsets]) for v in base.valuations)
+    return Instance(base.agents, base.weights, base.items, tables)
+
+
+@pytest.mark.parametrize("mode", WEIGHT_MODES)
+@pytest.mark.parametrize("family", FAMILIES + ("explicit_table",))
+def test_certificate_stage_matches_a_value_backed_reference(family, mode, monkeypatch):
+    # The certificate stage reads each family's bundle state; a stage whose states call
+    # value() on sets gives the same violations, prices and spending, float for float,
+    # on search optima and on hand-made bundles that are not locally optimal.
+    for n, m, seed in [(3, 9, 0), (6, 30, 2), (12, 120, 11)]:
+        if family == "explicit_table":
+            inst = table_instance(seed, mode)
+        else:
+            inst = random_instance(family, n, m, seed, mode)
+        eps_bar = epsilon_bar(0.1, inst.m)
+        search = local_search(inst, inst.items, eps_bar)
+        abar = search.abar
+        all_to_one = {abar[0]: inst.items}
+        dealt = {a: inst.items[i :: len(abar)] for i, a in enumerate(abar)}
+        for bundles in (search.bundles, all_to_one, dealt):
+            stage, kinds = certificate_stage(inst, bundles, eps_bar)
+            with monkeypatch.context() as patch:
+                for cls in VALUATION_KINDS.values():
+                    patch.setattr(cls, "bundle_state", Valuation.bundle_state)
+                fresh = Instance(inst.agents, inst.weights, inst.items, inst.valuations)
+                reference, reference_kinds = certificate_stage(fresh, bundles, eps_bar)
+            assert reference_kinds == {BundleState}
+            assert kinds == {type(v.bundle_state(())) for v in inst.valuations}
+            assert stage == reference, (n, m, seed)
+            if bundles is all_to_one and len(abar) > 1:
+                assert stage[0], "a non-optimal allocation must show violations"
 
 
 @pytest.mark.parametrize("eps_bar", [math.nan, -0.5])

@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -219,25 +220,32 @@ def test_solver_is_deterministic():
 
 
 def test_one_singleton_table_per_solve(monkeypatch):
-    # The instance evaluates v_i({j}) once for every agent and item; phase 1, the
-    # search, the recheck and the prices read that table, and a second solve of
-    # the same instance evaluates no singleton at all.
-    singles = []
-    base_value = Coverage.value
+    # The instance fills its table of v_i({j}) once, from an empty bundle state per
+    # valuation and with no value() call; phase 1, the search, the recheck and the
+    # prices read that table, and a second solve of the same instance fills nothing.
+    singles, filled = [], []
+    base_value, fill = Coverage.value, Instance.__dict__["singletons"].func
 
     def counted_value(self, bundle):
         bundle = frozenset(bundle)
         singles.extend(bundle if len(bundle) == 1 else ())
         return base_value(self, bundle)
 
+    def counted_fill(self):
+        filled.append(self)
+        return fill(self)
+
+    table = cached_property(counted_fill)
+    table.__set_name__(Instance, "singletons")
     monkeypatch.setattr(Coverage, "value", counted_value)
+    monkeypatch.setattr(Instance, "singletons", table)
     inst = random_instance("coverage", 12, 120, 11)
     first = solve_nsw(inst, 0.1)
     assert first.feasible
-    assert len(singles) == inst.n * inst.m == 1440
-    singles.clear()
+    assert len(filled) == 1 and filled[0] is inst and singles == []
+    assert sum(map(len, inst.singletons)) == inst.n * inst.m == 1440
     assert solve_nsw(inst, 0.1).to_json() == first.to_json()
-    assert singles == []
+    assert len(filled) == 1 and singles == []
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
