@@ -324,7 +324,9 @@ EXPERIMENT_COLUMNS = [
 
 def cmd_experiment(args) -> int:
     config = _read(lambda path: experiment_config(read_json(path)), args.config, "experiment config")
-    rows: List[List[str]] = []
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, EXPERIMENT_COLUMNS, restval="", lineterminator="\n")
+    writer.writeheader()
     max_ratio: dict[str, float] = {}
     sizes = itertools.product(config["families"], config["n"], config["m"])
     # Trials innermost and lazy: itertools.product would first build the whole range as a tuple.
@@ -344,26 +346,25 @@ def cmd_experiment(args) -> int:
         checks = _checks(run, ratio=config["verify"])
         efx_pass = {None: "", True: "yes", False: "no"}[dict(checks).get("half-efx")]
         _require(checks if config["verify"] else [c for c in checks if c[0] in SOLVE_CHECKS], f"instance {name}")
-        rows.append(
-            [
-                name,
-                str(n),
-                str(m),
-                family,
-                repr(config["eps"]),
-                _fmt(report.log_nsw),
-                "" if opt_log is None else _fmt(opt_log),
-                "" if r is None else f"{r:.6f}",
-                f"{report.guarantee.best():.6f}",
-                str(report.swaps),
-                efx_pass,
-            ]
+        writer.writerow(
+            {
+                "instance": name,
+                "n": n,
+                "m": m,
+                "family": family,
+                "eps": repr(config["eps"]),
+                "alg_log_nsw": _fmt(report.log_nsw),
+                "opt_log_nsw": "" if opt_log is None else _fmt(opt_log),
+                "ratio": "" if r is None else f"{r:.6f}",
+                "bound": f"{report.guarantee.best():.6f}",
+                "swaps": report.swaps,
+                "efx_pass": efx_pass,
+            }
         )
     for family in config["families"]:
         if family in max_ratio:
-            rows.append([f"max_ratio[{family}]", "", "", family, "", "", "", f"{max_ratio[family]:.6f}", "", "", ""])
-    lines = [",".join(EXPERIMENT_COLUMNS)] + [",".join(row) for row in rows]
-    _write_or_print(args.out, "\n".join(lines) + "\n")
+            writer.writerow({"instance": f"max_ratio[{family}]", "family": family, "ratio": f"{max_ratio[family]:.6f}"})
+    _write_or_print(args.out, buf.getvalue())
     return 0
 
 

@@ -91,7 +91,7 @@ class GuaranteeFactors:
 
     ``symmetric`` is 4 + eps and only applies under equal weights (None
     otherwise); ``asymmetric`` is (n * w_max + 2 + eps) * e; ``strong`` is
-    (phi(n * w_max) + eps) * e and dominates the plain asymmetric factor.
+    (phi(n * w_max) + eps) * e and, as phi(nu) <= nu + 2, never exceeds it.
     """
 
     symmetric: Optional[float]
@@ -99,10 +99,7 @@ class GuaranteeFactors:
     strong: float
 
     def best(self) -> float:
-        candidates = [self.asymmetric, self.strong]
-        if self.symmetric is not None:
-            candidates.append(self.symmetric)
-        return min(candidates)
+        return self.strong if self.symmetric is None else min(self.strong, self.symmetric)
 
 
 def guarantee_factor(inst: Instance, eps: float) -> GuaranteeFactors:

@@ -17,9 +17,11 @@ Every swap is scored through one gain table, :class:`_Gains`, from two
 memos: vbar_i(R_i - j) and its log per (giver, item), which give the giver's
 term w_i * log(vbar_i(R_i - j) / vbar_i(R_i)), and the taker's term
 w_k * log(vbar_k(R_k + j) / vbar_k(R_k)) per (taker, item). Each is filled on
-first use, from a bundle state per agent (:meth:`Valuation.bundle_state`)
-that answers v(R), v(R + j) and v(R - j) from running counts instead of
-re-evaluating the whole bundle.
+first use from the agent's bundle state (:meth:`Valuation.bundle_state`),
+which answers v(R), v(R + j) and v(R - j) from running counts instead of
+re-evaluating the whole bundle. The table builds one state per participant
+from the start allocation it is given, and the states are the only record of
+the live bundles.
 
 The table also keeps the search's frontier: its swap count, the count at which
 each agent's bundle last changed, and the count at which each item's position
@@ -50,7 +52,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from .errors import AllocationError, InvariantViolation
+from .errors import AllocationError, InvariantViolation, UnknownItem
 from .instance import NEG_INF, TOLERANCE, Allocation, Instance, _check_structure, float_total
 from .valuations import BundleState
 
@@ -132,19 +134,22 @@ class _Gains:
 
     ``abar``: the agents with a positive singleton value in J, in index order; ``favorite`` and
     ``offset`` map each to its first item of J of largest singleton value and that value (the
-    shift of vbar), all read from :attr:`Instance.singletons`. vbar(R), each vbar(R - j) and
-    each taker's term are memoised; memo misses are answered by one bundle state per agent,
-    made by its valuation's :meth:`~nswfair.valuations.Valuation.bundle_state` on first use.
-    The frontier: ``swaps`` counts the moves made, ``changed[a]`` is the count at which agent
-    a's bundle last changed and ``verified[j]`` the count at which item j's position last
-    passed. Change ``bundles`` only through :meth:`move`, which keeps the states, the memo and
-    the frontier in step.
+    shift of vbar), all read from :attr:`Instance.singletons`. ``states`` holds one bundle state
+    per participant, made by its valuation's :meth:`~nswfair.valuations.Valuation.bundle_state`
+    from its bundle in ``start``, or, with no ``start``, from the search's cold start: the first
+    participant holds J. vbar(R), each vbar(R - j) and each taker's term are memoised; memo
+    misses are answered by the states. The frontier: ``swaps`` counts the moves made,
+    ``changed[a]`` is the count at which agent a's bundle last changed and ``verified[j]`` the
+    count at which item j's position last passed. Change a bundle only through :meth:`move`,
+    which keeps the states, the memo and the frontier in step.
     """
 
-    def __init__(self, inst: Instance, universe: Iterable[str], bundles: Dict[str, set]):
+    def __init__(self, inst: Instance, universe: Iterable[str], start: Optional[Mapping[str, Iterable[str]]] = None):
         self.inst = inst
+        universe = set(universe)
+        if not universe <= inst.item_index.keys():
+            raise UnknownItem(f"universe items {sorted(universe - inst.item_index.keys())} are not instance items")
         self.universe = inst.sort_items(universe)
-        self.bundles = bundles
         self.favorite: Dict[str, str] = {}
         self.offset: Dict[str, float] = {}
         for agent, row in zip(inst.agents, inst.singletons):
@@ -154,9 +159,11 @@ class _Gains:
                 self.favorite[agent] = self.universe[singles.index(best)]
                 self.offset[agent] = best
         self.abar: List[str] = list(self.offset)
+        if start is None:
+            start = {self.abar[0]: self.universe} if self.abar else {}
+        self.states: Dict[str, BundleState] = {a: inst.valuation_of(a).bundle_state(start.get(a, ())) for a in self.abar}
         self.weight = {a: inst.weight_floats[inst.agent_index[a]] for a in self.abar}
         self.others = {a: [t for t in self.abar if t != a] for a in self.abar}
-        self._states: Dict[str, BundleState] = {}
         self._rows: Dict[str, List[str]] = {}
         self._cur: Dict[str, Tuple[float, float]] = {}
         self._removed: Dict[str, Dict[str, Tuple[float, float]]] = {a: {} for a in self.abar}
@@ -164,12 +171,6 @@ class _Gains:
         self.swaps = 0
         self.changed = dict.fromkeys(self.abar, 0)
         self.verified = dict.fromkeys(self.universe, -1)
-
-    def _state(self, agent: str) -> BundleState:
-        state = self._states.get(agent)
-        if state is None:
-            state = self._states[agent] = self.inst.valuation_of(agent).bundle_state(self.bundles[agent])
-        return state
 
     def _vbar(self, agent: str, value: float) -> Tuple[float, float]:
         """vbar_agent of a bundle worth ``value``, and its log."""
@@ -180,14 +181,14 @@ class _Gains:
         """R_agent in index order."""
         row = self._rows.get(agent)
         if row is None:
-            row = self._rows[agent] = self.inst.sort_items(self.bundles[agent])
+            row = self._rows[agent] = self.inst.sort_items(self.states[agent].bundle)
         return row
 
     def current(self, agent: str) -> Tuple[float, float]:
         """vbar(R_agent) and its log."""
         hit = self._cur.get(agent)
         if hit is None:
-            hit = self._cur[agent] = self._vbar(agent, self._state(agent).value())
+            hit = self._cur[agent] = self._vbar(agent, self.states[agent].value())
         return hit
 
     def removed(self, agent: str, item: str) -> Tuple[float, float]:
@@ -195,7 +196,7 @@ class _Gains:
         row = self._removed[agent]
         hit = row.get(item)
         if hit is None:
-            hit = row[item] = self._vbar(agent, self._state(agent).minus(item))
+            hit = row[item] = self._vbar(agent, self.states[agent].minus(item))
         return hit
 
     def give(self, giver: str, item: str) -> float:
@@ -207,7 +208,7 @@ class _Gains:
         row = self._take[taker]
         hit = row.get(item)
         if hit is None:
-            log_with = self._vbar(taker, self._state(taker).plus(item))[1]
+            log_with = self._vbar(taker, self.states[taker].plus(item))[1]
             hit = row[item] = self.weight[taker] * (log_with - self.current(taker)[1])
         return hit
 
@@ -220,10 +221,8 @@ class _Gains:
                     yield giver, item, taker, give + self.take(taker, item)
 
     def move(self, giver: str, item: str, taker: str) -> None:
-        self._state(giver).remove(item)
-        self._state(taker).add(item)
-        self.bundles[giver].discard(item)
-        self.bundles[taker].add(item)
+        self.states[giver].remove(item)
+        self.states[taker].add(item)
         self.swaps += 1
         for agent in (giver, taker):
             self.changed[agent] = self.swaps
@@ -270,9 +269,7 @@ def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> Loc
     Initially the smallest-index participating agent holds everything.
     """
     threshold = _threshold(eps_bar)
-    table = _Gains(inst, universe, {a: set() for a in inst.agents})
-    if table.abar:
-        table.bundles[table.abar[0]] = set(table.universe)  # no state exists yet
+    table = _Gains(inst, universe)
     max_swaps = swap_bound(len(table.universe) + 1, eps_bar) if eps_bar > 0 else math.inf
     trace: List[SwapRecord] = []
     while (hit := table.first_improving(threshold)) is not None:
@@ -284,7 +281,7 @@ def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> Loc
     gains = [gain for *_, gain in table.scan()]
     return LocalSearchResult(
         universe=tuple(table.universe),
-        bundles={a: frozenset(b) for a, b in table.bundles.items()},
+        bundles={a: frozenset(table.states[a].bundle if a in table.states else ()) for a in inst.agents},
         abar=tuple(table.abar),
         favorites=table.favorite,
         swaps=len(trace),
@@ -297,12 +294,11 @@ def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> Loc
 
 def certificate_table(inst: Instance, bundles: Mapping[str, Iterable[str]]) -> _Gains:
     """A fresh gain table over ``bundles``, which :func:`verify_local_opt` and :func:`prices`
-    read; its states are the valuations' own, built on first use."""
+    read; its states are the valuations' own, built from ``bundles`` with the table."""
     alloc = Allocation.of(bundles)
     _check_structure(inst, alloc)
-    sets = {a: set(alloc.bundle(a)) for a in inst.agents}
-    table = _Gains(inst, alloc.allocated(), sets)
-    outside = {a for a, b in sets.items() if b} - set(table.abar)
+    table = _Gains(inst, alloc.allocated(), alloc.bundles)
+    outside = {a for a, b in alloc.bundles.items() if b} - set(table.abar)
     if outside:
         raise AllocationError(
             f"agents {sorted(outside)} hold items but value no single allocated item positively"
@@ -353,7 +349,7 @@ def prices(table: _Gains) -> Tuple[PriceVector, PriceVector]:
             without, log_without = table.removed(agent, item)
             asymmetric.values[item] = table.weight[agent] * (log_with - log_without)
             symmetric.values[item] = with_item / without - 1.0
-        bundle = frozenset(table.bundles[agent])
+        bundle = frozenset(table.states[agent].bundle)
         asymmetric.budgets[agent] = (bundle, table.weight[agent])
         symmetric.budgets[agent] = (bundle, 1.0)
     return asymmetric, symmetric

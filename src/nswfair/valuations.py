@@ -110,9 +110,9 @@ class Valuation:
 
 
 class BundleState:
-    """A valuation over a live bundle R: ``value()`` is v(R), ``plus(j)`` is v(R + j) for j
-    outside R and ``minus(j)`` is v(R - j) for j in R; ``add(j)`` (j outside R) and
-    ``remove(j)`` (j in R) change R. The starting bundle is checked against the domain;
+    """A valuation over a live bundle R, the set ``bundle``: ``value()`` is v(R), ``plus(j)`` is
+    v(R + j) for j outside R and ``minus(j)`` is v(R - j) for j in R; ``add(j)`` (j outside R)
+    and ``remove(j)`` (j in R) change R. The starting bundle is checked against the domain;
     later items must come from it. Subclasses keep counts that answer without calling
     :meth:`Valuation.value`, bit for bit equal to it; this base form calls it on a set.
     """

@@ -15,6 +15,7 @@ from nswfair import (
     Coverage,
     Instance,
     InvariantViolation,
+    UnknownItem,
     certificate_table,
     check_spending,
     epsilon_bar,
@@ -89,7 +90,7 @@ def test_shift_is_the_largest_single_value_and_abar_values_the_universe(family):
     inst = random_instance(family, 6, 14, 2)
     universe = inst.items[3:]
     result = local_search(inst, universe, epsilon_bar(0.1, inst.m))
-    table = _Gains(inst, universe, {})
+    table = _Gains(inst, universe)
     assert result.abar == tuple(a for a, v in zip(inst.agents, inst.valuations) if v.value(universe) > 0.0)
     assert result.favorites == table.favorite
     for agent in result.abar:
@@ -219,6 +220,57 @@ def test_zero_value_agents_sit_out():
     assert verify_local_opt(certificate_table(inst, result.bundles), 0.1) == []
 
 
+def test_the_result_names_every_agent_and_non_participants_hold_nothing():
+    # Agents 1 and 3 value nothing in the universe, so the table builds no state for them.
+    inst = make_instance(
+        {
+            "1": {"a": 0, "b": 0, "c": 0},
+            "2": {"a": 2, "b": 3, "c": 1},
+            "3": {"a": 0, "b": 0, "c": 5},
+            "4": {"a": 1, "b": 1, "c": 1},
+        }
+    )
+    result = local_search(inst, ["a", "b"], 0.1)
+    assert result.abar == ("2", "4")
+    assert list(result.bundles) == ["1", "2", "3", "4"]
+    assert result.bundles["1"] == result.bundles["3"] == frozenset()
+    assert result.bundles["2"] | result.bundles["4"] == {"a", "b"}
+
+
+def test_the_universe_is_a_set_of_instance_items(e1, monkeypatch):
+    with pytest.raises(UnknownItem, match="zz"):
+        local_search(e1, ["c", "zz"], 0.1)
+    search_module, sizes = importlib.import_module("nswfair.search"), []
+    bound = search_module.swap_bound
+    monkeypatch.setattr(search_module, "swap_bound", lambda size, eps_bar: sizes.append(size) or bound(size, eps_bar))
+    repeated = local_search(e1, ["d", "c", "d", "c"], 0.1)
+    assert sizes == [3]  # |J| + 1, J = {c, d}
+    assert repeated.universe == ("c", "d")
+    assert repeated == local_search(e1, ["c", "d"], 0.1)
+
+
+@pytest.mark.parametrize("weight_mode", WEIGHT_MODES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_table_built_from_an_allocation_matches_one_moved_there(family, weight_mode):
+    # The search's swaps replayed through move() on the cold start, with a full scan before
+    # each so memo entries outlive moves, reach the same rows and gains, hex for hex, as a
+    # table built from the bundles they end at.
+    inst = random_instance(family, 6, 30, 3, weight_mode=weight_mode)
+    result = local_search(inst, inst.items, epsilon_bar(0.1, inst.m))
+    assert result.swaps > 0
+    moved = _Gains(inst, inst.items)
+    for swap in result.trace:
+        list(moved.scan())
+        moved.move(swap.giver, swap.item, swap.taker)
+    built = _Gains(inst, inst.items, result.bundles)
+
+    def seen(table):
+        rows = {a: table.row(a) for a in table.abar}
+        return rows, [(g, j, t, gain.hex()) for g, j, t, gain in table.scan()]
+
+    assert seen(built) == seen(moved)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_random_instances_reach_certified_optima(family, seed):
@@ -267,13 +319,17 @@ def test_asymmetric_weights_respect_caps():
 def test_memoised_gains_match_direct_recomputation_mid_search():
     inst = random_instance("coverage", n=5, m=30, seed=4, weight_mode="random_rational")
     threshold = math.log1p(epsilon_bar(0.1, inst.m))
-    bundles = {a: set() for a in inst.agents}
-    table = _Gains(inst, inst.items, bundles)
-    bundles[table.abar[0]] = set(table.universe)
+    table = _Gains(inst, inst.items)
+    bundles = {a: set() for a in table.abar}
+    bundles[table.abar[0]] = set(table.universe)  # the cold start
     for _ in range(6):
         # A full scan fills every memo entry before the move invalidates some.
         scanned = list(table.scan())
-        table.move(*next((g, j, t) for g, j, t, gain in scanned if gain > threshold))
+        giver, item, taker = next((g, j, t) for g, j, t, gain in scanned if gain > threshold)
+        table.move(giver, item, taker)
+        bundles[giver].remove(item)
+        bundles[taker].add(item)
+    assert {a: state.bundle for a, state in table.states.items()} == bundles
 
     def log_vbar(agent, bundle):
         return math.log(table.offset[agent] + inst.valuation_of(agent).value(bundle))
@@ -326,8 +382,9 @@ def test_one_price_table_per_solve(monkeypatch):
     # One certificate table serves the recheck and both price vectors, and its states
     # are the family's own, so no stage calls value(). The recheck reads vbar(R) per
     # agent, vbar(R - j) per held item and vbar(R + j) per other taker of each item;
-    # its states are built on first use, so building the table reads nothing. Prices
-    # then read vbar(R) and vbar(R - j) from the recheck's memo, with no state read.
+    # building the table builds its states from the bundles, which adds items and reads
+    # nothing. Prices then read vbar(R) and vbar(R - j) from the recheck's memo, with
+    # no state read.
     import nswfair.pipeline as pipeline
 
     stage, calls, reads, entered = [None], Counter(), Counter(), []
@@ -374,7 +431,7 @@ def certificate_stage(inst, bundles, eps_bar):
     violations = verify_local_opt(table, eps_bar)
     price_vectors = prices(table)
     stage = hexed((violations, price_vectors, tuple(map(check_spending, price_vectors))))
-    return stage, {type(state) for state in table._states.values()}
+    return stage, {type(state) for state in table.states.values()}
 
 
 def hexed(x):

@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 from functools import cached_property
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -161,6 +162,20 @@ def test_guarantee_factors_asymmetric():
     # phi(nu) <= nu + 2 makes the phi-based factor the binding one
     assert g.best() == pytest.approx(g.strong, rel=1e-12)
     assert g.strong <= g.asymmetric + 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-6, 0.1, 1.0, 1e300])
+def test_the_strong_factor_never_exceeds_the_asymmetric_one(eps):
+    # best() has no asymmetric candidate: phi(nu) <= nu + 2, and adding eps and multiplying
+    # by e keep that order in floats, so the minimum over all three factors is unchanged.
+    nus = [Fraction(k, 100) for k in range(100, 100_001, 99)] + [Fraction(1000)]
+    for nu in nus:
+        for symmetric in (False, True):
+            # all guarantee_factor reads of an instance: n * w_max = nu, and is_symmetric()
+            profile = SimpleNamespace(n=1, weights=(nu,), is_symmetric=lambda: symmetric)
+            g = guarantee_factor(profile, eps)
+            assert g.strong <= g.asymmetric, nu
+            assert g.best() == min(f for f in (g.symmetric, g.asymmetric, g.strong) if f is not None)
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -0.1, 1e308])
