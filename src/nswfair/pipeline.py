@@ -218,8 +218,9 @@ def solve_nsw(inst: Instance, eps: float) -> SolveReport:
     """Approximately maximize weighted Nash welfare over complete allocations.
 
     ``eps > 0`` trades accuracy for swap count: the factor is 4 + eps under
-    equal weights and (n * w_max + 2 + eps) * e in general, while the number
-    of swaps stays within swap_bound(m, eps_bar).
+    equal weights and (phi(n * w_max) + eps) * e in general (``strong`` of
+    :func:`guarantee_factor`), while the number of swaps stays within
+    swap_bound(m, eps_bar).
     """
     problems = validate(inst)
     if problems:

@@ -13,6 +13,11 @@ are defined. A move takes item j from agent i to agent k; it is accepted when
 strictly. Scanning order is fixed (agents by index, items by index, takers by
 index) and the first improving move is applied, so runs are deterministic.
 
+The search starts from a greedy deal of J (:meth:`_Gains._deal`). The swap
+bound rests only on v(favorite) <= vbar(S) <= (|S| + 1) * v(favorite), so it
+and the certificates hold from any start; the deal saves the swaps that would
+otherwise hand items out one by one.
+
 Every swap is scored through one gain table, :class:`_Gains`, from two
 memos: vbar_i(R_i - j) and its log per (giver, item), which give the giver's
 term w_i * log(vbar_i(R_i - j) / vbar_i(R_i)), and the taker's term
@@ -20,8 +25,8 @@ w_k * log(vbar_k(R_k + j) / vbar_k(R_k)) per (taker, item). Each is filled on
 first use from the agent's bundle state (:meth:`Valuation.bundle_state`),
 which answers v(R), v(R + j) and v(R - j) from running counts instead of
 re-evaluating the whole bundle. The table builds one state per participant
-from the start allocation it is given, and the states are the only record of
-the live bundles.
+from the start allocation it is given, or deals J itself, and the states are
+the only record of the live bundles.
 
 The table also keeps the search's frontier: its swap count, the count at which
 each agent's bundle last changed, and the count at which each item's position
@@ -136,11 +141,11 @@ class _Gains:
     ``offset`` map each to its first item of J of largest singleton value and that value (the
     shift of vbar), all read from :attr:`Instance.singletons`. ``states`` holds one bundle state
     per participant, made by its valuation's :meth:`~nswfair.valuations.Valuation.bundle_state`
-    from its bundle in ``start``, or, with no ``start``, from the search's cold start: the first
-    participant holds J. vbar(R), each vbar(R - j) and each taker's term are memoised; memo
-    misses are answered by the states. The frontier: ``swaps`` counts the moves made,
-    ``changed[a]`` is the count at which agent a's bundle last changed and ``verified[j]`` the
-    count at which item j's position last passed. Change a bundle only through :meth:`move`,
+    from its bundle in ``start``, or, with no ``start``, from the search's start, which
+    :meth:`_deal` deals from the states' own taker terms. vbar(R), each vbar(R - j) and each
+    taker's term are memoised; memo misses are answered by the states. The frontier:
+    ``swaps`` counts the moves made, ``changed[a]`` is the count at which agent a's bundle last
+    changed and ``verified[j]`` the count at which item j's position last passed. Change a bundle only through :meth:`move`,
     which keeps the states, the memo and the frontier in step.
     """
 
@@ -159,9 +164,8 @@ class _Gains:
                 self.favorite[agent] = self.universe[singles.index(best)]
                 self.offset[agent] = best
         self.abar: List[str] = list(self.offset)
-        if start is None:
-            start = {self.abar[0]: self.universe} if self.abar else {}
-        self.states: Dict[str, BundleState] = {a: inst.valuation_of(a).bundle_state(start.get(a, ())) for a in self.abar}
+        held = start or {}
+        self.states: Dict[str, BundleState] = {a: inst.valuation_of(a).bundle_state(held.get(a, ())) for a in self.abar}
         self.weight = {a: inst.weight_floats[inst.agent_index[a]] for a in self.abar}
         self.others = {a: [t for t in self.abar if t != a] for a in self.abar}
         self._rows: Dict[str, List[str]] = {}
@@ -171,6 +175,17 @@ class _Gains:
         self.swaps = 0
         self.changed = dict.fromkeys(self.abar, 0)
         self.verified = dict.fromkeys(self.universe, -1)
+        if start is None:
+            self._deal()
+
+    def _deal(self) -> None:
+        """The search's start: each item of J, in index order, goes to the participant whose taker
+        term on the bundles dealt so far is largest, ties to the smallest index (none: no deal)."""
+        for item in self.universe if self.abar else ():
+            taker = max(self.abar, key=lambda a: self.take(a, item))
+            self.states[taker].add(item)
+            self._cur.pop(taker)
+            self._take[taker].clear()
 
     def _vbar(self, agent: str, value: float) -> Tuple[float, float]:
         """vbar_agent of a bundle worth ``value``, and its log."""
@@ -266,7 +281,7 @@ def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> Loc
     """Redistribute ``universe`` into an eps_bar-local optimum.
 
     Agents with no positive single item in the universe receive nothing and take no part.
-    Initially the smallest-index participating agent holds everything.
+    The search starts from the greedy deal of :meth:`_Gains._deal`.
     """
     threshold = _threshold(eps_bar)
     table = _Gains(inst, universe)

@@ -1,10 +1,12 @@
-"""Shared fixtures: the four-item reference instance and small builders."""
+"""Shared fixtures: the four-item reference instance, the search's cold start and small builders."""
 
 from fractions import Fraction
 
 import pytest
 
 from nswfair import Additive, Instance
+
+import reference_search
 
 
 def make_instance(values_by_agent, weights=None, items=None):
@@ -30,3 +32,10 @@ def e1():
             "2": {"a": 1, "b": 3, "c": 1, "d": 1},
         }
     )
+
+
+@pytest.fixture
+def cold_start():
+    """The search started cold, the first participant holding all of J (see reference_search)."""
+    with reference_search.cold_start():
+        yield

@@ -26,10 +26,10 @@ from nswfair import (
 )
 from nswfair.valuations import VALUATION_KINDS, BundleState, ExplicitTable, Valuation, _CountState
 from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
-from nswfair.instance import NEG_INF
-from nswfair.search import SwapRecord, _Gains
+from nswfair.search import _Gains
 
 from conftest import make_instance
+from reference_search import STARTS, full_restart_search, search_start
 
 
 def test_epsilon_bar_reference_values():
@@ -50,8 +50,9 @@ def test_epsilon_bar_rejects_bad_arguments():
             epsilon_bar(eps, m)
 
 
-def test_two_agent_leftover_search(e1):
-    # Leftovers {c, d} after the matching phase; both agents value each at 1.
+def test_two_agent_leftover_search(e1, cold_start):
+    # Leftovers {c, d} after the matching phase; both agents value each at 1. From the
+    # cold start one swap reaches the optimum; the greedy start deals it and makes none.
     eb = epsilon_bar(0.1, 4)
     result = local_search(e1, ["c", "d"], eb)
     assert result.abar == ("1", "2")
@@ -99,7 +100,7 @@ def test_shift_is_the_largest_single_value_and_abar_values_the_universe(family):
         assert all(v.value([j]) <= table.offset[agent] for j in universe)
 
 
-def test_trace_gains_replay_as_potential_deltas(e1):
+def test_trace_gains_replay_as_potential_deltas(e1, cold_start):
     eb = epsilon_bar(0.1, 4)
     result = local_search(e1, ["c", "d"], eb)
     held = {a: set() for a in e1.agents}
@@ -122,7 +123,7 @@ def test_trace_gains_replay_as_potential_deltas(e1):
     assert {a: frozenset(b) for a, b in held.items()} == result.bundles
 
 
-def test_swap_guard_raises_past_the_bound(e1, monkeypatch):
+def test_swap_guard_raises_past_the_bound(e1, cold_start, monkeypatch):
     search_module = importlib.import_module("nswfair.search")
     monkeypatch.setattr(search_module, "swap_bound", lambda size, eps_bar: 0.5)
     with pytest.raises(InvariantViolation, match="swap count 1 exceeded"):
@@ -249,9 +250,48 @@ def test_the_universe_is_a_set_of_instance_items(e1, monkeypatch):
     assert repeated == local_search(e1, ["c", "d"], 0.1)
 
 
+def test_with_no_participant_nothing_is_dealt():
+    # J is not empty, but no agent values an item of it: the search holds and moves nothing,
+    # and a solve leaves those items to the leftover completion.
+    inst = make_instance({"1": {"a": 2, "b": 0, "c": 0, "d": 0}, "2": {"a": 0, "b": 1, "c": 0, "d": 0}})
+    assert _Gains(inst, ["c", "d"]).states == {}
+    result = local_search(inst, ["c", "d"], 0.1)
+    assert (result.abar, result.swaps) == ((), 0)
+    assert result.bundles == {"1": frozenset(), "2": frozenset()}
+    report = solve_nsw(inst, 0.1)
+    assert report.search.abar == ()
+    assert sorted(j for a in inst.agents for j in report.allocation.bundle(a)) == list(inst.items)
+
+
+def test_an_item_all_takers_tie_on_goes_to_the_smallest_index(e1):
+    # e1: c is worth 1 to both agents, whose bundles are empty, so agent 1 takes it; d is then
+    # worth more to agent 2, and the deal is already locally optimal.
+    assert {a: state.bundle for a, state in _Gains(e1, ["c", "d"]).states.items()} == {"1": {"c"}, "2": {"d"}}
+    result = local_search(e1, ["c", "d"], epsilon_bar(0.1, 4))
+    assert result.bundles == {"1": frozenset({"c"}), "2": frozenset({"d"})}
+    assert result.swaps == 0
+    # Three equal agents: every item ties among the agents holding the fewest, so the deal
+    # goes round in index order.
+    items = [f"g{k}" for k in range(7)]
+    inst = make_instance({a: dict.fromkeys(items, 1) for a in "123"})
+    dealt = {a: state.bundle for a, state in _Gains(inst, items).states.items()}
+    assert dealt == {"1": {"g0", "g3", "g6"}, "2": {"g1", "g4"}, "3": {"g2", "g5"}}
+
+
 @pytest.mark.parametrize("weight_mode", WEIGHT_MODES)
 @pytest.mark.parametrize("family", FAMILIES)
-def test_a_table_built_from_an_allocation_matches_one_moved_there(family, weight_mode):
+def test_the_deal_partitions_the_universe_among_participants(family, weight_mode):
+    inst = random_instance(family, 8, 40, 5, weight_mode=weight_mode)
+    for universe in (inst.items, inst.items[30:], inst.items[::7]):
+        table = _Gains(inst, universe)
+        bundles = [state.bundle for state in table.states.values()]
+        assert set(table.states) == set(table.abar)
+        assert sorted(j for bundle in bundles for j in bundle) == sorted(universe)
+
+
+@pytest.mark.parametrize("weight_mode", WEIGHT_MODES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_table_built_from_an_allocation_matches_one_moved_there(family, weight_mode, cold_start):
     # The search's swaps replayed through move() on the cold start, with a full scan before
     # each so memo entries outlive moves, reach the same rows and gains, hex for hex, as a
     # table built from the bundles they end at.
@@ -316,7 +356,7 @@ def test_asymmetric_weights_respect_caps():
     assert report.total_spent <= 1.0 + 1e-9
 
 
-def test_memoised_gains_match_direct_recomputation_mid_search():
+def test_memoised_gains_match_direct_recomputation_mid_search(cold_start):
     inst = random_instance("coverage", n=5, m=30, seed=4, weight_mode="random_rational")
     threshold = math.log1p(epsilon_bar(0.1, inst.m))
     table = _Gains(inst, inst.items)
@@ -348,8 +388,9 @@ def test_memoised_gains_match_direct_recomputation_mid_search():
 def test_search_oracle_calls_per_swap_stay_memoised(monkeypatch):
     # Re-evaluating whole bundles for every triple costs about 600 value()
     # calls per swap on this instance. The coverage bundle states answer every
-    # gain, and who takes part, each favorite and each shift come from phase 1's
-    # singleton table, so the search calls value() not at all.
+    # gain and every term of the greedy deal, and who takes part, each favorite
+    # and each shift come from phase 1's singleton table, so the search calls
+    # value() not at all, from either start.
     import nswfair.pipeline as pipeline
     from nswfair import solve_nsw
     from nswfair.valuations import Coverage
@@ -370,12 +411,14 @@ def test_search_oracle_calls_per_swap_stay_memoised(monkeypatch):
 
     monkeypatch.setattr(Coverage, "value", counted_value)
     monkeypatch.setattr(pipeline, "local_search", counted_search)
-    report = solve_nsw(random_instance("coverage", 12, 120, 11), 0.1)
-    n_abar, size = len(report.search.abar), len(report.search.universe)
-    assert report.swaps > 100
-    assert n_abar == 12
-    assert size == 108
-    assert count["calls"] == 0
+    for start in STARTS:
+        with search_start(start):
+            report = solve_nsw(random_instance("coverage", 12, 120, 11), 0.1)
+        n_abar, size = len(report.search.abar), len(report.search.universe)
+        assert report.swaps > (100 if start == "cold" else 0)
+        assert n_abar == 12
+        assert size == 108
+        assert count["calls"] == 0
 
 
 def test_one_price_table_per_solve(monkeypatch):
@@ -494,48 +537,11 @@ def test_eps_bar_must_be_a_nonnegative_number(eps_bar):
         verify_local_opt(certificate_table(inst, {"a0": set(inst.items)}), eps_bar)
 
 
-def full_restart_search(inst, universe, eps_bar):
-    """Reference search: restart the scan from the top after every swap, with
-    logs of fresh value() calls memoised per bundle version."""
-    universe = inst.sort_items(universe)
-    abar = [a for a, v in zip(inst.agents, inst.valuations) if universe and v.value(universe) > 0.0]
-    valuations = {a: inst.valuation_of(a) for a in abar}
-    shift = {a: max(v.value([j]) for j in universe) for a, v in valuations.items()}
-    w = {a: inst.weight_floats[inst.agent_index[a]] for a in abar}
-    held = {a: set(universe) if a in abar[:1] else set() for a in inst.agents}
-    version, logs = dict.fromkeys(abar, 0), {}
-
-    def log_vbar(a, plus=(), minus=()):
-        key = (a, version[a], plus, minus)
-        if key not in logs:
-            logs[key] = math.log(shift[a] + valuations[a].value(held[a] - set(minus) | set(plus)))
-        return logs[key]
-
-    def triples():
-        for g in abar:
-            for j in inst.sort_items(held[g]):
-                give = w[g] * (log_vbar(g, minus=(j,)) - log_vbar(g))
-                for t in abar:
-                    if t != g:
-                        yield g, j, t, give + w[t] * (log_vbar(t, plus=(j,)) - log_vbar(t))
-
-    threshold, trace = math.log1p(eps_bar), []
-    while (hit := next((triple for triple in triples() if triple[3] > threshold), None)) is not None:
-        g, j, t, gain = hit
-        held[g].remove(j)
-        held[t].add(j)
-        version[g] += 1
-        version[t] += 1
-        trace.append(SwapRecord(len(trace) + 1, g, j, t, gain))
-    gains = [triple[3] for triple in triples()]
-    bundles = {a: frozenset(b) for a, b in held.items()}
-    return tuple(trace), bundles, (len(gains), max(gains, default=NEG_INF))
-
-
-def assert_search_matches_full_restart(inst, eps=0.1):
+def assert_search_matches_full_restart(inst, eps=0.1, start="greedy"):
     eb = epsilon_bar(eps, max(inst.m, 1))
-    result = local_search(inst, inst.items, eb)
-    trace, bundles, (triples, max_gain) = full_restart_search(inst, inst.items, eb)
+    with search_start(start):
+        result = local_search(inst, inst.items, eb)
+    trace, bundles, (triples, max_gain) = full_restart_search(inst, inst.items, eb, start)
     assert result.trace == trace
     assert result.bundles == bundles
     assert (result.certificate.triples_checked, result.certificate.max_log_gain) == (triples, max_gain)
@@ -545,12 +551,13 @@ def assert_search_matches_full_restart(inst, eps=0.1):
 @pytest.mark.parametrize("weight_mode", WEIGHT_MODES)
 @pytest.mark.parametrize("family", FAMILIES)
 def test_search_matches_a_full_restart_search(family, weight_mode, n, m):
-    assert_search_matches_full_restart(random_instance(family, n, m, n + m, weight_mode=weight_mode))
+    for start in STARTS:
+        assert_search_matches_full_restart(random_instance(family, n, m, n + m, weight_mode=weight_mode), start=start)
 
 
 class _CountedGains(_Gains):
     """A gain table that counts the triples the frontier scores: each lookup in a taker's
-    memo, less those made by :meth:`take` itself (memo misses and full scans)."""
+    memo, less those made by :meth:`take` itself (memo misses, full scans and the deal)."""
 
     scored = 0
 
@@ -559,13 +566,21 @@ class _CountedGains(_Gains):
             _CountedGains.scored += 1
             return dict.get(self, key, default)
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._take = {a: self.Row() for a in self.abar}
+    @property
+    def _take(self):
+        return self._counted_rows
+
+    @_take.setter
+    def _take(self, rows):  # the memo is made of counting rows before the start is dealt
+        self._counted_rows = {a: self.Row(row) for a, row in rows.items()}
 
     def take(self, taker, item):
         _CountedGains.scored -= 1
         return super().take(taker, item)
+
+
+# (triples scored, swaps) of each case below from the greedy start.
+GREEDY_FRONTIER = {"coverage": (13_154, 27), "additive": (2_771, 7), "partition_matroid_rank": (3_800, 0)}
 
 
 @pytest.mark.parametrize(
@@ -579,19 +594,24 @@ class _CountedGains(_Gains):
 def test_frontier_scores_a_fixed_set_of_triples(monkeypatch, family, n, m, seed, weight_mode, scored, swaps):
     # The frontier scores only the triples that can have changed since their position was
     # last verified; these counts pin that set, which an equal swap trace alone does not.
+    # The cold start, with its many swaps, exercises the frontier most.
     monkeypatch.setattr(importlib.import_module("nswfair.search"), "_Gains", _CountedGains)
-    monkeypatch.setattr(_CountedGains, "scored", 0)
     inst = random_instance(family, n, m, seed, weight_mode=weight_mode)
-    result = local_search(inst, inst.items, epsilon_bar(0.1, inst.m))
-    assert (_CountedGains.scored, result.swaps) == (scored, swaps)
+    for start, counts in [("cold", (scored, swaps)), ("greedy", GREEDY_FRONTIER[family])]:
+        monkeypatch.setattr(_CountedGains, "scored", 0)
+        with search_start(start):
+            result = local_search(inst, inst.items, epsilon_bar(0.1, inst.m))
+        assert (_CountedGains.scored, result.swaps) == counts, start
 
 
 def test_frontier_scores_a_fixed_set_of_triples_in_a_solve(monkeypatch):
     # The 12x120 coverage search of README's "Search cost" section, on the universe phase 1 leaves.
     monkeypatch.setattr(importlib.import_module("nswfair.search"), "_Gains", _CountedGains)
-    monkeypatch.setattr(_CountedGains, "scored", 0)
-    report = solve_nsw(random_instance("coverage", 12, 120, 11), 0.1)
-    assert (_CountedGains.scored, report.swaps) == (21_389, 328)
+    for start, counts in [("cold", (21_389, 328)), ("greedy", (2_879, 13))]:
+        monkeypatch.setattr(_CountedGains, "scored", 0)
+        with search_start(start):
+            report = solve_nsw(random_instance("coverage", 12, 120, 11), 0.1)
+        assert (_CountedGains.scored, report.swaps) == counts, start
 
 
 class SquareRootOfSum(Valuation):
@@ -619,10 +639,12 @@ def test_tables_and_stateless_valuations_match_a_full_restart_search(seed):
     tables = tuple(
         ExplicitTable(base.items, [0.1 * v.value(s) for s in subsets]) for v in base.valuations
     )
-    assert_search_matches_full_restart(Instance(base.agents, base.weights, base.items, tables))
+    tabled = Instance(base.agents, base.weights, base.items, tables)
     base = random_instance("additive", 4, 20, seed, weight_mode="random_rational")
-    roots = tuple(SquareRootOfSum(v) for v in base.valuations)
-    assert_search_matches_full_restart(Instance(base.agents, base.weights, base.items, roots))
+    rooted = Instance(base.agents, base.weights, base.items, tuple(SquareRootOfSum(v) for v in base.valuations))
+    for start in STARTS:
+        for inst in (tabled, rooted):
+            assert_search_matches_full_restart(inst, start=start)
 
 
 TIE_VALUES = st.sampled_from([0, 1, 2, 4])
@@ -656,6 +678,6 @@ def tie_heavy_instances(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(inst=tie_heavy_instances(), eps=st.sampled_from([1e-9, 0.01, 0.1, 1.0]))
-def test_tie_heavy_searches_match_a_full_restart_search(inst, eps):
-    assert_search_matches_full_restart(inst, eps)
+@given(inst=tie_heavy_instances(), eps=st.sampled_from([1e-9, 0.01, 0.1, 1.0]), start=st.sampled_from(STARTS))
+def test_tie_heavy_searches_match_a_full_restart_search(inst, eps, start):
+    assert_search_matches_full_restart(inst, eps, start)

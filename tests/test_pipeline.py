@@ -35,7 +35,8 @@ from conftest import make_instance
 from test_golden import CASES, case_id
 
 
-def test_reference_solve(e1):
+def test_reference_solve(e1, cold_start):
+    # From the cold start; test_local_search checks the greedy deal of e1's leftovers.
     report = solve_nsw(e1, eps=0.1)
     assert report.feasible
     assert report.tau == {"1": "a", "2": "b"}
@@ -217,7 +218,7 @@ def test_small_instances_meet_the_factor(family):
         assert ratio <= report.guarantee.best() + 1e-9
 
 
-def test_report_serializes(e1):
+def test_report_serializes(e1, cold_start):
     report = solve_nsw(e1, eps=0.1)
     doc = report.to_json()
     text = json.dumps(doc)
