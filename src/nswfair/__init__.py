@@ -15,7 +15,6 @@ from .efx import (
 )
 from .errors import (
     AllocationError,
-    InfeasibleMatching,
     InvariantViolation,
     LemmaViolation,
     SizeGuardExceeded,
@@ -64,7 +63,6 @@ __all__ = [
     "FAMILIES",
     "FairnessOutcome",
     "GuaranteeFactors",
-    "InfeasibleMatching",
     "Instance",
     "InvariantViolation",
     "LemmaViolation",

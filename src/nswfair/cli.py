@@ -123,8 +123,6 @@ def _trace_csv(report: SolveReport) -> str:
 
 
 def cmd_gen(args) -> int:
-    if args.n < 1:
-        raise CliError("n must be at least 1")
     if args.m < 1:
         raise CliError("m must be at least 1")
     inst = random_instance(args.family, args.n, args.m, args.seed, args.weights)

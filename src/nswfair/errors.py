@@ -5,10 +5,6 @@ class UnknownItem(ValueError):
     """A bundle referenced an item outside the valuation's domain."""
 
 
-class InfeasibleMatching(ValueError):
-    """A perfect-on-agents matching was requested with more agents than columns."""
-
-
 class AllocationError(ValueError):
     """Structurally invalid allocation: overlapping bundles or foreign ids."""
 

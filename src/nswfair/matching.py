@@ -45,11 +45,11 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .errors import InfeasibleMatching, InvariantViolation, LemmaViolation
+from .errors import InvariantViolation, LemmaViolation
 from .instance import NEG_INF, float_total
 from .valuations import exact_ints
 
-__all__ = ["NEG_INF", "AssignmentResult", "solve_assignment", "solve_lex_assignment"]
+__all__ = ["AssignmentResult", "solve_assignment", "solve_lex_assignment"]
 
 
 @dataclass(frozen=True)
@@ -120,15 +120,13 @@ def solve_assignment(scores: Sequence[Sequence[float]]) -> AssignmentResult:
 
     Covers every row when a finite-score row-covering matching exists and
     otherwise returns the maximum-cardinality finite matching with
-    ``total = -inf``; more rows than columns is rejected outright, and so is
-    a ``nan`` or ``+inf`` score (:class:`ValueError` naming its cell).
+    ``total = -inf``, as for a table with more rows than columns; a ``nan`` or
+    ``+inf`` score is rejected (:class:`ValueError` naming its cell).
     """
     n = len(scores)
     m = len(scores[0]) if n else 0
     if any(len(row) != m for row in scores):
         raise ValueError("score table rows must have equal length")
-    if n > m:
-        raise InfeasibleMatching(f"{n} rows cannot all be matched into {m} columns")
     kept: Dict[Tuple[int, int], float] = {}
     for r, row in enumerate(scores):
         row = [float(s) for s in row]

@@ -145,8 +145,8 @@ class _Gains:
     :meth:`_deal` deals from the states' own taker terms. vbar(R), each vbar(R - j) and each
     taker's term are memoised; memo misses are answered by the states. The frontier:
     ``swaps`` counts the moves made, ``changed[a]`` is the count at which agent a's bundle last
-    changed and ``verified[j]`` the count at which item j's position last passed. Change a bundle only through :meth:`move`,
-    which keeps the states, the memo and the frontier in step.
+    changed and ``verified[j]`` the count at which item j's position last passed. Change a
+    bundle only through :meth:`move`, which keeps the states, the memo and the frontier in step.
     """
 
     def __init__(self, inst: Instance, universe: Iterable[str], start: Optional[Mapping[str, Iterable[str]]] = None):
@@ -271,9 +271,10 @@ class _Gains:
 
 
 def _threshold(eps_bar: float) -> float:
-    """log(1 + eps_bar), the log-gain an improving swap must strictly beat."""
-    if not eps_bar >= 0:
-        raise ValueError(f"eps_bar must be a nonnegative number, got {eps_bar!r}")
+    """log(1 + eps_bar), the log-gain an improving swap must strictly beat, and the one check
+    of eps_bar: a positive number (a nan threshold would certify anything)."""
+    if not eps_bar > 0:
+        raise ValueError(f"eps_bar must be a positive number, got {eps_bar!r}")
     return math.log1p(eps_bar)
 
 
@@ -281,11 +282,15 @@ def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> Loc
     """Redistribute ``universe`` into an eps_bar-local optimum.
 
     Agents with no positive single item in the universe receive nothing and take no part.
-    The search starts from the greedy deal of :meth:`_Gains._deal`.
+    The search starts from the greedy deal of :meth:`_Gains._deal` and makes at most
+    swap_bound(|J| + 1, eps_bar) swaps on its universe J; an eps_bar so small that this bound
+    is not finite is refused with :class:`ValueError`, so no search runs without its budget.
     """
     threshold = _threshold(eps_bar)
     table = _Gains(inst, universe)
-    max_swaps = swap_bound(len(table.universe) + 1, eps_bar) if eps_bar > 0 else math.inf
+    max_swaps = swap_bound(len(table.universe) + 1, eps_bar)
+    if not math.isfinite(max_swaps):
+        raise ValueError(f"eps_bar {eps_bar!r} is too small for a finite swap bound on {len(table.universe)} items")
     trace: List[SwapRecord] = []
     while (hit := table.first_improving(threshold)) is not None:
         giver, item, taker, gain = hit

@@ -9,8 +9,8 @@ bit for bit.
 
 from typing import Sequence
 
-from nswfair.errors import InfeasibleMatching
-from nswfair.matching import NEG_INF, AssignmentResult, _lex_preference, _max_weight_matching
+from nswfair.instance import NEG_INF
+from nswfair.matching import AssignmentResult, _lex_preference, _max_weight_matching
 from nswfair.valuations import exact_ints
 
 
@@ -20,8 +20,6 @@ def reference_assignment(scores: Sequence[Sequence[float]]) -> AssignmentResult:
     m = len(scores[0]) if n else 0
     if any(len(row) != m for row in scores):
         raise ValueError("score table rows must have equal length")
-    if n > m:
-        raise InfeasibleMatching(f"{n} rows cannot all be matched into {m} columns")
     ints, _ = exact_ints(
         {(r, c): float(s) for r, row in enumerate(scores) for c, s in enumerate(row) if s != NEG_INF}
     )

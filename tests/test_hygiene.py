@@ -2,9 +2,11 @@
 
 No ``assert`` statements (they vanish under ``python -O``, so a check that
 matters raises instead), no unused imports, and export lists that name only
-what exists: every name in a module's ``__all__`` is defined there, and the
-package's ``__all__`` is exactly what its ``__init__`` imports, so a deleted
-name cannot linger in one list. Input documents have one reader:
+what exists: every name in a module's ``__all__`` is defined there, by the
+module itself and not imported from another, and the package's ``__all__`` is
+exactly what its ``__init__`` imports, so a deleted name cannot linger in one
+list. Every exception class in ``errors`` is raised by name somewhere in the
+package, so an error nothing raises is deleted. Input documents have one reader:
 ``json.load`` and ``json.loads`` are called only in ``instance.read_json``,
 so no other reader can grow its own rules. The package ``__init__``
 imports to re-export, and ``__future__`` imports are directives, so both
@@ -60,6 +62,56 @@ def test_every_exported_name_exists(path):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
     assert not missing, f"{path.name}: __all__ names {missing} that the module does not define"
+
+
+def foreign_exports(tree: ast.Module):
+    """Names in the module's ``__all__`` that no top-level def, class or assignment of it binds."""
+    defined, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    defined.add(target.id)
+                    if target.id == "__all__":
+                        exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in defined]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_every_module_exports_only_what_it_defines(path):
+    foreign = foreign_exports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not foreign, f"{path.name}: __all__ names {foreign}, which the module imports rather than defines"
+
+
+def test_the_export_check_sees_an_imported_name():
+    tree = ast.parse("from x import A\nB = 1\nC: int = 2\n\ndef f():\n    pass\n\n__all__ = ['A', 'B', 'C', 'f']\n")
+    assert foreign_exports(tree) == ["A"]
+
+
+def unraised_errors(errors: ast.Module, trees):
+    """Exception classes defined in ``errors`` that no ``raise`` in ``trees`` names."""
+    raised = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    return [node.name for node in errors.body if isinstance(node, ast.ClassDef) and node.name not in raised]
+
+
+def test_every_error_class_is_raised():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    unraised = unraised_errors(ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8")), trees)
+    assert not unraised, f"errors.py: {unraised} raised nowhere in the package"
+
+
+def test_the_error_check_sees_an_unraised_class():
+    errors = ast.parse("class A(ValueError):\n    pass\n\nclass B(Exception):\n    pass\n\nclass C(Exception):\n    pass\n")
+    user = ast.parse("def f():\n    raise A('x')\n\ndef g():\n    raise C\n")
+    assert unraised_errors(errors, [user]) == ["B"]
 
 
 def test_package_exports_exactly_what_it_imports():

@@ -26,7 +26,7 @@ from nswfair import (
 )
 from nswfair.valuations import VALUATION_KINDS, BundleState, ExplicitTable, Valuation, _CountState
 from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
-from nswfair.search import _Gains
+from nswfair.search import _Gains, swap_bound
 
 from conftest import make_instance
 from reference_search import STARTS, full_restart_search, search_start
@@ -535,6 +535,25 @@ def test_eps_bar_must_be_a_nonnegative_number(eps_bar):
         local_search(inst, inst.items, eps_bar)
     with pytest.raises(ValueError, match="eps_bar"):
         verify_local_opt(certificate_table(inst, {"a0": set(inst.items)}), eps_bar)
+
+
+@pytest.mark.parametrize("eps_bar", [0.0, 5e-324, 1e-310])
+def test_no_search_runs_without_a_finite_swap_bound(eps_bar):
+    # 0 is not positive; 5e-324 and 1e-310 pass the positivity check, but the swap bound
+    # log(|J| + 1) / log(1 + eps_bar) + 1 overflows to inf on 9 items.
+    inst = random_instance("additive", 3, 9, 0)
+    assert eps_bar == 0.0 or swap_bound(len(inst.items) + 1, eps_bar) == math.inf
+    with pytest.raises(ValueError, match="eps_bar"):
+        local_search(inst, inst.items, eps_bar)
+
+
+def test_the_recheck_refuses_a_zero_eps_bar():
+    # The recheck makes no swap, so it needs no swap bound: only positivity binds it.
+    inst = random_instance("additive", 3, 9, 0)
+    table = certificate_table(inst, {"a0": set(inst.items)})
+    with pytest.raises(ValueError, match="eps_bar"):
+        verify_local_opt(table, 0.0)
+    assert verify_local_opt(table, 5e-324)
 
 
 def assert_search_matches_full_restart(inst, eps=0.1, start="greedy"):

@@ -2,12 +2,13 @@
 
 import json
 import math
+import sys
 from fractions import Fraction
 from functools import cached_property
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nswfair import (
@@ -29,7 +30,7 @@ from nswfair import (
 import nswfair.pipeline as pipeline_mod
 from nswfair.cli import _checks, _made_fair, _Run
 from nswfair.generate import FAMILIES, random_instance
-from nswfair.search import swap_bound
+from nswfair.search import epsilon_bar, swap_bound
 
 from conftest import make_instance
 from test_golden import CASES, case_id
@@ -67,6 +68,27 @@ def test_swap_limit_is_the_swap_bound_of_m_items():
         inst = random_instance(family, n=3, m=9, seed=5)
         report = solve_nsw(inst, eps=0.1)
         assert report.certificates.swap_limit == swap_bound(inst.m, report.eps_bar)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 10**4).flatmap(lambda m: st.tuples(st.integers(1, m), st.just(m))),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+@example((1, 1), 5e-324)
+@example((1, 10**4), 1e-300)
+@example((10**4, 10**4), sys.float_info.max)
+def test_the_solve_never_meets_the_searchs_bound_refusal(sizes, eps):
+    # A solve reaches the search only with 1 <= n <= m, after phase 1 took n items, so the
+    # search's universe J has |J| + 1 = m - n + 1; every eps that epsilon_bar accepts keeps that
+    # bound finite and within the report's swap_limit = swap_bound(m, eps_bar).
+    n, m = sizes
+    try:
+        eps_bar = epsilon_bar(eps, m)
+    except ValueError:
+        assume(False)
+    bound = swap_bound(m - n + 1, eps_bar)
+    assert math.isfinite(bound) and bound <= swap_bound(m, eps_bar)
 
 
 def test_invalid_instance_rejected():
