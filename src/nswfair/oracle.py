@@ -5,9 +5,9 @@ The search then runs in two steps.
 
 1. **Tables.** For every agent i, ``L_i[mask] = welfare_term(w_i, v_i(S))``,
    that is w_i * log v_i(S) or -inf when v_i(S) <= 0, where bit t of mask
-   selects item t and S is passed to ``value()`` in index order
-   (:func:`~nswfair.valuations.subset_values`).
-   That is n * 2^m ``value()`` calls and n * 2^m float64 of memory: 1 GiB at
+   selects item t; one bundle state per agent walks the 2^m subsets in
+   Gray-code order (:func:`~nswfair.valuations.subset_values`), so a family
+   makes no ``value()`` call. The tables take n * 2^m float64: 1 GiB at
    the largest size the guard allows with tables, n = 2 and m = 26. With one
    agent there is one allocation, scored by :func:`~nswfair.instance.nsw_log`.
 2. **Enumeration.** Every complete allocation is a base-n counter over the m

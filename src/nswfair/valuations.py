@@ -424,22 +424,25 @@ def _local_violations(vals: np.ndarray, slack: float) -> Iterator[Tuple[str, int
                 yield "submodularity", s | 1 << i, s | 1 << j
 
 
-def _power_lists(items: Sequence[str]) -> List[List[str]]:
-    """Every subset of ``items`` as a list in index order, at position mask (bit t selects item t)."""
-    subsets: List[List[str]] = [[]]
-    for item in items:
-        subsets += [s + [item] for s in subsets]
-    return subsets
-
-
 def subset_values(v: Valuation, items: Sequence[str]) -> np.ndarray:
-    """v(S) for every subset S of ``items``, a float64 array indexed by mask: bit t selects
-    ``items[t]`` and S is passed to :meth:`Valuation.value` as a list in index order. That is
-    2^len(items) ``value()`` calls; the subsets are built from two half-size lists, so memory
-    beyond the result is O(2^(len/2))."""
-    half = len(items) // 2
-    low, high = _power_lists(items[:half]), _power_lists(items[half:])
-    return np.fromiter((v.value(lo + hi) for hi in high for lo in low), dtype=float, count=1 << len(items))
+    """v(S) for every subset S of ``items`` as a float64 array indexed by mask, bit t selecting
+    ``items[t]``. One :meth:`Valuation.bundle_state` walks the subsets in Gray-code order, one
+    ``add`` or ``remove`` a step, filling the array in place. ``items`` must be distinct ids of
+    the domain: a foreign id raises :class:`UnknownItem`, a repeated one ``ValueError``.
+
+    >>> subset_values(Additive({"a": 1, "b": 2}), ["a", "b"]).tolist()
+    [0.0, 1.0, 2.0, 3.0]
+    """
+    if len(v._bundle(items)) < len(items):
+        raise ValueError(f"item ids repeat in {list(items)!r}")
+    out = np.empty(1 << len(items))
+    state, mask = v.bundle_state(()), 0
+    out[0] = state.value()
+    for s in range(1, out.size):
+        mask ^= (bit := s & -s)  # step s flips the item of s's lowest set bit
+        (state.add if mask & bit else state.remove)(items[bit.bit_length() - 1])
+        out[mask] = state.value()
+    return out
 
 
 def _mask_set(universe: Sequence[str], mask: int) -> FrozenSet[str]:
@@ -449,9 +452,9 @@ def _mask_set(universe: Sequence[str], mask: int) -> FrozenSet[str]:
 def check_submodular(v: Valuation, universe: Sequence[str]) -> List[StructureViolation]:
     """Screen ``v`` for submodularity and monotonicity violations on ``universe``.
 
-    It evaluates all 2^|universe| subsets, for at most
-    ``ExplicitTable.MAX_ITEMS`` items, and runs the local tests that
-    :class:`ExplicitTable` enforces, with at most one witness per item,
+    It tabulates all 2^|universe| subsets with :func:`subset_values`, for at
+    most ``ExplicitTable.MAX_ITEMS`` distinct items, and runs the local tests
+    that :class:`ExplicitTable` enforces, with at most one witness per item,
     (S, S + i) for monotonicity, and per item pair, (S + i, S + j) for
     submodularity. An empty list means no violation was found; the tests are
     exact, with no rounding slack.

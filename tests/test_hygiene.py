@@ -8,11 +8,13 @@ exactly what its ``__init__`` imports, so a deleted name cannot linger in one
 list. Every exception class in ``errors`` is raised by name somewhere in the
 package, so an error nothing raises is deleted. Input documents have one reader:
 ``json.load`` and ``json.loads`` are called only in ``instance.read_json``,
-so no other reader can grow its own rules. The package ``__init__``
-imports to re-export, and ``__future__`` imports are directives, so both
-are exempt from the import check. A name counts as used where the code reads
-it; quoted annotations are not parsed, and with ``from __future__ import
-annotations`` none needs quoting.
+so no other reader can grow its own rules. Every module-level private
+function or class (``_name``) is read somewhere in the package outside its
+own definition, so a helper its last caller dropped is deleted with it. The
+package ``__init__`` imports to re-export, and ``__future__`` imports are
+directives, so both are exempt from the import check. A name counts as
+used where the code reads it; quoted annotations are not parsed, and with
+``from __future__ import annotations`` none needs quoting.
 """
 
 import ast
@@ -160,3 +162,42 @@ def test_every_input_file_is_parsed_by_read_json_alone():
 def test_the_reader_check_sees_every_call():
     tree = ast.parse("import json\nx = json.loads('1')\n\ndef f(p):\n    def g():\n        return json.load(p)\n    return g\n")
     assert json_load_calls(tree) == [(None, 2), ("g", 6)]
+
+
+def names_read(statement):
+    """Every name, attribute and imported name the statement reads."""
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def unreferenced_private(trees):
+    """Module-level ``_name`` functions and classes of ``trees`` (module name -> tree) that no
+    other top-level statement of any tree reads, as (module, name); a self-reference does not count."""
+    read = {statement: set(names_read(statement)) for tree in trees.values() for statement in tree.body}
+    return [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and not any(node.name in names for statement, names in read.items() if statement is not node)
+    ]
+
+
+def test_every_private_function_and_class_is_used():
+    unused = unreferenced_private({path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES})
+    assert not unused, f"private functions or classes nothing in the package reads: {unused}"
+
+
+def test_the_private_check_sees_an_unused_helper():
+    trees = {
+        "a": ast.parse("def _used():\n    pass\n\ndef _dead(n):\n    return _dead(n - 1)\n\nclass _Idle:\n    pass\n"),
+        "b": ast.parse("from .a import _used\n\ndef f():\n    return _used()\n"),
+    }
+    assert unreferenced_private(trees) == [("a", "_dead"), ("a", "_Idle")]

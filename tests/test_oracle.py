@@ -5,7 +5,11 @@ import math
 import pytest
 
 from nswfair import (
+    Additive,
     Allocation,
+    BudgetAdditive,
+    Coverage,
+    PartitionMatroidRank,
     SizeGuardExceeded,
     brute_force_opt,
     nsw_log,
@@ -156,7 +160,8 @@ class CountingValuation(Valuation):
         return self.inner.value(bundle)
 
 
-def counted(inst, monkeypatch):
+def outside_validate(monkeypatch):
+    """A call counter whose ``validating`` flag is set while the oracle runs ``validate``."""
     counter = {"calls": 0, "validating": False}
     validate = oracle.validate
 
@@ -168,6 +173,11 @@ def counted(inst, monkeypatch):
             counter["validating"] = False
 
     monkeypatch.setattr(oracle, "validate", validating)
+    return counter
+
+
+def counted(inst, monkeypatch):
+    counter = outside_validate(monkeypatch)
     valuations = tuple(CountingValuation(v, counter) for v in inst.valuations)
     return type(inst)(inst.agents, inst.weights, inst.items, valuations), counter
 
@@ -177,6 +187,20 @@ def test_each_agent_and_bundle_is_evaluated_once(family, monkeypatch):
     inst, counter = counted(random_instance(family, 3, 8, seed=1), monkeypatch)
     brute_force_opt(inst)
     assert counter["calls"] == 3 * 2**8  # the per-allocation loop made about 18.5k
+
+
+@pytest.mark.parametrize("mode", WEIGHT_MODES)
+def test_family_tables_call_no_value(mode, monkeypatch):
+    counter = outside_validate(monkeypatch)
+    for kind in (Additive, BudgetAdditive, Coverage, PartitionMatroidRank):
+        def value(self, bundle, base=kind.value):
+            counter["calls"] += not counter["validating"]
+            return base(self, bundle)
+
+        monkeypatch.setattr(kind, "value", value)
+    for family in FAMILIES:
+        brute_force_opt(random_instance(family, 3, 8, seed=1, weight_mode=mode))
+        assert counter["calls"] == 0, family  # the tables come from the bundle states alone
 
 
 def test_one_agent_is_one_allocation_and_builds_no_table(monkeypatch):

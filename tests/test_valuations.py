@@ -1,6 +1,7 @@
 """Valuation families and the structure checker."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,8 @@ from nswfair import (
     UnknownItem,
     check_submodular,
 )
-from nswfair.generate import random_instance
-from nswfair.valuations import Valuation, valuation_from_params
+from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
+from nswfair.valuations import BundleState, Valuation, subset_values, valuation_from_params
 
 
 def test_additive_eval():
@@ -154,6 +155,58 @@ def test_check_submodular_size_limit():
     v = Additive({f"g{i}": 1 for i in range(21)})
     with pytest.raises(ValueError):
         check_submodular(v, sorted(v.items))
+
+
+def assert_table_is_value_bit_for_bit(v, items):
+    table = subset_values(v, items)
+    assert table.dtype == float and table.size == 1 << len(items)
+    for mask in range(table.size):
+        subset = [j for t, j in enumerate(items) if mask >> t & 1]
+        assert table[mask].hex() == v.value(subset).hex(), (mask, subset)
+
+
+def orders(items):
+    """``items`` in index order, shuffled, and as a strict sub-universe in a shuffled order."""
+    shuffled = list(items)
+    random.Random(len(items)).shuffle(shuffled)
+    return [list(items), shuffled, shuffled[: len(items) - 2]]
+
+
+@pytest.mark.parametrize("mode", WEIGHT_MODES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_subset_values_equal_value_bit_for_bit(family, mode):
+    inst = random_instance(family, 3, 9, seed=5, weight_mode=mode)
+    for v in inst.valuations:
+        for items in orders(inst.items):
+            assert_table_is_value_bit_for_bit(v, items)
+
+
+def test_subset_values_on_the_base_state_equal_value_bit_for_bit():
+    coverage = random_instance("coverage", 1, 7, seed=2).valuations[0]
+    items = sorted(coverage.items)
+    masks = [[j for t, j in enumerate(items) if mask >> t & 1] for mask in range(1 << len(items))]
+    values = [coverage.value(subset) for subset in masks]
+    for v in (ExplicitTable(items, values), Table(items, values)):
+        assert type(v.bundle_state(())) is BundleState
+        for order in orders(items):
+            assert_table_is_value_bit_for_bit(v, order)
+
+
+FIVE_KINDS = [random_instance(family, 1, 4, seed=0).valuations[0] for family in FAMILIES] + [
+    ExplicitTable(["g0", "g1", "g2", "g3"], [bin(mask).count("1") for mask in range(16)])
+]
+
+
+@pytest.mark.parametrize("v", FIVE_KINDS, ids=lambda v: v.kind)
+@pytest.mark.parametrize("tabulate", [subset_values, check_submodular])
+def test_tables_refuse_foreign_and_repeated_items(v, tabulate):
+    with pytest.raises(UnknownItem, match="'zz'"):
+        tabulate(v, ["g0", "zz", "g1"])
+    with pytest.raises(UnknownItem):
+        tabulate(v, ["g0", "zz", "zz"])  # the domain is checked first
+    with pytest.raises(ValueError, match="repeat") as refused:
+        tabulate(v, ["g0", "g1", "g0"])
+    assert not isinstance(refused.value, UnknownItem)
 
 
 @settings(max_examples=60, deadline=None)
