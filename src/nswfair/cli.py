@@ -205,6 +205,10 @@ def cmd_solve(args) -> int:
         f"swaps: {report.swaps} (limit {report.certificates.swap_limit:.3f})",
         f"guarantee: best factor {report.guarantee.best():.6f}",
     ]
+    if report.search is not None:
+        cert = report.search.certificate
+        lines.append(f"local optimum: {cert.triples_checked} triples checked, max log-gain {cert.max_log_gain:.6g} "
+                     f"(threshold {cert.threshold:.6g})")
     if args.exact:
         doc["exact"] = {"opt_log_nsw": _fmt(run.opt_log), "ratio": run.ratio}
         lines.append(f"exact: opt log_nsw {_fmt(run.opt_log)}, ratio {run.ratio:.6f}")

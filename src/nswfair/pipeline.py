@@ -18,15 +18,15 @@ items go to the column maximum, so no stage evaluates a singleton again.
 The report embeds verification certificates plus the approximation factors
 implied by the instance's weight profile. One fresh :func:`certificate_table`,
 read through the family states as the search's table is, serves the
-local-optimality recheck, then both price vectors and spending reports.
-The certificates are records: ``solve_nsw`` returns them whatever they show,
-and the caller judges them.
+local-optimality recheck (the one scan of every swap triple, whose record is
+the search's ``certificate``), then both price vectors and spending reports.
+The certificates are records, returned whatever they show for the caller to judge.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation
@@ -137,7 +137,7 @@ class SolveReport:
 
     @property
     def swaps(self) -> int:
-        return self.search.swaps if self.search is not None else 0
+        return len(self.search.trace) if self.search is not None else 0
 
     def nsw(self) -> float:
         return math.exp(self.log_nsw) if self.log_nsw != NEG_INF else 0.0
@@ -247,9 +247,9 @@ def solve_nsw(inst: Instance, eps: float) -> SolveReport:
     allocation = complete_with_leftovers(inst, allocation)
 
     table = certificate_table(inst, search.bundles)
-    violations = tuple(verify_local_opt(table, eps_bar))
+    local_opt = verify_local_opt(table, eps_bar)
     asymmetric, symmetric = map(check_spending, prices(table))
-    certificates = SolveCertificates(violations, asymmetric, symmetric, swap_bound(inst.m, eps_bar))
+    certificates = SolveCertificates(local_opt.violations, asymmetric, symmetric, swap_bound(inst.m, eps_bar))
     return SolveReport(
         allocation=allocation,
         log_nsw=nsw_log(inst, allocation),
@@ -260,5 +260,5 @@ def solve_nsw(inst: Instance, eps: float) -> SolveReport:
         eps_bar=eps_bar,
         guarantee=guarantee,
         certificates=certificates,
-        search=search,
+        search=replace(search, certificate=local_opt),
     )

@@ -40,15 +40,14 @@ as when it was found non-improving; the first improving triple found is
 therefore the one a full restart would find. Each state is bit for bit equal
 to ``value()``, which is correctly rounded and so independent of summation
 order, so the gains, the swap trace and the certificates are the floats a
-fresh evaluation gives. One full scan after the last swap, all of it memo
-hits, certifies the local optimum.
+fresh evaluation gives.
 
 One fresh table over the final bundles, :func:`certificate_table`, backs
-:func:`verify_local_opt`, which re-checks every triple, and then :func:`prices`,
-which reads the recheck's vbar(R) and vbar(R - j) into both price vectors with
-provable spending caps. It reads the family states as the search does, but
-shares no memo, state or frontier with it. The certificates are records:
-neither :func:`prices` nor :func:`check_spending` raises on what it finds.
+:func:`verify_local_opt`, the one certificate pass over every triple, and then
+:func:`prices`, which reads the recheck's vbar(R) and vbar(R - j) into both
+price vectors with provable spending caps. It reads the family states as the
+search does, but shares no memo, state or frontier with it. The certificates
+are records: no certificate function raises on what it finds.
 """
 
 from __future__ import annotations
@@ -116,8 +115,9 @@ class SwapRecord:
 
 @dataclass(frozen=True)
 class LocalOptCertificate:
-    """Summary of the final full scan that found no improving move."""
+    """The recheck's record: the violating triples in scan order, the triples scored and the largest gain."""
 
+    violations: Tuple[Tuple[str, str, str], ...]
     triples_checked: int
     max_log_gain: float
     threshold: float
@@ -129,9 +129,8 @@ class LocalSearchResult:
     bundles: Dict[str, FrozenSet[str]]
     abar: Tuple[str, ...]
     favorites: Dict[str, str]
-    swaps: int
     trace: Tuple[SwapRecord, ...]
-    certificate: LocalOptCertificate
+    certificate: Optional[LocalOptCertificate] = None
 
 
 class _Gains:
@@ -285,6 +284,8 @@ def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> Loc
     The search starts from the greedy deal of :meth:`_Gains._deal` and makes at most
     swap_bound(|J| + 1, eps_bar) swaps on its universe J; an eps_bar so small that this bound
     is not finite is refused with :class:`ValueError`, so no search runs without its budget.
+    Its ``certificate`` is None: the last walk scores only the triples its frontier marks as
+    changed, so the one full scan is :func:`verify_local_opt`'s, which ``solve_nsw`` attaches.
     """
     threshold = _threshold(eps_bar)
     table = _Gains(inst, universe)
@@ -298,17 +299,12 @@ def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> Loc
         trace.append(SwapRecord(table.swaps, giver, item, taker, gain))
         if table.swaps > max_swaps:
             raise InvariantViolation(f"swap count {table.swaps} exceeded the certified bound {max_swaps:.3f}")
-    gains = [gain for *_, gain in table.scan()]
     return LocalSearchResult(
         universe=tuple(table.universe),
         bundles={a: frozenset(table.states[a].bundle if a in table.states else ()) for a in inst.agents},
         abar=tuple(table.abar),
         favorites=table.favorite,
-        swaps=len(trace),
         trace=tuple(trace),
-        certificate=LocalOptCertificate(
-            triples_checked=len(gains), max_log_gain=max(gains, default=NEG_INF), threshold=threshold
-        ),
     )
 
 
@@ -326,16 +322,16 @@ def certificate_table(inst: Instance, bundles: Mapping[str, Iterable[str]]) -> _
     return table
 
 
-def verify_local_opt(table: _Gains, eps_bar: float) -> List[Tuple[str, str, str]]:
-    """Exhaustively re-check local optimality: every (giver, taker, item) triple of ``table``
-    whose swap gain strictly beats log(1 + eps_bar); the empty list certifies an eps_bar-local
-    optimum. The recheck is exact and scores a fresh table, free of the search's memo and frontier."""
-    threshold = _threshold(eps_bar)
-    return [
-        (giver, taker, item)
-        for giver, item, taker, gain in table.scan()
-        if gain > threshold
-    ]
+def verify_local_opt(table: _Gains, eps_bar: float) -> LocalOptCertificate:
+    """Exhaustively re-check local optimality in one scan of ``table``, a fresh table free of the
+    search's memo and frontier: the record of every triple it scores against log(1 + eps_bar)."""
+    threshold, checked, best = _threshold(eps_bar), 0, NEG_INF
+    violations: List[Tuple[str, str, str]] = []
+    for giver, item, taker, gain in table.scan():
+        checked, best = checked + 1, max(best, gain)
+        if gain > threshold:
+            violations.append((giver, taker, item))
+    return LocalOptCertificate(tuple(violations), checked, best, threshold)
 
 
 @dataclass(frozen=True)

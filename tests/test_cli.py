@@ -75,8 +75,13 @@ def test_solve_smoke_and_canonical_output(inst_file, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "log_nsw:" in stdout and "swaps:" in stdout
     inst = random_instance("additive", 2, 5, 3)
-    expected = canonical_json(solve_nsw(inst, 0.1).to_json())
-    assert out.read_text() == expected
+    report = solve_nsw(inst, 0.1)
+    assert out.read_text() == canonical_json(report.to_json())
+    cert = report.search.certificate
+    assert stdout.splitlines()[-1] == (
+        f"local optimum: {cert.triples_checked} triples checked, max log-gain {cert.max_log_gain:.6g} "
+        f"(threshold {cert.threshold:.6g})"
+    )
 
 
 def test_solve_exact_verify_and_efx(inst_file, tmp_path, capsys):
@@ -218,7 +223,7 @@ def test_verify_skips_spending_caps_without_positive_welfare(tmp_path, capsys):
     path = tmp_path / "instance.json"
     assert main(["gen", "additive", "3", "2", "--out", str(path)]) == 0
     assert main(["solve", str(path), "--verify"]) == 0
-    capsys.readouterr()
+    assert "local optimum" not in capsys.readouterr().out  # no search, no recheck record
     assert main(["verify", str(path), "--exact"]) == 0
     stdout = capsys.readouterr().out
     assert "SKIP  asymmetric spending caps (no positive-welfare allocation)" in stdout

@@ -59,11 +59,13 @@ def test_two_agent_leftover_search(e1, cold_start):
     assert result.favorites == {"1": "c", "2": "c"}
     assert result.bundles["1"] == frozenset({"d"})
     assert result.bundles["2"] == frozenset({"c"})
-    assert result.swaps == 1
+    assert len(result.trace) == 1
     move = result.trace[0]
     assert (move.giver, move.item, move.taker) == ("1", "c", "2")
     assert move.log_gain == pytest.approx(0.5 * math.log(4.0 / 3.0), rel=1e-12)
-    cert = result.certificate
+    assert result.certificate is None  # the search leaves certifying to the recheck
+    cert = verify_local_opt(certificate_table(e1, result.bundles), eb)
+    assert cert.violations == ()
     assert cert.threshold == pytest.approx(math.log1p(eb), rel=1e-15)
     assert cert.max_log_gain <= cert.threshold
     assert cert.triples_checked == 2
@@ -133,9 +135,9 @@ def test_swap_guard_raises_past_the_bound(e1, cold_start, monkeypatch):
 def test_verify_local_opt_flags_the_initial_allocation(e1):
     eb = epsilon_bar(0.1, 4)
     bad = {"1": {"c", "d"}, "2": set()}
-    assert verify_local_opt(certificate_table(e1, bad), eb) == [("1", "2", "c"), ("1", "2", "d")]
+    assert verify_local_opt(certificate_table(e1, bad), eb).violations == (("1", "2", "c"), ("1", "2", "d"))
     good = local_search(e1, ["c", "d"], eb).bundles
-    assert verify_local_opt(certificate_table(e1, good), eb) == []
+    assert verify_local_opt(certificate_table(e1, good), eb).violations == ()
 
 
 def test_verify_rejects_malformed_bundles(e1):
@@ -208,8 +210,8 @@ def test_empty_universe_is_trivially_optimal(e1):
     result = local_search(e1, [], 0.05)
     assert result.abar == ()
     assert all(not b for b in result.bundles.values())
-    assert result.swaps == 0
-    assert result.certificate.triples_checked == 0
+    assert result.trace == ()
+    assert verify_local_opt(certificate_table(e1, result.bundles), 0.05).triples_checked == 0
 
 
 def test_zero_value_agents_sit_out():
@@ -218,7 +220,7 @@ def test_zero_value_agents_sit_out():
     assert result.abar == ("2",)
     assert result.bundles["1"] == frozenset()
     assert result.bundles["2"] == frozenset({"a", "b"})
-    assert verify_local_opt(certificate_table(inst, result.bundles), 0.1) == []
+    assert verify_local_opt(certificate_table(inst, result.bundles), 0.1).violations == ()
 
 
 def test_the_result_names_every_agent_and_non_participants_hold_nothing():
@@ -256,7 +258,7 @@ def test_with_no_participant_nothing_is_dealt():
     inst = make_instance({"1": {"a": 2, "b": 0, "c": 0, "d": 0}, "2": {"a": 0, "b": 1, "c": 0, "d": 0}})
     assert _Gains(inst, ["c", "d"]).states == {}
     result = local_search(inst, ["c", "d"], 0.1)
-    assert (result.abar, result.swaps) == ((), 0)
+    assert (result.abar, result.trace) == ((), ())
     assert result.bundles == {"1": frozenset(), "2": frozenset()}
     report = solve_nsw(inst, 0.1)
     assert report.search.abar == ()
@@ -269,7 +271,7 @@ def test_an_item_all_takers_tie_on_goes_to_the_smallest_index(e1):
     assert {a: state.bundle for a, state in _Gains(e1, ["c", "d"]).states.items()} == {"1": {"c"}, "2": {"d"}}
     result = local_search(e1, ["c", "d"], epsilon_bar(0.1, 4))
     assert result.bundles == {"1": frozenset({"c"}), "2": frozenset({"d"})}
-    assert result.swaps == 0
+    assert result.trace == ()
     # Three equal agents: every item ties among the agents holding the fewest, so the deal
     # goes round in index order.
     items = [f"g{k}" for k in range(7)]
@@ -297,7 +299,7 @@ def test_a_table_built_from_an_allocation_matches_one_moved_there(family, weight
     # table built from the bundles they end at.
     inst = random_instance(family, 6, 30, 3, weight_mode=weight_mode)
     result = local_search(inst, inst.items, epsilon_bar(0.1, inst.m))
-    assert result.swaps > 0
+    assert len(result.trace) > 0
     moved = _Gains(inst, inst.items)
     for swap in result.trace:
         list(moved.scan())
@@ -325,8 +327,8 @@ def test_random_instances_reach_certified_optima(family, seed):
         assert assigned == []
     holders = {a for a, b in result.bundles.items() if b}
     assert holders <= set(result.abar)
-    assert verify_local_opt(certificate_table(inst, result.bundles), eb) == []
-    assert result.swaps <= math.log(len(inst.items) + 1) / math.log1p(eb) + 1
+    assert verify_local_opt(certificate_table(inst, result.bundles), eb).violations == ()
+    assert len(result.trace) <= math.log(len(inst.items) + 1) / math.log1p(eb) + 1
     for price_vector in prices(certificate_table(inst, result.bundles)):
         assert check_spending(price_vector).within_caps()
 
@@ -468,6 +470,22 @@ def test_one_price_table_per_solve(monkeypatch):
     assert reads["prices"] == 0
 
 
+def test_a_feasible_solve_scans_its_triples_once(monkeypatch):
+    # The recheck is a solve's one full scan: the search ends on a frontier walk, and an
+    # infeasible solve (fewer items than agents, or no positive phase-1 matching) runs neither.
+    scans = []
+    scan = _Gains.scan
+    monkeypatch.setattr(_Gains, "scan", lambda self: scans.append(self) or scan(self))
+    for family in FAMILIES:
+        scans.clear()
+        assert solve_nsw(random_instance(family, 12, 120, 11), 0.1).feasible
+        assert len(scans) == 1, family
+    scans.clear()
+    for inst in (make_instance({"1": {"a": 1, "b": 1}, "2": {"a": 0, "b": 0}}), random_instance("additive", 4, 3, 7)):
+        assert not solve_nsw(inst, 0.1).feasible
+    assert scans == []
+
+
 def certificate_stage(inst, bundles, eps_bar):
     """Violations, both price vectors and both spending reports of ``bundles``, floats as hex."""
     table = certificate_table(inst, bundles)
@@ -524,7 +542,7 @@ def test_certificate_stage_matches_a_value_backed_reference(family, mode, monkey
             assert kinds == {type(v.bundle_state(())) for v in inst.valuations}
             assert stage == reference, (n, m, seed)
             if bundles is all_to_one and len(abar) > 1:
-                assert stage[0], "a non-optimal allocation must show violations"
+                assert dict(stage[0])["violations"], "a non-optimal allocation must show violations"
 
 
 @pytest.mark.parametrize("eps_bar", [math.nan, -0.5])
@@ -553,7 +571,7 @@ def test_the_recheck_refuses_a_zero_eps_bar():
     table = certificate_table(inst, {"a0": set(inst.items)})
     with pytest.raises(ValueError, match="eps_bar"):
         verify_local_opt(table, 0.0)
-    assert verify_local_opt(table, 5e-324)
+    assert verify_local_opt(table, 5e-324).violations
 
 
 def assert_search_matches_full_restart(inst, eps=0.1, start="greedy"):
@@ -563,7 +581,8 @@ def assert_search_matches_full_restart(inst, eps=0.1, start="greedy"):
     trace, bundles, (triples, max_gain) = full_restart_search(inst, inst.items, eb, start)
     assert result.trace == trace
     assert result.bundles == bundles
-    assert (result.certificate.triples_checked, result.certificate.max_log_gain) == (triples, max_gain)
+    cert = verify_local_opt(certificate_table(inst, result.bundles), eb)
+    assert (cert.triples_checked, cert.max_log_gain) == (triples, max_gain)
 
 
 @pytest.mark.parametrize("n,m", [(2, 5), (5, 30), (12, 120)])
@@ -620,7 +639,7 @@ def test_frontier_scores_a_fixed_set_of_triples(monkeypatch, family, n, m, seed,
         monkeypatch.setattr(_CountedGains, "scored", 0)
         with search_start(start):
             result = local_search(inst, inst.items, epsilon_bar(0.1, inst.m))
-        assert (_CountedGains.scored, result.swaps) == counts, start
+        assert (_CountedGains.scored, len(result.trace)) == counts, start
 
 
 def test_frontier_scores_a_fixed_set_of_triples_in_a_solve(monkeypatch):
@@ -697,6 +716,18 @@ def tie_heavy_instances(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(inst=tie_heavy_instances(), eps=st.sampled_from([1e-9, 0.01, 0.1, 1.0]), start=st.sampled_from(STARTS))
-def test_tie_heavy_searches_match_a_full_restart_search(inst, eps, start):
+@given(
+    inst=tie_heavy_instances(),
+    eps=st.sampled_from([1e-9, 0.01, 0.1, 1.0]),
+    start=st.sampled_from(STARTS),
+    data=st.data(),
+)
+def test_tie_heavy_searches_match_a_full_restart_search(inst, eps, start, data):
     assert_search_matches_full_restart(inst, eps, start)
+    # On any allocation of the items among the participants, the recheck finds a violation
+    # exactly when its largest gain beats the threshold.
+    abar = _Gains(inst, inst.items).abar
+    holders = [data.draw(st.sampled_from(abar), label=j) for j in inst.items] if abar else []
+    bundles = {a: {j for j, holder in zip(inst.items, holders) if holder == a} for a in abar}
+    cert = verify_local_opt(certificate_table(inst, bundles), epsilon_bar(eps, max(inst.m, 1)))
+    assert bool(cert.violations) == (cert.max_log_gain > cert.threshold)
