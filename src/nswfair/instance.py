@@ -101,6 +101,18 @@ class Instance:
             v._bundle(self.items)  # a state checks only the bundle it starts from
         return tuple(tuple(map(v.bundle_state(()).plus, self.items)) for v in self.valuations)
 
+    @cached_property
+    def full_values(self) -> Tuple[float, ...]:
+        """v_i(M), M all the items, by agent index: one ``value()`` call per valuation, made once
+        per instance and read by :func:`validate` and the swap search; an overflow reads inf."""
+        row = []
+        for v in self.valuations:
+            try:
+                row.append(v.value(self.items))
+            except OverflowError:
+                row.append(math.inf)
+        return tuple(row)
+
     def valuation_of(self, agent: str) -> Valuation:
         return self.valuations[self.agent_index[agent]]
 
@@ -129,16 +141,13 @@ def validate(inst: Instance) -> List[str]:
     if inst.n and sum(inst.weights, Fraction(0)) != 1:
         errors.append("weights must sum to exactly 1")
     item_set = set(inst.items)
-    for agent, v in zip(inst.agents, inst.valuations):
-        if set(v.items) != item_set:
-            errors.append(f"valuation domain of agent {agent!r} does not match the item list")
-            continue
-        # Every shifted value vbar(S) = v(favorite) + v(S) is at most 2 * v(all items).
-        try:
-            bounded = math.isfinite(2.0 * v.value(inst.items))
-        except OverflowError:
-            bounded = False
-        if not bounded:
+    foreign = [agent for agent, v in zip(inst.agents, inst.valuations) if set(v.items) != item_set]
+    errors.extend(f"valuation domain of agent {agent!r} does not match the item list" for agent in foreign)
+    if foreign:  # v(all items) is read only once every domain is the item list
+        return errors
+    # Every shifted value vbar(S) = v(favorite) + v(S) is at most 2 * v(all items).
+    for agent, full in zip(inst.agents, inst.full_values):
+        if not math.isfinite(2.0 * full):
             errors.append(f"values of agent {agent!r} overflow: 2 * v(all items) is not finite")
     return errors
 

@@ -50,9 +50,12 @@ class OptResult:
 
 
 def _log_table(inst: Instance, i: int) -> np.ndarray:
-    """L_i[mask] = w_i * log v_i(S), or -inf when v_i(S) <= 0."""
-    w, vals = inst.weight_floats[i], subset_values(inst.valuations[i], inst.items)
-    return np.fromiter((welfare_term(w, x) for x in vals), dtype=float, count=vals.size)
+    """L_i[mask] = w_i * log v_i(S), or -inf when v_i(S) <= 0, mapped in place over Python
+    floats ``BLOCK`` entries at a time, so no list of all 2^m entries is built."""
+    w, table = inst.weight_floats[i], subset_values(inst.valuations[i], inst.items)
+    for start in range(0, table.size, BLOCK):
+        table[start : start + BLOCK] = [welfare_term(w, x) for x in table[start : start + BLOCK].tolist()]
+    return table
 
 
 def brute_force_opt(inst: Instance) -> OptResult:

@@ -26,7 +26,11 @@ first use from the agent's bundle state (:meth:`Valuation.bundle_state`),
 which answers v(R), v(R + j) and v(R - j) from running counts instead of
 re-evaluating the whole bundle. The table builds one state per participant
 from the start allocation it is given, or deals J itself, and the states are
-the only record of the live bundles.
+the only record of the live bundles. A taker is saturated when v_k(R_k)
+equals v_k(M), M all the instance's items (:attr:`Instance.full_values`):
+then v_k(R_k) <= v_k(R_k + j) <= v_k(M) for a monotone valuation makes its
+term exactly 0.0, which its memo stores with no ``plus`` read. The rule needs
+monotonicity alone, so it holds for every valuation and changes no float.
 
 The table also keeps the search's frontier: its swap count, the count at which
 each agent's bundle last changed, and the count at which each item's position
@@ -142,7 +146,10 @@ class _Gains:
     per participant, made by its valuation's :meth:`~nswfair.valuations.Valuation.bundle_state`
     from its bundle in ``start``, or, with no ``start``, from the search's start, which
     :meth:`_deal` deals from the states' own taker terms. vbar(R), each vbar(R - j) and each
-    taker's term are memoised; memo misses are answered by the states. The frontier:
+    taker's term are memoised; memo misses are answered by the states, except a saturated
+    taker's, whose terms are 0.0: ``full`` maps each participant to v(all items), and
+    :meth:`current` flags R as saturated when v(R) equals it, from the read that gives vbar(R)
+    and for as long as that read is memoised. The frontier:
     ``swaps`` counts the moves made, ``changed[a]`` is the count at which agent a's bundle last
     changed and ``verified[j]`` the count at which item j's position last passed. Change a
     bundle only through :meth:`move`, which keeps the states, the memo and the frontier in step.
@@ -166,9 +173,10 @@ class _Gains:
         held = start or {}
         self.states: Dict[str, BundleState] = {a: inst.valuation_of(a).bundle_state(held.get(a, ())) for a in self.abar}
         self.weight = {a: inst.weight_floats[inst.agent_index[a]] for a in self.abar}
+        self.full = {a: inst.full_values[inst.agent_index[a]] for a in self.abar}
         self.others = {a: [t for t in self.abar if t != a] for a in self.abar}
         self._rows: Dict[str, List[str]] = {}
-        self._cur: Dict[str, Tuple[float, float]] = {}
+        self._cur: Dict[str, Tuple[float, float, bool]] = {}
         self._removed: Dict[str, Dict[str, Tuple[float, float]]] = {a: {} for a in self.abar}
         self._take: Dict[str, Dict[str, float]] = {a: {} for a in self.abar}
         self.swaps = 0
@@ -198,11 +206,12 @@ class _Gains:
             row = self._rows[agent] = self.inst.sort_items(self.states[agent].bundle)
         return row
 
-    def current(self, agent: str) -> Tuple[float, float]:
-        """vbar(R_agent) and its log."""
+    def current(self, agent: str) -> Tuple[float, float, bool]:
+        """vbar(R_agent), its log, and whether R_agent is saturated: worth v(all items)."""
         hit = self._cur.get(agent)
         if hit is None:
-            hit = self._cur[agent] = self._vbar(agent, self.states[agent].value())
+            value = self.states[agent].value()
+            hit = self._cur[agent] = (*self._vbar(agent, value), value == self.full[agent])
         return hit
 
     def removed(self, agent: str, item: str) -> Tuple[float, float]:
@@ -218,12 +227,14 @@ class _Gains:
         return self.weight[giver] * (self.removed(giver, item)[1] - self.current(giver)[1])
 
     def take(self, taker: str, item: str) -> float:
-        """The taker's term of a swap: w_t * (log vbar_t(R_t + j) - log vbar_t(R_t))."""
+        """The taker's term of a swap: w_t * (log vbar_t(R_t + j) - log vbar_t(R_t)), exactly 0.0
+        for a saturated taker, as v(R_t) <= v(R_t + j) <= v(all items) = v(R_t) by monotonicity."""
         row = self._take[taker]
         hit = row.get(item)
         if hit is None:
-            log_with = self._vbar(taker, self.states[taker].plus(item))[1]
-            hit = row[item] = self.weight[taker] * (log_with - self.current(taker)[1])
+            _, log_now, saturated = self.current(taker)
+            log_with = log_now if saturated else self._vbar(taker, self.states[taker].plus(item))[1]
+            hit = row[item] = self.weight[taker] * (log_with - log_now)
         return hit
 
     def scan(self) -> Iterator[_Swap]:
@@ -360,7 +371,7 @@ def prices(table: _Gains) -> Tuple[PriceVector, PriceVector]:
     asymmetric = PriceVector("asymmetric", {}, {}, 1.0)
     symmetric = PriceVector("symmetric", {}, {}, float(len(table.abar)))
     for agent in table.abar:
-        with_item, log_with = table.current(agent)
+        with_item, log_with, _ = table.current(agent)
         for item in table.row(agent):
             without, log_without = table.removed(agent, item)
             asymmetric.values[item] = table.weight[agent] * (log_with - log_without)

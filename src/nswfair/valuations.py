@@ -80,7 +80,9 @@ def as_number(value, what: str, integer: bool = False) -> float:
 
 class Valuation:
     """Monotone set function over a fixed finite item domain ``items`` with v(empty) = 0. Monotone
-    (v(S) <= v(T) for S within T) is a precondition: :func:`nswfair.efx.half_efx_check` relies on it."""
+    (v(S) <= v(T) for S within T) is a precondition: :func:`nswfair.efx.half_efx_check` relies on
+    it, and so does the swap search's rule that a taker whose bundle is worth v(all items) gains
+    exactly 0.0 from any item."""
 
     kind: str = "abstract"
 

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from nswfair import (
     Additive,
     AllocationError,
+    BudgetAdditive,
     Coverage,
     Instance,
     InvariantViolation,
+    PartitionMatroidRank,
     UnknownItem,
     certificate_table,
     check_spending,
@@ -24,7 +26,7 @@ from nswfair import (
     solve_nsw,
     verify_local_opt,
 )
-from nswfair.valuations import VALUATION_KINDS, BundleState, ExplicitTable, Valuation, _CountState
+from nswfair.valuations import VALUATION_KINDS, BundleState, ExplicitTable, Valuation, _CountState, _SumState
 from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
 from nswfair.search import _Gains, swap_bound
 
@@ -470,6 +472,65 @@ def test_one_price_table_per_solve(monkeypatch):
     assert reads["prices"] == 0
 
 
+@pytest.mark.parametrize(
+    "family,seed,weight_mode,search_plus",
+    [("partition_matroid_rank", 1, "random_rational", 831), ("budget_additive", 2, "symmetric", 347)],
+)
+def test_a_saturated_taker_reads_no_state(monkeypatch, family, seed, weight_mode, search_plus):
+    # A taker whose bundle is worth v(all items) gains exactly 0.0 from any item, as
+    # v(R) <= v(R + j) <= v(all items) for a monotone v, so its memo miss stores 0.0 with
+    # no plus read. On these 20x200 solves every participant is saturated at the local
+    # optimum, so the recheck reads no plus at all (3,420 reads without the rule), and the
+    # search reads 831 and 347 (4,370 and 3,944 without it).
+    import nswfair.pipeline as pipeline
+
+    state = {"partition_matroid_rank": _CountState, "budget_additive": _SumState}[family]
+    stage, reads, tables = [None], Counter(), []
+    plus, build = state.plus, _Gains.__init__
+
+    def counted_plus(self, item):
+        reads[stage[0]] += 1
+        return plus(self, item)
+
+    def recorded(self, *args):
+        build(self, *args)
+        tables.append(self)
+
+    def staged(name):
+        fn = getattr(pipeline, name)
+
+        def run(*args):
+            stage[0] = name
+            try:
+                return fn(*args)
+            finally:
+                stage[0] = None
+
+        return run
+
+    monkeypatch.setattr(state, "plus", counted_plus)
+    monkeypatch.setattr(_Gains, "__init__", recorded)
+    for name in ("local_search", "verify_local_opt"):
+        monkeypatch.setattr(pipeline, name, staged(name))
+    inst = random_instance(family, 20, 200, seed, weight_mode=weight_mode)
+    report = solve_nsw(inst, 0.1)
+    assert report.feasible and not report.certificates.local_opt_violations
+    assert (reads["local_search"], reads["verify_local_opt"]) == (search_plus, 0)
+    search_table, recheck_table = tables
+    for table in tables:
+        assert len(table.abar) == 20
+        for agent in table.abar:
+            v, bundle = inst.valuation_of(agent), table.states[agent].bundle
+            assert table.current(agent)[2] and v.value(bundle) == v.value(inst.items), agent
+            log_now = math.log(table.offset[agent] + v.value(bundle))
+            for item, term in table._take[agent].items():
+                direct = table.weight[agent] * (math.log(table.offset[agent] + v.value(bundle | {item})) - log_now)
+                assert term == direct == 0.0, (agent, item)
+    # The recheck memoised every taker term of J, each one checked above.
+    for agent in recheck_table.abar:
+        assert recheck_table._take[agent].keys() == set(recheck_table.universe) - recheck_table.states[agent].bundle
+
+
 def test_a_feasible_solve_scans_its_triples_once(monkeypatch):
     # The recheck is a solve's one full scan: the search ends on a frontier walk, and an
     # infeasible solve (fewer items than agents, or no positive phase-1 matching) runs neither.
@@ -731,3 +792,37 @@ def test_tie_heavy_searches_match_a_full_restart_search(inst, eps, start, data):
     bundles = {a: {j for j, holder in zip(inst.items, holders) if holder == a} for a in abar}
     cert = verify_local_opt(certificate_table(inst, bundles), epsilon_bar(eps, max(inst.m, 1)))
     assert bool(cert.violations) == (cert.max_log_gain > cert.threshold)
+
+
+@st.composite
+def saturating_instances(draw):
+    """Up to 5 agents and 12 items, each agent budget-additive or a partition-matroid rank,
+    all values, caps and scales from {0, 1, 2, 4} and capacities from {0, 1, 2}: bundles
+    often reach v(all items), so many takers are saturated, and many gains tie."""
+    n, m = draw(st.integers(1, 5), label="n"), draw(st.integers(0, 12), label="m")
+    items = tuple(f"g{j}" for j in range(m))
+    labels = ["c0", "c1", "c2"]
+    valuations = []
+    for _ in range(n):
+        if draw(st.sampled_from(["budget_additive", "partition_matroid_rank"])) == "budget_additive":
+            valuations.append(BudgetAdditive({j: draw(TIE_VALUES) for j in items}, draw(TIE_VALUES)))
+        else:
+            classes = {j: draw(st.sampled_from(labels)) for j in items}
+            capacities = {c: draw(st.integers(0, 2)) for c in labels}
+            valuations.append(PartitionMatroidRank(classes, capacities, draw(TIE_VALUES)))
+    if draw(st.sampled_from(["symmetric", "random_rational"])) == "symmetric":
+        weights = [Fraction(1, n)] * n
+    else:
+        parts = [draw(st.integers(1, 10)) for _ in range(n)]
+        weights = [Fraction(p, sum(parts)) for p in parts]
+    agents = tuple(f"a{i}" for i in range(n))
+    return Instance(agents, tuple(weights), items, tuple(valuations))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=saturating_instances(), eps=st.sampled_from([1e-9, 0.01, 0.1, 1.0]))
+def test_saturating_searches_match_a_full_restart_search(inst, eps):
+    # The full restart scores a saturated taker's terms from value() calls, not by the
+    # table's rule that they are 0.0, so equal traces and certificates check that rule.
+    for start in STARTS:
+        assert_search_matches_full_restart(inst, eps, start)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from nswfair import (
@@ -17,8 +18,9 @@ from nswfair import (
     ratio_of_logs,
 )
 from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
+from nswfair.instance import welfare_term
 from nswfair.oracle import SIZE_GUARD
-from nswfair.valuations import Valuation
+from nswfair.valuations import Valuation, subset_values
 
 from conftest import make_instance
 from reference_oracle import reference_opt
@@ -187,6 +189,21 @@ def test_each_agent_and_bundle_is_evaluated_once(family, monkeypatch):
     inst, counter = counted(random_instance(family, 3, 8, seed=1), monkeypatch)
     brute_force_opt(inst)
     assert counter["calls"] == 3 * 2**8  # the per-allocation loop made about 18.5k
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_log_tables_equal_the_per_element_map(family, monkeypatch):
+    # The table is mapped in place BLOCK entries at a time; with BLOCK = 100, 2^10 entries
+    # make 11 chunks, the last one short. Every entry, the -inf of each zero value among
+    # them, equals welfare_term mapped over the numpy scalars one by one, bit for bit.
+    monkeypatch.setattr(oracle, "BLOCK", 100)
+    inst = random_instance(family, 3, 10, seed=1, weight_mode="random_rational")
+    for i, v in enumerate(inst.valuations):
+        vals = subset_values(v, inst.items)
+        expected = np.fromiter((welfare_term(inst.weight_floats[i], x) for x in vals), dtype=float, count=vals.size)
+        table = oracle._log_table(inst, i)
+        assert expected[0] == -math.inf
+        assert table.dtype == expected.dtype and table.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("mode", WEIGHT_MODES)

@@ -26,6 +26,7 @@ from nswfair import (
     phi,
     prices,
     solve_nsw,
+    validate,
     verify_local_opt,
 )
 import nswfair.pipeline as pipeline_mod
@@ -285,6 +286,27 @@ def test_one_singleton_table_per_solve(monkeypatch):
     assert sum(map(len, inst.singletons)) == inst.n * inst.m == 1440
     assert solve_nsw(inst, 0.1).to_json() == first.to_json()
     assert len(filled) == 1 and singles == []
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_solve_reads_each_value_of_all_items_once(monkeypatch, family):
+    # validate reads v_i(M), M all the items, from Instance.full_values, and the search and
+    # the recheck read it there for their saturated-taker rule: validate and a whole solve
+    # make one value(M) call per agent.
+    inst = random_instance(family, 12, 120, 11)
+    everything, calls = frozenset(inst.items), []
+    kind = type(inst.valuations[0])
+    base_value = kind.value
+
+    def counted_value(self, bundle):
+        bundle = frozenset(bundle)
+        calls.extend([self] if bundle == everything else [])
+        return base_value(self, bundle)
+
+    monkeypatch.setattr(kind, "value", counted_value)
+    assert validate(inst) == []
+    assert solve_nsw(inst, 0.1).feasible
+    assert [sum(call is v for call in calls) for v in inst.valuations] == [1] * inst.n
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
