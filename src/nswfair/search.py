@@ -29,8 +29,14 @@ from the start allocation it is given, or deals J itself, and the states are
 the only record of the live bundles. A taker is saturated when v_k(R_k)
 equals v_k(M), M all the instance's items (:attr:`Instance.full_values`):
 then v_k(R_k) <= v_k(R_k + j) <= v_k(M) for a monotone valuation makes its
-term exactly 0.0, which its memo stores with no ``plus`` read. The rule needs
-monotonicity alone, so it holds for every valuation and changes no float.
+term exactly 0.0. Monotonicity also makes every taker term >= 0.0 and every
+giver term <= 0.0, so a saturated taker's swap gains at most 0.0, below any
+threshold, and it wins the deal only when every term is 0.0, when the first
+participant wins anyway. So no triple of a saturated taker is scored: the
+deal, the search's walks and the recheck skip its whole row, and the recheck
+counts those triples and takes their gain, the giver's term plus 0.0, into
+its largest gain without scoring them. The rule needs monotonicity alone, so
+it holds for every valuation and changes no float.
 
 The table also keeps the search's frontier: its swap count, the count at which
 each agent's bundle last changed, and the count at which each item's position
@@ -38,10 +44,11 @@ each agent's bundle last changed, and the count at which each item's position
 :meth:`_Gains.move` alone decides what a swap changes: the giver's and the
 taker's states, memo entries and frontier counts, and nothing of any other
 agent. After a swap the scan walks again from the top; at a position whose
-giver is unchanged since it passed, it scores only the takers changed since.
-Every other triple there has the same two bundles, so the same memoised gain,
-as when it was found non-improving; the first improving triple found is
-therefore the one a full restart would find. Each state is bit for bit equal
+giver is unchanged since it passed, it scores only the unsaturated takers
+changed since. Every other triple there has the same two bundles, so the same
+memoised gain, as when it was found non-improving, or a saturated taker, which
+turns unsaturated only by losing an item, a change the frontier records; the
+first improving triple found is therefore the one a full restart would find. Each state is bit for bit equal
 to ``value()``, which is correctly rounded and so independent of summation
 order, so the gains, the swap trace and the certificates are the floats a
 fresh evaluation gives.
@@ -58,7 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import AllocationError, InvariantViolation, UnknownItem
 from .instance import NEG_INF, TOLERANCE, Allocation, Instance, _check_structure, float_total
@@ -146,10 +153,11 @@ class _Gains:
     per participant, made by its valuation's :meth:`~nswfair.valuations.Valuation.bundle_state`
     from its bundle in ``start``, or, with no ``start``, from the search's start, which
     :meth:`_deal` deals from the states' own taker terms. vbar(R), each vbar(R - j) and each
-    taker's term are memoised; memo misses are answered by the states, except a saturated
-    taker's, whose terms are 0.0: ``full`` maps each participant to v(all items), and
-    :meth:`current` flags R as saturated when v(R) equals it, from the read that gives vbar(R)
-    and for as long as that read is memoised. The frontier:
+    taker's term are memoised; memo misses are answered by the states. ``full`` maps each
+    participant to v(all items), and :meth:`current` flags R as saturated when v(R) equals it,
+    from the read that gives vbar(R) and for as long as that read is memoised; :meth:`live`
+    lists the participants not flagged, the only takers the deal, the walks and the recheck
+    score. The frontier:
     ``swaps`` counts the moves made, ``changed[a]`` is the count at which agent a's bundle last
     changed and ``verified[j]`` the count at which item j's position last passed. Change a
     bundle only through :meth:`move`, which keeps the states, the memo and the frontier in step.
@@ -187,12 +195,21 @@ class _Gains:
 
     def _deal(self) -> None:
         """The search's start: each item of J, in index order, goes to the participant whose taker
-        term on the bundles dealt so far is largest, ties to the smallest index (none: no deal)."""
+        term on the bundles dealt so far is largest, ties to the smallest index (none: no deal).
+        Only unsaturated participants are scored, each against the first participant's 0.0: a
+        saturated one's term is 0.0 and no term is below it."""
+        live = self.live()
         for item in self.universe if self.abar else ():
-            taker = max(self.abar, key=lambda a: self.take(a, item))
+            best, taker = 0.0, self.abar[0]
+            for agent in live:
+                term = self.take(agent, item)
+                if term > best:
+                    best, taker = term, agent
             self.states[taker].add(item)
-            self._cur.pop(taker)
+            self._cur.pop(taker, None)
             self._take[taker].clear()
+            if taker in live and self.current(taker)[2]:
+                live.remove(taker)
 
     def _vbar(self, agent: str, value: float) -> Tuple[float, float]:
         """vbar_agent of a bundle worth ``value``, and its log."""
@@ -227,23 +244,19 @@ class _Gains:
         return self.weight[giver] * (self.removed(giver, item)[1] - self.current(giver)[1])
 
     def take(self, taker: str, item: str) -> float:
-        """The taker's term of a swap: w_t * (log vbar_t(R_t + j) - log vbar_t(R_t)), exactly 0.0
-        for a saturated taker, as v(R_t) <= v(R_t + j) <= v(all items) = v(R_t) by monotonicity."""
+        """The taker's term of a swap: w_t * (log vbar_t(R_t + j) - log vbar_t(R_t)), >= 0.0 by
+        monotonicity, and exactly 0.0 for a saturated taker, as v(R_t) <= v(R_t + j) <= v(all
+        items) = v(R_t), which is why the table scores only the takers of :meth:`live`."""
         row = self._take[taker]
         hit = row.get(item)
         if hit is None:
-            _, log_now, saturated = self.current(taker)
-            log_with = log_now if saturated else self._vbar(taker, self.states[taker].plus(item))[1]
-            hit = row[item] = self.weight[taker] * (log_with - log_now)
+            log_now = self.current(taker)[1]
+            hit = row[item] = self.weight[taker] * (self._vbar(taker, self.states[taker].plus(item))[1] - log_now)
         return hit
 
-    def scan(self) -> Iterator[_Swap]:
-        """(giver, item, taker, log-gain) of every swap, in scan order."""
-        for giver in self.abar:
-            for item in self.row(giver):
-                give = self.give(giver, item)
-                for taker in self.others[giver]:
-                    yield giver, item, taker, give + self.take(taker, item)
+    def live(self) -> List[str]:
+        """The participants whose R is not saturated, in index order."""
+        return [a for a in self.abar if not self.current(a)[2]]
 
     def move(self, giver: str, item: str, taker: str) -> None:
         self.states[giver].remove(item)
@@ -257,18 +270,21 @@ class _Gains:
             self._take[agent].clear()
 
     def first_improving(self, threshold: float) -> Optional[_Swap]:
-        """The first swap in scan order whose gain beats ``threshold``. A position whose giver is
-        unchanged since it passed scores only the takers changed since, in index order; each
+        """The first swap in scan order whose gain beats ``threshold``, scoring only the takers of
+        :meth:`live`: a saturated taker's gain is the giver's term, <= 0.0. A position whose giver
+        is unchanged since it passed scores only those changed since, in index order; each
         position that passes is verified at the current swap count."""
         changed, verified, takes, now = self.changed, self.verified, self._take, self.swaps
+        live = self.live()
         since: Dict[int, List[str]] = {}  # verified count -> takers changed after it
         for giver in self.abar:
-            giver_changed, others = changed[giver], self.others[giver]
+            giver_changed = changed[giver]
+            others = self.others[giver] if len(live) == len(self.abar) else [t for t in live if t != giver]
             for item in self.row(giver):
                 seen = verified[item]
                 takers = others if giver_changed > seen else since.get(seen)
                 if takers is None:
-                    takers = since[seen] = [a for a in self.abar if changed[a] > seen]
+                    takers = since[seen] = [a for a in live if changed[a] > seen]
                 if takers:
                     give = self.give(giver, item)
                     for taker in takers:
@@ -335,13 +351,24 @@ def certificate_table(inst: Instance, bundles: Mapping[str, Iterable[str]]) -> _
 
 def verify_local_opt(table: _Gains, eps_bar: float) -> LocalOptCertificate:
     """Exhaustively re-check local optimality in one scan of ``table``, a fresh table free of the
-    search's memo and frontier: the record of every triple it scores against log(1 + eps_bar)."""
+    search's memo and frontier: the record of every triple against log(1 + eps_bar). A saturated
+    taker's triples are counted, not scored: their gain is the giver's term plus 0.0, so the
+    giver's term itself, <= 0.0, which enters the largest gain as such and never violates."""
     threshold, checked, best = _threshold(eps_bar), 0, NEG_INF
     violations: List[Tuple[str, str, str]] = []
-    for giver, item, taker, gain in table.scan():
-        checked, best = checked + 1, max(best, gain)
-        if gain > threshold:
-            violations.append((giver, taker, item))
+    live = table.live()
+    for giver in table.abar:
+        others, takers = table.others[giver], [t for t in live if t != giver]
+        for item in table.row(giver):
+            give = table.give(giver, item)
+            checked += len(others)
+            if len(takers) < len(others):
+                best = max(best, give)
+            for taker in takers:
+                gain = give + table.take(taker, item)
+                best = max(best, gain)
+                if gain > threshold:
+                    violations.append((giver, taker, item))
     return LocalOptCertificate(tuple(violations), checked, best, threshold)
 
 

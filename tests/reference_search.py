@@ -4,6 +4,10 @@
 ``start="cold"``, where it used to: the first participant holds all of J. The greedy
 deal here reads fresh ``value()`` calls, not bundle states. ``cold_start`` patches the
 solver's start rule back to the cold start, so a test can run today's search from it.
+
+``full_scan`` is the reference recheck: every triple of an allocation scored from fresh
+``value()`` calls, saturated takers included. ``scan`` scores every triple of a gain
+table, saturated takers included, where the solver's own passes skip them.
 """
 
 import math
@@ -31,9 +35,42 @@ def cold_start():
         yield
 
 
+def scan(table):
+    """(giver, item, taker, log-gain) of every triple of ``table``, saturated takers included, in scan order."""
+    for giver in table.abar:
+        for item in table.row(giver):
+            give = table.give(giver, item)
+            for taker in table.others[giver]:
+                yield giver, item, taker, give + table.take(taker, item)
+
+
 def search_start(start):
     """A context in which the solver's search starts as ``start``, one of :data:`STARTS`, names."""
     return cold_start() if start == "cold" else nullcontext()
+
+
+def full_scan(inst, bundles, eps_bar):
+    """(violations as (giver, taker, item) in scan order, triples scored, largest gain) of every
+    triple of ``bundles``, each term from fresh value() calls, on the universe they hold."""
+    held = {a: set(bundles.get(a, ())) for a in inst.agents}
+    universe = inst.sort_items(set().union(*held.values()))
+    shift = {a: max((v.value([j]) for j in universe), default=0.0) for a, v in zip(inst.agents, inst.valuations)}
+    abar = [a for a in inst.agents if shift[a] > 0.0]
+    w = {a: inst.weight_floats[inst.agent_index[a]] for a in abar}
+
+    def log_vbar(a, bundle):
+        return math.log(shift[a] + inst.valuation_of(a).value(bundle))
+
+    threshold, violations, gains = math.log1p(eps_bar), [], []
+    for g in abar:
+        for j in inst.sort_items(held[g]):
+            give = w[g] * (log_vbar(g, held[g] - {j}) - log_vbar(g, held[g]))
+            for t in abar:
+                if t != g:
+                    gains.append(give + w[t] * (log_vbar(t, held[t] | {j}) - log_vbar(t, held[t])))
+                    if gains[-1] > threshold:
+                        violations.append((g, t, j))
+    return tuple(violations), len(gains), max(gains, default=NEG_INF)
 
 
 def full_restart_search(inst, universe, eps_bar, start="greedy"):

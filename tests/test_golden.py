@@ -33,6 +33,12 @@ CASES = [
     for w, mode in enumerate(WEIGHT_MODES)
     for s, (n, m) in enumerate(SIZES)
 ] + [("additive", "symmetric", 4, 3, 7)]  # m < n: the infeasible report
+# 20x200 budget-additive and partition-matroid solves: every participant ends saturated.
+CASES += [
+    (family, mode, 20, 200, 3000 + 10 * f + w)
+    for f, family in enumerate(("budget_additive", "partition_matroid_rank"))
+    for w, mode in enumerate(WEIGHT_MODES)
+]
 
 GOLDEN = {
     "additive-symmetric-3x8-s1000": "e252ca239111b69331fe02c01daffc63552c8e6b0a5fa7e3e8aa645c6039828e",
@@ -60,6 +66,10 @@ GOLDEN = {
     "partition_matroid_rank-random_rational-6x40-s1036": "b0d281b380f7d182cf6c900f092630ba79f843df0ebfdf4740337dd0551f3370",
     "partition_matroid_rank-random_rational-12x120-s1037": "bca93aac62504b037eabb53f44f715452ac3f491fc64b8c78ef38ab6e96feb4b",
     "additive-symmetric-4x3-s7": "38660b087ea00a7a071933e49813b10b902aebb6fb46fc42013937d54a86bd71",
+    "budget_additive-symmetric-20x200-s3000": "cf7e2d9b3c1b939e53ee65cc2c8f8516be60ba803e59878ef78cf5205ea32c40",
+    "budget_additive-random_rational-20x200-s3001": "09e0ebe464e5923737de0e0568e6e08f3bac918dd5d8d459e4bcbf95f5b1a023",
+    "partition_matroid_rank-symmetric-20x200-s3010": "105035c0261c7073289661aed9665667b41f2b61886ec3e14b32ae759271a722",
+    "partition_matroid_rank-random_rational-20x200-s3011": "fb62a18988c575a948b36698a7172a9e1fced31e7071bd6761246adc702c5293",
 }
 
 COLD_GOLDEN = {
@@ -88,6 +98,10 @@ COLD_GOLDEN = {
     "partition_matroid_rank-random_rational-6x40-s1036": "f45ce81d99e7977df93b66bce62833bbe6c7bd731556c22712504f6e246e0f52",
     "partition_matroid_rank-random_rational-12x120-s1037": "a506f8367440e984d72c9e3303d8b5750a16edf1fa8f388bf521ead807137fff",
     "additive-symmetric-4x3-s7": "38660b087ea00a7a071933e49813b10b902aebb6fb46fc42013937d54a86bd71",
+    "budget_additive-symmetric-20x200-s3000": "23a0d14af7e37d63ebc903913cb27d11e877fec7abf48bd86d7404bf48ccec9c",
+    "budget_additive-random_rational-20x200-s3001": "6c1091ad4effe2c141d912ffe730e210105e2ab9c4add4dc39f934395531595c",
+    "partition_matroid_rank-symmetric-20x200-s3010": "25e7105df61448fc4821c73868697733e885c5a2dfad69bbd53aeda0b1874098",
+    "partition_matroid_rank-random_rational-20x200-s3011": "a5fa7f75e369b418f796b541ac563ded3a44ab3f9f50596216a9c737855f2738",
 }
 
 

@@ -10,7 +10,8 @@ package, so an error nothing raises is deleted. Input documents have one reader:
 ``json.load`` and ``json.loads`` are called only in ``instance.read_json``,
 so no other reader can grow its own rules. Every module-level private
 function or class (``_name``) is read somewhere in the package outside its
-own definition, so a helper its last caller dropped is deleted with it. The
+own definition, so a helper its last caller dropped is deleted with it, and
+so is every method of such a class, unless it overrides a base class's. The
 package ``__init__`` imports to re-export, and ``__future__`` imports are
 directives, so both are exempt from the import check. A name counts as
 used where the code reads it; quoted annotations are not parsed, and with
@@ -175,24 +176,47 @@ def names_read(statement):
             yield from (alias.name for alias in node.names)
 
 
-def unreferenced_private(trees):
+def unreferenced_private(trees, namespaces):
     """Module-level ``_name`` functions and classes of ``trees`` (module name -> tree) that no
-    other top-level statement of any tree reads, as (module, name); a self-reference does not count."""
+    other top-level statement of any tree reads, as (module, name); a self-reference does not count.
+    Then each method of such a class, as (module, "Class.method"), that no statement outside it
+    reads, a statement in a class body counting on its own, unless it overrides a method of a base
+    of the class, looked up in ``namespaces`` (module name -> its globals). Dunders are exempt."""
     read = {statement: set(names_read(statement)) for tree in trees.values() for statement in tree.body}
-    return [
-        (module, node.name)
-        for module, tree in trees.items()
+    read.update(
+        (statement, set(names_read(statement)))
+        for tree in trees.values()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and not any(node.name in names for statement, names in read.items() if statement is not node)
-    ]
+        if isinstance(node, ast.ClassDef)
+        for statement in node.body
+    )
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) or not private(node.name):
+                continue
+            if not any(node.name in names for statement, names in read.items() if statement is not node):
+                unused.append((module, node.name))
+            for method in node.body if isinstance(node, ast.ClassDef) else ():
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) or method.name.startswith("__"):
+                    continue
+                bases = namespaces[module][node.name].__mro__[1:]
+                if not any(hasattr(base, method.name) for base in bases) and not any(
+                    method.name in names for statement, names in read.items() if statement not in (node, method)
+                ):
+                    unused.append((module, f"{node.name}.{method.name}"))
+    return unused
+
+
+def private(name):
+    return name.startswith("_") and not name.startswith("__")
 
 
 def test_every_private_function_and_class_is_used():
-    unused = unreferenced_private({path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES})
-    assert not unused, f"private functions or classes nothing in the package reads: {unused}"
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    namespaces = {m: vars(importlib.import_module("nswfair" if m == "__init__" else f"nswfair.{m}")) for m in trees}
+    unused = unreferenced_private(trees, namespaces)
+    assert not unused, f"private functions, classes or their methods nothing in the package reads: {unused}"
 
 
 def test_the_private_check_sees_an_unused_helper():
@@ -200,4 +224,21 @@ def test_the_private_check_sees_an_unused_helper():
         "a": ast.parse("def _used():\n    pass\n\ndef _dead(n):\n    return _dead(n - 1)\n\nclass _Idle:\n    pass\n"),
         "b": ast.parse("from .a import _used\n\ndef f():\n    return _used()\n"),
     }
-    assert unreferenced_private(trees) == [("a", "_dead"), ("a", "_Idle")]
+    assert unreferenced_private(trees, {}) == [("a", "_dead"), ("a", "_Idle")]
+
+
+def test_the_private_check_sees_an_unused_method():
+    source = (
+        "import argparse\n\n"
+        "class _Parser(argparse.ArgumentParser):\n"
+        "    def error(self, message):\n        raise SystemExit(message)\n\n"
+        "    def helper(self):\n        return self.spare()\n\n"
+        "    def spare(self):\n        return 1\n\n"
+        "    def dead(self):\n        return self.dead()\n\n"
+        "    def __repr__(self):\n        return 'p'\n\n"
+        "class Public:\n    def idle(self):\n        pass\n\n"
+        "def parse():\n    return _Parser().helper()\n"
+    )
+    namespace = {}
+    exec(compile(source, "a", "exec"), namespace)
+    assert unreferenced_private({"a": ast.parse(source)}, {"a": namespace}) == [("a", "_Parser.dead")]

@@ -31,7 +31,7 @@ from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
 from nswfair.search import _Gains, swap_bound
 
 from conftest import make_instance
-from reference_search import STARTS, full_restart_search, search_start
+from reference_search import STARTS, full_restart_search, full_scan, scan, search_start
 
 
 def test_epsilon_bar_reference_values():
@@ -304,13 +304,13 @@ def test_a_table_built_from_an_allocation_matches_one_moved_there(family, weight
     assert len(result.trace) > 0
     moved = _Gains(inst, inst.items)
     for swap in result.trace:
-        list(moved.scan())
+        list(scan(moved))
         moved.move(swap.giver, swap.item, swap.taker)
     built = _Gains(inst, inst.items, result.bundles)
 
     def seen(table):
         rows = {a: table.row(a) for a in table.abar}
-        return rows, [(g, j, t, gain.hex()) for g, j, t, gain in table.scan()]
+        return rows, [(g, j, t, gain.hex()) for g, j, t, gain in scan(table)]
 
     assert seen(built) == seen(moved)
 
@@ -368,7 +368,7 @@ def test_memoised_gains_match_direct_recomputation_mid_search(cold_start):
     bundles[table.abar[0]] = set(table.universe)  # the cold start
     for _ in range(6):
         # A full scan fills every memo entry before the move invalidates some.
-        scanned = list(table.scan())
+        scanned = list(scan(table))
         giver, item, taker = next((g, j, t) for g, j, t, gain in scanned if gain > threshold)
         table.move(giver, item, taker)
         bundles[giver].remove(item)
@@ -379,7 +379,7 @@ def test_memoised_gains_match_direct_recomputation_mid_search(cold_start):
         return math.log(table.offset[agent] + inst.valuation_of(agent).value(bundle))
 
     w = {a: inst.weight_floats[inst.agent_index[a]] for a in table.abar}
-    scanned = list(table.scan())
+    scanned = list(scan(table))
     assert len(scanned) == sum(len(b) for b in bundles.values()) * (len(table.abar) - 1)
     for giver, item, taker, gain in scanned:
         r_g, r_t = bundles[giver], bundles[taker]
@@ -478,10 +478,10 @@ def test_one_price_table_per_solve(monkeypatch):
 )
 def test_a_saturated_taker_reads_no_state(monkeypatch, family, seed, weight_mode, search_plus):
     # A taker whose bundle is worth v(all items) gains exactly 0.0 from any item, as
-    # v(R) <= v(R + j) <= v(all items) for a monotone v, so its memo miss stores 0.0 with
-    # no plus read. On these 20x200 solves every participant is saturated at the local
-    # optimum, so the recheck reads no plus at all (3,420 reads without the rule), and the
-    # search reads 831 and 347 (4,370 and 3,944 without it).
+    # v(R) <= v(R + j) <= v(all items) for a monotone v, so no triple of it is scored and
+    # no plus read is made for it. On these 20x200 solves every participant is saturated at
+    # the local optimum, so the recheck reads no plus at all (3,420 reads without the rule),
+    # and the search reads 831 and 347 (4,370 and 3,944 without it).
     import nswfair.pipeline as pipeline
 
     state = {"partition_matroid_rank": _CountState, "budget_additive": _SumState}[family]
@@ -516,7 +516,7 @@ def test_a_saturated_taker_reads_no_state(monkeypatch, family, seed, weight_mode
     report = solve_nsw(inst, 0.1)
     assert report.feasible and not report.certificates.local_opt_violations
     assert (reads["local_search"], reads["verify_local_opt"]) == (search_plus, 0)
-    search_table, recheck_table = tables
+    _, recheck_table = tables
     for table in tables:
         assert len(table.abar) == 20
         for agent in table.abar:
@@ -526,17 +526,22 @@ def test_a_saturated_taker_reads_no_state(monkeypatch, family, seed, weight_mode
             for item, term in table._take[agent].items():
                 direct = table.weight[agent] * (math.log(table.offset[agent] + v.value(bundle | {item})) - log_now)
                 assert term == direct == 0.0, (agent, item)
-    # The recheck memoised every taker term of J, each one checked above.
-    for agent in recheck_table.abar:
-        assert recheck_table._take[agent].keys() == set(recheck_table.universe) - recheck_table.states[agent].bundle
+    # Every taker of the recheck is saturated, so it scores no triple, and still counts them all.
+    assert not any(recheck_table._take.values())
+    held = sum(len(state.bundle) for state in recheck_table.states.values())
+    assert report.search.certificate.triples_checked == held * 19
 
 
 def test_a_feasible_solve_scans_its_triples_once(monkeypatch):
     # The recheck is a solve's one full scan: the search ends on a frontier walk, and an
     # infeasible solve (fewer items than agents, or no positive phase-1 matching) runs neither.
+    import nswfair.pipeline as pipeline
+
     scans = []
-    scan = _Gains.scan
-    monkeypatch.setattr(_Gains, "scan", lambda self: scans.append(self) or scan(self))
+    recheck = pipeline.verify_local_opt
+    monkeypatch.setattr(
+        pipeline, "verify_local_opt", lambda table, eps_bar: scans.append(table) or recheck(table, eps_bar)
+    )
     for family in FAMILIES:
         scans.clear()
         assert solve_nsw(random_instance(family, 12, 120, 11), 0.1).feasible
@@ -679,7 +684,7 @@ class _CountedGains(_Gains):
 
 
 # (triples scored, swaps) of each case below from the greedy start.
-GREEDY_FRONTIER = {"coverage": (13_154, 27), "additive": (2_771, 7), "partition_matroid_rank": (3_800, 0)}
+GREEDY_FRONTIER = {"coverage": (13_154, 27), "additive": (2_771, 7), "partition_matroid_rank": (0, 0)}
 
 
 @pytest.mark.parametrize(
@@ -687,7 +692,7 @@ GREEDY_FRONTIER = {"coverage": (13_154, 27), "additive": (2_771, 7), "partition_
     [
         ("coverage", 20, 200, 1, "symmetric", 78_564, 670),
         ("additive", 12, 120, 11, "random_rational", 27_733, 356),
-        ("partition_matroid_rank", 20, 200, 1, "symmetric", 4_384, 56),
+        ("partition_matroid_rank", 20, 200, 1, "symmetric", 87, 56),
     ],
 )
 def test_frontier_scores_a_fixed_set_of_triples(monkeypatch, family, n, m, seed, weight_mode, scored, swaps):
@@ -826,3 +831,17 @@ def test_saturating_searches_match_a_full_restart_search(inst, eps):
     # table's rule that they are 0.0, so equal traces and certificates check that rule.
     for start in STARTS:
         assert_search_matches_full_restart(inst, eps, start)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=saturating_instances(), eps=st.sampled_from([1e-9, 0.01, 0.1, 1.0]), data=st.data())
+def test_saturating_rechecks_match_a_full_scan(inst, eps, data):
+    # On any allocation of the items among the participants, local optimum or not, the
+    # recheck, which scores no saturated taker, keeps the record of a scan of every triple.
+    abar = _Gains(inst, inst.items).abar
+    holders = [data.draw(st.sampled_from(abar), label=j) for j in inst.items] if abar else []
+    bundles = {a: {j for j, holder in zip(inst.items, holders) if holder == a} for a in abar}
+    eps_bar = epsilon_bar(eps, max(inst.m, 1))
+    cert = verify_local_opt(certificate_table(inst, bundles), eps_bar)
+    violations, checked, best = full_scan(inst, bundles, eps_bar)
+    assert (cert.violations, cert.triples_checked, cert.max_log_gain.hex()) == (violations, checked, best.hex())
