@@ -14,7 +14,9 @@ The search then runs in two steps.
    items, item 0 the most significant digit, taken in lexicographic order. A
    Python loop runs over the assignments of the leading items; one numpy
    block covers all assignments of the trailing k items, k the largest with
-   n^k <= 2^16. Each block's log NSW is the left fold
+   n^k <= 2^16; its per-agent masks of the trailing items are broadcast one
+   digit at a time, most significant first, then ORed with the prefix's. Each
+   block's log NSW is the left fold
    ``0.0 + L_0[mask_0] + L_1[mask_1] + ...`` in agent order, the additions
    :func:`~nswfair.instance.nsw_log` makes, so the optimum is the same float
    bit for bit.
@@ -58,6 +60,16 @@ def _log_table(inst: Instance, i: int) -> np.ndarray:
     return table
 
 
+def _owner_masks(n: int, m: int, k: int) -> np.ndarray:
+    """[i, b]: the mask of the trailing k of m items that block position b gives agent i, digit t
+    of b from the right owning item m - 1 - t. Appending digit d maps b to b * n + d."""
+    suffix = np.zeros((n, 1), dtype=np.int64)
+    owns = np.arange(n)[:, None] == np.arange(n)
+    for t in range(k - 1, -1, -1):
+        suffix = (suffix[:, :, None] + owns[:, None, :] * np.int64(1 << (m - 1 - t))).reshape(n, -1)
+    return suffix
+
+
 def brute_force_opt(inst: Instance) -> OptResult:
     """Maximize nsw_log over all n^m complete allocations."""
     problems = validate(inst)
@@ -75,11 +87,7 @@ def brute_force_opt(inst: Instance) -> OptResult:
     while k < m and n ** (k + 1) <= BLOCK:
         k += 1
     lead, size = m - k, n**k
-    # suffix[i][b]: the trailing items that block position b gives agent i, as a mask
-    position = np.arange(size)
-    suffix = np.zeros((n, size), dtype=np.int64)
-    for t in range(k):  # digit t from the right is the owner of item m - 1 - t
-        suffix[position // n**t % n, position] |= 1 << (m - 1 - t)
+    suffix = _owner_masks(n, m, k)
     best_log, best = NEG_INF, None
     for prefix in itertools.product(range(n), repeat=lead):
         masks = [0] * n

@@ -171,8 +171,9 @@ class _Gains:
         self.universe = inst.sort_items(universe)
         self.favorite: Dict[str, str] = {}
         self.offset: Dict[str, float] = {}
+        cols = [inst.item_index[j] for j in self.universe]
         for agent, row in zip(inst.agents, inst.singletons):
-            singles = [row[inst.item_index[j]] for j in self.universe]
+            singles = [row[c] for c in cols]
             best = max(singles, default=0.0)
             if best > 0.0:
                 self.favorite[agent] = self.universe[singles.index(best)]

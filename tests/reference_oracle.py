@@ -4,15 +4,28 @@ It rebuilds and evaluates every bundle of every one of the n^m allocations,
 in lexicographic order, keeping the first allocation that is strictly better
 than all before it. ``tests/test_oracle.py`` checks that the table-based
 oracle returns the same float bit for bit, the same argmax and the same count.
+``reference_owner_masks`` is the block owner-mask table built by k scatter
+passes, one per trailing item, the reference for ``oracle._owner_masks``.
 """
 
 import itertools
 import math
 from typing import Tuple
 
+import numpy as np
+
 from nswfair.errors import SizeGuardExceeded
 from nswfair.instance import NEG_INF, Allocation, Instance, validate
 from nswfair.oracle import SIZE_GUARD, OptResult
+
+
+def reference_owner_masks(n: int, m: int, k: int) -> np.ndarray:
+    """[i, b]: the mask of the trailing k items that block position b gives agent i."""
+    position = np.arange(n**k)
+    suffix = np.zeros((n, n**k), dtype=np.int64)
+    for t in range(k):  # digit t from the right is the owner of item m - 1 - t
+        suffix[position // n**t % n, position] |= 1 << (m - 1 - t)
+    return suffix
 
 
 def reference_opt(inst: Instance) -> OptResult:

@@ -12,6 +12,8 @@ so no other reader can grow its own rules. Every module-level private
 function or class (``_name``) is read somewhere in the package outside its
 own definition, so a helper its last caller dropped is deleted with it, and
 so is every method of such a class, unless it overrides a base class's. The
+README's package layout table names each module of the package but
+``__init__``, and nothing else. The
 package ``__init__`` imports to re-export, and ``__future__`` imports are
 directives, so both are exempt from the import check. A name counts as
 used where the code reads it; quoted annotations are not parsed, and with
@@ -24,7 +26,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nswfair"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "nswfair"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -242,3 +245,24 @@ def test_the_private_check_sees_an_unused_method():
     namespace = {}
     exec(compile(source, "a", "exec"), namespace)
     assert unreferenced_private({"a": ast.parse(source)}, {"a": namespace}) == [("a", "_Parser.dead")]
+
+
+def layout_modules(readme):
+    """The modules the ``## Package layout`` table of ``readme`` names, one per row, in order."""
+    section = readme.split("\n## Package layout\n", 1)[1].split("\n## ", 1)[0]
+    return [
+        line.split("`nswfair.", 1)[1].split("`", 1)[0]
+        for line in section.splitlines()
+        if line.startswith("| `nswfair.")
+    ]
+
+
+def test_readme_layout_names_every_module():
+    named = layout_modules((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert len(named) == len(set(named)), f"README package layout repeats a module: {named}"
+    assert sorted(named) == sorted(p.stem for p in MODULES if p.stem != "__init__")
+
+
+def test_the_layout_check_reads_only_its_section():
+    readme = "# x\n\n## Package layout\n\n| module | contents |\n| --- | --- |\n| `nswfair.cli` | c |\n\n## Next\n| `nswfair.errors` | e |\n"
+    assert layout_modules(readme) == ["cli"]  # a row outside the section does not count

@@ -1,5 +1,6 @@
 """Brute-force optimum: frozen values, independent enumeration, the reference loop, cost and guard."""
 
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from nswfair.oracle import SIZE_GUARD
 from nswfair.valuations import Valuation, subset_values
 
 from conftest import make_instance
-from reference_oracle import reference_opt
+from reference_oracle import reference_opt, reference_owner_masks
 
 
 def two_agent_opt_by_subsets(inst):
@@ -123,6 +124,25 @@ def test_matches_the_reference_loop_bit_for_bit(family, mode):
     for n in range(1, 5):
         for m in range(9):
             assert_same_as_reference(random_instance(family, n, m, seed=10 * n + m, weight_mode=mode))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_owner_masks_equal_the_scatter_passes(n):
+    # every k with n^k <= 2^16 (k <= 16 for n = 1), k = 0 included; the items are the last k of m = k + 3
+    for k in itertools.takewhile(lambda k: n**k <= 2**16, range(17)):
+        got, want = oracle._owner_masks(n, k + 3, k), reference_owner_masks(n, k + 3, k)
+        assert got.dtype == want.dtype and got.shape == want.shape == (n, n**k)
+        assert got.tobytes() == want.tobytes(), (n, k)
+
+
+@pytest.mark.parametrize("n, m", [(3, 6), (4, 5)])
+@pytest.mark.parametrize("mode", WEIGHT_MODES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_small_blocks_match_the_reference_loop(family, mode, n, m, monkeypatch):
+    # BLOCK = 10 leaves k = 2 trailing items at n = 3 and k = 1 at n = 4, so 81 and 256
+    # leading prefixes each run their own block, and each block's best meets the running best
+    monkeypatch.setattr(oracle, "BLOCK", 10)
+    assert_same_as_reference(random_instance(family, n, m, seed=n + m, weight_mode=mode))
 
 
 def test_matches_the_reference_loop_on_all_zero_agents():
