@@ -93,7 +93,7 @@ def build_feasibility_graph(inst: Instance, bundles: Sequence[FrozenSet[str]]) -
                     best = (k, j, val)
         best_removal.append(best)
         removal_max = max(0.0, best[2]) if best else 0.0
-        own = states[i].value()
+        own, before = states[i].value(), len(edges)
         if own >= 0.5 * removal_max:
             edges.add((i, i))
         for k in range(n):
@@ -102,7 +102,7 @@ def build_feasibility_graph(inst: Instance, bundles: Sequence[FrozenSet[str]]) -
             whole = states[k].value()
             if whole > 2.0 * own and whole >= removal_max:
                 edges.add((i, k))
-        if not any(e[0] == i for e in edges):
+        if len(edges) == before:
             raise InvariantViolation(f"agent {inst.agents[i]!r} has no feasible bundle edge")
     return FeasibilityGraph(edges=frozenset(edges), best_removal=tuple(best_removal))
 

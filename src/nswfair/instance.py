@@ -145,7 +145,7 @@ def validate(inst: Instance) -> List[str]:
     errors.extend(f"valuation domain of agent {agent!r} does not match the item list" for agent in foreign)
     if foreign:  # v(all items) is read only once every domain is the item list
         return errors
-    # Every shifted value vbar(S) = v(favorite) + v(S) is at most 2 * v(all items).
+    # Every shifted value vbar(S) = shift + v(S), the shift a singleton value, is at most 2 * v(all items).
     for agent, full in zip(inst.agents, inst.full_values):
         if not math.isfinite(2.0 * full):
             errors.append(f"values of agent {agent!r} overflow: 2 * v(all items) is not finite")

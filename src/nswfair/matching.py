@@ -7,16 +7,18 @@ augmentation per row (Jonker & Volgenant 1987; Crouse 2016), over exact
 Python int weights. Every row owns a private zero-weight dummy column, so
 "leave the row unmatched" is always feasible.
 
-Callers pack their whole objective into one int per edge. A finite float is
-a dyadic rational, so multiplying every score by the largest denominator
-among them turns each into an exact int. With radix B = (m + 1)^n, the
-weight head + score * B + preference orders matchings by cardinality, then
-total score, then index preference: a preference sum lies in [0, B), and
-head exceeds the largest possible spread of score * B + preference between
-two matchings of at most n edges. No path sum ever rounds, which matters:
-summing floats along alternating paths makes (a - b) + b differ from a in
-the last bit, and the resulting phantom "improvements" around zero-gain
-cycles corrupt the search.
+Callers pass their objective as one int score per edge. A finite float is a
+dyadic rational, so multiplying every score by the largest denominator among
+them turns each into an exact int. The engine weighs an edge score * B +
+preference, radix B = (m + 1)^n: distinct int score totals differ by at least
+B in weight and a preference sum lies in [0, B), so matchings rank by total
+score, then index preference, with no further term below the radix.
+:func:`solve_assignment` passes head + score, head = 2n * max|score| + 1, which
+exceeds the spread of score totals between two matchings of at most n edges,
+so cardinality ranks first. No path sum ever rounds, which matters: summing
+floats along alternating paths makes (a - b) + b differ from a in the last
+bit, and the resulting phantom "improvements" around zero-gain cycles corrupt
+the search.
 
 The preference digit of row r is m - c in base m + 1 (0 when unmatched), so
 distinct matchings have distinct preference sums and the optimum is unique:
@@ -66,12 +68,13 @@ def _lex_preference(row: int, col: int, n_rows: int, n_cols: int) -> int:
 
 
 def _max_weight_matching(
-    n_rows: int, n_cols: int, weights: Mapping[Tuple[int, int], int]
+    n_rows: int, n_cols: int, scores: Mapping[Tuple[int, int], int]
 ) -> List[Optional[int]]:
-    """Matching of maximum total int weight; row r may take dummy column n_cols + r."""
+    """Matching of maximum total score * radix + preference; row r may take dummy column n_cols + r."""
+    radix = (n_cols + 1) ** n_rows
     cost: List[Dict[int, int]] = [{n_cols + r: 0} for r in range(n_rows)]
-    for (r, c), w in weights.items():
-        cost[r][c] = -w
+    for (r, c), s in scores.items():
+        cost[r][c] = -(s * radix + _lex_preference(r, c, n_rows, n_cols))
     u = [0] * n_rows
     v = [0] * (n_cols + n_rows)
     row_of: Dict[int, int] = {}
@@ -139,10 +142,8 @@ def solve_assignment(scores: Sequence[Sequence[float]]) -> AssignmentResult:
         finite.sort(key=row.__getitem__, reverse=True)
         kept.update(((r, c), row[c]) for c in finite[:n])
     ints, _ = exact_ints(kept)
-    radix = (m + 1) ** n
-    head = (2 * n * max(map(abs, ints.values()), default=0) + 1) * radix + 1
-    weights = {(r, c): head + s * radix + _lex_preference(r, c, n, m) for (r, c), s in ints.items()}
-    assignment = _max_weight_matching(n, m, weights)
+    head = 2 * n * max(map(abs, ints.values()), default=0) + 1
+    assignment = _max_weight_matching(n, m, {cell: head + s for cell, s in ints.items()})
     if None in assignment:
         return AssignmentResult(tuple(assignment), NEG_INF)
     return AssignmentResult(tuple(assignment), float_total(scores[r][c] for r, c in enumerate(assignment)))
@@ -157,19 +158,15 @@ def solve_lex_assignment(
     The priority is realized with one integer weight per edge,
     A * [col in must_match] + B * [col = row] + 1 with B = n + 1
     and A = (n + 1) * (B * n + n + 1), which strictly separates the three
-    tiers for any matching of at most n = ``n_rows`` edges; the index
-    preference rides below them in radix (n_cols + 1)^n_rows. The caller must
+    tiers for any matching of at most n = ``n_rows`` edges; the engine packs
+    the index preference below them. The caller must
     pass a graph in which covering ``must_match`` is feasible; the cover is
     re-checked and a failure raises :class:`LemmaViolation`.
     """
     b_weight = n_rows + 1
     a_weight = (n_rows + 1) * (b_weight * n_rows + n_rows + 1)
-    radix = (n_cols + 1) ** n_rows
-    weights = {}
-    for r, c in edges:
-        w = a_weight * (c in must_match) + b_weight * (r == c) + 1
-        weights[(r, c)] = w * radix + _lex_preference(r, c, n_rows, n_cols)
-    assignment = _max_weight_matching(n_rows, n_cols, weights)
+    tiers = {(r, c): a_weight * (c in must_match) + b_weight * (r == c) + 1 for r, c in edges}
+    assignment = _max_weight_matching(n_rows, n_cols, tiers)
     matched_cols = {c for c in assignment if c is not None}
     uncovered = set(must_match) - matched_cols
     if uncovered:

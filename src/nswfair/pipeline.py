@@ -12,8 +12,8 @@ each v_i(R_i + h) read from one bundle state of R_i per agent.
 Phase 1's scores come from the instance's table of singleton values
 v_i({j}) (:attr:`Instance.singletons`), read once per instance. The
 search, the local-optimality recheck and the prices read from that table
-which agents take part and each one's favorite item and shift, and leftover
-items go to the column maximum, so no stage evaluates a singleton again.
+which agents take part and each one's shift, and leftover items go to the
+column maximum, so no stage evaluates a singleton again.
 
 The report embeds verification certificates plus the approximation factors
 implied by the instance's weight profile. One fresh :func:`certificate_table`,
@@ -26,7 +26,7 @@ The certificates are records, returned whatever they show for the caller to judg
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation
@@ -121,6 +121,14 @@ class SolveCertificates:
     spending_symmetric: Optional[SpendingReport]
     swap_limit: float
 
+    def to_json(self) -> dict:
+        spending = (("asymmetric", self.spending_asymmetric), ("symmetric", self.spending_symmetric))
+        return {
+            "local_opt_violations": [list(v) for v in self.local_opt_violations],
+            "swap_limit": self.swap_limit,
+            "spending": {variant: None if report is None else report.to_json() for variant, report in spending},
+        }
+
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -162,32 +170,8 @@ class SolveReport:
             "swaps": self.swaps,
             "eps": self.eps,
             "eps_bar": self.eps_bar,
-            "guarantee": {
-                "symmetric": self.guarantee.symmetric,
-                "asymmetric": self.guarantee.asymmetric,
-                "strong": self.guarantee.strong,
-            },
-            "certificates": {
-                "local_opt_violations": [list(v) for v in self.certificates.local_opt_violations],
-                "swap_limit": self.certificates.swap_limit,
-                "spending": {
-                    variant: (
-                        None
-                        if report is None
-                        else {
-                            "per_agent": {
-                                a: {"spent": s, "cap": c} for a, (s, c) in sorted(report.per_agent.items())
-                            },
-                            "total_spent": report.total_spent,
-                            "total_cap": report.total_cap,
-                        }
-                    )
-                    for variant, report in (
-                        ("asymmetric", self.certificates.spending_asymmetric),
-                        ("symmetric", self.certificates.spending_symmetric),
-                    )
-                },
-            },
+            "guarantee": asdict(self.guarantee),
+            "certificates": self.certificates.to_json(),
         }
 
 

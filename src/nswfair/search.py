@@ -3,9 +3,9 @@
 The search redistributes a universe J among the agents with a positive
 singleton value in J (``abar``; for monotone submodular v with v(empty) = 0,
 those with v(J) > 0). Each is scored through the shifted valuation
-vbar(S) = v(favorite) + v(S), its favorite being its first item of J of
-largest singleton value, so empty bundles keep positive value and log-gains
-are defined. A move takes item j from agent i to agent k; it is accepted when
+vbar(S) = shift + v(S), shift its largest singleton value in J, so empty
+bundles keep positive value and log-gains are defined. A move takes item j
+from agent i to agent k; it is accepted when
 
     w_i * log(vbar_i(R_i - j) / vbar_i(R_i))
   + w_k * log(vbar_k(R_k + j) / vbar_k(R_k))  >  log(1 + eps_bar)
@@ -14,8 +14,8 @@ strictly. Scanning order is fixed (agents by index, items by index, takers by
 index) and the first improving move is applied, so runs are deterministic.
 
 The search starts from a greedy deal of J (:meth:`_Gains._deal`). The swap
-bound rests only on v(favorite) <= vbar(S) <= (|S| + 1) * v(favorite), so it
-and the certificates hold from any start; the deal saves the swaps that would
+bound rests only on shift <= vbar(S) <= (|S| + 1) * shift, so it and the
+certificates hold from any start; the deal saves the swaps that would
 otherwise hand items out one by one.
 
 Every swap is scored through one gain table, :class:`_Gains`, from two
@@ -48,10 +48,10 @@ giver is unchanged since it passed, it scores only the unsaturated takers
 changed since. Every other triple there has the same two bundles, so the same
 memoised gain, as when it was found non-improving, or a saturated taker, which
 turns unsaturated only by losing an item, a change the frontier records; the
-first improving triple found is therefore the one a full restart would find. Each state is bit for bit equal
-to ``value()``, which is correctly rounded and so independent of summation
-order, so the gains, the swap trace and the certificates are the floats a
-fresh evaluation gives.
+first improving triple found is therefore the one a full restart would find.
+Each state is bit for bit equal to ``value()``, which is correctly rounded and
+so independent of summation order, so the gains, the swap trace and the
+certificates are the floats a fresh evaluation gives.
 
 One fresh table over the final bundles, :func:`certificate_table`, backs
 :func:`verify_local_opt`, the one certificate pass over every triple, and then
@@ -139,7 +139,6 @@ class LocalSearchResult:
     universe: Tuple[str, ...]
     bundles: Dict[str, FrozenSet[str]]
     abar: Tuple[str, ...]
-    favorites: Dict[str, str]
     trace: Tuple[SwapRecord, ...]
     certificate: Optional[LocalOptCertificate] = None
 
@@ -147,12 +146,12 @@ class LocalSearchResult:
 class _Gains:
     """Swap gains over live bundles of a universe J, each memoised until a bundle it reads changes.
 
-    ``abar``: the agents with a positive singleton value in J, in index order; ``favorite`` and
-    ``offset`` map each to its first item of J of largest singleton value and that value (the
-    shift of vbar), all read from :attr:`Instance.singletons`. ``states`` holds one bundle state
-    per participant, made by its valuation's :meth:`~nswfair.valuations.Valuation.bundle_state`
-    from its bundle in ``start``, or, with no ``start``, from the search's start, which
-    :meth:`_deal` deals from the states' own taker terms. vbar(R), each vbar(R - j) and each
+    ``abar``: the agents with a positive singleton value in J, in index order; ``offset`` maps
+    each to its largest singleton value in J (the shift of vbar), both read from
+    :attr:`Instance.singletons`. ``states`` holds one bundle state per participant, made by
+    its valuation's :meth:`~nswfair.valuations.Valuation.bundle_state` from its bundle in
+    ``start``, or, with no ``start``, from the search's start, which :meth:`_deal` deals from
+    the states' own taker terms. vbar(R), each vbar(R - j) and each
     taker's term are memoised; memo misses are answered by the states. ``full`` maps each
     participant to v(all items), and :meth:`current` flags R as saturated when v(R) equals it,
     from the read that gives vbar(R) and for as long as that read is memoised; :meth:`live`
@@ -169,21 +168,17 @@ class _Gains:
         if not universe <= inst.item_index.keys():
             raise UnknownItem(f"universe items {sorted(universe - inst.item_index.keys())} are not instance items")
         self.universe = inst.sort_items(universe)
-        self.favorite: Dict[str, str] = {}
         self.offset: Dict[str, float] = {}
         cols = [inst.item_index[j] for j in self.universe]
         for agent, row in zip(inst.agents, inst.singletons):
-            singles = [row[c] for c in cols]
-            best = max(singles, default=0.0)
+            best = max((row[c] for c in cols), default=0.0)
             if best > 0.0:
-                self.favorite[agent] = self.universe[singles.index(best)]
                 self.offset[agent] = best
         self.abar: List[str] = list(self.offset)
         held = start or {}
         self.states: Dict[str, BundleState] = {a: inst.valuation_of(a).bundle_state(held.get(a, ())) for a in self.abar}
         self.weight = {a: inst.weight_floats[inst.agent_index[a]] for a in self.abar}
         self.full = {a: inst.full_values[inst.agent_index[a]] for a in self.abar}
-        self.others = {a: [t for t in self.abar if t != a] for a in self.abar}
         self._rows: Dict[str, List[str]] = {}
         self._cur: Dict[str, Tuple[float, float, bool]] = {}
         self._removed: Dict[str, Dict[str, Tuple[float, float]]] = {a: {} for a in self.abar}
@@ -280,7 +275,7 @@ class _Gains:
         since: Dict[int, List[str]] = {}  # verified count -> takers changed after it
         for giver in self.abar:
             giver_changed = changed[giver]
-            others = self.others[giver] if len(live) == len(self.abar) else [t for t in live if t != giver]
+            others = [t for t in live if t != giver]
             for item in self.row(giver):
                 seen = verified[item]
                 takers = others if giver_changed > seen else since.get(seen)
@@ -331,7 +326,6 @@ def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> Loc
         universe=tuple(table.universe),
         bundles={a: frozenset(table.states[a].bundle if a in table.states else ()) for a in inst.agents},
         abar=tuple(table.abar),
-        favorites=table.favorite,
         trace=tuple(trace),
     )
 
@@ -357,13 +351,13 @@ def verify_local_opt(table: _Gains, eps_bar: float) -> LocalOptCertificate:
     giver's term itself, <= 0.0, which enters the largest gain as such and never violates."""
     threshold, checked, best = _threshold(eps_bar), 0, NEG_INF
     violations: List[Tuple[str, str, str]] = []
-    live = table.live()
+    live, per_item = table.live(), len(table.abar) - 1
     for giver in table.abar:
-        others, takers = table.others[giver], [t for t in live if t != giver]
+        takers = [t for t in live if t != giver]
         for item in table.row(giver):
             give = table.give(giver, item)
-            checked += len(others)
-            if len(takers) < len(others):
+            checked += per_item
+            if len(takers) < per_item:
                 best = max(best, give)
             for taker in takers:
                 gain = give + table.take(taker, item)
@@ -422,6 +416,10 @@ class SpendingReport:
         return self.total_spent <= self.total_cap + TOLERANCE and all(
             spent <= cap + TOLERANCE for spent, cap in self.per_agent.values()
         )
+
+    def to_json(self) -> dict:
+        per_agent = {a: {"spent": s, "cap": c} for a, (s, c) in sorted(self.per_agent.items())}
+        return {"per_agent": per_agent, "total_spent": self.total_spent, "total_cap": self.total_cap}
 
 
 def check_spending(price_vector: PriceVector) -> SpendingReport:

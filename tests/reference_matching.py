@@ -1,7 +1,7 @@
 """The unpruned packing, kept as a reference for ``solve_assignment``.
 
-It packs every finite cell of the table into ``_max_weight_matching``, with
-the same radix, head, preference digits and float total as the solver, but
+It passes every finite cell of the table to ``_max_weight_matching``, with
+the same head, packing and float total as the solver, but
 without keeping only each row's n best cells first. ``tests/test_matching.py``
 checks that the pruned solver returns the same assignment and the same total,
 bit for bit.
@@ -10,7 +10,7 @@ bit for bit.
 from typing import Sequence
 
 from nswfair.instance import NEG_INF
-from nswfair.matching import AssignmentResult, _lex_preference, _max_weight_matching
+from nswfair.matching import AssignmentResult, _max_weight_matching
 from nswfair.valuations import exact_ints
 
 
@@ -23,10 +23,8 @@ def reference_assignment(scores: Sequence[Sequence[float]]) -> AssignmentResult:
     ints, _ = exact_ints(
         {(r, c): float(s) for r, row in enumerate(scores) for c, s in enumerate(row) if s != NEG_INF}
     )
-    radix = (m + 1) ** n
-    head = (2 * n * max(map(abs, ints.values()), default=0) + 1) * radix + 1
-    weights = {(r, c): head + s * radix + _lex_preference(r, c, n, m) for (r, c), s in ints.items()}
-    assignment = _max_weight_matching(n, m, weights)
+    head = 2 * n * max(map(abs, ints.values()), default=0) + 1
+    assignment = _max_weight_matching(n, m, {cell: head + s for cell, s in ints.items()})
     if None in assignment:
         return AssignmentResult(tuple(assignment), NEG_INF)
     total = sum((scores[r][c] for r, c in enumerate(assignment)), 0.0)

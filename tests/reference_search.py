@@ -40,7 +40,7 @@ def scan(table):
     for giver in table.abar:
         for item in table.row(giver):
             give = table.give(giver, item)
-            for taker in table.others[giver]:
+            for taker in (t for t in table.abar if t != giver):
                 yield giver, item, taker, give + table.take(taker, item)
 
 

@@ -39,6 +39,9 @@ CASES += [
     for f, family in enumerate(("budget_additive", "partition_matroid_rank"))
     for w, mode in enumerate(WEIGHT_MODES)
 ]
+# m >= n, but one agent values every item at 0: phase 1 finds no covering matching, so the
+# report is infeasible with eps_bar != 0, no search and no spending reports.
+CASES += [("budget_additive", "symmetric", 20, 200, 1)]
 
 GOLDEN = {
     "additive-symmetric-3x8-s1000": "e252ca239111b69331fe02c01daffc63552c8e6b0a5fa7e3e8aa645c6039828e",
@@ -70,6 +73,7 @@ GOLDEN = {
     "budget_additive-random_rational-20x200-s3001": "09e0ebe464e5923737de0e0568e6e08f3bac918dd5d8d459e4bcbf95f5b1a023",
     "partition_matroid_rank-symmetric-20x200-s3010": "105035c0261c7073289661aed9665667b41f2b61886ec3e14b32ae759271a722",
     "partition_matroid_rank-random_rational-20x200-s3011": "fb62a18988c575a948b36698a7172a9e1fced31e7071bd6761246adc702c5293",
+    "budget_additive-symmetric-20x200-s1": "93ce39def6c086a62d1ebd48e72782f0d91cf21c29ddce0033a51bd273f368d7",
 }
 
 COLD_GOLDEN = {
@@ -102,6 +106,7 @@ COLD_GOLDEN = {
     "budget_additive-random_rational-20x200-s3001": "6c1091ad4effe2c141d912ffe730e210105e2ab9c4add4dc39f934395531595c",
     "partition_matroid_rank-symmetric-20x200-s3010": "25e7105df61448fc4821c73868697733e885c5a2dfad69bbd53aeda0b1874098",
     "partition_matroid_rank-random_rational-20x200-s3011": "a5fa7f75e369b418f796b541ac563ded3a44ab3f9f50596216a9c737855f2738",
+    "budget_additive-symmetric-20x200-s1": "93ce39def6c086a62d1ebd48e72782f0d91cf21c29ddce0033a51bd273f368d7",
 }
 
 

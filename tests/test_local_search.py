@@ -58,7 +58,7 @@ def test_two_agent_leftover_search(e1, cold_start):
     eb = epsilon_bar(0.1, 4)
     result = local_search(e1, ["c", "d"], eb)
     assert result.abar == ("1", "2")
-    assert result.favorites == {"1": "c", "2": "c"}
+    assert _Gains(e1, ["c", "d"]).offset == {"1": 1.0, "2": 1.0}
     assert result.bundles["1"] == frozenset({"d"})
     assert result.bundles["2"] == frozenset({"c"})
     assert len(result.trace) == 1
@@ -73,7 +73,7 @@ def test_two_agent_leftover_search(e1, cold_start):
     assert cert.triples_checked == 2
 
 
-def test_favorite_is_the_first_item_of_the_universe_with_the_largest_single_value():
+def test_shift_is_the_largest_single_value_in_the_universe_passed_out_of_order():
     # Items in index order a, b, c, d; the universe is passed out of order and
     # agent 1's best single value in it, 2, is tied between b and d.
     inst = make_instance(
@@ -85,7 +85,7 @@ def test_favorite_is_the_first_item_of_the_universe_with_the_largest_single_valu
     )
     result = local_search(inst, ["d", "c", "b"], epsilon_bar(0.1, 4))
     assert result.abar == ("1", "2")
-    assert result.favorites == {"1": "b", "2": "c"}
+    assert _Gains(inst, ["d", "c", "b"]).offset == {"1": 2.0, "2": 3.0}
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -97,11 +97,10 @@ def test_shift_is_the_largest_single_value_and_abar_values_the_universe(family):
     result = local_search(inst, universe, epsilon_bar(0.1, inst.m))
     table = _Gains(inst, universe)
     assert result.abar == tuple(a for a, v in zip(inst.agents, inst.valuations) if v.value(universe) > 0.0)
-    assert result.favorites == table.favorite
+    assert tuple(table.offset) == result.abar
     for agent in result.abar:
         v = inst.valuation_of(agent)
-        assert table.offset[agent] == v.value([result.favorites[agent]]) > 0.0
-        assert all(v.value([j]) <= table.offset[agent] for j in universe)
+        assert table.offset[agent] == max(v.value([j]) for j in universe) > 0.0
 
 
 def test_trace_gains_replay_as_potential_deltas(e1, cold_start):
@@ -109,12 +108,12 @@ def test_trace_gains_replay_as_potential_deltas(e1, cold_start):
     result = local_search(e1, ["c", "d"], eb)
     held = {a: set() for a in e1.agents}
     held["1"] = {"c", "d"}
-    fav_offset = {a: e1.valuation_of(a).value([result.favorites[a]]) for a in result.abar}
+    offset = {a: max(e1.valuation_of(a).value([j]) for j in result.universe) for a in result.abar}
 
     def potential(state):
         total = 0.0
         for pos, agent in enumerate(e1.agents):
-            vbar = fav_offset[agent] + e1.valuation_of(agent).value(state[agent])
+            vbar = offset[agent] + e1.valuation_of(agent).value(state[agent])
             total += e1.weight_floats[pos] * math.log(vbar)
         return total
 
@@ -153,7 +152,7 @@ def test_verify_rejects_malformed_bundles(e1):
 def test_price_reference_values(e1):
     bundles = {"1": {"d"}, "2": {"c"}}
     asym, sym = prices(certificate_table(e1, bundles))
-    # Each bundle is a single unit item on top of a unit favorite, so the
+    # Each bundle is a single unit item on top of a unit shift, so the
     # ratio vbar(R)/vbar(R - j) is exactly 2 for both items.
     assert asym.values["d"] == pytest.approx(0.34657359027997264, abs=1e-15)
     assert asym.values["c"] == pytest.approx(0.34657359027997264, abs=1e-15)
@@ -392,8 +391,8 @@ def test_memoised_gains_match_direct_recomputation_mid_search(cold_start):
 def test_search_oracle_calls_per_swap_stay_memoised(monkeypatch):
     # Re-evaluating whole bundles for every triple costs about 600 value()
     # calls per swap on this instance. The coverage bundle states answer every
-    # gain and every term of the greedy deal, and who takes part, each favorite
-    # and each shift come from phase 1's singleton table, so the search calls
+    # gain and every term of the greedy deal, and who takes part and each
+    # shift come from phase 1's singleton table, so the search calls
     # value() not at all, from either start.
     import nswfair.pipeline as pipeline
     from nswfair import solve_nsw
