@@ -39,6 +39,17 @@ preference. That contradicts optimality. The argument never asks that every
 row be matched, so it holds for non-covering tables too. At most n^2 cells
 are packed whatever m is, where each Dijkstra pop would otherwise relax m
 weights of about n * log2(m + 1) bits.
+
+First, though, each row in index order takes its smallest free column among
+those holding its largest finite score. If every row gets one, that matching
+is returned unpacked: it is the engine's optimum. It matches all n rows, and
+its total, the sum of the row maxima, bounds every matching's, so every
+optimum puts each row on one of its own best columns. The preference then
+gives row 0 its smallest such column that leaves the later rows a completion,
+then row 1, and so on. The greedy gives each row its smallest best column the
+earlier rows left free, and its own completion shows that column qualifies,
+so by induction the two agree. Equal floats are equal exact ints, so ties
+read alike. Any other table goes on to the pruning and the engine.
 """
 
 from __future__ import annotations
@@ -130,7 +141,7 @@ def solve_assignment(scores: Sequence[Sequence[float]]) -> AssignmentResult:
     m = len(scores[0]) if n else 0
     if any(len(row) != m for row in scores):
         raise ValueError("score table rows must have equal length")
-    kept: Dict[Tuple[int, int], float] = {}
+    ranked: List[List[Tuple[int, float]]] = []
     for r, row in enumerate(scores):
         row = [float(s) for s in row]
         finite = [c for c, s in enumerate(row) if NEG_INF < s < math.inf]
@@ -140,7 +151,18 @@ def solve_assignment(scores: Sequence[Sequence[float]]) -> AssignmentResult:
         # The row's n best finite cells: higher score first and, the sort being stable, the
         # smaller column first on a tie, as the packed weights rank them.
         finite.sort(key=row.__getitem__, reverse=True)
-        kept.update(((r, c), row[c]) for c in finite[:n])
+        ranked.append([(c, row[c]) for c in finite[:n]])
+    # Each row in turn takes its smallest free best column; if all do, that is the optimum.
+    # A row looks while fewer than n columns are taken, so its n best cells are enough.
+    taken: Dict[int, None] = {}
+    for cells in ranked:
+        col = next((c for c, s in cells if s == cells[0][1] and c not in taken), None)
+        if col is None:
+            break
+        taken[col] = None
+    else:
+        return AssignmentResult(tuple(taken), float_total(scores[r][c] for r, c in enumerate(taken)))
+    kept = {(r, c): s for r, cells in enumerate(ranked) for c, s in cells}
     ints, _ = exact_ints(kept)
     head = 2 * n * max(map(abs, ints.values()), default=0) + 1
     assignment = _max_weight_matching(n, m, {cell: head + s for cell, s in ints.items()})

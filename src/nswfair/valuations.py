@@ -221,7 +221,7 @@ class Coverage(Valuation):
         self._covers: Dict[str, FrozenSet[str]] = {}
         for item, elems in covers.items():
             cov = frozenset(str(e) for e in as_list(elems, f"cover of item {item!r}"))
-            missing = cov - self._weights.keys()
+            missing = cov.difference(self._weights)
             if missing:
                 raise ValueError(f"item {item!r} covers unweighted elements {sorted(missing)}")
             self._covers[str(item)] = cov

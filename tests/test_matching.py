@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from reference_matching import reference_assignment
 
@@ -88,6 +88,9 @@ def test_tie_break_is_index_lexicographic():
         # one row keeps one cell, so the sort would drop these unseen
         ([[5.0, 4.0, math.nan]], "row 0, column 2"),
         ([[5.0, NEG_INF, math.inf]], "row 0, column 2"),
+        # every row could take its own best column, yet the last row's bad cell is still named
+        ([[1.0, 0.0, 0.0], [0.0, 2.0, math.nan]], "row 1, column 2"),
+        ([[1.0, 0.0, 0.0], [0.0, 2.0, math.inf]], "row 1, column 2"),
     ],
 )
 def test_non_finite_scores_rejected(table, cell):
@@ -268,6 +271,64 @@ def test_pruned_wide_tables_agree_with_enumeration(table):
     assert result.total.hex() == reference.total.hex()
 
 
+def solve_counting_engine(table):
+    """``solve_assignment(table)`` and the number of edges of each matching-engine call it made."""
+    edge_counts = []
+    engine = matching._max_weight_matching
+
+    def counting(n_rows, n_cols, weights):
+        edge_counts.append(len(weights))
+        return engine(n_rows, n_cols, weights)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matching, "_max_weight_matching", counting)
+        result = solve_assignment(table)
+    return result, edge_counts
+
+
+@st.composite
+def greedy_tables(draw):
+    """Up to 5 rows and 7 columns, more rows than columns included, of tie-heavy small ints
+    and dyadics with -inf holes, so that the greedy certifies some tables and not others."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 7))
+    cell = st.one_of(st.just(NEG_INF), st.integers(-2, 2).map(float), st.sampled_from([0.5, -0.25, 1.375]))
+    return [[draw(cell) for _ in range(m)] for _ in range(n)]
+
+
+# Fixed tables and whether they reach the engine.
+GREEDY_BRANCHES = [
+    ([[0.0, 0.0], [0.0, 0.0]], False),
+    ([[2.0, 2.0, 1.0], [2.0, 2.0, 0.5], [0.5, 0.5, 0.5]], False),  # row 2 takes the last free column
+    ([[2.0, 2.0, 1.0], [2.0, 2.0, 0.5], [0.5, 0.5, NEG_INF]], True),  # row 2's best columns are held
+    ([[1.0, 0.0], [1.0, NEG_INF]], True),  # row 1's only best column is row 0's
+    ([[NEG_INF, NEG_INF], [0.0, 1.0]], True),  # a row with no finite cell
+    ([[1.0], [2.0]], True),  # more rows than columns
+]
+
+
+@pytest.mark.parametrize("table, engine_runs", GREEDY_BRANCHES)
+def test_greedy_branch_on_fixed_tables(table, engine_runs):
+    result, edge_counts = solve_counting_engine(table)
+    reference = reference_assignment(table)
+    assert bool(edge_counts) == engine_runs
+    assert result.assignment == reference.assignment
+    assert result.total.hex() == reference.total.hex()
+
+
+@settings(max_examples=400, deadline=None)
+@given(greedy_tables())
+def test_greedy_shortcut_equals_reference(table):
+    # Whenever the greedy answers without the engine, it gives the engine's unique optimum.
+    result, edge_counts = solve_counting_engine(table)
+    event(f"engine ran: {bool(edge_counts)}")
+    if not edge_counts:
+        reference = reference_assignment(table)
+        assert None not in result.assignment
+        assert result.assignment == reference.assignment
+        assert result.total.hex() == reference.total.hex()
+
+
 def phase1_table(inst):
     """The pipeline's phase-1 scores w_i * log v_i({j}), -inf where v_i({j}) = 0."""
     return [
@@ -288,19 +349,19 @@ def test_pruned_phase1_matches_unpruned_packing(family, n, m):
             assert result.total.hex() == reference.total.hex(), (mode, seed)
 
 
-def test_matching_engine_sees_at_most_n_squared_edges(monkeypatch):
-    edge_counts = []
-    engine = matching._max_weight_matching
-
-    def counting(n_rows, n_cols, weights):
-        edge_counts.append(len(weights))
-        return engine(n_rows, n_cols, weights)
-
-    monkeypatch.setattr(matching, "_max_weight_matching", counting)
-    # every row has far more than n finite cells, so exactly n are kept per row
+def test_matching_engine_sees_at_most_n_squared_edges():
+    # every row has at least 136 finite cells, so exactly n are kept per row
+    table = phase1_table(random_instance("coverage", 20, 200, 2))
+    result, edge_counts = solve_counting_engine(table)
+    assert result.assignment == reference_assignment(table).assignment
+    assert edge_counts == [20 * 20]
+    # a row with fewer than n finite cells keeps them all; its only best column is row 0's
+    _, edge_counts = solve_counting_engine([[1.0] * 6, [0.0] + [NEG_INF] * 5, [0.0] * 6])
+    assert edge_counts == [3 + 1 + 3]
+    # every row of this table can take its own best column, so the engine is never called
     table = phase1_table(random_instance("partition_matroid_rank", 20, 200, 1))
-    assert solve_assignment(table).assignment == reference_assignment(table).assignment
-    assert edge_counts[0] == 20 * 20
-    # a row with fewer than n finite cells keeps them all
-    solve_assignment([[1.0] * 6, [NEG_INF, 0.0, NEG_INF, NEG_INF, NEG_INF, NEG_INF], [0.0] * 6])
-    assert edge_counts[1] == 3 + 1 + 3
+    result, edge_counts = solve_counting_engine(table)
+    reference = reference_assignment(table)
+    assert edge_counts == []
+    assert result.assignment == reference.assignment
+    assert result.total.hex() == reference.total.hex()
