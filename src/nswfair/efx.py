@@ -10,9 +10,11 @@ welfare), then tops up with singleton upgrades and envy-cycle completion.
 Equal weights are required, since the fairness guarantees hold for
 symmetric weighting only; welfare is :func:`nsw_log`.
 
-:func:`build_feasibility_graph` reads v_i(S_k) and every v_i(S_k - j) from one
+:func:`build_feasibility_graph` reads v_i(S_k) and v_i(S_k - j) from one
 bundle state per (agent, bundle) (:meth:`Valuation.bundle_state`), bit for
-bit equal to ``value()``; the trim test calls ``value()`` twice a pass. The
+bit equal to ``value()``; it skips the items of a bundle worth less than the
+best removal found so far, as monotonicity keeps each of their removals below
+it. The trim test calls ``value()`` twice a pass. The
 loose-item comparisons read the singleton table (:attr:`Instance.singletons`).
 Envy-cycle completion keeps one table v_i(S_k), and the bundle states it is
 read from, in step with the bundles: a rotation permutes their columns, and
@@ -85,21 +87,24 @@ def build_feasibility_graph(inst: Instance, bundles: Sequence[FrozenSet[str]]) -
     best_removal: List[Optional[Tuple[int, str, float]]] = []
     for i in range(n):
         states = [inst.valuations[i].bundle_state(bundle) for bundle in bundles]
+        values = [state.value() for state in states]
         best: Optional[Tuple[int, str, float]] = None
         for k in range(n):
+            if best is not None and values[k] < best[2]:
+                continue  # v_i(S_k - j) <= v_i(S_k) by monotonicity: no item here beats the best
             for j in rows[k]:
                 val = states[k].minus(j)
                 if best is None or val > best[2]:
                     best = (k, j, val)
         best_removal.append(best)
         removal_max = max(0.0, best[2]) if best else 0.0
-        own, before = states[i].value(), len(edges)
+        own, before = values[i], len(edges)
         if own >= 0.5 * removal_max:
             edges.add((i, i))
         for k in range(n):
             if k == i:
                 continue
-            whole = states[k].value()
+            whole = values[k]
             if whole > 2.0 * own and whole >= removal_max:
                 edges.add((i, k))
         if len(edges) == before:

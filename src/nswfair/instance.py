@@ -25,6 +25,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
+import numpy as np
+
 from .errors import AllocationError
 from .valuations import Valuation, as_list, valuation_from_params
 
@@ -100,6 +102,11 @@ class Instance:
         for v in self.valuations:
             v._bundle(self.items)  # a state checks only the bundle it starts from
         return tuple(tuple(map(v.bundle_state(()).plus, self.items)) for v in self.valuations)
+
+    @cached_property
+    def singleton_array(self) -> np.ndarray:
+        """:attr:`singletons` as one float array, read by the swap search's taker screen."""
+        return np.array(self.singletons, dtype=float).reshape(self.n, self.m)
 
     @cached_property
     def full_values(self) -> Tuple[float, ...]:

@@ -64,6 +64,8 @@ from .valuations import exact_ints
 
 __all__ = ["AssignmentResult", "solve_assignment", "solve_lex_assignment"]
 
+INF = math.inf  # a global name, quicker to read than the attribute math.inf in the per-cell row scan
+
 
 @dataclass(frozen=True)
 class AssignmentResult:
@@ -143,10 +145,10 @@ def solve_assignment(scores: Sequence[Sequence[float]]) -> AssignmentResult:
         raise ValueError("score table rows must have equal length")
     ranked: List[List[Tuple[int, float]]] = []
     for r, row in enumerate(scores):
-        row = [float(s) for s in row]
-        finite = [c for c, s in enumerate(row) if NEG_INF < s < math.inf]
+        row = list(map(float, row))
+        finite = [c for c, s in enumerate(row) if NEG_INF < s < INF]
         if len(finite) + row.count(NEG_INF) < m:
-            c = next(c for c, s in enumerate(row) if not s < math.inf)
+            c = next(c for c, s in enumerate(row) if not s < INF)
             raise ValueError(f"score at row {r}, column {c} is {row[c]!r}; expected a finite number or -inf")
         # The row's n best finite cells: higher score first and, the sort being stable, the
         # smaller column first on a tie, as the packed weights rank them.

@@ -53,6 +53,31 @@ Each state is bit for bit equal to ``value()``, which is correctly rounded and
 so independent of summation order, so the gains, the swap trace and the
 certificates are the floats a fresh evaluation gives.
 
+The table also screens takers with headroom. For monotone submodular v with
+v(empty) = 0, adding j to R gains at most min(v({j}), v(M) - v(R)) (Nemhauser,
+Wolsey & Fisher 1978; lazy greedy's stale bound, Minoux 1978), so a taker's
+term is at most
+
+    B_t(j) = w_t * log1p(min(v_t({j}), v_t(M) - v_t(R_t)) / vbar_t(R_t)).
+
+:meth:`_Gains.bounds` keeps, per item of J, the largest B_t(j) over the
+participants not holding j, from one matrix that a swap updates in the giver's
+and the taker's rows only; a table of fewer than :data:`SCREEN_MIN_CELLS`
+(participant, item) cells, where the matrix costs more than it saves, keeps
++inf bounds instead. A walk skips a position, and marks it passed, when
+the giver's term plus that bound is at most the threshold minus the margin
+:data:`~nswfair.instance.TOLERANCE`: no triple there can improve. The recheck
+skips a position when the same sum plus the margin is at most both the threshold
+and the largest gain so far, so its record keeps the same violations, count and
+largest gain. The margin covers the rounding of a taker term's two logs, each
+of a finite vbar, so below 710 and off by about 1e-13 at most, against its
+bound's one ``log1p``, below log 2. The bound holds for the floats of the four
+generator families, which set
+:attr:`~nswfair.valuations.Valuation.exactly_submodular`, and for them the
+recheck's verdict rests on their submodularity. Every other valuation, a table
+(which admits a slack) or a subclass included, gets a bound of +inf and is
+never screened.
+
 One fresh table over the final bundles, :func:`certificate_table`, backs
 :func:`verify_local_opt`, the one certificate pass over every triple, and then
 :func:`prices`, which reads the recheck's vbar(R) and vbar(R - j) into both
@@ -65,7 +90,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from .errors import AllocationError, InvariantViolation, UnknownItem
 from .instance import NEG_INF, TOLERANCE, Allocation, Instance, _check_structure, float_total
@@ -87,6 +115,11 @@ __all__ = [
 ]
 
 _Swap = Tuple[str, str, str, float]  # (giver, item, taker, log-gain)
+
+# The taker screen's matrix costs some 20-30 us to build, a few dozen taker terms: below this
+# many (participant, item) cells a table builds none (coverage and additive solves up to 6x30
+# ran slower with it, from 8x40 on faster).
+SCREEN_MIN_CELLS = 256
 
 
 def swap_bound(size: int, eps_bar: float) -> float:
@@ -156,7 +189,8 @@ class _Gains:
     participant to v(all items), and :meth:`current` flags R as saturated when v(R) equals it,
     from the read that gives vbar(R) and for as long as that read is memoised; :meth:`live`
     lists the participants not flagged, the only takers the deal, the walks and the recheck
-    score. The frontier:
+    score. :meth:`bounds` caps each item's taker terms for the walks' and the recheck's screen.
+    The frontier:
     ``swaps`` counts the moves made, ``changed[a]`` is the count at which agent a's bundle last
     changed and ``verified[j]`` the count at which item j's position last passed. Change a
     bundle only through :meth:`move`, which keeps the states, the memo and the frontier in step.
@@ -169,7 +203,7 @@ class _Gains:
             raise UnknownItem(f"universe items {sorted(universe - inst.item_index.keys())} are not instance items")
         self.universe = inst.sort_items(universe)
         self.offset: Dict[str, float] = {}
-        cols = [inst.item_index[j] for j in self.universe]
+        self._cols = cols = [inst.item_index[j] for j in self.universe]
         for agent, row in zip(inst.agents, inst.singletons):
             best = max((row[c] for c in cols), default=0.0)
             if best > 0.0:
@@ -180,12 +214,15 @@ class _Gains:
         self.weight = {a: inst.weight_floats[inst.agent_index[a]] for a in self.abar}
         self.full = {a: inst.full_values[inst.agent_index[a]] for a in self.abar}
         self._rows: Dict[str, List[str]] = {}
-        self._cur: Dict[str, Tuple[float, float, bool]] = {}
+        self._cur: Dict[str, Tuple[float, float, bool, float]] = {}
         self._removed: Dict[str, Dict[str, Tuple[float, float]]] = {a: {} for a in self.abar}
         self._take: Dict[str, Dict[str, float]] = {a: {} for a in self.abar}
         self.swaps = 0
         self.changed = dict.fromkeys(self.abar, 0)
         self.verified = dict.fromkeys(self.universe, -1)
+        self._bound: Optional[np.ndarray] = None
+        self._stale: List[str] = []
+        self._colmax: Optional[Dict[str, float]] = None
         if start is None:
             self._deal()
 
@@ -219,12 +256,13 @@ class _Gains:
             row = self._rows[agent] = self.inst.sort_items(self.states[agent].bundle)
         return row
 
-    def current(self, agent: str) -> Tuple[float, float, bool]:
-        """vbar(R_agent), its log, and whether R_agent is saturated: worth v(all items)."""
+    def current(self, agent: str) -> Tuple[float, float, bool, float]:
+        """vbar(R_agent), its log, whether R_agent is saturated (worth v(all items)) and its
+        headroom v(all items) - v(R_agent)."""
         hit = self._cur.get(agent)
         if hit is None:
-            value = self.states[agent].value()
-            hit = self._cur[agent] = (*self._vbar(agent, value), value == self.full[agent])
+            value, full = self.states[agent].value(), self.full[agent]
+            hit = self._cur[agent] = (*self._vbar(agent, value), value == full, full - value)
         return hit
 
     def removed(self, agent: str, item: str) -> Tuple[float, float]:
@@ -254,10 +292,52 @@ class _Gains:
         """The participants whose R is not saturated, in index order."""
         return [a for a in self.abar if not self.current(a)[2]]
 
+    @cached_property
+    def _position(self) -> Dict[str, int]:
+        return {j: k for k, j in enumerate(self.universe)}
+
+    def _bound_rows(self, agents: List[str]) -> np.ndarray:
+        """B_t(j) for each agent t of ``agents`` (rows) and item j of J (columns): 0.0 where t
+        holds j, which it cannot take, and +inf for a valuation not marked
+        :attr:`~nswfair.valuations.Valuation.exactly_submodular`."""
+        inst, position = self.inst, self._position
+        cur = [self.current(a) for a in agents]
+        vbar = np.array([c[0] for c in cur])[:, None]
+        headroom = np.array([c[3] for c in cur])[:, None]
+        weight = np.array([self.weight[a] for a in agents])[:, None]
+        single = inst.singleton_array[[inst.agent_index[a] for a in agents]][:, self._cols]
+        rows = weight * np.log1p(np.minimum(single, headroom) / vbar)
+        rows[[not inst.valuation_of(a).exactly_submodular for a in agents]] = math.inf
+        held = [(r, position[j]) for r, a in enumerate(agents) for j in self.states[a].bundle]
+        if held:
+            rows[tuple(zip(*held))] = 0.0
+        return rows
+
+    def bounds(self) -> Dict[str, float]:
+        """Per item j of J, the largest B_t(j) over the participants t not holding j: every taker
+        term of j is at most it, up to rounding (see the module docstring). The matrix of B is
+        built on first use; after that only the rows of the agents :meth:`move` changed are
+        rebuilt. A table of fewer than :data:`SCREEN_MIN_CELLS` (participant, item) cells
+        builds none, and every bound is +inf."""
+        if self._colmax is None:
+            if len(self.abar) * len(self.universe) < SCREEN_MIN_CELLS:
+                self._colmax = dict.fromkeys(self.universe, math.inf)
+                return self._colmax
+            if self._bound is None:
+                self._bound = self._bound_rows(self.abar)
+            else:
+                self._bound[[self.abar.index(a) for a in self._stale]] = self._bound_rows(self._stale)
+            self._stale = []
+            self._colmax = dict(zip(self.universe, self._bound.max(axis=0).tolist()))
+        return self._colmax
+
     def move(self, giver: str, item: str, taker: str) -> None:
         self.states[giver].remove(item)
         self.states[taker].add(item)
         self.swaps += 1
+        if self._bound is not None:
+            self._stale += (giver, taker)
+            self._colmax = None
         for agent in (giver, taker):
             self.changed[agent] = self.swaps
             self._rows.pop(agent, None)
@@ -268,10 +348,13 @@ class _Gains:
     def first_improving(self, threshold: float) -> Optional[_Swap]:
         """The first swap in scan order whose gain beats ``threshold``, scoring only the takers of
         :meth:`live`: a saturated taker's gain is the giver's term, <= 0.0. A position whose giver
-        is unchanged since it passed scores only those changed since, in index order; each
-        position that passes is verified at the current swap count."""
+        is unchanged since it passed scores only those changed since, in index order, and one
+        whose giver's term plus its item's :meth:`bounds` is at most ``threshold`` less the
+        margin scores none; each position that passes is verified at the current swap count."""
         changed, verified, takes, now = self.changed, self.verified, self._take, self.swaps
         live = self.live()
+        bounds = self.bounds() if live else {}
+        cutoff = threshold - TOLERANCE
         since: Dict[int, List[str]] = {}  # verified count -> takers changed after it
         for giver in self.abar:
             giver_changed = changed[giver]
@@ -283,11 +366,12 @@ class _Gains:
                     takers = since[seen] = [a for a in live if changed[a] > seen]
                 if takers:
                     give = self.give(giver, item)
-                    for taker in takers:
-                        take = takes[taker].get(item)  # self.take with its memo hit inlined: the hottest line
-                        gain = give + (self.take(taker, item) if take is None else take)
-                        if gain > threshold:
-                            return giver, item, taker, gain
+                    if give + bounds[item] > cutoff:
+                        for taker in takers:
+                            take = takes[taker].get(item)  # self.take with its memo hit inlined: the hottest line
+                            gain = give + (self.take(taker, item) if take is None else take)
+                            if gain > threshold:
+                                return giver, item, taker, gain
                 verified[item] = now
         return None
 
@@ -348,10 +432,14 @@ def verify_local_opt(table: _Gains, eps_bar: float) -> LocalOptCertificate:
     """Exhaustively re-check local optimality in one scan of ``table``, a fresh table free of the
     search's memo and frontier: the record of every triple against log(1 + eps_bar). A saturated
     taker's triples are counted, not scored: their gain is the giver's term plus 0.0, so the
-    giver's term itself, <= 0.0, which enters the largest gain as such and never violates."""
+    giver's term itself, <= 0.0, which enters the largest gain as such and never violates. A
+    position whose giver's term plus its item's :meth:`_Gains.bounds`, plus the margin, is at
+    most both the threshold and the largest gain so far is counted, not scored: none of its
+    gains can violate or raise the largest gain."""
     threshold, checked, best = _threshold(eps_bar), 0, NEG_INF
     violations: List[Tuple[str, str, str]] = []
     live, per_item = table.live(), len(table.abar) - 1
+    bounds = table.bounds() if live else {}
     for giver in table.abar:
         takers = [t for t in live if t != giver]
         for item in table.row(giver):
@@ -359,6 +447,8 @@ def verify_local_opt(table: _Gains, eps_bar: float) -> LocalOptCertificate:
             checked += per_item
             if len(takers) < per_item:
                 best = max(best, give)
+            if not takers or give + bounds[item] + TOLERANCE <= min(best, threshold):
+                continue
             for taker in takers:
                 gain = give + table.take(taker, item)
                 best = max(best, gain)
@@ -393,7 +483,7 @@ def prices(table: _Gains) -> Tuple[PriceVector, PriceVector]:
     asymmetric = PriceVector("asymmetric", {}, {}, 1.0)
     symmetric = PriceVector("symmetric", {}, {}, float(len(table.abar)))
     for agent in table.abar:
-        with_item, log_with, _ = table.current(agent)
+        with_item, log_with = table.current(agent)[:2]
         for item in table.row(agent):
             without, log_without = table.removed(agent, item)
             asymmetric.values[item] = table.weight[agent] * (log_with - log_without)

@@ -85,6 +85,15 @@ class Valuation:
     exactly 0.0 from any item."""
 
     kind: str = "abstract"
+    #: True when v(R + j) - v(R) <= v({j}) holds for the floats :meth:`value` returns, up to
+    #: their rounding: the swap search then bounds a taker's term by its singleton value. Only
+    #: a class that sets it in its own body has it; a subclass, which may override
+    #: :meth:`value`, reads False until it sets it itself.
+    exactly_submodular: bool = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.exactly_submodular = vars(cls).get("exactly_submodular", False)
 
     @property
     def items(self) -> FrozenSet[str]:
@@ -200,10 +209,12 @@ class _SumState(BundleState):
 
 class Additive(_Sum):
     kind = "additive"
+    exactly_submodular = True
 
 
 class BudgetAdditive(_Sum):
     kind = "budget_additive"
+    exactly_submodular = True
 
     def __init__(self, values: Mapping[str, float], cap: float):
         super().__init__(values)
@@ -215,6 +226,7 @@ class BudgetAdditive(_Sum):
 
 class Coverage(Valuation):
     kind = "coverage"
+    exactly_submodular = True
 
     def __init__(self, covers: Mapping[str, Iterable[str]], element_weights: Mapping[str, float]):
         self._weights = {str(k): as_number(v, f"weight of element {k!r}") for k, v in element_weights.items()}
@@ -248,6 +260,7 @@ class Coverage(Valuation):
 
 class PartitionMatroidRank(Valuation):
     kind = "partition_matroid_rank"
+    exactly_submodular = True
 
     def __init__(self, classes: Mapping[str, str], capacities: Mapping[str, int], scale: float = 1.0):
         self._classes = {str(k): str(v) for k, v in classes.items()}

@@ -247,6 +247,15 @@ def reference_edges(inst, bundles):
     return frozenset(edges)
 
 
+def reference_best_removal(inst, bundles):
+    """Per agent, the first (bundle, item, v(S_k - j)) in bundle and item order with the largest value."""
+    removals = []
+    for v in inst.valuations:
+        cells = [(k, j, v.value(b - {j})) for k, b in enumerate(bundles) for j in inst.sort_items(b)]
+        removals.append(max(cells, key=lambda cell: cell[2], default=None))
+    return tuple(removals)
+
+
 def test_state_reads_match_value_reads_on_random_partials():
     # The random partial allocations of acceptance criterion 7, then square roots of additive
     # valuations, which have no state of their own.
@@ -265,7 +274,9 @@ def test_state_reads_match_value_reads_on_random_partials():
         bundles = [frozenset(j for j, p in zip(inst.items, picks) if p == i) for i in range(inst.n)]
         reference = Instance(inst.agents, inst.weights, inst.items, tuple(map(ValueOnly, inst.valuations)))
         if all(bundles):
-            assert build_feasibility_graph(inst, bundles).edges == reference_edges(inst, bundles)
+            graph = build_feasibility_graph(inst, bundles)
+            assert graph.edges == reference_edges(inst, bundles)
+            assert graph.best_removal == reference_best_removal(inst, bundles)
         alloc = Allocation({a: b for a, b in zip(inst.agents, bundles)})
         assert make_fair_or_efficient(inst, alloc) == make_fair_or_efficient(reference, alloc)
 

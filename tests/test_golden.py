@@ -141,6 +141,20 @@ def test_golden_digest_from_the_cold_start(case, cold_start):
     assert solve_digest(case) == COLD_GOLDEN[case_id(case)]
 
 
+# 100x1000 solves, where the swap search and its recheck are most of the time:
+# coverage (no participant saturates) and additive.
+AT_SCALE_GOLDEN = {
+    "coverage-symmetric-100x1000-s1": "e73ff7146ed36c0a8db1238ee0df3e7f877abeacde083f32625caec86fb2a8a7",
+    "additive-symmetric-100x1000-s1": "2308a3ef217e460988af78b54d5986840a0d4ffff6e307dd8244d3815f6a0ad4",
+}
+AT_SCALE_CASES = [(family, "symmetric", 100, 1000, 1) for family in ("coverage", "additive")]
+
+
+@pytest.mark.parametrize("case", AT_SCALE_CASES, ids=case_id)
+def test_golden_digest_at_scale(case):
+    assert solve_digest(case) == AT_SCALE_GOLDEN[case_id(case)]
+
+
 # CLI documents: `nswfair solve FILE --exact --verify [--efx] --out` on seeded
 # 3x8 instance files, so the `exact` and `efx` blocks are frozen as well.
 CLI_CASES = [

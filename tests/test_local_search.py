@@ -3,6 +3,7 @@
 import importlib
 import math
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from nswfair import (
 )
 from nswfair.valuations import VALUATION_KINDS, BundleState, ExplicitTable, Valuation, _CountState, _SumState
 from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
-from nswfair.search import _Gains, swap_bound
+from nswfair.search import SCREEN_MIN_CELLS, _Gains, swap_bound
 
 from conftest import make_instance
 from reference_search import STARTS, full_restart_search, full_scan, scan, search_start
@@ -424,6 +425,16 @@ def test_search_oracle_calls_per_swap_stay_memoised(monkeypatch):
         assert count["calls"] == 0
 
 
+def unscreened(patch):
+    """Switch the search's taker screen off: no family is marked exactly submodular."""
+    for cls in VALUATION_KINDS.values():
+        patch.setattr(cls, "exactly_submodular", False)
+
+
+# plus reads of the screened recheck in test_one_price_table_per_solve (1,188 unscreened).
+SCREENED_RECHECK_PLUS = 418
+
+
 def test_one_price_table_per_solve(monkeypatch):
     # One certificate table serves the recheck and both price vectors, and its states
     # are the family's own, so no stage calls value(). The recheck reads vbar(R) per
@@ -460,15 +471,25 @@ def test_one_price_table_per_solve(monkeypatch):
         monkeypatch.setattr(_CountState, read, counted(reads, getattr(_CountState, read)))
     for name in ("certificate_table", "verify_local_opt", "prices"):
         monkeypatch.setattr(pipeline, name, staged(name))
-    inst = random_instance("coverage", 12, 120, 11)
-    search = solve_nsw(inst, 0.1).search
-    n_abar, size = len(search.abar), len(search.universe)
-    assert (n_abar, size) == (12, 108)
-    assert entered == ["certificate_table", "verify_local_opt", "prices"]
-    assert calls["certificate_table"] == calls["verify_local_opt"] == calls["prices"] == 0
-    assert reads["certificate_table"] == 0
-    assert reads["verify_local_opt"] == n_abar * (1 + size) == 1308
-    assert reads["prices"] == 0
+    for screened in (False, True):
+        calls.clear(), reads.clear(), entered.clear()
+        with monkeypatch.context() as patch:
+            if not screened:
+                unscreened(patch)
+            inst = random_instance("coverage", 12, 120, 11)
+            search = solve_nsw(inst, 0.1).search
+        n_abar, size = len(search.abar), len(search.universe)
+        assert (n_abar, size) == (12, 108)
+        assert entered == ["certificate_table", "verify_local_opt", "prices"]
+        assert calls["certificate_table"] == calls["verify_local_opt"] == calls["prices"] == 0
+        assert reads["certificate_table"] == 0
+        if screened:
+            # The screen scores only the positions some taker's bound can lift above the
+            # threshold or the largest gain so far; vbar(R) and vbar(R - j) are all still read.
+            assert reads["verify_local_opt"] == n_abar + size + SCREENED_RECHECK_PLUS
+        else:
+            assert reads["verify_local_opt"] == n_abar * (1 + size) == 1308
+        assert reads["prices"] == 0
 
 
 @pytest.mark.parametrize(
@@ -639,6 +660,15 @@ def test_the_recheck_refuses_a_zero_eps_bar():
     assert verify_local_opt(table, 5e-324).violations
 
 
+@contextmanager
+def screen_everywhere():
+    """Screen tables of every size: the small instances of these tests fall under
+    ``SCREEN_MIN_CELLS``, below which a table builds no bound matrix."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(importlib.import_module("nswfair.search"), "SCREEN_MIN_CELLS", 0)
+        yield
+
+
 def assert_search_matches_full_restart(inst, eps=0.1, start="greedy"):
     eb = epsilon_bar(eps, max(inst.m, 1))
     with search_start(start):
@@ -654,8 +684,10 @@ def assert_search_matches_full_restart(inst, eps=0.1, start="greedy"):
 @pytest.mark.parametrize("weight_mode", WEIGHT_MODES)
 @pytest.mark.parametrize("family", FAMILIES)
 def test_search_matches_a_full_restart_search(family, weight_mode, n, m):
-    for start in STARTS:
-        assert_search_matches_full_restart(random_instance(family, n, m, n + m, weight_mode=weight_mode), start=start)
+    with screen_everywhere():
+        for start in STARTS:
+            inst = random_instance(family, n, m, n + m, weight_mode=weight_mode)
+            assert_search_matches_full_restart(inst, start=start)
 
 
 class _CountedGains(_Gains):
@@ -684,6 +716,8 @@ class _CountedGains(_Gains):
 
 # (triples scored, swaps) of each case below from the greedy start.
 GREEDY_FRONTIER = {"coverage": (13_154, 27), "additive": (2_771, 7), "partition_matroid_rank": (0, 0)}
+# Triples scored with the taker screen on, from the cold and the greedy start; the swaps are the same.
+SCREENED_FRONTIER = {"coverage": (13_012, 1_879), "additive": (1_211, 21), "partition_matroid_rank": (87, 0)}
 
 
 @pytest.mark.parametrize(
@@ -698,23 +732,38 @@ def test_frontier_scores_a_fixed_set_of_triples(monkeypatch, family, n, m, seed,
     # The frontier scores only the triples that can have changed since their position was
     # last verified; these counts pin that set, which an equal swap trace alone does not.
     # The cold start, with its many swaps, exercises the frontier most.
+    # The taker screen skips positions no bound can lift above the threshold, so it scores fewer.
     monkeypatch.setattr(importlib.import_module("nswfair.search"), "_Gains", _CountedGains)
     inst = random_instance(family, n, m, seed, weight_mode=weight_mode)
     for start, counts in [("cold", (scored, swaps)), ("greedy", GREEDY_FRONTIER[family])]:
-        monkeypatch.setattr(_CountedGains, "scored", 0)
-        with search_start(start):
-            result = local_search(inst, inst.items, epsilon_bar(0.1, inst.m))
-        assert (_CountedGains.scored, len(result.trace)) == counts, start
+        for screened in (False, True):
+            monkeypatch.setattr(_CountedGains, "scored", 0)
+            with search_start(start), monkeypatch.context() as patch:
+                if not screened:
+                    unscreened(patch)
+                result = local_search(inst, inst.items, epsilon_bar(0.1, inst.m))
+            if screened:
+                expected = (SCREENED_FRONTIER[family][start == "greedy"], counts[1])
+                assert (_CountedGains.scored, len(result.trace)) == expected, start
+            else:
+                assert (_CountedGains.scored, len(result.trace)) == counts, start
 
 
 def test_frontier_scores_a_fixed_set_of_triples_in_a_solve(monkeypatch):
     # The 12x120 coverage search of README's "Search cost" section, on the universe phase 1 leaves.
     monkeypatch.setattr(importlib.import_module("nswfair.search"), "_Gains", _CountedGains)
+    screened_counts = {"cold": (4_557, 328), "greedy": (453, 13)}
     for start, counts in [("cold", (21_389, 328)), ("greedy", (2_879, 13))]:
-        monkeypatch.setattr(_CountedGains, "scored", 0)
-        with search_start(start):
-            report = solve_nsw(random_instance("coverage", 12, 120, 11), 0.1)
-        assert (_CountedGains.scored, report.swaps) == counts, start
+        for screened in (False, True):
+            monkeypatch.setattr(_CountedGains, "scored", 0)
+            with search_start(start), monkeypatch.context() as patch:
+                if not screened:
+                    unscreened(patch)
+                report = solve_nsw(random_instance("coverage", 12, 120, 11), 0.1)
+            if screened:
+                assert (_CountedGains.scored, report.swaps) == screened_counts[start], start
+            else:
+                assert (_CountedGains.scored, report.swaps) == counts, start
 
 
 class SquareRootOfSum(Valuation):
@@ -788,13 +837,14 @@ def tie_heavy_instances(draw):
     data=st.data(),
 )
 def test_tie_heavy_searches_match_a_full_restart_search(inst, eps, start, data):
-    assert_search_matches_full_restart(inst, eps, start)
-    # On any allocation of the items among the participants, the recheck finds a violation
-    # exactly when its largest gain beats the threshold.
-    abar = _Gains(inst, inst.items).abar
-    holders = [data.draw(st.sampled_from(abar), label=j) for j in inst.items] if abar else []
-    bundles = {a: {j for j, holder in zip(inst.items, holders) if holder == a} for a in abar}
-    cert = verify_local_opt(certificate_table(inst, bundles), epsilon_bar(eps, max(inst.m, 1)))
+    with screen_everywhere():
+        assert_search_matches_full_restart(inst, eps, start)
+        # On any allocation of the items among the participants, the recheck finds a violation
+        # exactly when its largest gain beats the threshold.
+        abar = _Gains(inst, inst.items).abar
+        holders = [data.draw(st.sampled_from(abar), label=j) for j in inst.items] if abar else []
+        bundles = {a: {j for j, holder in zip(inst.items, holders) if holder == a} for a in abar}
+        cert = verify_local_opt(certificate_table(inst, bundles), epsilon_bar(eps, max(inst.m, 1)))
     assert bool(cert.violations) == (cert.max_log_gain > cert.threshold)
 
 
@@ -828,8 +878,9 @@ def saturating_instances(draw):
 def test_saturating_searches_match_a_full_restart_search(inst, eps):
     # The full restart scores a saturated taker's terms from value() calls, not by the
     # table's rule that they are 0.0, so equal traces and certificates check that rule.
-    for start in STARTS:
-        assert_search_matches_full_restart(inst, eps, start)
+    with screen_everywhere():
+        for start in STARTS:
+            assert_search_matches_full_restart(inst, eps, start)
 
 
 @settings(max_examples=150, deadline=None)
@@ -841,6 +892,61 @@ def test_saturating_rechecks_match_a_full_scan(inst, eps, data):
     holders = [data.draw(st.sampled_from(abar), label=j) for j in inst.items] if abar else []
     bundles = {a: {j for j, holder in zip(inst.items, holders) if holder == a} for a in abar}
     eps_bar = epsilon_bar(eps, max(inst.m, 1))
-    cert = verify_local_opt(certificate_table(inst, bundles), eps_bar)
+    with screen_everywhere():
+        cert = verify_local_opt(certificate_table(inst, bundles), eps_bar)
     violations, checked, best = full_scan(inst, bundles, eps_bar)
     assert (cert.violations, cert.triples_checked, cert.max_log_gain.hex()) == (violations, checked, best.hex())
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=st.one_of(tie_heavy_instances(), saturating_instances()), data=st.data())
+def test_screened_rechecks_match_a_full_scan(inst, data):
+    # The recheck skips a position when the giver's term plus the largest taker bound, plus the
+    # margin TOLERANCE, is at most both the threshold and the largest gain so far. On any
+    # allocation, with thresholds drawn from the allocation's own gains, so that gains sit at
+    # the threshold up to a rounding, it keeps the record of a scan of every triple.
+    abar = _Gains(inst, inst.items).abar
+    holders = [data.draw(st.sampled_from(abar), label=j) for j in inst.items] if abar else []
+    bundles = {a: {j for j, holder in zip(inst.items, holders) if holder == a} for a in abar}
+    gains = sorted({gain for *_, gain in scan(certificate_table(inst, bundles)) if gain > 0.0})
+    eps_bar = data.draw(st.sampled_from([math.expm1(gain) for gain in gains] + [1e-9, 0.01, 0.1, 1.0]))
+    with screen_everywhere():
+        cert = verify_local_opt(certificate_table(inst, bundles), eps_bar)
+    violations, checked, best = full_scan(inst, bundles, eps_bar)
+    assert (cert.violations, cert.triples_checked, cert.max_log_gain.hex()) == (violations, checked, best.hex())
+
+
+def test_tables_and_user_valuations_are_never_screened():
+    # ExplicitTable admits submodularity violations up to its slack, and any other valuation,
+    # a subclass of a family included, promises only monotonicity: each gets a bound row of
+    # +inf, so every item it could take keeps an infinite bound and no position is skipped.
+    class Subclass(Coverage):
+        pass
+
+    assert not any(cls.exactly_submodular for cls in (ExplicitTable, SquareRootOfSum, Subclass))
+    base = random_instance("coverage", 3, 8, 1)
+    rooted = tuple(SquareRootOfSum(v) for v in base.valuations)
+    subclassed = tuple(Subclass(**v.params()) for v in base.valuations)
+    dealt = {a: base.items[i::3] for i, a in enumerate(base.agents)}
+    with screen_everywhere():
+        for valuations in (table_instance(1, "symmetric").valuations, rooted, subclassed):
+            inst = Instance(base.agents, base.weights, base.items, valuations)
+            assert set(certificate_table(inst, dealt).bounds().values()) == {math.inf}
+        # One table among coverage agents: its own items are bounded by the others' rows, every
+        # other item by its +inf row.
+        valuations = (table_instance(1, "symmetric").valuations[0],) + base.valuations[1:]
+        mixed = Instance(base.agents, base.weights, base.items, valuations)
+        table = certificate_table(mixed, dealt)
+        bounds = table.bounds()
+    assert all(math.isfinite(bounds[j]) == (j in table.states["a0"].bundle) for j in mixed.items)
+
+
+def test_a_small_table_builds_no_bound_matrix():
+    # Below SCREEN_MIN_CELLS (participant, item) cells the matrix costs more than the taker
+    # terms it can skip, so such a table screens nothing: every bound is +inf.
+    inst = random_instance("coverage", 3, 8, 1)
+    dealt = {a: inst.items[i::3] for i, a in enumerate(inst.agents)}
+    assert 3 * 8 < SCREEN_MIN_CELLS
+    assert set(certificate_table(inst, dealt).bounds().values()) == {math.inf}
+    with screen_everywhere():
+        assert not any(map(math.isinf, certificate_table(inst, dealt).bounds().values()))
