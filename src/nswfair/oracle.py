@@ -5,21 +5,25 @@ The search then runs in two steps.
 
 1. **Tables.** For every agent i, ``L_i[mask] = welfare_term(w_i, v_i(S))``,
    that is w_i * log v_i(S) or -inf when v_i(S) <= 0, where bit t of mask
-   selects item t; one bundle state per agent walks the 2^m subsets in
-   Gray-code order (:func:`~nswfair.valuations.subset_values`), so a family
-   makes no ``value()`` call. The tables take n * 2^m float64: 1 GiB at
-   the largest size the guard allows with tables, n = 2 and m = 26. With one
-   agent there is one allocation, scored by :func:`~nswfair.instance.nsw_log`.
+   selects item t. :func:`~nswfair.valuations.subset_values` gives the
+   values: the four generator families in closed form, whole-array sums with
+   no ``value()`` call and no Python step per subset; a table or a user
+   valuation by walking one bundle state through the subsets in Gray-code
+   order. The logs are then mapped one Python float at a time, because
+   ``np.log`` is not ``math.log`` bit for bit. The tables take n * 2^m
+   float64: 1 GiB at the largest size the guard allows with tables, n = 2
+   and m = 26. With one agent there is one allocation, scored by
+   :func:`~nswfair.instance.nsw_log`.
 2. **Enumeration.** Every complete allocation is a base-n counter over the m
    items, item 0 the most significant digit, taken in lexicographic order. A
    Python loop runs over the assignments of the leading items; one numpy
    block covers all assignments of the trailing k items, k the largest with
    n^k <= 2^16; its per-agent masks of the trailing items are broadcast one
-   digit at a time, most significant first, then ORed with the prefix's. Each
-   block's log NSW is the left fold
-   ``0.0 + L_0[mask_0] + L_1[mask_1] + ...`` in agent order, the additions
-   :func:`~nswfair.instance.nsw_log` makes, so the optimum is the same float
-   bit for bit.
+   digit at a time, most significant first, kept for the next instance of
+   the same shape, then ORed with the prefix's. Each block's log NSW is the
+   left fold ``0.0 + L_0[mask_0] + L_1[mask_1] + ...`` in agent order, the
+   additions :func:`~nswfair.instance.nsw_log` makes, so the optimum is the
+   same float bit for bit.
 
 Ties go to the lexicographically smallest allocation: ``np.argmax`` returns
 the first maximum within a block, and a later block replaces the best only
@@ -28,6 +32,7 @@ when strictly greater.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -60,13 +65,16 @@ def _log_table(inst: Instance, i: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=1)
 def _owner_masks(n: int, m: int, k: int) -> np.ndarray:
     """[i, b]: the mask of the trailing k of m items that block position b gives agent i, digit t
-    of b from the right owning item m - 1 - t. Appending digit d maps b to b * n + d."""
+    of b from the right owning item m - 1 - t. Appending digit d maps b to b * n + d. The last
+    shape's array is kept, read-only, for the next call of a batch of one shape."""
     suffix = np.zeros((n, 1), dtype=np.int64)
     owns = np.arange(n)[:, None] == np.arange(n)
     for t in range(k - 1, -1, -1):
         suffix = (suffix[:, :, None] + owns[:, None, :] * np.int64(1 << (m - 1 - t))).reshape(n, -1)
+    suffix.flags.writeable = False
     return suffix
 
 

@@ -26,13 +26,16 @@ power-of-two denominator, and int / int rounds correctly): an exact sum of
 item values for the additive pair, and for coverage and the matroid rank, both
 v(S) = sum_e w_e * min(c_e, how many items of S hold e), one count for each
 element of the items a state has met (not for the whole ground set).
+
+``subset_values(v, items)`` tabulates v over every subset of ``items``: the four
+families in closed form from the same counts, others by walking a bundle state.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple, TypeVar
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -439,17 +442,74 @@ def _local_violations(vals: np.ndarray, slack: float) -> Iterator[Tuple[str, int
                 yield "submodularity", s | 1 << i, s | 1 << j
 
 
+_BLOCK = 1 << 16  # most masks one capped term is built for at a time
+
+
+def _exact_table(v: Valuation, items: Sequence[str]) -> Optional[np.ndarray]:
+    """:func:`subset_values` in closed form for the four generator families; None for any other
+    valuation, or when the bound below fails and the walk must answer.
+
+    v(S) = T(S) / q, T(S) the states' exact int (:func:`exact_ints`): sum_t x_t over the items
+    of S for a sum, sum_e w_e * min(c_e, |S ∩ H_e|) for the counts, H_e the holders of e among
+    ``items``. An element with |H_e| <= c_e is folded into its holders' x_t. The x_t are summed
+    by doubling, out[2^t : 2^(t+1)] = out[:2^t] + x_t, in place; each other element adds its
+    capped term ``_BLOCK`` masks at a time.
+
+    Exact: when T(all items) < 2^53, every partial sum is an integer that float64 adds exactly;
+    when also q <= 2^1023, float(T) / float(q) is one correctly rounded division of exact
+    operands, the float the state's int / int gives, a subnormal one included. The budget cap
+    is then np.minimum(table, cap). Past either bound (huge ints, or decimal or tiny values,
+    where q reaches 2^1074) it returns None."""
+    if type(v) in (Additive, BudgetAdditive):
+        (ints, q), cap = v._exact, v._cap
+        steps, capped = [ints[j] for j in items], []
+    elif type(v) in (Coverage, PartitionMatroidRank):
+        holds, (ints, q), caps = v._counts
+        holders: Dict[str, int] = defaultdict(int)
+        for t, j in enumerate(items):
+            for e in holds[j]:
+                holders[e] |= 1 << t
+        over = {e: h for e, h in holders.items() if h.bit_count() > caps[e]}
+        steps = [sum(ints[e] for e in holds[j] if e not in over) for j in items]
+        capped, cap = [(ints[e], caps[e], h) for e, h in over.items()], math.inf
+    else:
+        return None
+    if q > 2**1023 or sum(steps) + sum(w * c for w, c, _ in capped) >= 2**53:
+        return None
+    out = np.zeros(1 << len(items))
+    for t, x in enumerate(steps):
+        np.add(out[: 1 << t], float(x), out=out[1 << t : 2 << t])
+    size = min(out.size, _BLOCK)
+    for w, c, h in capped:
+        low = np.zeros(size, dtype=np.uint8)  # low[r]: how many bits of r, r < size, are holders
+        for t in range(size.bit_length() - 1):
+            if h >> t & 1:
+                low.reshape(-1, 2, 1 << t)[:, 1] += 1
+        for start in range(0, out.size, size):
+            out[start : start + size] += float(w) * np.minimum(low + (start & h).bit_count(), c)
+    out /= float(q)
+    if cap < math.inf:
+        np.minimum(out, cap, out=out)  # a cap of -0.0 wins over 0.0, as in min(cap, 0.0)
+    return out
+
+
 def subset_values(v: Valuation, items: Sequence[str]) -> np.ndarray:
     """v(S) for every subset S of ``items`` as a float64 array indexed by mask, bit t selecting
-    ``items[t]``. One :meth:`Valuation.bundle_state` walks the subsets in Gray-code order, one
-    ``add`` or ``remove`` a step, filling the array in place. ``items`` must be distinct ids of
-    the domain: a foreign id raises :class:`UnknownItem`, a repeated one ``ValueError``.
+    ``items[t]``. The four generator families take the closed form of :func:`_exact_table`,
+    with no ``value()`` call and no Python step per subset. Every other valuation, and a family
+    whose ints fail that form's bound, is walked: one :meth:`Valuation.bundle_state` visits the
+    subsets in Gray-code order, one ``add`` or ``remove`` a step. Both give the floats
+    :meth:`Valuation.value` gives. ``items`` must be distinct ids of the domain: a foreign id
+    raises :class:`UnknownItem`, a repeated one ``ValueError``.
 
     >>> subset_values(Additive({"a": 1, "b": 2}), ["a", "b"]).tolist()
     [0.0, 1.0, 2.0, 3.0]
     """
     if len(v._bundle(items)) < len(items):
         raise ValueError(f"item ids repeat in {list(items)!r}")
+    out = _exact_table(v, items)
+    if out is not None:
+        return out
     out = np.empty(1 << len(items))
     state, mask = v.bundle_state(()), 0
     out[0] = state.value()

@@ -18,6 +18,7 @@ from nswfair import (
     check_submodular,
 )
 from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
+from nswfair import valuations as valuations_module
 from nswfair.valuations import BundleState, Valuation, subset_values, valuation_from_params
 
 
@@ -157,12 +158,22 @@ def test_check_submodular_size_limit():
         check_submodular(v, sorted(v.items))
 
 
+class Delegating(Valuation):
+    """A plain valuation that asks ``inner.value()``: :func:`subset_values` walks it."""
+
+    def __init__(self, inner):
+        self.inner, self._items = inner, inner.items
+
+    def value(self, bundle):
+        return self.inner.value(bundle)
+
+
 def assert_table_is_value_bit_for_bit(v, items):
-    table = subset_values(v, items)
+    table, walked = subset_values(v, items), subset_values(Delegating(v), items)
     assert table.dtype == float and table.size == 1 << len(items)
     for mask in range(table.size):
         subset = [j for t, j in enumerate(items) if mask >> t & 1]
-        assert table[mask].hex() == v.value(subset).hex(), (mask, subset)
+        assert table[mask].hex() == walked[mask].hex() == v.value(subset).hex(), (mask, subset)
 
 
 def orders(items):
@@ -177,7 +188,8 @@ def orders(items):
 def test_subset_values_equal_value_bit_for_bit(family, mode):
     inst = random_instance(family, 3, 9, seed=5, weight_mode=mode)
     for v in inst.valuations:
-        for items in orders(inst.items):
+        assert valuations_module._exact_table(v, inst.items) is not None  # the closed form answers
+        for items in orders(inst.items) + [[]]:
             assert_table_is_value_bit_for_bit(v, items)
 
 
@@ -190,6 +202,85 @@ def test_subset_values_on_the_base_state_equal_value_bit_for_bit():
         assert type(v.bundle_state(())) is BundleState
         for order in orders(items):
             assert_table_is_value_bit_for_bit(v, order)
+
+
+@pytest.mark.parametrize("family", ["coverage", "partition_matroid_rank"])
+def test_capped_terms_cross_a_block_boundary(family):
+    # 2^17 masks make two blocks of 2^16; an element or class held on both sides of bit 16
+    # counts its holders among the low bits per mask and among the high bits per block
+    v = random_instance(family, 1, 17, seed=4).valuations[0]
+    items = sorted(v.items, key=lambda j: int(j[1:]))
+    holds = v._counts[0]
+    assert any({e for j in items[:16] for e in holds[j]} & set(holds[j]) for j in items[16:])
+    assert_table_is_value_bit_for_bit(v, items)
+
+
+@st.composite
+def hand_built(draw):
+    """A small family over up to 7 items: zero values and empty covers, four elements shared
+    by up to 4 items, matroid capacities below and above class sizes, budget caps of -0.0,
+    0, mid and above the total, and values with a power-of-two denominator."""
+    m = draw(st.integers(min_value=0, max_value=7))
+    items = [f"g{i}" for i in range(m)]
+    number = st.one_of(st.integers(0, 20), st.sampled_from([0.5, 2.25, 0.125]))
+    family = draw(st.sampled_from(["additive", "budget_additive", "coverage", "matroid"]))
+    if family in ("additive", "budget_additive"):
+        values = {j: draw(number) for j in items}
+        total = sum(values.values())
+        cap = draw(st.sampled_from([-0.0, 0, total / 2, total + 1]))
+        v = Additive(values) if family == "additive" else BudgetAdditive(values, cap=cap)
+    elif family == "coverage":
+        ground = [f"u{i}" for i in range(4)]
+        covers = {j: draw(st.lists(st.sampled_from(ground), unique=True, max_size=3)) for j in items}
+        v = Coverage(covers, {u: draw(number) for u in ground})
+    else:
+        labels = ["c0", "c1", "c2"]
+        classes = {j: draw(st.sampled_from(labels)) for j in items}
+        v = PartitionMatroidRank(classes, {c: draw(st.integers(0, 4)) for c in labels}, scale=draw(number))
+    return v, draw(st.permutations(items))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=hand_built())
+def test_closed_form_equals_the_walk_on_hand_built_families(case):
+    v, items = case
+    assert valuations_module._exact_table(v, items) is not None
+    assert_table_is_value_bit_for_bit(v, items)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(valuations_module, "_BLOCK", 4)  # blocks of 4 masks: every capped term crosses them
+        assert subset_values(v, items).tobytes() == subset_values(Delegating(v), items).tobytes()
+
+
+GUARD_CASES = {
+    # past the bound: the walk answers
+    "coverage ints reach 2^53": (Coverage({"a": ["x"], "b": ["y"], "c": ["x", "y"]}, {"x": 2**52, "y": 2**52 + 1}), None),
+    "additive 0.1 and 1e300": (Additive({"a": 0.1, "b": 1e300, "c": 1}), None),
+    "matroid ints reach 2^53": (PartitionMatroidRank({"a": "c", "b": "c", "d": "e"}, {"c": 1, "e": 1}, 2.0**52), None),
+    "q past 2^1023": (Additive({"a": 5e-324, "b": 1.5e-323, "c": 0.0}), None),  # ints 1 and 3
+    "coverage q past 2^1023": (Coverage({"a": ["x"], "b": ["x", "y"]}, {"x": 1e-323, "y": 5e-324}), None),
+    # just inside it: the closed form answers, a subnormal result included
+    "ints just below 2^53": (BudgetAdditive({"a": 2**52, "b": 2**52 - 1, "c": 0}, cap=2**52 + 1), True),
+    "q at 2^1023": (Additive({"a": 2.0**-1023, "b": 2.0**-1020, "c": 0.0}), True),
+}
+
+
+@pytest.mark.parametrize("case", GUARD_CASES.values(), ids=GUARD_CASES.keys())
+def test_both_sides_of_the_exactness_guard_equal_value(case):
+    v, closed = case
+    items = sorted(v.items)
+    assert (valuations_module._exact_table(v, items) is not None) == bool(closed)
+    assert_table_is_value_bit_for_bit(v, items)
+
+
+def test_only_the_four_families_take_the_closed_form():
+    class Sub(Coverage):
+        pass
+
+    cover = Sub({"a": ["x"], "b": ["x"]}, {"x": 1})
+    table = ExplicitTable(["a", "b"], [0, 1, 1, 1])
+    for v in (cover, table, Delegating(cover)):
+        assert valuations_module._exact_table(v, ["a", "b"]) is None, v
+        assert subset_values(v, ["a", "b"]).tolist() == [0.0, 1.0, 1.0, 1.0]
 
 
 FIVE_KINDS = [random_instance(family, 1, 4, seed=0).valuations[0] for family in FAMILIES] + [
