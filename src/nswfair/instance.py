@@ -156,6 +156,11 @@ def validate(inst: Instance) -> List[str]:
     for agent, full in zip(inst.agents, inst.full_values):
         if not math.isfinite(2.0 * full):
             errors.append(f"values of agent {agent!r} overflow: 2 * v(all items) is not finite")
+    if errors:  # the singleton table is read only from an otherwise usable instance
+        return errors
+    nan = np.isnan(inst.singleton_array)
+    for i in np.flatnonzero(nan.any(axis=1)).tolist():
+        errors.append(f"value of agent {inst.agents[i]!r} for item {inst.items[nan[i].argmax()]!r} is nan")
     return errors
 
 

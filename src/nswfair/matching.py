@@ -38,7 +38,10 @@ the score, or keeps the score and takes a smaller column, which raises the
 preference. That contradicts optimality. The argument never asks that every
 row be matched, so it holds for non-covering tables too. At most n^2 cells
 are packed whatever m is, where each Dijkstra pop would otherwise relax m
-weights of about n * log2(m + 1) bits.
+weights of about n * log2(m + 1) bits. A table of at least
+:data:`~nswfair.search.SCREEN_MIN_CELLS` cells is ranked by one stable
+``np.argsort`` of its negated scores, which puts -inf last and keeps the
+smaller column first on a tie, like the row-by-row sort of smaller tables.
 
 First, though, each row in index order takes its smallest free column among
 those holding its largest finite score. If every row gets one, that matching
@@ -58,6 +61,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
+from . import search as swap_search
 from .errors import InvariantViolation, LemmaViolation
 from .instance import NEG_INF, float_total
 from .valuations import exact_ints
@@ -143,17 +149,7 @@ def solve_assignment(scores: Sequence[Sequence[float]]) -> AssignmentResult:
     m = len(scores[0]) if n else 0
     if any(len(row) != m for row in scores):
         raise ValueError("score table rows must have equal length")
-    ranked: List[List[Tuple[int, float]]] = []
-    for r, row in enumerate(scores):
-        row = list(map(float, row))
-        finite = [c for c, s in enumerate(row) if NEG_INF < s < INF]
-        if len(finite) + row.count(NEG_INF) < m:
-            c = next(c for c, s in enumerate(row) if not s < INF)
-            raise ValueError(f"score at row {r}, column {c} is {row[c]!r}; expected a finite number or -inf")
-        # The row's n best finite cells: higher score first and, the sort being stable, the
-        # smaller column first on a tie, as the packed weights rank them.
-        finite.sort(key=row.__getitem__, reverse=True)
-        ranked.append([(c, row[c]) for c in finite[:n]])
+    ranked = (_ranked_rows if n * m < swap_search.SCREEN_MIN_CELLS else _ranked_array)(scores, n)
     # Each row in turn takes its smallest free best column; if all do, that is the optimum.
     # A row looks while fewer than n columns are taken, so its n best cells are enough.
     taken: Dict[int, None] = {}
@@ -163,14 +159,43 @@ def solve_assignment(scores: Sequence[Sequence[float]]) -> AssignmentResult:
             break
         taken[col] = None
     else:
-        return AssignmentResult(tuple(taken), float_total(scores[r][c] for r, c in enumerate(taken)))
+        return AssignmentResult(tuple(taken), float_total(cells[0][1] for cells in ranked))
     kept = {(r, c): s for r, cells in enumerate(ranked) for c, s in cells}
     ints, _ = exact_ints(kept)
     head = 2 * n * max(map(abs, ints.values()), default=0) + 1
     assignment = _max_weight_matching(n, m, {cell: head + s for cell, s in ints.items()})
     if None in assignment:
         return AssignmentResult(tuple(assignment), NEG_INF)
-    return AssignmentResult(tuple(assignment), float_total(scores[r][c] for r, c in enumerate(assignment)))
+    return AssignmentResult(tuple(assignment), float_total(kept[cell] for cell in enumerate(assignment)))
+
+
+def _ranked_rows(scores: Sequence[Sequence[float]], n: int) -> List[List[Tuple[int, float]]]:
+    """Each row's n best finite cells (column, score), best first, one row at a time."""
+    ranked = []
+    for r, row in enumerate(scores):
+        row = list(map(float, row))
+        finite = [c for c, s in enumerate(row) if NEG_INF < s < INF]
+        if len(finite) + row.count(NEG_INF) < len(row):
+            c = next(c for c, s in enumerate(row) if not s < INF)
+            raise ValueError(f"score at row {r}, column {c} is {row[c]!r}; expected a finite number or -inf")
+        # Higher score first and, the sort being stable, the smaller column first on a tie.
+        finite.sort(key=row.__getitem__, reverse=True)
+        ranked.append([(c, row[c]) for c in finite[:n]])
+    return ranked
+
+
+def _ranked_array(scores: Sequence[Sequence[float]], n: int) -> List[List[Tuple[int, float]]]:
+    """:func:`_ranked_rows` of the whole table at once: one stable sort of the negated scores
+    puts -inf last and keeps the smaller column first on a tie. A table with a nan or +inf
+    cell goes to :func:`_ranked_rows`, which names the first."""
+    table = np.asarray(scores, dtype=float)
+    if not (table < INF).all():
+        return _ranked_rows(scores, n)
+    order = np.argsort(-table, axis=1, kind="stable")[:, :n]
+    best = np.take_along_axis(table, order, axis=1)
+    return [
+        [(c, s) for c, s in zip(cols, row) if s > NEG_INF] for cols, row in zip(order.tolist(), best.tolist())
+    ]
 
 
 def solve_lex_assignment(

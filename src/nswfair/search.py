@@ -78,6 +78,19 @@ recheck's verdict rests on their submodularity. Every other valuation, a table
 (which admits a slack) or a subclass included, gets a bound of +inf and is
 never screened.
 
+The deal screens by the same bound with its log taken out: as log1p(x) <= x,
+
+    B_t(j) <= cap_t(j) = w_t * min(v_t({j}), v_t(M) - v_t(R_t)) / vbar_t(R_t),
+
+whose own rounding is below 1e-15, its ratio being at most 1 (vbar_t is at
+least the shift). Each item scores the participant of the largest cap first,
+then the others in index order, skipping one whose cap is at most the best
+term so far less the margin, as it cannot win; so every item goes where an
+unscreened deal sends it, and every later swap is the same. An item's caps are
+one numpy expression, and the deal refreshes only the taker's vbar(R) and
+headroom, from the read it already makes. Tables under
+:data:`SCREEN_MIN_CELLS` cells deal unscreened.
+
 One fresh table over the final bundles, :func:`certificate_table`, backs
 :func:`verify_local_opt`, the one certificate pass over every triple, and then
 :func:`prices`, which reads the recheck's vbar(R) and vbar(R - j) into both
@@ -118,7 +131,8 @@ _Swap = Tuple[str, str, str, float]  # (giver, item, taker, log-gain)
 
 # The taker screen's matrix costs some 20-30 us to build, a few dozen taker terms: below this
 # many (participant, item) cells a table builds none (coverage and additive solves up to 6x30
-# ran slower with it, from 8x40 on faster).
+# ran slower with it, from 8x40 on faster). The deal's screen and the solve's numpy welfare
+# tables and matching ranks (pipeline, matching) take the same size gate, for the same reason.
 SCREEN_MIN_CELLS = 256
 
 
@@ -181,7 +195,7 @@ class _Gains:
 
     ``abar``: the agents with a positive singleton value in J, in index order; ``offset`` maps
     each to its largest singleton value in J (the shift of vbar), both read from
-    :attr:`Instance.singletons`. ``states`` holds one bundle state per participant, made by
+    :attr:`Instance.singleton_array`. ``states`` holds one bundle state per participant, made by
     its valuation's :meth:`~nswfair.valuations.Valuation.bundle_state` from its bundle in
     ``start``, or, with no ``start``, from the search's start, which :meth:`_deal` deals from
     the states' own taker terms. vbar(R), each vbar(R - j) and each
@@ -202,12 +216,9 @@ class _Gains:
         if not universe <= inst.item_index.keys():
             raise UnknownItem(f"universe items {sorted(universe - inst.item_index.keys())} are not instance items")
         self.universe = inst.sort_items(universe)
-        self.offset: Dict[str, float] = {}
         self._cols = cols = [inst.item_index[j] for j in self.universe]
-        for agent, row in zip(inst.agents, inst.singletons):
-            best = max((row[c] for c in cols), default=0.0)
-            if best > 0.0:
-                self.offset[agent] = best
+        best = inst.singleton_array.take(cols, axis=1).max(axis=1).tolist() if cols else ()
+        self.offset: Dict[str, float] = {a: x for a, x in zip(inst.agents, best) if x > 0.0}
         self.abar: List[str] = list(self.offset)
         held = start or {}
         self.states: Dict[str, BundleState] = {a: inst.valuation_of(a).bundle_state(held.get(a, ())) for a in self.abar}
@@ -230,7 +241,10 @@ class _Gains:
         """The search's start: each item of J, in index order, goes to the participant whose taker
         term on the bundles dealt so far is largest, ties to the smallest index (none: no deal).
         Only unsaturated participants are scored, each against the first participant's 0.0: a
-        saturated one's term is 0.0 and no term is below it."""
+        saturated one's term is 0.0 and no term is below it. A table of at least
+        :data:`SCREEN_MIN_CELLS` (participant, item) cells deals by :meth:`_screened_deal`."""
+        if self.abar and len(self.abar) * len(self.universe) >= SCREEN_MIN_CELLS:
+            return self._screened_deal()
         live = self.live()
         for item in self.universe if self.abar else ():
             best, taker = 0.0, self.abar[0]
@@ -243,6 +257,44 @@ class _Gains:
             self._take[taker].clear()
             if taker in live and self.current(taker)[2]:
                 live.remove(taker)
+
+    def _screened_deal(self) -> None:
+        """:meth:`_deal` with each item's terms screened by their caps (see the module docstring):
+        the participant of the largest cap is scored first, and one whose cap is at most the best
+        term so far less the margin is not scored, as it cannot win."""
+        abar, inst = self.abar, self.inst
+        # Item-major singletons, +inf for a valuation the caps do not hold for, and per
+        # participant vbar(R) and its headroom: -inf once saturated, +inf if not capped.
+        single = inst.singleton_array[np.ix_([inst.agent_index[a] for a in abar], self._cols)].T.copy()
+        capped = [inst.valuation_of(a).exactly_submodular for a in abar]
+        single[:, [not c for c in capped]] = math.inf
+        weight, vbar, room = np.array([self.weight[a] for a in abar]), np.empty(len(abar)), np.empty(len(abar))
+
+        def refresh(k: int) -> bool:
+            vbar[k], _, saturated, headroom = self.current(abar[k])
+            room[k] = -math.inf if saturated else headroom if capped[k] else math.inf
+            return not saturated
+
+        live = sum(map(refresh, range(len(abar))))
+        for k, item in enumerate(self.universe):
+            best, taker = 0.0, 0
+            if live:
+                caps = np.minimum(single[k], room)
+                caps /= vbar
+                caps *= weight
+                bar = self.take(abar[int(caps.argmax())], item) - TOLERANCE
+                for t in (caps > bar).nonzero()[0].tolist():
+                    if caps.item(t) > bar:
+                        term = self.take(abar[t], item)
+                        if term > best:
+                            best, taker = term, t
+                            bar = max(bar, term - TOLERANCE)
+            agent = abar[taker]
+            self.states[agent].add(item)
+            self._cur.pop(agent, None)
+            self._take[agent].clear()
+            if room[taker] > -math.inf and not refresh(taker):
+                live -= 1
 
     def _vbar(self, agent: str, value: float) -> Tuple[float, float]:
         """vbar_agent of a bundle worth ``value``, and its log."""

@@ -1,10 +1,11 @@
 """Shared fixtures: the four-item reference instance, the search's cold start and small builders."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
-from nswfair import Additive, Instance
+from nswfair import Additive, Instance, search
 
 import reference_search
 
@@ -38,4 +39,14 @@ def e1():
 def cold_start():
     """The search started cold, the first participant holding all of J (see reference_search)."""
     with reference_search.cold_start():
+        yield
+
+
+@contextmanager
+def numpy_from(cells):
+    """Give every table of at least ``cells`` cells its numpy form, whatever the default
+    ``SCREEN_MIN_CELLS``: the welfare map and the matching ranks, the taker screen and the
+    screened deal. 0 gives every table its numpy form, ``math.inf`` none."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "SCREEN_MIN_CELLS", cells)
         yield

@@ -13,7 +13,8 @@ function or class (``_name``) is read somewhere in the package outside its
 own definition, so a helper its last caller dropped is deleted with it, and
 so is every method of such a class, unless it overrides a base class's. The
 README's package layout table names each module of the package but
-``__init__``, and nothing else. The
+``__init__``, and nothing else. No module reads a numpy name that numpy 1.24,
+the oldest ``pyproject.toml`` allows, lacks. The
 package ``__init__`` imports to re-export, and ``__future__`` imports are
 directives, so both are exempt from the import check. A name counts as
 used where the code reads it; quoted annotations are not parsed, and with
@@ -266,3 +267,53 @@ def test_readme_layout_names_every_module():
 def test_the_layout_check_reads_only_its_section():
     readme = "# x\n\n## Package layout\n\n| module | contents |\n| --- | --- |\n| `nswfair.cli` | c |\n\n## Next\n| `nswfair.errors` | e |\n"
     assert layout_modules(readme) == ["cli"]  # a row outside the section does not count
+
+
+# Names numpy has only from 2.0 on; pyproject.toml allows numpy >= 1.24.
+NUMPY_2_ONLY = frozenset(
+    {
+        "bitwise_count",
+        "unique_values",
+        "unique_inverse",
+        "unique_counts",
+        "unique_all",
+        "isdtype",
+        "concat",
+        "permute_dims",
+        "vecdot",
+    }
+)
+
+
+def numpy_2_names(tree: ast.Module):
+    """(line, name) of each :data:`NUMPY_2_ONLY` name the module reads from numpy: imported from
+    it, or an attribute of a name an ``import numpy`` binds, submodules such as ``np.linalg`` included."""
+    aliases, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(a.asname or "numpy" for a in node.names if a.name.split(".")[0] == "numpy")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found += [(node.lineno, a.name) for a in node.names if a.name in NUMPY_2_ONLY]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in NUMPY_2_ONLY:
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in aliases:
+                found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_numpy_2_only_names(path):
+    found = numpy_2_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"{path.name}: numpy-2-only names (line, name) {found}; numpy 1.24 lacks them"
+
+
+def test_the_numpy_check_sees_every_form():
+    tree = ast.parse(
+        "import numpy as np\nfrom numpy import isdtype, unique\nx = np.unique_values(a)\n"
+        "y = np.unique(a, return_inverse=True)\nz = np.linalg.vecdot(a, b)\nw = frame.concat(a)\n"
+        "import numpy.linalg\nv = numpy.linalg.vecdot(a, b)\n"
+    )
+    assert numpy_2_names(tree) == [(2, "isdtype"), (3, "unique_values"), (5, "vecdot"), (8, "vecdot")]

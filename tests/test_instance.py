@@ -31,6 +31,7 @@ from nswfair.instance import (
     instance_to_json,
 )
 from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
+from nswfair.valuations import Valuation
 
 from conftest import make_instance
 
@@ -99,6 +100,39 @@ def test_validate_bounds_every_shifted_value():
         assert validate(make_instance({"1": values})) == [
             "values of agent '1' overflow: 2 * v(all items) is not finite"
         ]
+
+
+class NanOnOneItem(Valuation):
+    """A user valuation worth nan on one item alone, otherwise an additive valuation's value."""
+
+    kind = "test_nan_item"
+
+    def __init__(self, base, item):
+        self.base, self.item = base, item
+
+    @property
+    def items(self):
+        return self.base.items
+
+    def value(self, bundle):
+        bundle = frozenset(bundle)
+        return math.nan if bundle == {self.item} else self.base.value(bundle)
+
+
+def test_validate_reports_a_nan_singleton_value(monkeypatch):
+    # A file cannot hold nan, but a user valuation can return it for one item: the search would
+    # take its shift from it, so validate names it, and solve_nsw and the CLI refuse the instance.
+    from nswfair import cli, solve_nsw
+
+    base = make_instance({"1": {"a": 1, "b": 2, "c": 3}, "2": {"a": 1, "b": 1, "c": 1}})
+    valuations = (base.valuations[0], NanOnOneItem(base.valuations[1], "b"))
+    inst = Instance(base.agents, base.weights, base.items, valuations)
+    assert validate(inst) == ["value of agent '2' for item 'b' is nan"]
+    with pytest.raises(ValueError, match="for item 'b' is nan"):
+        solve_nsw(inst, 0.1)
+    monkeypatch.setattr(cli, "load_instance", lambda path: inst)
+    assert cli.main(["solve", "instance.json"]) == 1
+    assert validate(base) == []
 
 
 def test_complete_with_leftovers_dumps_to_best_earliest(e1):

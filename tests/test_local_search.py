@@ -3,7 +3,6 @@
 import importlib
 import math
 from collections import Counter
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -31,7 +30,7 @@ from nswfair.valuations import VALUATION_KINDS, BundleState, ExplicitTable, Valu
 from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
 from nswfair.search import SCREEN_MIN_CELLS, _Gains, swap_bound
 
-from conftest import make_instance
+from conftest import make_instance, numpy_from
 from reference_search import STARTS, full_restart_search, full_scan, scan, search_start
 
 
@@ -494,14 +493,15 @@ def test_one_price_table_per_solve(monkeypatch):
 
 @pytest.mark.parametrize(
     "family,seed,weight_mode,search_plus",
-    [("partition_matroid_rank", 1, "random_rational", 831), ("budget_additive", 2, "symmetric", 347)],
+    [("partition_matroid_rank", 1, "random_rational", 370), ("budget_additive", 2, "symmetric", 92)],
 )
 def test_a_saturated_taker_reads_no_state(monkeypatch, family, seed, weight_mode, search_plus):
     # A taker whose bundle is worth v(all items) gains exactly 0.0 from any item, as
     # v(R) <= v(R + j) <= v(all items) for a monotone v, so no triple of it is scored and
     # no plus read is made for it. On these 20x200 solves every participant is saturated at
     # the local optimum, so the recheck reads no plus at all (3,420 reads without the rule),
-    # and the search reads 831 and 347 (4,370 and 3,944 without it).
+    # and the search reads 370 and 92: 831 and 347 with the deal unscreened, which scores
+    # every unsaturated taker on every item, and 4,370 and 3,944 without the rule either.
     import nswfair.pipeline as pipeline
 
     state = {"partition_matroid_rank": _CountState, "budget_additive": _SumState}[family]
@@ -660,13 +660,15 @@ def test_the_recheck_refuses_a_zero_eps_bar():
     assert verify_local_opt(table, 5e-324).violations
 
 
-@contextmanager
 def screen_everywhere():
     """Screen tables of every size: the small instances of these tests fall under
-    ``SCREEN_MIN_CELLS``, below which a table builds no bound matrix."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(importlib.import_module("nswfair.search"), "SCREEN_MIN_CELLS", 0)
-        yield
+    ``SCREEN_MIN_CELLS``, below which a table builds no bound matrix and deals unscreened."""
+    return numpy_from(0)
+
+
+def screen_nowhere():
+    """Screen no table: every bound is +inf and the deal scores every unsaturated taker."""
+    return numpy_from(math.inf)
 
 
 def assert_search_matches_full_restart(inst, eps=0.1, start="greedy"):
@@ -950,3 +952,79 @@ def test_a_small_table_builds_no_bound_matrix():
     assert set(certificate_table(inst, dealt).bounds().values()) == {math.inf}
     with screen_everywhere():
         assert not any(map(math.isinf, certificate_table(inst, dealt).bounds().values()))
+
+
+class Squared(SquareRootOfSum):
+    """The square of a valuation: monotone but supermodular, so a taker's term can exceed its cap."""
+
+    kind = "test_squared"
+
+    def value(self, bundle):
+        return self.base.value(bundle) ** 2
+
+
+@st.composite
+def with_user_valuations(draw, instances):
+    """An instance of ``instances`` with some agents' valuations wrapped in :class:`SquareRootOfSum`
+    or :class:`Squared`, user valuations, which the deal never screens."""
+    inst = draw(instances)
+    wraps = [draw(st.sampled_from([None, SquareRootOfSum, Squared]), label=a) for a in inst.agents]
+    valuations = tuple(wrap(v) if wrap else v for v, wrap in zip(inst.valuations, wraps))
+    return Instance(inst.agents, inst.weights, inst.items, valuations)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    inst=with_user_valuations(st.one_of(tie_heavy_instances(), saturating_instances())),
+    eps=st.sampled_from([1e-9, 0.01, 0.1, 1.0]),
+)
+def test_the_screened_deal_matches_the_unscreened_one(inst, eps):
+    # The deal skips a taker only when its cap plus the margin is at most a term already scored,
+    # so it deals each item as the unscreened deal does, and the search then makes the same
+    # swaps. Tables and user valuations have +inf caps and are always scored.
+    eps_bar, runs = epsilon_bar(eps, max(inst.m, 1)), []
+    for form in (screen_everywhere, screen_nowhere):
+        with form():
+            dealt = {a: state.bundle for a, state in _Gains(inst, inst.items).states.items()}
+            runs.append((dealt, local_search(inst, inst.items, eps_bar)))
+    (dealt, screened), (reference_dealt, reference) = runs
+    assert dealt == reference_dealt
+    assert (screened.trace, screened.bundles) == (reference.trace, reference.bundles)
+
+
+def test_an_item_no_taker_gains_from_goes_to_the_first_participant():
+    # Ranks of one partition matroid, class c0 of capacity 1. a1, of the larger weight, takes g0
+    # and a0 takes g1; g2, of class c0 too, then adds 0.0 for both, though neither is saturated
+    # while class c1 is open. a1 has the larger cap and is scored first, every term is 0.0,
+    # and g2 goes to the first participant, a0, screened or not.
+    classes = {"g0": "c0", "g1": "c0", "g2": "c0", "g3": "c1"}
+    valuations = tuple(PartitionMatroidRank(classes, {"c0": 1, "c1": 1}, 1) for _ in range(2))
+    inst = Instance(("a0", "a1"), (Fraction(1, 3), Fraction(2, 3)), tuple(classes), valuations)
+    for form in (screen_everywhere, screen_nowhere):
+        with form():
+            table = _Gains(inst, inst.items)
+        assert {a: state.bundle for a, state in table.states.items()} == {"a0": {"g1", "g2"}, "a1": {"g0", "g3"}}
+        assert table.take("a0", "g2") == table.take("a1", "g2") == 0.0
+
+
+def test_a_term_just_below_its_cap_is_still_scored():
+    # The margin in the deal's screen: a1's term on g1 is 2.5e-11 below its cap, and a0, which
+    # has the larger cap and is scored first, gets a term 1e-10 below a1's cap but below a1's
+    # term too, so a1 must be scored and win g1. Screening against the probe's term plus the
+    # margin, instead of less it, would skip a1.
+    inst = Instance(
+        ("a0", "a1"),
+        (Fraction(1, 2), Fraction(1, 2)),
+        ("g0", "g1", "g2"),
+        (
+            Coverage({"g0": ["e2"], "g1": ["e1", "e2"], "g2": ["e3"]}, {"e1": 1 - 1e-5, "e2": 1, "e3": 1e5}),
+            Additive({"g0": 0, "g1": 1, "g2": 1e5}),
+        ),
+    )
+    for form in (screen_everywhere, screen_nowhere):
+        with form():
+            table = _Gains(inst, inst.items)
+        assert {a: state.bundle for a, state in table.states.items()} == {"a0": {"g0", "g2"}, "a1": {"g1"}}
+    caps = [0.5 * 2 * (1 - 1e-5 / 2) / (1e5 + 1), 0.5 / 1e5]
+    terms = [0.5 * math.log1p((1 - 1e-5) / (1e5 + 1)), 0.5 * math.log1p(1 / 1e5)]
+    assert caps[0] > caps[1] > terms[1] > terms[0] > caps[1] - 1e-9

@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
+from conftest import numpy_from
 from reference_matching import reference_assignment
 
-from nswfair import matching
+from nswfair import matching, search
 from nswfair.errors import LemmaViolation
 from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
 from nswfair.instance import NEG_INF
@@ -43,6 +44,22 @@ def enumerate_best(rows):
     return best, best_key
 
 
+# SCREEN_MIN_CELLS for each ranking form: every table row by row, then every table as one array.
+FORMS = (math.inf, 0)
+
+
+def solve_both_forms(table):
+    """``solve_assignment(table)`` ranked row by row and as one array, which agree bit for bit."""
+    results = []
+    for cells in FORMS:
+        with numpy_from(cells):
+            results.append(solve_assignment(table))
+    rows, array = results
+    assert rows.assignment == array.assignment
+    assert type(rows.total) is type(array.total) is float and rows.total.hex() == array.total.hex()
+    return array
+
+
 def test_two_agent_log_table():
     # w_i * log v_i(j) scores for the additive pair used across the suite.
     half = 0.5
@@ -51,33 +68,34 @@ def test_two_agent_log_table():
         [0.0, half * math.log(3), 0.0, 0.0],
     ]
     oracle, key = enumerate_best(table)
-    result = solve_assignment(table)
+    result = solve_both_forms(table)
     assert result.assignment == oracle == (0, 1)
     assert result.total == pytest.approx(0.5 * math.log(12), rel=1e-12)
     assert result.total == pytest.approx(float(key[1]), rel=1e-12)
 
 
 def test_all_rows_required_but_uncoverable():
-    result = solve_assignment([[1.0, NEG_INF], [NEG_INF, NEG_INF]])
+    result = solve_both_forms([[1.0, NEG_INF], [NEG_INF, NEG_INF]])
     assert result.assignment == (0, None)
     assert result.total == NEG_INF
 
 
 def test_ragged_rows_rejected():
-    with pytest.raises(ValueError):
-        solve_assignment([[1.0, 2.0], [3.0]])
+    for cells in FORMS:
+        with numpy_from(cells), pytest.raises(ValueError, match="equal length"):
+            solve_assignment([[1.0, 2.0], [3.0]])
 
 
 def test_negative_scores_still_cover_every_row():
-    result = solve_assignment([[-1.0]])
+    result = solve_both_forms([[-1.0]])
     assert result.assignment == (0,)
     assert result.total == -1.0
 
 
 def test_tie_break_is_index_lexicographic():
-    assert solve_assignment([[0.0, 0.0], [0.0, 0.0]]).assignment == (0, 1)
+    assert solve_both_forms([[0.0, 0.0], [0.0, 0.0]]).assignment == (0, 1)
     # agent 0 keeps the smaller column even when swapping would tie
-    assert solve_assignment([[5.0, 5.0], [5.0, 5.0]]).assignment == (0, 1)
+    assert solve_both_forms([[5.0, 5.0], [5.0, 5.0]]).assignment == (0, 1)
 
 
 @pytest.mark.parametrize(
@@ -91,11 +109,18 @@ def test_tie_break_is_index_lexicographic():
         # every row could take its own best column, yet the last row's bad cell is still named
         ([[1.0, 0.0, 0.0], [0.0, 2.0, math.nan]], "row 1, column 2"),
         ([[1.0, 0.0, 0.0], [0.0, 2.0, math.inf]], "row 1, column 2"),
+        # several bad cells: the first in row-major order is named
+        ([[0.0, math.inf, math.nan], [math.nan, 0.0, 0.0]], "row 0, column 1"),
     ],
 )
 def test_non_finite_scores_rejected(table, cell):
-    with pytest.raises(ValueError, match=cell):
-        solve_assignment(table)
+    # Both ranking forms name the same first bad cell in row-major order, in the same words.
+    messages = []
+    for cells in FORMS:
+        with numpy_from(cells), pytest.raises(ValueError, match=cell) as error:
+            solve_assignment(table)
+        messages.append(str(error.value))
+    assert messages[0] == messages[1]
 
 
 @st.composite
@@ -133,7 +158,7 @@ def test_more_rows_than_columns_leave_rows_unmatched(table):
     # The rows' dummy columns take the rows the table cannot cover: m rows are matched,
     # by the same pruning, packing and engine as a covering table, and the total is -inf.
     oracle, _ = enumerate_best(table)
-    result = solve_assignment(table)
+    result = solve_both_forms(table)
     reference = reference_assignment(table)
     assert result.assignment == reference.assignment == oracle
     assert sum(c is not None for c in result.assignment) == len(table[0])
@@ -144,7 +169,7 @@ def test_more_rows_than_columns_leave_rows_unmatched(table):
 @given(st.sampled_from([INTEGER_SCORES, DYADIC_SCORES]).flatmap(score_tables))
 def test_required_matching_agrees_with_enumeration(table):
     oracle, _ = enumerate_best(table)
-    result = solve_assignment(table)
+    result = solve_both_forms(table)
     assert result.assignment == oracle
     if any(c is None for c in oracle):
         assert result.total == NEG_INF
@@ -162,7 +187,7 @@ def test_totals_agree_with_scipy():
     ]
     rows, cols = optimize.linear_sum_assignment(table, maximize=True)
     expected = sum(table[r][c] for r, c in zip(rows, cols))
-    result = solve_assignment(table)
+    result = solve_both_forms(table)
     assert None not in result.assignment
     assert result.total == pytest.approx(expected, rel=1e-9)
 
@@ -246,7 +271,7 @@ def test_tie_heavy_totals_agree_with_scipy():
         m = rng.randint(n, 10)
         table = [[float(rng.randint(-2, 2)) for _ in range(m)] for _ in range(n)]
         rows, cols = optimize.linear_sum_assignment(table, maximize=True)
-        assert solve_assignment(table).total == sum(table[r][c] for r, c in zip(rows, cols))
+        assert solve_both_forms(table).total == sum(table[r][c] for r, c in zip(rows, cols))
 
 
 @st.composite
@@ -265,14 +290,15 @@ def wide_tables(draw):
 @example([[2.0, 2.0, 2.0, 1.0, 1.0, 1.0], [2.0, 2.0, NEG_INF, NEG_INF, NEG_INF, NEG_INF]])
 def test_pruned_wide_tables_agree_with_enumeration(table):
     oracle, _ = enumerate_best(table)
-    result = solve_assignment(table)
+    result = solve_both_forms(table)
     reference = reference_assignment(table)
     assert result.assignment == reference.assignment == oracle
     assert result.total.hex() == reference.total.hex()
 
 
 def solve_counting_engine(table):
-    """``solve_assignment(table)`` and the number of edges of each matching-engine call it made."""
+    """``solve_assignment(table)`` and the number of edges of each matching-engine call it made,
+    the same in both ranking forms."""
     edge_counts = []
     engine = matching._max_weight_matching
 
@@ -282,8 +308,10 @@ def solve_counting_engine(table):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matching, "_max_weight_matching", counting)
-        result = solve_assignment(table)
-    return result, edge_counts
+        result = solve_both_forms(table)
+    rows, array = edge_counts[: len(edge_counts) // 2], edge_counts[len(edge_counts) // 2 :]
+    assert rows == array
+    return result, array
 
 
 @st.composite
@@ -343,7 +371,7 @@ def test_pruned_phase1_matches_unpruned_packing(family, n, m):
     for mode in WEIGHT_MODES:
         for seed in (1, 2, 3):
             table = phase1_table(random_instance(family, n, m, seed, mode))
-            result = solve_assignment(table)
+            result = solve_both_forms(table)
             reference = reference_assignment(table)
             assert result.assignment == reference.assignment, (mode, seed)
             assert result.total.hex() == reference.total.hex(), (mode, seed)
@@ -363,5 +391,26 @@ def test_matching_engine_sees_at_most_n_squared_edges():
     result, edge_counts = solve_counting_engine(table)
     reference = reference_assignment(table)
     assert edge_counts == []
+    assert result.assignment == reference.assignment
+    assert result.total.hex() == reference.total.hex()
+
+
+@st.composite
+def large_tie_tables(draw):
+    """Tie-heavy tables like :func:`greedy_tables` of at least 256 cells, the default
+    ``SCREEN_MIN_CELLS``, so that the array ranking runs at its own size: 1-12 rows."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(max(n, -(-256 // n)), max(n, -(-256 // n)) + 8))
+    cell = st.one_of(st.just(NEG_INF), st.integers(-2, 2).map(float), st.sampled_from([0.5, -0.25, 1.375]))
+    return [draw(st.lists(cell, min_size=m, max_size=m)) for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_tie_tables())
+def test_large_tie_heavy_tables_match_the_unpruned_packing(table):
+    assert len(table) * len(table[0]) >= search.SCREEN_MIN_CELLS == 256
+    result = solve_assignment(table)
+    reference = reference_assignment(table)
+    assert result == solve_both_forms(table)
     assert result.assignment == reference.assignment
     assert result.total.hex() == reference.total.hex()

@@ -8,6 +8,7 @@ from fractions import Fraction
 from functools import cached_property
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -31,10 +32,11 @@ from nswfair import (
 )
 import nswfair.pipeline as pipeline_mod
 from nswfair.cli import _checks, _made_fair, _Run
-from nswfair.generate import FAMILIES, random_instance
+from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
+from nswfair.instance import welfare_term
 from nswfair.search import epsilon_bar, swap_bound
 
-from conftest import make_instance
+from conftest import make_instance, numpy_from
 from test_golden import CASES, case_id
 
 
@@ -368,3 +370,69 @@ def test_extreme_values_solve_to_passing_checks_or_raise_value_error(data, eps):
     assert all(ok in (True, None) for _, ok in _checks(run))
     if report.feasible and inst.is_symmetric():
         assert all(ok for _, ok in _checks(_made_fair(run, report.allocation)))
+
+
+def reports_in_both_forms(build, eps):
+    """The canonical report of ``solve_nsw(build(), eps)``, or its ValueError's message, with every
+    table in its per-cell form and then in its numpy form."""
+    outcomes = []
+    for cells in (math.inf, 0):
+        with numpy_from(cells):
+            try:
+                report = solve_nsw(build(), eps)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+                continue
+        trace = [(s.giver, s.item, s.taker, s.log_gain.hex()) for s in report.search.trace] if report.search else []
+        outcomes.append((json.dumps(report.to_json(), sort_keys=True), trace))
+    return outcomes
+
+
+# Two values whose np.log is one ulp off math.log under numpy 2.4.6 on an AVX-512 x86-64 CPU.
+NP_LOG_OFF = [1.9238862133101404, 0.9762132102920728]
+# Special values of the welfare map: signed zeros, negatives, nan, infinities, the smallest
+# subnormal, huge values and repeats (the numpy form takes one log per distinct value).
+MAP_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, -5e-324, math.nan, math.inf, -math.inf, 5e-324, 1e-300, 1e308, 0.1, 1.0, 3.0]),
+    st.sampled_from(NP_LOG_OFF),
+    st.floats(),
+)
+
+
+@st.composite
+def value_tables(draw):
+    """1-3 rows of up to 40 values each, as the matching tables' values arrive: one row per agent."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    return np.array([draw(st.lists(MAP_VALUES, min_size=m, max_size=m)) for _ in range(n)], dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=value_tables(), weight_mode=st.sampled_from(WEIGHT_MODES))
+@example(values=np.array([[0.0, -0.0, -2.0, math.nan, math.inf, 5e-324, 1e308, 3.0, 3.0, 5e-324]]), weight_mode="symmetric")
+@example(values=np.array([NP_LOG_OFF]), weight_mode="symmetric")
+def test_welfare_scores_equal_welfare_term_in_both_forms(values, weight_mode):
+    inst = random_instance("additive", len(values), 4, 1, weight_mode)
+    expected = [[welfare_term(w, x).hex() for x in row] for w, row in zip(inst.weight_floats, values.tolist())]
+    for cells in (math.inf, 0):
+        with numpy_from(cells):
+            table = pipeline_mod._welfare_scores(inst, values)
+        assert isinstance(table, np.ndarray) == (cells == 0)
+        assert [[float(x).hex() for x in row] for row in table] == expected
+
+
+@pytest.mark.parametrize("weight_mode", WEIGHT_MODES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_both_table_forms_give_the_same_report(family, weight_mode):
+    # From SCREEN_MIN_CELLS cells on, the welfare tables, the matching ranks, the taker screen
+    # and the deal take their numpy forms; every size gives the same report in either form.
+    for n, m, seed in ((2, 6, 1), (3, 8, 2), (5, 30, 3), (12, 120, 4), (20, 200, 5)):
+        outcomes = reports_in_both_forms(lambda: random_instance(family, n, m, seed, weight_mode), 0.1)
+        assert outcomes[0] == outcomes[1], (n, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=extreme_additive_instances(), eps=st.sampled_from([1e-12, 1e-6, 0.01, 0.1, 1.0]))
+def test_extreme_values_give_one_report_in_both_table_forms(data, eps):
+    agents, weights, items, values = data
+    outcomes = reports_in_both_forms(lambda: Instance(agents, weights, items, tuple(Additive(v) for v in values)), eps)
+    assert outcomes[0] == outcomes[1]
