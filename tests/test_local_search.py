@@ -768,6 +768,49 @@ def test_frontier_scores_a_fixed_set_of_triples_in_a_solve(monkeypatch):
                 assert (_CountedGains.scored, report.swaps) == counts, start
 
 
+# (value, plus, minus) reads of the search's bundle states and its swaps, per (family, start),
+# with the taker screen off and then on: the screen saves plus reads only.
+SEARCH_STATE_READS = {
+    ("coverage", "greedy"): ((274, 16_645, 465, 27), (274, 1_773, 465, 27)),
+    ("coverage", "cold"): ((1_360, 37_628, 3_174, 670), (1_360, 8_350, 3_174, 670)),
+    ("additive", "greedy"): ((146, 4_759, 207, 7), (146, 207, 207, 7)),
+    ("additive", "cold"): ((724, 13_130, 1_980, 356), (724, 1_192, 1_980, 356)),
+}
+
+
+@pytest.mark.parametrize(
+    "family,n,m,seed,weight_mode",
+    [("coverage", 20, 200, 1, "symmetric"), ("additive", 12, 120, 11, "random_rational")],
+)
+def test_the_search_reads_a_fixed_set_of_bundle_states(monkeypatch, family, n, m, seed, weight_mode):
+    # Every read of a bundle state answers a memo miss, so these counts pin the evaluations
+    # the search makes: a walk may score a triple again, but only through the memo.
+    state = {"coverage": _CountState, "additive": _SumState}[family]
+    reads = Counter()
+
+    def counted(name):
+        read = getattr(state, name)
+
+        def run(self, *args):
+            reads[name] += 1
+            return read(self, *args)
+
+        return run
+
+    inst = random_instance(family, n, m, seed, weight_mode=weight_mode)
+    for start in STARTS:
+        for screened in (False, True):
+            reads.clear()
+            with search_start(start), monkeypatch.context() as patch:
+                if not screened:
+                    unscreened(patch)
+                for name in ("value", "plus", "minus"):
+                    patch.setattr(state, name, counted(name))
+                result = local_search(inst, inst.items, epsilon_bar(0.1, inst.m))
+            got = (reads["value"], reads["plus"], reads["minus"], len(result.trace))
+            assert got == SEARCH_STATE_READS[family, start][screened], (start, screened)
+
+
 class SquareRootOfSum(Valuation):
     """sqrt of an additive valuation: submodular, with no bundle state of its own."""
 
