@@ -38,17 +38,9 @@ counts those triples and takes their gain, the giver's term plus 0.0, into
 its largest gain without scoring them. The rule needs monotonicity alone, so
 it holds for every valuation and changes no float.
 
-The table also keeps the search's frontier: its swap count, the count at which
-each agent's bundle last changed, and the count at which each item's position
-(its holder, the item) last passed with no improving triple.
-:meth:`_Gains.move` alone decides what a swap changes: the giver's and the
-taker's states, memo entries and frontier counts, and nothing of any other
-agent. After a swap the scan walks again from the top; at a position whose
-giver is unchanged since it passed, it scores only the unsaturated takers
-changed since. Every other triple there has the same two bundles, so the same
-memoised gain, as when it was found non-improving, or a saturated taker, which
-turns unsaturated only by losing an item, a change the frontier records; the
-first improving triple found is therefore the one a full restart would find.
+After a swap the search walks again from the top. :meth:`_Gains.move` alone
+clears memo entries, only the giver's and the taker's, so every other memoised
+term stays exact and a walk finds the triple a fresh evaluation would.
 Each state is bit for bit equal to ``value()``, which is correctly rounded and
 so independent of summation order, so the gains, the swap trace and the
 certificates are the floats a fresh evaluation gives.
@@ -63,20 +55,22 @@ term is at most
 :meth:`_Gains.bounds` keeps, per item of J, the largest B_t(j) over the
 participants not holding j, from one matrix that a swap updates in the giver's
 and the taker's rows only; a table of fewer than :data:`SCREEN_MIN_CELLS`
-(participant, item) cells, where the matrix costs more than it saves, keeps
-+inf bounds instead. A walk skips a position, and marks it passed, when
-the giver's term plus that bound is at most the threshold minus the margin
-:data:`~nswfair.instance.TOLERANCE`: no triple there can improve. The recheck
-skips a position when the same sum plus the margin is at most both the threshold
-and the largest gain so far, so its record keeps the same violations, count and
-largest gain. The margin covers the rounding of a taker term's two logs, each
-of a finite vbar, so below 710 and off by about 1e-13 at most, against its
-bound's one ``log1p``, below log 2. The bound holds for the floats of the four
-generator families, which set
+(participant, item) cells, where the matrix costs more than it saves, keeps +inf
+bounds instead. A walk skips a position when the giver's term plus that bound is
+at most the threshold minus the margin :data:`~nswfair.instance.TOLERANCE`: no
+triple there can improve. It reads a taker term's state only when the giver's
+term plus that taker's own B_t(j) passes the same cutoff, so a triple whose two
+bundles are unchanged since a walk passed it costs no read again: its term is
+memoised, or its bound rules it out again. The recheck skips a position when the
+same sum plus the margin is at most both the threshold and the largest gain so
+far, so its record keeps the same violations, count and largest gain. The margin
+covers the rounding of a taker term's two logs, each of a finite vbar, so below
+710 and off by about 1e-13 at most, against its bound's one ``log1p``, below
+log 2. The bound holds for the floats of the four generator families, which set
 :attr:`~nswfair.valuations.Valuation.exactly_submodular`, and for them the
 recheck's verdict rests on their submodularity. Every other valuation, a table
-(which admits a slack) or a subclass included, gets a bound of +inf and is
-never screened.
+(which admits a slack) or a subclass included, gets a bound of +inf and is never
+screened.
 
 The deal screens by the same bound with its log taken out: as log1p(x) <= x,
 
@@ -95,7 +89,7 @@ One fresh table over the final bundles, :func:`certificate_table`, backs
 :func:`verify_local_opt`, the one certificate pass over every triple, and then
 :func:`prices`, which reads the recheck's vbar(R) and vbar(R - j) into both
 price vectors with provable spending caps. It reads the family states as the
-search does, but shares no memo, state or frontier with it. The certificates
+search does, but shares no memo or state with it. The certificates
 are records: no certificate function raises on what it finds.
 """
 
@@ -193,21 +187,17 @@ class LocalSearchResult:
 class _Gains:
     """Swap gains over live bundles of a universe J, each memoised until a bundle it reads changes.
 
-    ``abar``: the agents with a positive singleton value in J, in index order; ``offset`` maps
-    each to its largest singleton value in J (the shift of vbar), both read from
-    :attr:`Instance.singleton_array`. ``states`` holds one bundle state per participant, made by
-    its valuation's :meth:`~nswfair.valuations.Valuation.bundle_state` from its bundle in
-    ``start``, or, with no ``start``, from the search's start, which :meth:`_deal` deals from
-    the states' own taker terms. vbar(R), each vbar(R - j) and each
-    taker's term are memoised; memo misses are answered by the states. ``full`` maps each
-    participant to v(all items), and :meth:`current` flags R as saturated when v(R) equals it,
-    from the read that gives vbar(R) and for as long as that read is memoised; :meth:`live`
-    lists the participants not flagged, the only takers the deal, the walks and the recheck
-    score. :meth:`bounds` caps each item's taker terms for the walks' and the recheck's screen.
-    The frontier:
-    ``swaps`` counts the moves made, ``changed[a]`` is the count at which agent a's bundle last
-    changed and ``verified[j]`` the count at which item j's position last passed. Change a
-    bundle only through :meth:`move`, which keeps the states, the memo and the frontier in step.
+    ``abar``: the agents with a positive singleton value in J, in index order; ``offset`` maps each
+    to its largest singleton value in J (the shift of vbar), both read from
+    :attr:`Instance.singleton_array`. ``states`` holds one bundle state per participant, made by its
+    valuation's :meth:`~nswfair.valuations.Valuation.bundle_state` from its bundle in ``start``, or,
+    with no ``start``, from the search's start, which :meth:`_deal` deals from the states' own taker
+    terms. vbar(R), each vbar(R - j) and each taker's term are memoised; memo misses are answered by
+    the states. ``full`` maps each participant to v(all items), and :meth:`current` flags R as
+    saturated when v(R) equals it, from the read that gives vbar(R) and for as long as that read is
+    memoised; :meth:`live` lists the participants not flagged, the only takers the deal, the walks
+    and the recheck score. :meth:`bounds` caps each item's taker terms for the walks' and the
+    recheck's screen. Change a bundle only through :meth:`move`, which keeps the memo in step.
     """
 
     def __init__(self, inst: Instance, universe: Iterable[str], start: Optional[Mapping[str, Iterable[str]]] = None):
@@ -228,9 +218,6 @@ class _Gains:
         self._cur: Dict[str, Tuple[float, float, bool, float]] = {}
         self._removed: Dict[str, Dict[str, Tuple[float, float]]] = {a: {} for a in self.abar}
         self._take: Dict[str, Dict[str, float]] = {a: {} for a in self.abar}
-        self.swaps = 0
-        self.changed = dict.fromkeys(self.abar, 0)
-        self.verified = dict.fromkeys(self.universe, -1)
         self._bound: Optional[np.ndarray] = None
         self._stale: List[str] = []
         self._colmax: Optional[Dict[str, float]] = None
@@ -386,12 +373,10 @@ class _Gains:
     def move(self, giver: str, item: str, taker: str) -> None:
         self.states[giver].remove(item)
         self.states[taker].add(item)
-        self.swaps += 1
         if self._bound is not None:
             self._stale += (giver, taker)
             self._colmax = None
         for agent in (giver, taker):
-            self.changed[agent] = self.swaps
             self._rows.pop(agent, None)
             self._cur.pop(agent, None)
             self._removed[agent].clear()
@@ -399,32 +384,27 @@ class _Gains:
 
     def first_improving(self, threshold: float) -> Optional[_Swap]:
         """The first swap in scan order whose gain beats ``threshold``, scoring only the takers of
-        :meth:`live`: a saturated taker's gain is the giver's term, <= 0.0. A position whose giver
-        is unchanged since it passed scores only those changed since, in index order, and one
-        whose giver's term plus its item's :meth:`bounds` is at most ``threshold`` less the
-        margin scores none; each position that passes is verified at the current swap count."""
-        changed, verified, takes, now = self.changed, self.verified, self._take, self.swaps
-        live = self.live()
-        bounds = self.bounds() if live else {}
+        :meth:`live` other than the giver: a saturated taker's gain is the giver's term, <= 0.0. A
+        position whose giver's term plus its item's :meth:`bounds` is at most ``threshold`` less
+        the margin scores none, and a taker term not memoised is read only when its own bound
+        passes the same test."""
+        takes, live = self._take, self.live()
+        bounds = self.bounds() if live else {}  # also refreshes the bound matrix's stale rows
+        bound, row_of, col = self._bound, {a: r for r, a in enumerate(self.abar)}, self._position
         cutoff = threshold - TOLERANCE
-        since: Dict[int, List[str]] = {}  # verified count -> takers changed after it
         for giver in self.abar:
-            giver_changed = changed[giver]
-            others = [t for t in live if t != giver]
-            for item in self.row(giver):
-                seen = verified[item]
-                takers = others if giver_changed > seen else since.get(seen)
-                if takers is None:
-                    takers = since[seen] = [a for a in live if changed[a] > seen]
-                if takers:
-                    give = self.give(giver, item)
-                    if give + bounds[item] > cutoff:
-                        for taker in takers:
-                            take = takes[taker].get(item)  # self.take with its memo hit inlined: the hottest line
-                            gain = give + (self.take(taker, item) if take is None else take)
-                            if gain > threshold:
-                                return giver, item, taker, gain
-                verified[item] = now
+            takers = [t for t in live if t != giver]
+            for item in self.row(giver) if takers else ():
+                give = self.give(giver, item)
+                if give + bounds[item] > cutoff:
+                    for taker in takers:
+                        take = takes[taker].get(item)  # self.take with its memo hit inlined: the hottest line
+                        if take is None:
+                            if bound is not None and give + bound.item(row_of[taker], col[item]) <= cutoff:
+                                continue  # the taker's own bound rules it out, with no state read
+                            take = self.take(taker, item)
+                        if give + take > threshold:
+                            return giver, item, taker, give + take
         return None
 
 
@@ -443,8 +423,8 @@ def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> Loc
     The search starts from the greedy deal of :meth:`_Gains._deal` and makes at most
     swap_bound(|J| + 1, eps_bar) swaps on its universe J; an eps_bar so small that this bound
     is not finite is refused with :class:`ValueError`, so no search runs without its budget.
-    Its ``certificate`` is None: the last walk scores only the triples its frontier marks as
-    changed, so the one full scan is :func:`verify_local_opt`'s, which ``solve_nsw`` attaches.
+    Its ``certificate`` is None: a walk keeps no record of what it scores, so the one
+    certificate is :func:`verify_local_opt`'s full scan, which ``solve_nsw`` attaches.
     """
     threshold = _threshold(eps_bar)
     table = _Gains(inst, universe)
@@ -453,11 +433,10 @@ def local_search(inst: Instance, universe: Iterable[str], eps_bar: float) -> Loc
         raise ValueError(f"eps_bar {eps_bar!r} is too small for a finite swap bound on {len(table.universe)} items")
     trace: List[SwapRecord] = []
     while (hit := table.first_improving(threshold)) is not None:
-        giver, item, taker, gain = hit
-        table.move(giver, item, taker)
-        trace.append(SwapRecord(table.swaps, giver, item, taker, gain))
-        if table.swaps > max_swaps:
-            raise InvariantViolation(f"swap count {table.swaps} exceeded the certified bound {max_swaps:.3f}")
+        table.move(*hit[:3])
+        trace.append(SwapRecord(len(trace) + 1, *hit))
+        if len(trace) > max_swaps:
+            raise InvariantViolation(f"swap count {len(trace)} exceeded the certified bound {max_swaps:.3f}")
     return LocalSearchResult(
         universe=tuple(table.universe),
         bundles={a: frozenset(table.states[a].bundle if a in table.states else ()) for a in inst.agents},
@@ -482,7 +461,7 @@ def certificate_table(inst: Instance, bundles: Mapping[str, Iterable[str]]) -> _
 
 def verify_local_opt(table: _Gains, eps_bar: float) -> LocalOptCertificate:
     """Exhaustively re-check local optimality in one scan of ``table``, a fresh table free of the
-    search's memo and frontier: the record of every triple against log(1 + eps_bar). A saturated
+    search's memo: the record of every triple against log(1 + eps_bar). A saturated
     taker's triples are counted, not scored: their gain is the giver's term plus 0.0, so the
     giver's term itself, <= 0.0, which enters the largest gain as such and never violates. A
     position whose giver's term plus its item's :meth:`_Gains.bounds`, plus the margin, is at

@@ -5,6 +5,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from nswfair import (
 )
 from nswfair.valuations import VALUATION_KINDS, BundleState, ExplicitTable, Valuation, _CountState, _SumState
 from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
+from nswfair.instance import TOLERANCE
 from nswfair.search import SCREEN_MIN_CELLS, _Gains, swap_bound
 
 from conftest import make_instance, numpy_from
@@ -553,7 +555,7 @@ def test_a_saturated_taker_reads_no_state(monkeypatch, family, seed, weight_mode
 
 
 def test_a_feasible_solve_scans_its_triples_once(monkeypatch):
-    # The recheck is a solve's one full scan: the search ends on a frontier walk, and an
+    # The recheck is a solve's one full scan: the search's walks keep no record, and an
     # infeasible solve (fewer items than agents, or no positive phase-1 matching) runs neither.
     import nswfair.pipeline as pipeline
 
@@ -693,8 +695,8 @@ def test_search_matches_a_full_restart_search(family, weight_mode, n, m):
 
 
 class _CountedGains(_Gains):
-    """A gain table that counts the triples the frontier scores: each lookup in a taker's
-    memo, less those made by :meth:`take` itself (memo misses, full scans and the deal)."""
+    """A gain table that counts the triples the walks look up: each lookup in a taker's memo,
+    less those made by :meth:`take` itself (memo misses, full scans and the deal)."""
 
     scored = 0
 
@@ -716,28 +718,28 @@ class _CountedGains(_Gains):
         return super().take(taker, item)
 
 
-# (triples scored, swaps) of each case below from the greedy start.
-GREEDY_FRONTIER = {"coverage": (13_154, 27), "additive": (2_771, 7), "partition_matroid_rank": (0, 0)}
-# Triples scored with the taker screen on, from the cold and the greedy start; the swaps are the same.
-SCREENED_FRONTIER = {"coverage": (13_012, 1_879), "additive": (1_211, 21), "partition_matroid_rank": (87, 0)}
+# (triples looked up, swaps) of each case below from the greedy start.
+GREEDY_WALKS = {"coverage": (45_767, 27), "additive": (5_063, 7), "partition_matroid_rank": (0, 0)}
+# Triples looked up with the taker screen on, from the cold and the greedy start; the swaps are the same.
+SCREENED_WALKS = {"coverage": (34_147, 5_487), "additive": (1_269, 25), "partition_matroid_rank": (87, 0)}
 
 
 @pytest.mark.parametrize(
     "family,n,m,seed,weight_mode,scored,swaps",
     [
-        ("coverage", 20, 200, 1, "symmetric", 78_564, 670),
-        ("additive", 12, 120, 11, "random_rational", 27_733, 356),
+        ("coverage", 20, 200, 1, "symmetric", 260_019, 670),
+        ("additive", 12, 120, 11, "random_rational", 61_472, 356),
         ("partition_matroid_rank", 20, 200, 1, "symmetric", 87, 56),
     ],
 )
-def test_frontier_scores_a_fixed_set_of_triples(monkeypatch, family, n, m, seed, weight_mode, scored, swaps):
-    # The frontier scores only the triples that can have changed since their position was
-    # last verified; these counts pin that set, which an equal swap trace alone does not.
-    # The cold start, with its many swaps, exercises the frontier most.
-    # The taker screen skips positions no bound can lift above the threshold, so it scores fewer.
+def test_the_walks_look_up_a_fixed_set_of_triples(monkeypatch, family, n, m, seed, weight_mode, scored, swaps):
+    # Every walk starts from the top and looks up each live taker at each position it does
+    # not skip, up to the first improving triple; these counts pin that set, which an equal
+    # swap trace alone does not. The cold start, with its many swaps, walks the most.
+    # The taker screen skips positions no bound can lift above the threshold, so it looks up fewer.
     monkeypatch.setattr(importlib.import_module("nswfair.search"), "_Gains", _CountedGains)
     inst = random_instance(family, n, m, seed, weight_mode=weight_mode)
-    for start, counts in [("cold", (scored, swaps)), ("greedy", GREEDY_FRONTIER[family])]:
+    for start, counts in [("cold", (scored, swaps)), ("greedy", GREEDY_WALKS[family])]:
         for screened in (False, True):
             monkeypatch.setattr(_CountedGains, "scored", 0)
             with search_start(start), monkeypatch.context() as patch:
@@ -745,17 +747,17 @@ def test_frontier_scores_a_fixed_set_of_triples(monkeypatch, family, n, m, seed,
                     unscreened(patch)
                 result = local_search(inst, inst.items, epsilon_bar(0.1, inst.m))
             if screened:
-                expected = (SCREENED_FRONTIER[family][start == "greedy"], counts[1])
+                expected = (SCREENED_WALKS[family][start == "greedy"], counts[1])
                 assert (_CountedGains.scored, len(result.trace)) == expected, start
             else:
                 assert (_CountedGains.scored, len(result.trace)) == counts, start
 
 
-def test_frontier_scores_a_fixed_set_of_triples_in_a_solve(monkeypatch):
+def test_the_walks_look_up_a_fixed_set_of_triples_in_a_solve(monkeypatch):
     # The 12x120 coverage search of README's "Search cost" section, on the universe phase 1 leaves.
     monkeypatch.setattr(importlib.import_module("nswfair.search"), "_Gains", _CountedGains)
-    screened_counts = {"cold": (4_557, 328), "greedy": (453, 13)}
-    for start, counts in [("cold", (21_389, 328)), ("greedy", (2_879, 13))]:
+    screened_counts = {"cold": (8_393, 328), "greedy": (993, 13)}
+    for start, counts in [("cold", (49_038, 328)), ("greedy", (7_021, 13))]:
         for screened in (False, True):
             monkeypatch.setattr(_CountedGains, "scored", 0)
             with search_start(start), monkeypatch.context() as patch:
@@ -769,12 +771,13 @@ def test_frontier_scores_a_fixed_set_of_triples_in_a_solve(monkeypatch):
 
 
 # (value, plus, minus) reads of the search's bundle states and its swaps, per (family, start),
-# with the taker screen off and then on: the screen saves plus reads only.
+# with the taker screen off and then on. The screen saves plus reads only: at the positions
+# it skips, and at each term not memoised whose taker's own bound rules it out.
 SEARCH_STATE_READS = {
-    ("coverage", "greedy"): ((274, 16_645, 465, 27), (274, 1_773, 465, 27)),
-    ("coverage", "cold"): ((1_360, 37_628, 3_174, 670), (1_360, 8_350, 3_174, 670)),
-    ("additive", "greedy"): ((146, 4_759, 207, 7), (146, 207, 207, 7)),
-    ("additive", "cold"): ((724, 13_130, 1_980, 356), (724, 1_192, 1_980, 356)),
+    ("coverage", "greedy"): ((274, 16_645, 465, 27), (274, 491, 465, 27)),
+    ("coverage", "cold"): ((1_360, 37_628, 3_174, 670), (1_360, 1_075, 3_174, 670)),
+    ("additive", "greedy"): ((146, 4_759, 207, 7), (146, 193, 207, 7)),
+    ("additive", "cold"): ((724, 13_130, 1_980, 356), (724, 356, 1_980, 356)),
 }
 
 
@@ -1071,3 +1074,25 @@ def test_a_term_just_below_its_cap_is_still_scored():
     caps = [0.5 * 2 * (1 - 1e-5 / 2) / (1e5 + 1), 0.5 / 1e5]
     terms = [0.5 * math.log1p((1 - 1e-5) / (1e5 + 1)), 0.5 * math.log1p(1 / 1e5)]
     assert caps[0] > caps[1] > terms[1] > terms[0] > caps[1] - 1e-9
+
+
+def test_a_walk_reads_a_term_its_bounds_undercut_by_less_than_the_margin(monkeypatch):
+    # Both of a walk's screens, per position and per taker term not memoised, allow a bound
+    # to fall short of its term by up to the margin TOLERANCE, the rounding they cover. With
+    # every bound half the margin below its term, and the threshold a quarter of the margin
+    # below the best gain, the walk still reads the best triple's term and returns it.
+    inst = random_instance("coverage", 4, 12, 3)
+    dealt = {a: inst.items[i :: len(inst.agents)] for i, a in enumerate(inst.agents)}
+    terms = certificate_table(inst, dealt)  # a second table, so the walk's memo starts empty
+    gains = list(scan(terms))
+    threshold = max(gain for *_, gain in gains) - TOLERANCE / 4
+
+    def undercut(self, agents):
+        rows = [[terms.take(a, j) - TOLERANCE / 2 for j in self.universe] for a in agents]
+        return np.array(rows)
+
+    monkeypatch.setattr(_Gains, "_bound_rows", undercut)
+    with screen_everywhere():
+        table = certificate_table(inst, dealt)
+        assert table.first_improving(threshold) == next(hit for hit in gains if hit[3] > threshold)
+    assert table._bound is not None
