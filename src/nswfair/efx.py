@@ -14,8 +14,8 @@ symmetric weighting only; welfare is :func:`nsw_log`.
 bundle state per (agent, bundle) (:meth:`Valuation.bundle_state`), bit for
 bit equal to ``value()``; it skips the items of a bundle worth less than the
 best removal found so far, as monotonicity keeps each of their removals below
-it. The trim test calls ``value()`` twice a pass. The
-loose-item comparisons read the singleton table (:attr:`Instance.singletons`).
+it. The trim test calls ``value()`` twice a pass. Each loose-item scan is one
+numpy comparison with the singleton table (:attr:`Instance.singleton_array`).
 Envy-cycle completion keeps one table v_i(S_k), and the bundle states it is
 read from, in step with the bundles: a rotation permutes their columns, and
 an item handed out is added to one column's states. The independent checker
@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import FrozenSet, List, Literal, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .errors import InvariantViolation, LemmaViolation
 from .instance import LOG2, TOLERANCE, Allocation, Instance, _check_structure, nsw_log
@@ -213,8 +215,11 @@ def _find_cycle(adj: Sequence[Sequence[int]]) -> Optional[List[int]]:
 
 def _loose_upgrade(inst: Instance, own: Sequence[float], loose: Sequence[str]) -> Optional[Tuple[int, str]]:
     """The first (agent i, loose item j), agents then items in order, with own[i] < v_i({j}), or None."""
-    table, index = inst.singletons, inst.item_index
-    return next(((i, j) for i, row in enumerate(table) for j in loose if own[i] < row[index[j]]), None)
+    if not loose:
+        return None
+    above = np.array(own, dtype=float)[:, None] < inst.singleton_array.take([inst.item_index[j] for j in loose], axis=1)
+    i, c = divmod(int(above.argmax()), len(loose))
+    return (i, loose[c]) if above[i, c] else None
 
 
 def envy_cycle_complete(inst: Instance, t_alloc: Allocation, unallocated: Set[str]) -> Allocation:
@@ -292,7 +297,7 @@ def guarantee_half_efx(inst: Instance, s_alloc: Allocation) -> Allocation:
         pool |= bundles[i]
         pool.discard(j)
         bundles[i] = frozenset({j})
-        own[i] = inst.singletons[i][inst.item_index[j]]
+        own[i] = inst.singleton_array.item(i, inst.item_index[j])
     else:
         raise InvariantViolation("singleton upgrades failed to settle")
     staged = Allocation({a: bundles[i] for i, a in enumerate(inst.agents)})

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,10 +54,30 @@ NEG_INF = float("-inf")
 LOG2 = math.log(2.0)  # the log-welfare the 1/2-EFX stage may give up
 TOLERANCE = 1e-9  # absolute slack of every float check against a cap, a bound or a floor
 
+# Below this many cells a table keeps its Python form, where a numpy form's fixed cost of some
+# 20-30 us outweighs what it saves: the welfare map (:func:`welfare_terms`), the matching's
+# ranking and the swap search's taker screen and deal (coverage and additive solves up to 6x30
+# ran slower in numpy, from 8x40 on faster). Each reads it at call time from this module, so
+# one patch switches every form.
+SCREEN_MIN_CELLS = 256
+
 
 def welfare_term(weight: float, value: float) -> float:
     """An agent's term of nsw_log: ``weight * log(value)``, or ``-inf`` when value <= 0."""
     return weight * math.log(value) if value > 0.0 else NEG_INF
+
+
+def welfare_terms(weights: Sequence[float], values: np.ndarray) -> Union[List[List[float]], np.ndarray]:
+    """:func:`welfare_term` of each weight and each value of its row of ``values``: cell by cell below
+    :data:`SCREEN_MIN_CELLS` cells, else one ``math.log`` per distinct positive value in numpy."""
+    if values.size < SCREEN_MIN_CELLS:
+        return [[welfare_term(w, x) for x in row] for w, row in zip(weights, values.tolist())]
+    positive = values > 0.0
+    distinct, inverse = np.unique(np.where(positive, values, 1.0), return_inverse=True)
+    logs = np.array(list(map(math.log, distinct.tolist())))
+    table = np.array(weights)[:, None] * logs[inverse.reshape(values.shape)]
+    table[~positive] = NEG_INF
+    return table
 
 
 def float_total(terms: Iterable[float]) -> float:
@@ -96,17 +116,15 @@ class Instance:
         return tuple(float(w) for w in self.weights)
 
     @cached_property
-    def singletons(self) -> Tuple[Tuple[float, ...], ...]:
-        """v_i({j}), rows by agent index and columns by item index, read once per instance from an
-        empty bundle state per valuation; an item outside a domain raises UnknownItem."""
-        for v in self.valuations:
-            v._bundle(self.items)  # a state checks only the bundle it starts from
-        return tuple(tuple(map(v.bundle_state(()).plus, self.items)) for v in self.valuations)
-
-    @cached_property
     def singleton_array(self) -> np.ndarray:
-        """:attr:`singletons` as one float array, read by the swap search's taker screen."""
-        return np.array(self.singletons, dtype=float).reshape(self.n, self.m)
+        """v_i({j}) in one read-only float array, rows by agent and columns by item index, from an empty
+        bundle state per valuation, once per instance; an item outside a domain raises UnknownItem."""
+        table = np.empty((self.n, self.m))
+        for v, row in zip(self.valuations, table):
+            v._bundle(self.items)  # a state checks only the bundle it starts from
+            row[:] = list(map(v.bundle_state(()).plus, self.items))
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def full_values(self) -> Tuple[float, ...]:
@@ -226,7 +244,7 @@ def complete_with_leftovers(inst: Instance, alloc: Allocation) -> Allocation:
     done = alloc.allocated()
     for c, j in enumerate(inst.items):
         if j not in done:
-            column = [row[c] for row in inst.singletons]
+            column = inst.singleton_array[:, c].tolist()
             bundles[inst.agents[column.index(max(column))]].add(j)
     return Allocation.of(bundles)
 

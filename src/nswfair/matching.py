@@ -39,7 +39,7 @@ preference. That contradicts optimality. The argument never asks that every
 row be matched, so it holds for non-covering tables too. At most n^2 cells
 are packed whatever m is, where each Dijkstra pop would otherwise relax m
 weights of about n * log2(m + 1) bits. A table of at least
-:data:`~nswfair.search.SCREEN_MIN_CELLS` cells is ranked by one stable
+:data:`~nswfair.instance.SCREEN_MIN_CELLS` cells is ranked by one stable
 ``np.argsort`` of its negated scores, which puts -inf last and keeps the
 smaller column first on a tie, like the row-by-row sort of smaller tables.
 
@@ -63,7 +63,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from . import search as swap_search
+from . import instance
 from .errors import InvariantViolation, LemmaViolation
 from .instance import NEG_INF, float_total
 from .valuations import exact_ints
@@ -149,7 +149,7 @@ def solve_assignment(scores: Sequence[Sequence[float]]) -> AssignmentResult:
     m = len(scores[0]) if n else 0
     if any(len(row) != m for row in scores):
         raise ValueError("score table rows must have equal length")
-    ranked = (_ranked_rows if n * m < swap_search.SCREEN_MIN_CELLS else _ranked_array)(scores, n)
+    ranked = (_ranked_rows if n * m < instance.SCREEN_MIN_CELLS else _ranked_array)(scores, n)
     # Each row in turn takes its smallest free best column; if all do, that is the optimum.
     # A row looks while fewer than n columns are taken, so its n best cells are enough.
     taken: Dict[int, None] = {}

@@ -9,11 +9,11 @@ The search then runs in two steps.
    values: the four generator families in closed form, whole-array sums with
    no ``value()`` call and no Python step per subset; a table or a user
    valuation by walking one bundle state through the subsets in Gray-code
-   order. The logs are then mapped one Python float at a time, because
-   ``np.log`` is not ``math.log`` bit for bit. The tables take n * 2^m
-   float64: 1 GiB at the largest size the guard allows with tables, n = 2
-   and m = 26. With one agent there is one allocation, scored by
-   :func:`~nswfair.instance.nsw_log`.
+   order. :func:`~nswfair.instance.welfare_terms` then maps them in place,
+   ``BLOCK`` entries at a time, so no list or index array of all 2^m entries
+   is built. The tables take n * 2^m float64: 1 GiB at the largest size the
+   guard allows with tables, n = 2 and m = 26. With one agent there is one
+   allocation, scored by :func:`~nswfair.instance.nsw_log`.
 2. **Enumeration.** Every complete allocation is a base-n counter over the m
    items, item 0 the most significant digit, taken in lexicographic order. A
    Python loop runs over the assignments of the leading items; one numpy
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeGuardExceeded
-from .instance import NEG_INF, Allocation, Instance, nsw_log, validate, welfare_term
+from .instance import NEG_INF, Allocation, Instance, nsw_log, validate, welfare_terms
 from .valuations import subset_values
 
 __all__ = ["SIZE_GUARD", "OptResult", "brute_force_opt", "ratio_of_logs"]
@@ -57,11 +57,10 @@ class OptResult:
 
 
 def _log_table(inst: Instance, i: int) -> np.ndarray:
-    """L_i[mask] = w_i * log v_i(S), or -inf when v_i(S) <= 0, mapped in place over Python
-    floats ``BLOCK`` entries at a time, so no list of all 2^m entries is built."""
-    w, table = inst.weight_floats[i], subset_values(inst.valuations[i], inst.items)
+    """L_i[mask] = w_i * log v_i(S), or -inf when v_i(S) <= 0, mapped in place ``BLOCK`` entries at a time."""
+    weight, table = inst.weight_floats[i : i + 1], subset_values(inst.valuations[i], inst.items)
     for start in range(0, table.size, BLOCK):
-        table[start : start + BLOCK] = [welfare_term(w, x) for x in table[start : start + BLOCK].tolist()]
+        table[start : start + BLOCK] = welfare_terms(weight, table[None, start : start + BLOCK])[0]
     return table
 
 

@@ -13,11 +13,8 @@ Phase 1's scores come from the instance's table of singleton values
 v_i({j}) (:attr:`Instance.singleton_array`), read once per instance. The
 search, the local-optimality recheck and the prices read from that table
 which agents take part and each one's shift, and leftover items go to the
-column maximum, so no stage evaluates a singleton again. From
-:data:`~nswfair.search.SCREEN_MIN_CELLS` cells on, both score tables are built
-in numpy from one ``math.log`` per distinct positive value, the same floats as
-:func:`~nswfair.instance.welfare_term` per cell (``np.log`` is not ``math.log``
-bit for bit).
+column maximum, so no stage evaluates a singleton again. Both phases' score
+tables are mapped by :func:`~nswfair.instance.welfare_terms`.
 
 The report embeds verification certificates plus the approximation factors
 implied by the instance's weight profile. One fresh :func:`certificate_table`,
@@ -31,13 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from . import search as swap_search
 from .errors import InvariantViolation
-from .instance import LOG2, NEG_INF, Allocation, Instance, complete_with_leftovers, nsw_log, validate, welfare_term
+from .instance import LOG2, NEG_INF, Allocation, Instance, complete_with_leftovers, nsw_log, validate, welfare_terms
 from .search import (
     LocalSearchResult,
     SpendingReport,
@@ -200,20 +196,6 @@ def _infeasible_report(inst: Instance, eps: float, eps_bar: float, guarantee: Gu
     )
 
 
-def _welfare_scores(inst: Instance, values: np.ndarray) -> Union[List[List[float]], np.ndarray]:
-    """The matching table of welfare terms w_i * log x, one row of ``values`` x per agent in index
-    order: :func:`welfare_term` per cell below :data:`~nswfair.search.SCREEN_MIN_CELLS` cells,
-    else an array with one ``math.log`` per distinct positive value, the same floats."""
-    if values.size < swap_search.SCREEN_MIN_CELLS:
-        return [[welfare_term(w, x) for x in row] for w, row in zip(inst.weight_floats, values.tolist())]
-    positive = values > 0.0
-    distinct, inverse = np.unique(np.where(positive, values, 1.0), return_inverse=True)
-    logs = np.array(list(map(math.log, distinct.tolist())))
-    table = np.array(inst.weight_floats)[:, None] * logs[inverse.reshape(values.shape)]
-    table[~positive] = NEG_INF
-    return table
-
-
 def solve_nsw(inst: Instance, eps: float) -> SolveReport:
     """Approximately maximize weighted Nash welfare over complete allocations.
 
@@ -229,7 +211,7 @@ def solve_nsw(inst: Instance, eps: float) -> SolveReport:
     guarantee = guarantee_factor(inst, eps)
     if inst.m < inst.n:
         return _infeasible_report(inst, eps, eps_bar if inst.m else 0.0, guarantee)
-    phase1 = solve_assignment(_welfare_scores(inst, inst.singleton_array))
+    phase1 = solve_assignment(welfare_terms(inst.weight_floats, inst.singleton_array))
     if phase1.total == NEG_INF:
         return _infeasible_report(inst, eps, eps_bar, guarantee)
     tau = {inst.agents[i]: inst.items[c] for i, c in enumerate(phase1.assignment)}
@@ -237,8 +219,8 @@ def solve_nsw(inst: Instance, eps: float) -> SolveReport:
 
     search = local_search(inst, frozenset(inst.items) - set(h_items), eps_bar)
 
-    states = [v.bundle_state(search.bundles[a]) for v, a in zip(inst.valuations, inst.agents)]
-    phase3 = solve_assignment(_welfare_scores(inst, np.array([[state.plus(h) for h in h_items] for state in states])))
+    values = [list(map(v.bundle_state(search.bundles[a]).plus, h_items)) for v, a in zip(inst.valuations, inst.agents)]
+    phase3 = solve_assignment(welfare_terms(inst.weight_floats, np.array(values)))
     if phase3.total == NEG_INF:
         raise InvariantViolation("rematching lost the finite matching inherited from phase 1")
     sigma = {inst.agents[i]: h_items[c] for i, c in enumerate(phase3.assignment)}

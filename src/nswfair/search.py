@@ -54,8 +54,8 @@ term is at most
 
 :meth:`_Gains.bounds` keeps, per item of J, the largest B_t(j) over the
 participants not holding j, from one matrix that a swap updates in the giver's
-and the taker's rows only; a table of fewer than :data:`SCREEN_MIN_CELLS`
-(participant, item) cells, where the matrix costs more than it saves, keeps +inf
+and the taker's rows only; a table of fewer than
+:data:`~nswfair.instance.SCREEN_MIN_CELLS` (participant, item) cells keeps +inf
 bounds instead. A walk skips a position when the giver's term plus that bound is
 at most the threshold minus the margin :data:`~nswfair.instance.TOLERANCE`: no
 triple there can improve. It reads a taker term's state only when the giver's
@@ -82,8 +82,8 @@ then the others in index order, skipping one whose cap is at most the best
 term so far less the margin, as it cannot win; so every item goes where an
 unscreened deal sends it, and every later swap is the same. An item's caps are
 one numpy expression, and the deal refreshes only the taker's vbar(R) and
-headroom, from the read it already makes. Tables under
-:data:`SCREEN_MIN_CELLS` cells deal unscreened.
+headroom, from the read it already makes. Tables under the same size deal
+unscreened.
 
 One fresh table over the final bundles, :func:`certificate_table`, backs
 :func:`verify_local_opt`, the one certificate pass over every triple, and then
@@ -97,11 +97,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from . import instance
 from .errors import AllocationError, InvariantViolation, UnknownItem
 from .instance import NEG_INF, TOLERANCE, Allocation, Instance, _check_structure, float_total
 from .valuations import BundleState
@@ -122,12 +122,6 @@ __all__ = [
 ]
 
 _Swap = Tuple[str, str, str, float]  # (giver, item, taker, log-gain)
-
-# The taker screen's matrix costs some 20-30 us to build, a few dozen taker terms: below this
-# many (participant, item) cells a table builds none (coverage and additive solves up to 6x30
-# ran slower with it, from 8x40 on faster). The deal's screen and the solve's numpy welfare
-# tables and matching ranks (pipeline, matching) take the same size gate, for the same reason.
-SCREEN_MIN_CELLS = 256
 
 
 def swap_bound(size: int, eps_bar: float) -> float:
@@ -206,10 +200,16 @@ class _Gains:
         if not universe <= inst.item_index.keys():
             raise UnknownItem(f"universe items {sorted(universe - inst.item_index.keys())} are not instance items")
         self.universe = inst.sort_items(universe)
-        self._cols = cols = [inst.item_index[j] for j in self.universe]
-        best = inst.singleton_array.take(cols, axis=1).max(axis=1).tolist() if cols else ()
+        single = inst.singleton_array.take([inst.item_index[j] for j in self.universe], axis=1)
+        best = single.max(axis=1).tolist() if self.universe else ()
         self.offset: Dict[str, float] = {a: x for a, x in zip(inst.agents, best) if x > 0.0}
         self.abar: List[str] = list(self.offset)
+        # Each participant's row and each item's position in the screen's singleton block and
+        # bound matrix, and which participants' valuations the bounds hold for.
+        self._row_of = {a: r for r, a in enumerate(self.abar)}
+        self._position = {j: k for k, j in enumerate(self.universe)}
+        self._single = single.take([inst.agent_index[a] for a in self.abar], axis=0)
+        self._capped = np.array([inst.valuation_of(a).exactly_submodular for a in self.abar], dtype=bool)
         held = start or {}
         self.states: Dict[str, BundleState] = {a: inst.valuation_of(a).bundle_state(held.get(a, ())) for a in self.abar}
         self.weight = {a: inst.weight_floats[inst.agent_index[a]] for a in self.abar}
@@ -228,9 +228,9 @@ class _Gains:
         """The search's start: each item of J, in index order, goes to the participant whose taker
         term on the bundles dealt so far is largest, ties to the smallest index (none: no deal).
         Only unsaturated participants are scored, each against the first participant's 0.0: a
-        saturated one's term is 0.0 and no term is below it. A table of at least
-        :data:`SCREEN_MIN_CELLS` (participant, item) cells deals by :meth:`_screened_deal`."""
-        if self.abar and len(self.abar) * len(self.universe) >= SCREEN_MIN_CELLS:
+        saturated one's term is 0.0 and no term is below it. From :data:`~nswfair.instance.SCREEN_MIN_CELLS`
+        (participant, item) cells on, it deals by :meth:`_screened_deal`."""
+        if self.abar and len(self.abar) * len(self.universe) >= instance.SCREEN_MIN_CELLS:
             return self._screened_deal()
         live = self.live()
         for item in self.universe if self.abar else ():
@@ -249,12 +249,11 @@ class _Gains:
         """:meth:`_deal` with each item's terms screened by their caps (see the module docstring):
         the participant of the largest cap is scored first, and one whose cap is at most the best
         term so far less the margin is not scored, as it cannot win."""
-        abar, inst = self.abar, self.inst
+        abar, capped = self.abar, self._capped.tolist()
         # Item-major singletons, +inf for a valuation the caps do not hold for, and per
         # participant vbar(R) and its headroom: -inf once saturated, +inf if not capped.
-        single = inst.singleton_array[np.ix_([inst.agent_index[a] for a in abar], self._cols)].T.copy()
-        capped = [inst.valuation_of(a).exactly_submodular for a in abar]
-        single[:, [not c for c in capped]] = math.inf
+        single = self._single.T.copy()
+        single[:, ~self._capped] = math.inf
         weight, vbar, room = np.array([self.weight[a] for a in abar]), np.empty(len(abar)), np.empty(len(abar))
 
         def refresh(k: int) -> bool:
@@ -331,22 +330,17 @@ class _Gains:
         """The participants whose R is not saturated, in index order."""
         return [a for a in self.abar if not self.current(a)[2]]
 
-    @cached_property
-    def _position(self) -> Dict[str, int]:
-        return {j: k for k, j in enumerate(self.universe)}
-
     def _bound_rows(self, agents: List[str]) -> np.ndarray:
         """B_t(j) for each agent t of ``agents`` (rows) and item j of J (columns): 0.0 where t
         holds j, which it cannot take, and +inf for a valuation not marked
         :attr:`~nswfair.valuations.Valuation.exactly_submodular`."""
-        inst, position = self.inst, self._position
+        at, position = [self._row_of[a] for a in agents], self._position
         cur = [self.current(a) for a in agents]
         vbar = np.array([c[0] for c in cur])[:, None]
         headroom = np.array([c[3] for c in cur])[:, None]
         weight = np.array([self.weight[a] for a in agents])[:, None]
-        single = inst.singleton_array[[inst.agent_index[a] for a in agents]][:, self._cols]
-        rows = weight * np.log1p(np.minimum(single, headroom) / vbar)
-        rows[[not inst.valuation_of(a).exactly_submodular for a in agents]] = math.inf
+        rows = weight * np.log1p(np.minimum(self._single[at], headroom) / vbar)
+        rows[~self._capped[at]] = math.inf
         held = [(r, position[j]) for r, a in enumerate(agents) for j in self.states[a].bundle]
         if held:
             rows[tuple(zip(*held))] = 0.0
@@ -356,16 +350,16 @@ class _Gains:
         """Per item j of J, the largest B_t(j) over the participants t not holding j: every taker
         term of j is at most it, up to rounding (see the module docstring). The matrix of B is
         built on first use; after that only the rows of the agents :meth:`move` changed are
-        rebuilt. A table of fewer than :data:`SCREEN_MIN_CELLS` (participant, item) cells
-        builds none, and every bound is +inf."""
+        rebuilt. A table of fewer than :data:`~nswfair.instance.SCREEN_MIN_CELLS` (participant,
+        item) cells builds none, and every bound is +inf."""
         if self._colmax is None:
-            if len(self.abar) * len(self.universe) < SCREEN_MIN_CELLS:
+            if len(self.abar) * len(self.universe) < instance.SCREEN_MIN_CELLS:
                 self._colmax = dict.fromkeys(self.universe, math.inf)
                 return self._colmax
             if self._bound is None:
                 self._bound = self._bound_rows(self.abar)
             else:
-                self._bound[[self.abar.index(a) for a in self._stale]] = self._bound_rows(self._stale)
+                self._bound[[self._row_of[a] for a in self._stale]] = self._bound_rows(self._stale)
             self._stale = []
             self._colmax = dict(zip(self.universe, self._bound.max(axis=0).tolist()))
         return self._colmax
@@ -390,7 +384,7 @@ class _Gains:
         passes the same test."""
         takes, live = self._take, self.live()
         bounds = self.bounds() if live else {}  # also refreshes the bound matrix's stale rows
-        bound, row_of, col = self._bound, {a: r for r, a in enumerate(self.abar)}, self._position
+        bound, row_of, col = self._bound, self._row_of, self._position
         cutoff = threshold - TOLERANCE
         for giver in self.abar:
             takers = [t for t in live if t != giver]
@@ -465,12 +459,13 @@ def verify_local_opt(table: _Gains, eps_bar: float) -> LocalOptCertificate:
     taker's triples are counted, not scored: their gain is the giver's term plus 0.0, so the
     giver's term itself, <= 0.0, which enters the largest gain as such and never violates. A
     position whose giver's term plus its item's :meth:`_Gains.bounds`, plus the margin, is at
-    most both the threshold and the largest gain so far is counted, not scored: none of its
-    gains can violate or raise the largest gain."""
+    most both the threshold and the largest gain so far is counted, not scored, as is a taker whose
+    own bound passes that test, with no state read: none can violate or raise the largest gain."""
     threshold, checked, best = _threshold(eps_bar), 0, NEG_INF
     violations: List[Tuple[str, str, str]] = []
     live, per_item = table.live(), len(table.abar) - 1
     bounds = table.bounds() if live else {}
+    bound, at, col = table._bound, table._row_of, table._position
     for giver in table.abar:
         takers = [t for t in live if t != giver]
         for item in table.row(giver):
@@ -481,6 +476,8 @@ def verify_local_opt(table: _Gains, eps_bar: float) -> LocalOptCertificate:
             if not takers or give + bounds[item] + TOLERANCE <= min(best, threshold):
                 continue
             for taker in takers:
+                if bound is not None and give + bound.item(at[taker], col[item]) + TOLERANCE <= min(best, threshold):
+                    continue
                 gain = give + table.take(taker, item)
                 best = max(best, gain)
                 if gain > threshold:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nswfair import Additive, Instance, search
+from nswfair import Additive, Instance, instance
 
 import reference_search
 
@@ -48,5 +48,5 @@ def numpy_from(cells):
     ``SCREEN_MIN_CELLS``: the welfare map and the matching ranks, the taker screen and the
     screened deal. 0 gives every table its numpy form, ``math.inf`` none."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search, "SCREEN_MIN_CELLS", cells)
+        patch.setattr(instance, "SCREEN_MIN_CELLS", cells)
         yield

@@ -2,13 +2,15 @@
 
 * ``reference_half_efx_check`` scans every (agent, bundle, item) through ``value()``;
   ``half_efx_check`` skips bundles that monotonicity rules out.
-* ``reference_guarantee_half_efx`` runs the singleton upgrades as a rescan that asks
-  ``value()`` for each agent it visits on every pass; the solver keeps one list of own values.
+* ``reference_guarantee_half_efx`` runs the singleton upgrades as a rescan,
+  ``reference_loose_upgrade``, that asks ``value()`` for each agent it visits on every pass and
+  compares one (agent, item) at a time; the solver keeps one list of own values and compares
+  them with the whole pool in one numpy step.
 * ``reference_envy_cycle_complete`` recomputes the whole n x n table after every rotation and
   for every loose item, where the solver keeps one table in step with the bundles.
 """
 
-from typing import List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from nswfair.efx import _bundles_by_index, envy_cycle_complete, make_fair_or_efficient
 from nswfair.errors import InvariantViolation
@@ -44,16 +46,7 @@ def reference_guarantee_half_efx(inst: Instance, s_alloc: Allocation) -> Tuple[A
     pool = set(inst.items) - set().union(*bundles)
     upgrades = 0
     for _ in range(inst.n * inst.m + 2):
-        upgrade = None
-        loose = inst.sort_items(pool)
-        for i in range(inst.n):
-            own = inst.valuations[i].value(bundles[i])
-            for j in loose:
-                if own < inst.singletons[i][inst.item_index[j]]:
-                    upgrade = (i, j)
-                    break
-            if upgrade:
-                break
+        upgrade = reference_loose_upgrade(inst, lambda i: inst.valuations[i].value(bundles[i]), inst.sort_items(pool))
         if upgrade is None:
             break
         i, j = upgrade
@@ -65,6 +58,17 @@ def reference_guarantee_half_efx(inst: Instance, s_alloc: Allocation) -> Tuple[A
         raise InvariantViolation("singleton upgrades failed to settle")
     staged = Allocation({a: bundles[i] for i, a in enumerate(inst.agents)})
     return envy_cycle_complete(inst, staged, pool), upgrades
+
+
+def reference_loose_upgrade(inst: Instance, own: Callable[[int], float], loose: List[str]) -> Optional[Tuple[int, str]]:
+    """The first (agent i, loose item j), agents then items in order, with own(i) < v_i({j}), or None:
+    one comparison at a time, asking ``own`` for each agent it visits."""
+    for i in range(inst.n):
+        mine = own(i)
+        for j in loose:
+            if mine < inst.singleton_array[i][inst.item_index[j]]:
+                return i, j
+    return None
 
 
 def reference_envy_cycle_complete(inst: Instance, t_alloc: Allocation, unallocated: Set[str]) -> Allocation:
@@ -84,7 +88,7 @@ def reference_envy_cycle_complete(inst: Instance, t_alloc: Allocation, unallocat
     for i in range(n):
         own = inst.valuations[i].value(bundles[i])
         for j in pool:
-            if own < inst.singletons[i][inst.item_index[j]]:
+            if own < inst.singleton_array[i][inst.item_index[j]]:
                 raise ValueError(
                     f"agent {inst.agents[i]!r} values loose item {j!r} above its bundle"
                 )

@@ -18,11 +18,17 @@ from nswfair import (
     make_fair_or_efficient,
     solve_nsw,
 )
+from nswfair.efx import _loose_upgrade
 from nswfair.generate import FAMILIES, random_instance
 from nswfair.valuations import Valuation
 
 from conftest import make_instance
-from reference_efx import reference_envy_cycle_complete, reference_guarantee_half_efx, reference_half_efx_check
+from reference_efx import (
+    reference_envy_cycle_complete,
+    reference_guarantee_half_efx,
+    reference_half_efx_check,
+    reference_loose_upgrade,
+)
 from test_local_search import SquareRootOfSum
 
 
@@ -340,7 +346,7 @@ def test_envy_cycle_value_calls(monkeypatch, loose):
         }
     )
     inst = Instance(base.agents, base.weights, base.items, tuple(map(CountingValuation, base.valuations)))
-    inst.singletons  # the instance's cached table, not part of the count
+    inst.singleton_array  # the instance's cached table, not part of the count
     find_cycle, cycles = efx_mod._find_cycle, []
 
     def recorded(adj):
@@ -422,7 +428,7 @@ def test_singleton_upgrades_call_value_once_per_agent(monkeypatch):
         }
     )
     inst = Instance(base.agents, base.weights, base.items, tuple(map(CountingValuation, base.valuations)))
-    inst.singletons  # the instance's cached table, not part of the count
+    inst.singleton_array  # the instance's cached table, not part of the count
     for v in inst.valuations:
         v.calls = 0
     staged = []
@@ -431,3 +437,24 @@ def test_singleton_upgrades_call_value_once_per_agent(monkeypatch):
     guarantee_half_efx(inst, Allocation.of({"1": ["a"], "2": ["b"], "3": ["c"]}))
     assert staged == [(Allocation.of({"1": ["d"], "2": ["a"], "3": ["e"]}), {"b", "c"})]
     assert [v.calls for v in inst.valuations] == [1, 1, 1]
+
+
+def test_loose_upgrade_matches_the_reference_rescan():
+    # One numpy comparison over the pool's columns finds the (agent, item) the rescan finds one
+    # comparison at a time. Own values are drawn from each agent's own singleton values, so many
+    # are ties, which must not upgrade; some pools are empty.
+    rng, outcomes = random.Random(20261020), set()
+    for family in FAMILIES:
+        for seed in range(40):
+            inst = random_instance(family, rng.randint(1, 5), rng.randint(1, 12), seed)
+            own = [rng.choice([0.0, *row]) for row in inst.singleton_array.tolist()]
+            loose = inst.sort_items(rng.sample(inst.items, rng.randint(0, inst.m)))
+            expected = reference_loose_upgrade(inst, own.__getitem__, loose)
+            assert _loose_upgrade(inst, own, loose) == expected
+            outcomes.add((expected is None, bool(loose)))
+    assert outcomes == {(True, False), (True, True), (False, True)}
+    inst = make_instance({"1": {"a": 2, "b": 1}, "2": {"a": 1, "b": 3}})
+    assert _loose_upgrade(inst, [2.0, 3.0], ["a", "b"]) is None  # own == v_i({j}) is no upgrade
+    assert _loose_upgrade(inst, [2.0, 2.0], ["a", "b"]) == (1, "b")
+    assert _loose_upgrade(inst, [0.5, 0.5], ["b"]) == (0, "b")
+    assert _loose_upgrade(inst, [0.5, 0.5], []) is None

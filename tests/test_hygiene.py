@@ -14,7 +14,10 @@ own definition, so a helper its last caller dropped is deleted with it, and
 so is every method of such a class, unless it overrides a base class's. The
 README's package layout table names each module of the package but
 ``__init__``, and nothing else. No module reads a numpy name that numpy 1.24,
-the oldest ``pyproject.toml`` allows, lacks. The
+the oldest ``pyproject.toml`` allows, lacks, and every ``.py`` file under
+``src``, ``tests`` and ``perfbench`` parses with the grammar of Python 3.10,
+the oldest it allows (a check of syntax, not of library names). The matching
+engine imports nothing from the swap search, which sits above it. The
 package ``__init__`` imports to re-export, and ``__future__`` imports are
 directives, so both are exempt from the import check. A name counts as
 used where the code reads it; quoted annotations are not parsed, and with
@@ -317,3 +320,51 @@ def test_the_numpy_check_sees_every_form():
         "import numpy.linalg\nv = numpy.linalg.vecdot(a, b)\n"
     )
     assert numpy_2_names(tree) == [(2, "isdtype"), (3, "unique_values"), (5, "vecdot"), (8, "vecdot")]
+
+
+SOURCES = sorted(path for folder in ("src", "tests", "perfbench") for path in (ROOT / folder).rglob("*.py"))
+
+
+def newer_than_3_10(source: str):
+    """Where and why ``source`` does not parse with Python 3.10's grammar, or None if it does."""
+    try:
+        ast.parse(source, feature_version=(3, 10))
+    except SyntaxError as exc:
+        return f"line {exc.lineno}: {exc.msg}"
+    return None
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_every_source_parses_as_python_3_10(path):
+    problem = newer_than_3_10(path.read_text(encoding="utf-8"))
+    assert problem is None, f"{path.relative_to(ROOT)}: {problem}; pyproject.toml allows Python 3.10"
+
+
+def test_the_version_check_sees_an_except_star():
+    assert newer_than_3_10("try:\n    pass\nexcept ValueError:\n    pass\n") is None
+    assert "3.11" in newer_than_3_10("try:\n    pass\nexcept* ValueError:\n    pass\n")
+
+
+def package_imports(tree: ast.Module):
+    """The modules of the package the module imports from, relatively or by full name, sorted."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["nswfair", node.module])) if node.level else node.module or ""
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return sorted({name.split(".")[1] for name in names if name.startswith("nswfair.")})
+
+
+def test_matching_imports_nothing_from_search():
+    imported = package_imports(ast.parse((PACKAGE / "matching.py").read_text(encoding="utf-8")))
+    assert "search" not in imported, f"matching.py imports from {imported}"
+
+
+def test_the_package_import_check_sees_every_form():
+    tree = ast.parse(
+        "from . import search\nfrom .instance import NEG_INF\nimport nswfair.oracle\n"
+        "from nswfair.pipeline import solve_nsw\nfrom nswfair import cli\nimport numpy\nfrom math import log\n"
+    )
+    assert package_imports(tree) == ["cli", "instance", "oracle", "pipeline", "search"]

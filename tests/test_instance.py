@@ -203,9 +203,16 @@ def test_singleton_table_equals_value_bit_for_bit(family, mode):
     # The table is read from bundle states; every cell is the float value([j]) gives.
     for n, m, seed in [(3, 9, 0), (12, 120, 11), (20, 200, 1)]:
         inst = random_instance(family, n, m, seed, mode)
-        assert [[x.hex() for x in row] for row in inst.singletons] == [
+        assert [[x.hex() for x in row] for row in inst.singleton_array] == [
             [v.value([j]).hex() for j in inst.items] for v in inst.valuations
         ]
+
+
+def test_singleton_table_is_read_only():
+    # Phase 1, the search, the recheck, the prices and the 1/2-EFX stage share the one table.
+    inst = random_instance("coverage", 3, 9, 0)
+    with pytest.raises(ValueError):
+        inst.singleton_array[0, 0] = 1.0
 
 
 @pytest.mark.parametrize(
@@ -223,4 +230,4 @@ def test_singleton_table_rejects_an_item_outside_a_domain(v):
     # The 1/2-EFX stage reads the table of an instance it does not validate.
     inst = Instance(("x",), (Fraction(1),), ("a", "b", "z"), (v,))
     with pytest.raises(UnknownItem):
-        inst.singletons
+        inst.singleton_array

@@ -29,8 +29,8 @@ from nswfair import (
 )
 from nswfair.valuations import VALUATION_KINDS, BundleState, ExplicitTable, Valuation, _CountState, _SumState
 from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
-from nswfair.instance import TOLERANCE
-from nswfair.search import SCREEN_MIN_CELLS, _Gains, swap_bound
+from nswfair.instance import SCREEN_MIN_CELLS, TOLERANCE
+from nswfair.search import _Gains, swap_bound
 
 from conftest import make_instance, numpy_from
 from reference_search import STARTS, full_restart_search, full_scan, scan, search_start
@@ -433,7 +433,7 @@ def unscreened(patch):
 
 
 # plus reads of the screened recheck in test_one_price_table_per_solve (1,188 unscreened).
-SCREENED_RECHECK_PLUS = 418
+SCREENED_RECHECK_PLUS = 56
 
 
 def test_one_price_table_per_solve(monkeypatch):

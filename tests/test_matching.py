@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import numpy_from
 from reference_matching import reference_assignment
 
-from nswfair import matching, search
+from nswfair import instance, matching
 from nswfair.errors import LemmaViolation
 from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
 from nswfair.instance import NEG_INF
@@ -361,7 +361,7 @@ def phase1_table(inst):
     """The pipeline's phase-1 scores w_i * log v_i({j}), -inf where v_i({j}) = 0."""
     return [
         [wi * math.log(val) if val > 0.0 else NEG_INF for val in row]
-        for wi, row in zip(inst.weight_floats, inst.singletons)
+        for wi, row in zip(inst.weight_floats, inst.singleton_array)
     ]
 
 
@@ -408,7 +408,7 @@ def large_tie_tables(draw):
 @settings(max_examples=60, deadline=None)
 @given(large_tie_tables())
 def test_large_tie_heavy_tables_match_the_unpruned_packing(table):
-    assert len(table) * len(table[0]) >= search.SCREEN_MIN_CELLS == 256
+    assert len(table) * len(table[0]) >= instance.SCREEN_MIN_CELLS == 256
     result = solve_assignment(table)
     reference = reference_assignment(table)
     assert result == solve_both_forms(table)

@@ -31,10 +31,12 @@ from nswfair import (
     verify_local_opt,
 )
 import nswfair.pipeline as pipeline_mod
+from nswfair import oracle
 from nswfair.cli import _checks, _made_fair, _Run
 from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
-from nswfair.instance import welfare_term
+from nswfair.instance import welfare_term, welfare_terms
 from nswfair.search import epsilon_bar, swap_bound
+from nswfair.valuations import ExplicitTable, subset_values
 
 from conftest import make_instance, numpy_from
 from test_golden import CASES, case_id
@@ -266,7 +268,7 @@ def test_one_singleton_table_per_solve(monkeypatch):
     # valuation and with no value() call; phase 1, the search, the recheck and the
     # prices read that table, and a second solve of the same instance fills nothing.
     singles, filled = [], []
-    base_value, fill = Coverage.value, Instance.__dict__["singletons"].func
+    base_value, fill = Coverage.value, Instance.__dict__["singleton_array"].func
 
     def counted_value(self, bundle):
         bundle = frozenset(bundle)
@@ -278,14 +280,14 @@ def test_one_singleton_table_per_solve(monkeypatch):
         return fill(self)
 
     table = cached_property(counted_fill)
-    table.__set_name__(Instance, "singletons")
+    table.__set_name__(Instance, "singleton_array")
     monkeypatch.setattr(Coverage, "value", counted_value)
-    monkeypatch.setattr(Instance, "singletons", table)
+    monkeypatch.setattr(Instance, "singleton_array", table)
     inst = random_instance("coverage", 12, 120, 11)
     first = solve_nsw(inst, 0.1)
     assert first.feasible
     assert len(filled) == 1 and filled[0] is inst and singles == []
-    assert sum(map(len, inst.singletons)) == inst.n * inst.m == 1440
+    assert sum(map(len, inst.singleton_array)) == inst.n * inst.m == 1440
     assert solve_nsw(inst, 0.1).to_json() == first.to_json()
     assert len(filled) == 1 and singles == []
 
@@ -415,9 +417,42 @@ def test_welfare_scores_equal_welfare_term_in_both_forms(values, weight_mode):
     expected = [[welfare_term(w, x).hex() for x in row] for w, row in zip(inst.weight_floats, values.tolist())]
     for cells in (math.inf, 0):
         with numpy_from(cells):
-            table = pipeline_mod._welfare_scores(inst, values)
+            table = welfare_terms(inst.weight_floats, values)
         assert isinstance(table, np.ndarray) == (cells == 0)
         assert [[float(x).hex() for x in row] for row in table] == expected
+
+
+def assert_oracle_terms(inst, numpy_form):
+    """Each agent's 2^m subset values, as the exact oracle maps them: welfare_terms in the given
+    form, and the oracle's own table, give welfare_term of each cell, bit for bit."""
+    for i, (w, v) in enumerate(zip(inst.weight_floats, inst.valuations)):
+        values = subset_values(v, inst.items)
+        expected = [welfare_term(w, x).hex() for x in values.tolist()]
+        table = welfare_terms((w,), values[None])
+        assert isinstance(table, np.ndarray) == numpy_form
+        assert [float(x).hex() for x in table[0]] == expected
+        assert [x.hex() for x in oracle._log_table(inst, i).tolist()] == expected
+
+
+@pytest.mark.parametrize("weight_mode", WEIGHT_MODES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_welfare_terms_equal_welfare_term_on_the_oracles_subset_tables(family, weight_mode):
+    # 2x5 tables have 32 entries, mapped cell by cell; 3x8 tables have 256, mapped in numpy.
+    assert_oracle_terms(random_instance(family, 2, 5, 1, weight_mode), numpy_form=False)
+    assert_oracle_terms(random_instance(family, 3, 8, 2, weight_mode), numpy_form=True)
+
+
+@pytest.mark.parametrize("m", [3, 8])
+def test_welfare_terms_on_a_table_of_zero_subnormal_and_huge_values(m):
+    # An additive table: the empty set is worth 0.0, the second item alone the smallest
+    # subnormal, every set with the first item 1e300.
+    items = [f"g{t}" for t in range(m)]
+    item_values = [1e300, 5e-324, 1e-300, 1e-10, 1.0, 3.0, 1e10, 1e100][:m]
+    sums = [math.fsum(x for t, x in enumerate(item_values) if mask >> t & 1) for mask in range(1 << m)]
+    table = ExplicitTable(items, sums)
+    inst = Instance(("1", "2"), (Fraction(1, 3), Fraction(2, 3)), tuple(items), (table, table))
+    assert {0.0, 5e-324, 1e300} <= set(subset_values(table, items).tolist())
+    assert_oracle_terms(inst, numpy_form=m == 8)
 
 
 @pytest.mark.parametrize("weight_mode", WEIGHT_MODES)
