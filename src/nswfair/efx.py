@@ -10,6 +10,16 @@ welfare), then tops up with singleton upgrades and envy-cycle completion.
 Equal weights are required, since the fairness guarantees hold for
 symmetric weighting only; welfare is :func:`nsw_log`.
 
+:func:`make_fair_or_efficient` first scans its input for a 1/2-EFX witness,
+stopping at the first. With none, every agent has its self-edge in the graph
+(valuations are monotone), the lex matching can only be the identity, and
+the input is returned as it is, without building the graph. Only each
+call's input is scanned, not the bundles of each trim pass. When the input
+is complete, :func:`guarantee_half_efx` then evaluates no own value, since
+there is no loose item to upgrade to: a complete input that is already
+1/2-EFX costs only the scan's ``value()`` calls, n^2 when no agent values
+another bundle at more than twice its own.
+
 :func:`build_feasibility_graph` reads v_i(S_k) and v_i(S_k - j) from one
 bundle state per (agent, bundle) (:meth:`Valuation.bundle_state`), bit for
 bit equal to ``value()``; it skips the items of a bundle worth less than the
@@ -25,7 +35,7 @@ an item handed out is added to one column's states. The independent checker
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Literal, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterator, List, Literal, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -49,11 +59,10 @@ def _bundles_by_index(inst: Instance, alloc: Allocation) -> List[FrozenSet[str]]
     return [alloc.bundle(a) for a in inst.agents]
 
 
-def half_efx_check(inst: Instance, alloc: Allocation) -> List[Tuple[str, str, str]]:
-    """All witnesses (i, k, j) with v_i(S_i) < v_i(S_k - j) / 2; empty means 1/2-EFX. Valuations
+def _half_efx_witnesses(inst: Instance, bundles: Sequence[FrozenSet[str]]) -> Iterator[Tuple[str, str, str]]:
+    """The witnesses (i, k, j) with v_i(S_i) < v_i(S_k - j) / 2, agents, bundles and items in index
+    order, found lazily: a caller that stops at the first one makes no ``value()`` call past it. Valuations
     must be monotone: then v_i(S_k - j) <= v_i(S_k), and a bundle with v_i(S_i) >= v_i(S_k) / 2 is skipped."""
-    bundles = _bundles_by_index(inst, alloc)
-    violations: List[Tuple[str, str, str]] = []
     for i, (agent, v) in enumerate(zip(inst.agents, inst.valuations)):
         own = v.value(bundles[i])
         for k in range(inst.n):
@@ -61,8 +70,13 @@ def half_efx_check(inst: Instance, alloc: Allocation) -> List[Tuple[str, str, st
                 continue
             for j in inst.sort_items(bundles[k]):
                 if own < 0.5 * v.value(bundles[k] - {j}):
-                    violations.append((agent, inst.agents[k], j))
-    return violations
+                    yield agent, inst.agents[k], j
+
+
+def half_efx_check(inst: Instance, alloc: Allocation) -> List[Tuple[str, str, str]]:
+    """All witnesses (i, k, j) with v_i(S_i) < v_i(S_k - j) / 2; empty means 1/2-EFX. Valuations
+    must be monotone (see :func:`_half_efx_witnesses`)."""
+    return list(_half_efx_witnesses(inst, _bundles_by_index(inst, alloc)))
 
 
 @dataclass(frozen=True)
@@ -150,6 +164,21 @@ def make_fair_or_efficient(inst: Instance, t_alloc: Allocation) -> FairnessOutco
     unmatched agent is either trimmed away (when its owner keeps half of
     T_h), or an alternating path reallocation strictly shrinks the support
     while the product welfare cannot drop. Requires equal weights.
+
+    An input with no 1/2-EFX witness (:func:`_half_efx_witnesses`, stopped at
+    the first) is returned as it is, without the graph, the matching or the
+    outcome checks. This is the loop's own answer. Valuations are monotone and
+    nonnegative, so v_i(T_i - j) <= v_i(T_i) <= 2 v_i(T_i): no removal from an
+    agent's own bundle is worth more than twice it, and the scan's skip of a
+    bundle k with v_i(T_i) >= v_i(T_k) / 2 loses no witness. So "no witness"
+    holds exactly when v_i(T_i) >= removal_max / 2 for every agent i, the
+    maximum taken over every bundle, own included: when every agent has its
+    self-edge in the first pass's graph (whose reads equal ``value()`` bit for
+    bit). No bundle is trimmed yet, and
+    :func:`solve_lex_assignment` puts rows kept on their own column above
+    cardinality, so the identity, the one matching with n self-edges, is its
+    unique optimum: the graph path would return T, whose welfare is the
+    input's and which the checker has just passed.
     """
     if not inst.is_symmetric():
         raise ValueError("the fairness guarantee needs equal agent weights")
@@ -159,6 +188,8 @@ def make_fair_or_efficient(inst: Instance, t_alloc: Allocation) -> FairnessOutco
         # Zero welfare on input: the all-empty allocation is trivially 1/2-EFX.
         empty = [frozenset()] * n
         return _outcome(inst, "half_efx", empty, t_alloc)
+    if next(_half_efx_witnesses(inst, t_bundles), None) is None:
+        return FairnessOutcome("half_efx", Allocation(dict(zip(inst.agents, t_bundles))))
     s_bundles: List[FrozenSet[str]] = list(t_bundles)
     for _ in range(m + 2):
         graph = build_feasibility_graph(inst, s_bundles)
@@ -288,7 +319,7 @@ def guarantee_half_efx(inst: Instance, s_alloc: Allocation) -> Allocation:
         raise InvariantViolation("support shrinking failed to reach a fair core")
     bundles = _bundles_by_index(inst, current)
     pool = set(inst.items) - set().union(*bundles)
-    own = [v.value(bundle) for v, bundle in zip(inst.valuations, bundles)]
+    own = [v.value(bundle) for v, bundle in zip(inst.valuations, bundles)] if pool else []
     for _ in range(inst.n * inst.m + 2):
         upgrade = _loose_upgrade(inst, own, inst.sort_items(pool))
         if upgrade is None:

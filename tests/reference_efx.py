@@ -1,5 +1,7 @@
 """Plain references for the 1/2-EFX stage, which ``tests/test_efx.py`` checks the solver against.
 
+* ``reference_make_fair_or_efficient`` always builds the feasibility graph and matches on it, also
+  on an input that is already 1/2-EFX; ``make_fair_or_efficient`` returns such an input as it is.
 * ``reference_half_efx_check`` scans every (agent, bundle, item) through ``value()``;
   ``half_efx_check`` skips bundles that monotonicity rules out.
 * ``reference_guarantee_half_efx`` runs the singleton upgrades as a rescan,
@@ -10,11 +12,57 @@
   for every loose item, where the solver keeps one table in step with the bundles.
 """
 
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, FrozenSet, List, Optional, Set, Tuple
 
-from nswfair.efx import _bundles_by_index, envy_cycle_complete, make_fair_or_efficient
+from nswfair.efx import (
+    FairnessOutcome,
+    _bundles_by_index,
+    _outcome,
+    build_feasibility_graph,
+    envy_cycle_complete,
+    make_fair_or_efficient,
+)
 from nswfair.errors import InvariantViolation
 from nswfair.instance import Allocation, Instance
+from nswfair.matching import solve_lex_assignment
+
+
+def reference_make_fair_or_efficient(inst: Instance, t_alloc: Allocation) -> FairnessOutcome:
+    """One pass of trim-then-match over partial allocation T, the graph built on every pass."""
+    if not inst.is_symmetric():
+        raise ValueError("the fairness guarantee needs equal agent weights")
+    t_bundles = _bundles_by_index(inst, t_alloc)
+    n, m = inst.n, inst.m
+    if any(not b for b in t_bundles):
+        return _outcome(inst, "half_efx", [frozenset()] * n, t_alloc)
+    s_bundles: List[FrozenSet[str]] = list(t_bundles)
+    for _ in range(m + 2):
+        graph = build_feasibility_graph(inst, s_bundles)
+        trimmed = {k for k in range(n) if s_bundles[k] < t_bundles[k]}
+        rho = solve_lex_assignment(n_rows=n, n_cols=n, edges=set(graph.edges), must_match=trimmed)
+        if all(c is not None for c in rho):
+            return _outcome(inst, "half_efx", [s_bundles[rho[i]] for i in range(n)], t_alloc)
+        first_unmatched = next(i for i in range(n) if rho[i] is None)
+        best = graph.best_removal[first_unmatched]
+        if best is None:
+            raise InvariantViolation("no agent holds an item while one agent is unmatched")
+        h, g_h, _ = best
+        v_h = inst.valuations[h]
+        if v_h.value(s_bundles[h] - {g_h}) >= 0.5 * v_h.value(t_bundles[h]):
+            s_bundles[h] = s_bundles[h] - {g_h}
+            continue
+        rho_inv = {c: i for i, c in enumerate(rho) if c is not None}
+        path = [first_unmatched]
+        while path[-1] != h and path[-1] in rho_inv:
+            path.append(rho_inv[path[-1]])
+        result = list(t_bundles)
+        result[first_unmatched] = s_bundles[h] - {g_h}
+        for f in range(1, len(path)):
+            result[path[f]] = s_bundles[path[f - 1]]
+        if path[-1] != h:
+            result[h] = t_bundles[h] - (s_bundles[h] - {g_h})
+        return _outcome(inst, "support_shrunk", result, t_alloc)
+    raise InvariantViolation("trim loop ran past the item count")
 
 
 def reference_half_efx_check(inst: Instance, alloc: Allocation) -> List[Tuple[str, str, str]]:

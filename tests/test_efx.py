@@ -27,6 +27,7 @@ from reference_efx import (
     reference_envy_cycle_complete,
     reference_guarantee_half_efx,
     reference_half_efx_check,
+    reference_make_fair_or_efficient,
     reference_loose_upgrade,
 )
 from test_local_search import SquareRootOfSum
@@ -216,9 +217,11 @@ def test_fairness_outcomes_hold_on_random_partials():
 
 
 def test_outcome_contract_raises_on_a_failed_checker(e1, monkeypatch):
-    # The contract is a real check, not an assert, so it holds under python -O.
+    # The contract is a real check, not an assert, so it holds under python -O. The balanced split
+    # has no witness, so the scan is patched to report one and send it down the graph path.
     import nswfair.efx as efx_mod
 
+    monkeypatch.setattr(efx_mod, "_half_efx_witnesses", lambda inst, bundles: iter([("2", "1", "a")]))
     monkeypatch.setattr(efx_mod, "half_efx_check", lambda inst, alloc: [("2", "1", "a")])
     with pytest.raises(LemmaViolation, match="fails the checker"):
         make_fair_or_efficient(e1, Allocation.of({"1": ["a", "d"], "2": ["b", "c"]}))
@@ -262,9 +265,9 @@ def reference_best_removal(inst, bundles):
     return tuple(removals)
 
 
-def test_state_reads_match_value_reads_on_random_partials():
-    # The random partial allocations of acceptance criterion 7, then square roots of additive
-    # valuations, which have no state of their own.
+def _state_read_cases():
+    """(instance, allocation) pairs: the random partial allocations of acceptance criterion 7, then
+    square roots of additive valuations, which have no state of their own."""
     rng = random.Random(20260814)
     cases = []
     for t in range(1000):
@@ -278,13 +281,95 @@ def test_state_reads_match_value_reads_on_random_partials():
         cases.append((inst, [rng.randrange(inst.n + 1) for _ in inst.items]))
     for inst, picks in cases:
         bundles = [frozenset(j for j, p in zip(inst.items, picks) if p == i) for i in range(inst.n)]
+        yield inst, Allocation({a: b for a, b in zip(inst.agents, bundles)})
+
+
+def test_state_reads_match_value_reads_on_random_partials():
+    for inst, alloc in _state_read_cases():
+        bundles = [alloc.bundle(a) for a in inst.agents]
         reference = Instance(inst.agents, inst.weights, inst.items, tuple(map(ValueOnly, inst.valuations)))
         if all(bundles):
             graph = build_feasibility_graph(inst, bundles)
             assert graph.edges == reference_edges(inst, bundles)
             assert graph.best_removal == reference_best_removal(inst, bundles)
-        alloc = Allocation({a: b for a, b in zip(inst.agents, bundles)})
         assert make_fair_or_efficient(inst, alloc) == make_fair_or_efficient(reference, alloc)
+
+
+def _lopsided(inst):
+    """Agents 1..n-1 hold one item each, the first n - 1 items; agent 0 holds the rest."""
+    held = {a: [inst.items[k - 1]] for k, a in enumerate(inst.agents) if k}
+    return Allocation.of({inst.agents[0]: inst.items[inst.n - 1 :], **held})
+
+
+def _round_robin(inst):
+    return Allocation.of({a: inst.items[k :: inst.n] for k, a in enumerate(inst.agents)})
+
+
+def test_fair_or_efficient_matches_the_always_graph_reference():
+    # An input with no witness skips the graph, the matching and the outcome checks; the reference
+    # always runs them. Every pass of the stage's loop is compared: on both sets of random partials,
+    # on solver outputs, and on round-robin and lopsided starts.
+    starts = [*_state_read_cases(), *_random_partials(400, 20261018)]
+    for family, (n, m), seed in itertools.product(FAMILIES, [(3, 8), (12, 120), (20, 200)], (1, 2)):
+        inst = random_instance(family, n, m, seed)
+        starts.append((inst, solve_nsw(inst, 0.1).allocation))
+        if n < 20 and seed == 1:
+            starts += [(inst, _round_robin(inst)), (inst, _lopsided(inst))]
+    runs = {"empty bundle": 0, "fair input": 0, "graph path": 0}
+    for inst, current in starts:
+        for _ in range(inst.m + 2):
+            outcome = make_fair_or_efficient(inst, current)
+            assert outcome == reference_make_fair_or_efficient(inst, current)
+            if not all(current.bundle(a) for a in inst.agents):
+                runs["empty bundle"] += 1
+            else:
+                runs["graph path" if half_efx_check(inst, current) else "fair input"] += 1
+            current = outcome.allocation
+            if outcome.tag == "half_efx":
+                break
+    # 1,583 stage runs; the counts show that both sides of the shortcut are compared
+    assert runs == {"empty bundle": 718, "fair input": 603, "graph path": 262}
+
+
+def test_fair_solver_output_skips_the_graph(monkeypatch):
+    # Coverage 12x120 seed 1: the solver's allocation is complete and 1/2-EFX, so the stage scans it
+    # once (n^2 value() calls: each agent's own bundle and every other bundle, none worth more than
+    # twice the own) and returns it, with no graph, matching, outcome check or own value.
+    import nswfair.efx as efx_mod
+
+    base = random_instance("coverage", 12, 120, 1)
+    alloc = solve_nsw(base, 0.1).allocation
+    inst = Instance(base.agents, base.weights, base.items, tuple(map(CountingValuation, base.valuations)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the graph path ran on a 1/2-EFX input")
+
+    for name in ("build_feasibility_graph", "solve_lex_assignment", "_outcome"):
+        monkeypatch.setattr(efx_mod, name, forbidden)
+    assert guarantee_half_efx(inst, alloc) == alloc
+    assert sum(v.calls for v in inst.valuations) == 12 * 12
+
+
+def test_witness_scan_stops_at_the_first_witness(monkeypatch):
+    # On a lopsided partition-matroid 40x400 start the first witness is agent a3's, after 123
+    # value() calls: 40 each for agents 0-2, whose bundles are worth at least half of every other
+    # (ranks cap agent 0's), then a3's own bundle, bundle 0 and its first removal. The full
+    # half_efx_check there makes 10,264. The pass then goes on to build the graph.
+    import nswfair.efx as efx_mod
+
+    base = random_instance("partition_matroid_rank", 40, 400, 1)
+    inst = Instance(base.agents, base.weights, base.items, tuple(map(CountingValuation, base.valuations)))
+
+    class GraphReached(Exception):
+        pass
+
+    def reached(inst, bundles):
+        raise GraphReached
+
+    monkeypatch.setattr(efx_mod, "build_feasibility_graph", reached)
+    with pytest.raises(GraphReached):
+        make_fair_or_efficient(inst, _lopsided(inst))
+    assert sum(v.calls for v in inst.valuations) == 123
 
 
 SWEEP_SIZES = [(2, 5), (3, 8), (4, 12), (5, 20), (10, 100), (20, 200)]
