@@ -13,11 +13,11 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .instance import Instance
-from .valuations import Additive, BudgetAdditive, Coverage, PartitionMatroidRank, Valuation
+from .valuations import EXACT_FAMILIES, Additive, BudgetAdditive, Coverage, PartitionMatroidRank, Valuation
 
 __all__ = ["FAMILIES", "WEIGHT_MODES", "random_instance"]
 
-FAMILIES = ("additive", "budget_additive", "coverage", "partition_matroid_rank")
+FAMILIES = tuple(cls.kind for cls in EXACT_FAMILIES)
 WEIGHT_MODES = ("symmetric", "random_rational")
 # Largest n * m generated: a coverage instance takes about 433 bytes a cell, so 0.45 GB here.
 MAX_CELLS = 10**6

@@ -210,6 +210,10 @@ class Allocation:
         agents = set(self.bundles) | set(other.bundles)
         return all(self.bundle(a) == other.bundle(a) for a in agents)
 
+    def __hash__(self) -> int:
+        # Over the non-empty bundles: equal allocations may differ in the empty ones they list.
+        return hash(frozenset((a, frozenset(b)) for a, b in self.bundles.items() if b))
+
 
 def _check_structure(inst: Instance, alloc: Allocation) -> None:
     seen: Dict[str, str] = {}

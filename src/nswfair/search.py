@@ -66,11 +66,10 @@ same sum plus the margin is at most both the threshold and the largest gain so
 far, so its record keeps the same violations, count and largest gain. The margin
 covers the rounding of a taker term's two logs, each of a finite vbar, so below
 710 and off by about 1e-13 at most, against its bound's one ``log1p``, below
-log 2. The bound holds for the floats of the four generator families, which set
-:attr:`~nswfair.valuations.Valuation.exactly_submodular`, and for them the
-recheck's verdict rests on their submodularity. Every other valuation, a table
-(which admits a slack) or a subclass included, gets a bound of +inf and is never
-screened.
+log 2. The bound holds for the floats of the four generator families,
+:data:`~nswfair.valuations.EXACT_FAMILIES`, and for them the recheck's verdict
+rests on their submodularity. Every other valuation, a table (which admits a
+slack) or a subclass included, gets a bound of +inf and is never screened.
 
 The deal screens by the same bound with its log taken out: as log1p(x) <= x,
 
@@ -101,7 +100,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from . import instance
+from . import instance, valuations
 from .errors import AllocationError, InvariantViolation, UnknownItem
 from .instance import NEG_INF, TOLERANCE, Allocation, Instance, _check_structure, float_total
 from .valuations import BundleState
@@ -191,7 +190,9 @@ class _Gains:
     saturated when v(R) equals it, from the read that gives vbar(R) and for as long as that read is
     memoised; :meth:`live` lists the participants not flagged, the only takers the deal, the walks
     and the recheck score. :meth:`bounds` caps each item's taker terms for the walks' and the
-    recheck's screen. Change a bundle only through :meth:`move`, which keeps the memo in step.
+    recheck's screen, if ``screened``: the table has :data:`~nswfair.instance.SCREEN_MIN_CELLS`
+    (participant, item) cells or more. Change a bundle only through :meth:`move`, which keeps the
+    memo in step.
     """
 
     def __init__(self, inst: Instance, universe: Iterable[str], start: Optional[Mapping[str, Iterable[str]]] = None):
@@ -204,12 +205,14 @@ class _Gains:
         best = single.max(axis=1).tolist() if self.universe else ()
         self.offset: Dict[str, float] = {a: x for a, x in zip(inst.agents, best) if x > 0.0}
         self.abar: List[str] = list(self.offset)
-        # Each participant's row and each item's position in the screen's singleton block and
-        # bound matrix, and which participants' valuations the bounds hold for.
+        # Each participant's row and each item's position in the bound matrix, and for a screened
+        # table the participants' singleton block and which of their valuations the bounds hold for.
         self._row_of = {a: r for r, a in enumerate(self.abar)}
         self._position = {j: k for k, j in enumerate(self.universe)}
-        self._single = single.take([inst.agent_index[a] for a in self.abar], axis=0)
-        self._capped = np.array([inst.valuation_of(a).exactly_submodular for a in self.abar], dtype=bool)
+        self.screened = bool(self.abar) and len(self.abar) * len(self.universe) >= instance.SCREEN_MIN_CELLS
+        if self.screened:
+            self._single = single.take([inst.agent_index[a] for a in self.abar], axis=0)
+            self._capped = np.array([type(inst.valuation_of(a)) in valuations.EXACT_FAMILIES for a in self.abar])
         held = start or {}
         self.states: Dict[str, BundleState] = {a: inst.valuation_of(a).bundle_state(held.get(a, ())) for a in self.abar}
         self.weight = {a: inst.weight_floats[inst.agent_index[a]] for a in self.abar}
@@ -220,7 +223,7 @@ class _Gains:
         self._take: Dict[str, Dict[str, float]] = {a: {} for a in self.abar}
         self._bound: Optional[np.ndarray] = None
         self._stale: List[str] = []
-        self._colmax: Optional[Dict[str, float]] = None
+        self._colmax: Optional[Dict[str, float]] = None if self.screened else dict.fromkeys(self.universe, math.inf)
         if start is None:
             self._deal()
 
@@ -228,9 +231,9 @@ class _Gains:
         """The search's start: each item of J, in index order, goes to the participant whose taker
         term on the bundles dealt so far is largest, ties to the smallest index (none: no deal).
         Only unsaturated participants are scored, each against the first participant's 0.0: a
-        saturated one's term is 0.0 and no term is below it. From :data:`~nswfair.instance.SCREEN_MIN_CELLS`
-        (participant, item) cells on, it deals by :meth:`_screened_deal`."""
-        if self.abar and len(self.abar) * len(self.universe) >= instance.SCREEN_MIN_CELLS:
+        saturated one's term is 0.0 and no term is below it. A screened table deals by
+        :meth:`_screened_deal`."""
+        if self.screened:
             return self._screened_deal()
         live = self.live()
         for item in self.universe if self.abar else ():
@@ -332,8 +335,8 @@ class _Gains:
 
     def _bound_rows(self, agents: List[str]) -> np.ndarray:
         """B_t(j) for each agent t of ``agents`` (rows) and item j of J (columns): 0.0 where t
-        holds j, which it cannot take, and +inf for a valuation not marked
-        :attr:`~nswfair.valuations.Valuation.exactly_submodular`."""
+        holds j, which it cannot take, and +inf for a valuation outside
+        :data:`~nswfair.valuations.EXACT_FAMILIES`."""
         at, position = [self._row_of[a] for a in agents], self._position
         cur = [self.current(a) for a in agents]
         vbar = np.array([c[0] for c in cur])[:, None]
@@ -350,12 +353,8 @@ class _Gains:
         """Per item j of J, the largest B_t(j) over the participants t not holding j: every taker
         term of j is at most it, up to rounding (see the module docstring). The matrix of B is
         built on first use; after that only the rows of the agents :meth:`move` changed are
-        rebuilt. A table of fewer than :data:`~nswfair.instance.SCREEN_MIN_CELLS` (participant,
-        item) cells builds none, and every bound is +inf."""
+        rebuilt. A table that is not screened builds none, and every bound is +inf."""
         if self._colmax is None:
-            if len(self.abar) * len(self.universe) < instance.SCREEN_MIN_CELLS:
-                self._colmax = dict.fromkeys(self.universe, math.inf)
-                return self._colmax
             if self._bound is None:
                 self._bound = self._bound_rows(self.abar)
             else:

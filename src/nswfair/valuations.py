@@ -49,6 +49,7 @@ __all__ = [
     "Coverage",
     "PartitionMatroidRank",
     "ExplicitTable",
+    "EXACT_FAMILIES",
     "VALUATION_KINDS",
     "valuation_from_params",
     "StructureViolation",
@@ -88,15 +89,6 @@ class Valuation:
     exactly 0.0 from any item."""
 
     kind: str = "abstract"
-    #: True when v(R + j) - v(R) <= v({j}) holds for the floats :meth:`value` returns, up to
-    #: their rounding: the swap search then bounds a taker's term by its singleton value. Only
-    #: a class that sets it in its own body has it; a subclass, which may override
-    #: :meth:`value`, reads False until it sets it itself.
-    exactly_submodular: bool = False
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls.exactly_submodular = vars(cls).get("exactly_submodular", False)
 
     @property
     def items(self) -> FrozenSet[str]:
@@ -212,12 +204,10 @@ class _SumState(BundleState):
 
 class Additive(_Sum):
     kind = "additive"
-    exactly_submodular = True
 
 
 class BudgetAdditive(_Sum):
     kind = "budget_additive"
-    exactly_submodular = True
 
     def __init__(self, values: Mapping[str, float], cap: float):
         super().__init__(values)
@@ -229,7 +219,6 @@ class BudgetAdditive(_Sum):
 
 class Coverage(Valuation):
     kind = "coverage"
-    exactly_submodular = True
 
     def __init__(self, covers: Mapping[str, Iterable[str]], element_weights: Mapping[str, float]):
         self._weights = {str(k): as_number(v, f"weight of element {k!r}") for k, v in element_weights.items()}
@@ -263,7 +252,6 @@ class Coverage(Valuation):
 
 class PartitionMatroidRank(Valuation):
     kind = "partition_matroid_rank"
-    exactly_submodular = True
 
     def __init__(self, classes: Mapping[str, str], capacities: Mapping[str, int], scale: float = 1.0):
         self._classes = {str(k): str(v) for k, v in classes.items()}
@@ -397,9 +385,12 @@ class ExplicitTable(Valuation):
         return {"order": list(self._order), "values": [float(v) for v in self._values]}
 
 
-VALUATION_KINDS = {
-    cls.kind: cls for cls in (Additive, BudgetAdditive, Coverage, PartitionMatroidRank, ExplicitTable)
-}
+#: The four generator families. Their floats keep v(R + j) - v(R) <= v({j}) up to rounding, so
+#: the swap search screens their takers, and their subset tables have a closed form. Both hold
+#: only for a valuation whose type is one of these: a subclass may override :meth:`Valuation.value`.
+#: Read it through this module, so that one patch of it switches both off.
+EXACT_FAMILIES = (Additive, BudgetAdditive, Coverage, PartitionMatroidRank)
+VALUATION_KINDS = {cls.kind: cls for cls in EXACT_FAMILIES + (ExplicitTable,)}
 
 
 def valuation_from_params(kind: str, params: Mapping) -> Valuation:
@@ -446,8 +437,8 @@ _BLOCK = 1 << 16  # most masks one capped term is built for at a time
 
 
 def _exact_table(v: Valuation, items: Sequence[str]) -> Optional[np.ndarray]:
-    """:func:`subset_values` in closed form for the four generator families; None for any other
-    valuation, or when the bound below fails and the walk must answer.
+    """:func:`subset_values` in closed form for the four generator families, :data:`EXACT_FAMILIES`;
+    None for any other valuation, or when the bound below fails and the walk must answer.
 
     v(S) = T(S) / q, T(S) the states' exact int (:func:`exact_ints`): sum_t x_t over the items
     of S for a sum, sum_e w_e * min(c_e, |S ∩ H_e|) for the counts, H_e the holders of e among
@@ -460,10 +451,12 @@ def _exact_table(v: Valuation, items: Sequence[str]) -> Optional[np.ndarray]:
     operands, the float the state's int / int gives, a subnormal one included. The budget cap
     is then np.minimum(table, cap). Past either bound (huge ints, or decimal or tiny values,
     where q reaches 2^1074) it returns None."""
-    if type(v) in (Additive, BudgetAdditive):
+    if type(v) not in EXACT_FAMILIES:
+        return None
+    if isinstance(v, _Sum):
         (ints, q), cap = v._exact, v._cap
         steps, capped = [ints[j] for j in items], []
-    elif type(v) in (Coverage, PartitionMatroidRank):
+    else:
         holds, (ints, q), caps = v._counts
         holders: Dict[str, int] = defaultdict(int)
         for t, j in enumerate(items):
@@ -472,8 +465,6 @@ def _exact_table(v: Valuation, items: Sequence[str]) -> Optional[np.ndarray]:
         over = {e: h for e, h in holders.items() if h.bit_count() > caps[e]}
         steps = [sum(ints[e] for e in holds[j] if e not in over) for j in items]
         capped, cap = [(ints[e], caps[e], h) for e, h in over.items()], math.inf
-    else:
-        return None
     if q > 2**1023 or sum(steps) + sum(w * c for w, c, _ in capped) >= 2**53:
         return None
     out = np.zeros(1 << len(items))

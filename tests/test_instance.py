@@ -185,6 +185,14 @@ def test_allocation_missing_agents_hold_empty(e1):
     assert alloc == Allocation.of({"1": ["a"], "2": []})
 
 
+def test_equal_allocations_hash_alike():
+    # An empty bundle listed or left out makes no difference to equality, so none to the hash.
+    alloc, listed = Allocation.of({"1": ["a"]}), Allocation.of({"2": [], "1": ["a"]})
+    assert hash(alloc) == hash(listed)
+    assert len({alloc, listed}) == 1
+    assert len({alloc, Allocation.of({"1": ["b"]}), Allocation.of({"2": ["a"]})}) == 3
+
+
 def test_argmax_invariant_under_scaling():
     # Scaling one agent's valuation shifts every complete allocation's score
     # equally, so the brute-force argmax cannot move.

@@ -27,6 +27,7 @@ from nswfair import (
     solve_nsw,
     verify_local_opt,
 )
+import nswfair.valuations as valuations_module
 from nswfair.valuations import VALUATION_KINDS, BundleState, ExplicitTable, Valuation, _CountState, _SumState
 from nswfair.generate import FAMILIES, WEIGHT_MODES, random_instance
 from nswfair.instance import SCREEN_MIN_CELLS, TOLERANCE
@@ -427,9 +428,9 @@ def test_search_oracle_calls_per_swap_stay_memoised(monkeypatch):
 
 
 def unscreened(patch):
-    """Switch the search's taker screen off: no family is marked exactly submodular."""
-    for cls in VALUATION_KINDS.values():
-        patch.setattr(cls, "exactly_submodular", False)
+    """Switch the search's taker screen off: no valuation is of an exact family. Subset tables
+    then take the Gray-code walk, which gives the same floats."""
+    patch.setattr(valuations_module, "EXACT_FAMILIES", ())
 
 
 # plus reads of the screened recheck in test_one_price_table_per_solve (1,188 unscreened).
@@ -968,16 +969,23 @@ def test_tables_and_user_valuations_are_never_screened():
     # ExplicitTable admits submodularity violations up to its slack, and any other valuation,
     # a subclass of a family included, promises only monotonicity: each gets a bound row of
     # +inf, so every item it could take keeps an infinite bound and no position is skipped.
+    # A class attribute claiming exact submodularity changes nothing: only the four exact
+    # families are screened.
     class Subclass(Coverage):
         pass
 
-    assert not any(cls.exactly_submodular for cls in (ExplicitTable, SquareRootOfSum, Subclass))
+    class Claimed(SquareRootOfSum):
+        exactly_submodular = True
+
+    users = (ExplicitTable, SquareRootOfSum, Subclass, Claimed)
+    assert not set(users) & set(valuations_module.EXACT_FAMILIES)
     base = random_instance("coverage", 3, 8, 1)
     rooted = tuple(SquareRootOfSum(v) for v in base.valuations)
     subclassed = tuple(Subclass(**v.params()) for v in base.valuations)
+    claimed = tuple(Claimed(v) for v in base.valuations)
     dealt = {a: base.items[i::3] for i, a in enumerate(base.agents)}
     with screen_everywhere():
-        for valuations in (table_instance(1, "symmetric").valuations, rooted, subclassed):
+        for valuations in (table_instance(1, "symmetric").valuations, rooted, subclassed, claimed):
             inst = Instance(base.agents, base.weights, base.items, valuations)
             assert set(certificate_table(inst, dealt).bounds().values()) == {math.inf}
         # One table among coverage agents: its own items are bounded by the others' rows, every
