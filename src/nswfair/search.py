@@ -490,17 +490,14 @@ class PriceVector:
 
     Asymmetric variant: p_j = w_i * log(vbar_i(R_i) / vbar_i(R_i - j)), caps w_i and in total 1.
     Symmetric variant:  p_j = vbar_i(R_i) / vbar_i(R_i - j) - 1, caps 1 and in total the agent count.
-    ``budgets`` maps each participating agent, in index order, to the bundle
-    it was priced on and its cap; ``total_cap`` caps their spending together.
+    ``budgets`` maps each participating agent, in index order, to its row (the items it
+    was priced on, in index order) and its cap; ``total_cap`` caps their spending together.
     """
 
     variant: str
     values: Dict[str, float]
-    budgets: Dict[str, Tuple[FrozenSet[str], float]]
+    budgets: Dict[str, Tuple[Tuple[str, ...], float]]
     total_cap: float
-
-    def total(self, items: Iterable[str]) -> float:
-        return float_total(self.values[j] for j in sorted(items))
 
 
 def prices(table: _Gains) -> Tuple[PriceVector, PriceVector]:
@@ -511,13 +508,13 @@ def prices(table: _Gains) -> Tuple[PriceVector, PriceVector]:
     symmetric = PriceVector("symmetric", {}, {}, float(len(table.abar)))
     for agent in table.abar:
         with_item, log_with = table.current(agent)[:2]
-        for item in table.row(agent):
+        row = tuple(table.row(agent))
+        for item in row:
             without, log_without = table.removed(agent, item)
             asymmetric.values[item] = table.weight[agent] * (log_with - log_without)
             symmetric.values[item] = with_item / without - 1.0
-        bundle = frozenset(table.states[agent].bundle)
-        asymmetric.budgets[agent] = (bundle, table.weight[agent])
-        symmetric.budgets[agent] = (bundle, 1.0)
+        asymmetric.budgets[agent] = (row, table.weight[agent])
+        symmetric.budgets[agent] = (row, 1.0)
     return asymmetric, symmetric
 
 
@@ -542,12 +539,12 @@ class SpendingReport:
 def check_spending(price_vector: PriceVector) -> SpendingReport:
     """Spending of each participating agent, and of all together, against the caps
     ``price_vector`` records, those local optimality implies. The sums come from
-    ``price_vector`` alone, with no valuation call; the report records the
-    figures and :meth:`SpendingReport.within_caps` judges them.
+    ``price_vector`` alone, with no valuation call, each a :func:`~nswfair.instance.float_total`
+    in index order: an agent's over its row, the whole over the agents. The report records
+    the figures and :meth:`SpendingReport.within_caps` judges them.
     """
-    per_agent = {
-        agent: (price_vector.total(bundle), cap) for agent, (bundle, cap) in price_vector.budgets.items()
-    }
+    values = price_vector.values
+    per_agent = {a: (float_total(values[j] for j in row), cap) for a, (row, cap) in price_vector.budgets.items()}
     return SpendingReport(
         variant=price_vector.variant,
         per_agent=per_agent,

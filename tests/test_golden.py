@@ -45,11 +45,11 @@ CASES += [("budget_additive", "symmetric", 20, 200, 1)]
 
 GOLDEN = {
     "additive-symmetric-3x8-s1000": "e252ca239111b69331fe02c01daffc63552c8e6b0a5fa7e3e8aa645c6039828e",
-    "additive-symmetric-6x40-s1001": "7bf43ecf34d10a1c867137df251e50b873d805ae67cfd2369cd2a9d6191011c6",
-    "additive-symmetric-12x120-s1002": "d08bda81a8da2201472dc9ebaa29d738606c088aa69a438e74033e9abad6c14d",
+    "additive-symmetric-6x40-s1001": "02c64ad072d3229a1bba2cba2d93e69d92c44f6a91ad3ec432a459fccea548c9",
+    "additive-symmetric-12x120-s1002": "d1c18eeec8cb9291e5dbc67a46ed708cc8f428dcf724bf19d34261f957b1c87c",
     "additive-random_rational-3x8-s1005": "f406a083ea4110ddb4c5f8945619602a2089d89d483fa77c21737b858aac5d0e",
-    "additive-random_rational-6x40-s1006": "fc56ffd3c8bc7d840f6edbee7a81e666a2c56bc8f714df265a11652435cb5fc4",
-    "additive-random_rational-12x120-s1007": "7776954f20eab83e482370bdc1311ca4dc4e8af98a961d20826654037ba971d1",
+    "additive-random_rational-6x40-s1006": "7887762290bfa20489f9cfcbe48eedebc1da4319607bb3bbe6d01f76bcd2aade",
+    "additive-random_rational-12x120-s1007": "971f97e04f2290c5c1e74bfd5119921851370cda98279017618cb61006f288f4",
     "budget_additive-symmetric-3x8-s1010": "a1e7ffdd022129185f9f37c8634cfa3f1329a4699963aa0808456174a90f1b47",
     "budget_additive-symmetric-6x40-s1011": "0b6d8808bff95c236aaf651ccdaba2cc95ed255df43a7f83942e12a525b029e2",
     "budget_additive-symmetric-12x120-s1012": "101ab43103919a5d218ae6634aa442bd408dbdd6ffe21cb43b7728d6062fd0e4",
@@ -57,11 +57,11 @@ GOLDEN = {
     "budget_additive-random_rational-6x40-s1016": "f9a9e5196e616a1ee0d5d6c8f6b0effd1e29c9e54b205129992a47e1ad008485",
     "budget_additive-random_rational-12x120-s1017": "8bb09f6957ddf000fd9f104f90bedfb09f9d341795f7fe9d35608bfb75c002a1",
     "coverage-symmetric-3x8-s1020": "62552d960c8479ceef7a8d9f47d501337ef07f7456e411106d90de26a8e6b69e",
-    "coverage-symmetric-6x40-s1021": "39f6ce871a67e7b9b12b00d606f03c7c9316cec8c4868fadcacbb5665f67f55e",
-    "coverage-symmetric-12x120-s1022": "0688f1121cc936e0054a208832634bba416b044a117d5ecdce976df656116e16",
+    "coverage-symmetric-6x40-s1021": "8cf6e5fbade15af7045d81917992b195aff7a6ea69892e39d84c63dc7a9140e1",
+    "coverage-symmetric-12x120-s1022": "1ecf857aec0a3c242810762e65a99bca530a7cf18d873bbc5e5d343198dad05d",
     "coverage-random_rational-3x8-s1025": "d4c7ef96c5d44427cc4a87ec1025c0e1e2a1aa5bcfc8877807b953df96a51a17",
-    "coverage-random_rational-6x40-s1026": "94c35bc99986d4dcfb822c2005204480d722de53342b073779da8301db59bc5d",
-    "coverage-random_rational-12x120-s1027": "1166b6c3476f13445d6169cfc616e0c8baf3202f444ca9933ae122553026c007",
+    "coverage-random_rational-6x40-s1026": "366f08cdc84d3f402a069351bf292a0a3aea928d53ba8ffe3052f5bc17483616",
+    "coverage-random_rational-12x120-s1027": "218afa7b5576b06c1e8cf2001bf44bfea1ddf87118ea5fc99bd5448c0ea83498",
     "partition_matroid_rank-symmetric-3x8-s1030": "503ab11215c10c57efd45ae10c935385c4b306897d7edb5608ff315db070e6ad",
     "partition_matroid_rank-symmetric-6x40-s1031": "f244dd991372de1835adf427d0966631acc13e3984582fe5509cd6597c2c3e0c",
     "partition_matroid_rank-symmetric-12x120-s1032": "61ee87f8f2db22ebdc6e1e0e57d52e40d3292339c82f5a082a1a777984102c37",
@@ -78,11 +78,11 @@ GOLDEN = {
 
 COLD_GOLDEN = {
     "additive-symmetric-3x8-s1000": "44f002d1aea63c5896ca23c4c8afb2e759971f293e59f3b3aee935046615b24e",
-    "additive-symmetric-6x40-s1001": "013eb8be03051b31d4c0fba520f9e0d29b1d02aba59ceea42406decbe4f77571",
-    "additive-symmetric-12x120-s1002": "aff1283797e74150dbb4d3fa8ea803e5d135d7149c7bb06b65f2dd0c9530d6c9",
+    "additive-symmetric-6x40-s1001": "b9738d5783d6e59867abc917feeaa6add9e3bbd252f5987d22d7a95c231fe870",
+    "additive-symmetric-12x120-s1002": "8a0f6bd5dcdc8fa1e80cf05f8dbd59211024ba76babe78c821787a6293a9b180",
     "additive-random_rational-3x8-s1005": "7cf5eeb6661775245d90c905ef9359a83b30d306e08cc2e9fb27c5ce1cf94df2",
     "additive-random_rational-6x40-s1006": "c13fa76fc135f08253fc2b00b2ecf85e47a6bb25addfb9f8eb38f6e0b970bdf3",
-    "additive-random_rational-12x120-s1007": "87c7b46df64151b9b50c471010db1dbb125fde4058a7f0ae5f154278757e9e27",
+    "additive-random_rational-12x120-s1007": "72046d58253e24e7a0fbc7bdcd53642e2348c72d50f8d3f57b746363713868a8",
     "budget_additive-symmetric-3x8-s1010": "bb1c314f639869ded5e9cafb3955fe98037c8d365f9f1f0a5698be1a53396d75",
     "budget_additive-symmetric-6x40-s1011": "44798d7a74be5ff232abee7b67df169cab6c751110383f108266d81f2aaad61d",
     "budget_additive-symmetric-12x120-s1012": "b780fcca516059bd687c2d06379be0ad86258628f290e80647d40fc5de859e4d",
@@ -90,11 +90,11 @@ COLD_GOLDEN = {
     "budget_additive-random_rational-6x40-s1016": "d254f829eadb7bbc1408bbef01b0207436eb6b5b5eddb4bc36b35974f3e38a42",
     "budget_additive-random_rational-12x120-s1017": "28a0849e090c55e875a67e8c5794d85a3aaba2f56849a3df9fd179b05cf703ce",
     "coverage-symmetric-3x8-s1020": "d4dfb2f3e535ea64aa8befbb1ea82da8708a2b824734edc5583e118d0e48a12c",
-    "coverage-symmetric-6x40-s1021": "049878c3fb3199a317c3cb50cd49bb1b5eaff4acb129793058ba8d45c2cfbd7b",
-    "coverage-symmetric-12x120-s1022": "f593e08da4388b290596c8ae4f18cf89bd983abaa6db12654df52cb68189bb96",
+    "coverage-symmetric-6x40-s1021": "06fe398b168173c3c961460e6862f895eaf7a583e91c2668c90f77e34c713af5",
+    "coverage-symmetric-12x120-s1022": "d836daaafaa8ef7bd23aad2ae6f1ccea179160e7e880a512c6c0ce2763d218e9",
     "coverage-random_rational-3x8-s1025": "3b579055f7c0d6caf24f658a89dd48b88b4ad8925f973d4022c68de39cbfb473",
-    "coverage-random_rational-6x40-s1026": "b56de40446fa5e9b3f41277c127d187b8ca8267101771b071472cf233552d386",
-    "coverage-random_rational-12x120-s1027": "5f456575e5d2ab1710af07ee455f9758ec4e9561151b09d6aba2952426b29465",
+    "coverage-random_rational-6x40-s1026": "f6af06e3e8a4d6a3a68273daf0ae833d444923c82616d5f5d574f19880c0e139",
+    "coverage-random_rational-12x120-s1027": "b2101ef6bc4c4beb4c4c079affdf9223e6cef7b9f28d4cd58bad95169497a882",
     "partition_matroid_rank-symmetric-3x8-s1030": "f0e4384977dd0286da60f2eaecf0d9e6501894cc191e684bc7afae4bd2b39d48",
     "partition_matroid_rank-symmetric-6x40-s1031": "64ced90601c3e13631f53263279eea6510f2f3c8afb16e4e371cc7a3ee863504",
     "partition_matroid_rank-symmetric-12x120-s1032": "62814df68cc8df671779f82dc6955de4dd8c4f9c570a418b0559d555f84dc0ec",
@@ -144,8 +144,8 @@ def test_golden_digest_from_the_cold_start(case, cold_start):
 # 100x1000 solves, where the swap search and its recheck are most of the time:
 # coverage (no participant saturates) and additive.
 AT_SCALE_GOLDEN = {
-    "coverage-symmetric-100x1000-s1": "e73ff7146ed36c0a8db1238ee0df3e7f877abeacde083f32625caec86fb2a8a7",
-    "additive-symmetric-100x1000-s1": "2308a3ef217e460988af78b54d5986840a0d4ffff6e307dd8244d3815f6a0ad4",
+    "coverage-symmetric-100x1000-s1": "7c5ac7b5ebef0a7f956987669d62f628f4bc4b7a5e508087d41e55d5b2b1ff9d",
+    "additive-symmetric-100x1000-s1": "100926be07b626aea55e6371552fecc403f95f83fc45b9baa90a5bf9130d2067",
 }
 AT_SCALE_CASES = [(family, "symmetric", 100, 1000, 1) for family in ("coverage", "additive")]
 
