@@ -217,7 +217,7 @@ def cmd_solve(args) -> int:
         doc["efx"] = {"allocation": allocation, "log_nsw": _fmt(run.fair_log), "half_efx": True}
         lines.append(f"efx: half-efx ok, log_nsw {_fmt(run.fair_log)}")  # shown only if _require passes
     _require(_checks(run, ratio=args.verify), "solve")
-    _write_files((args.trace, _trace_csv(report)), (args.out, canonical_json(doc)))
+    _write_files((args.trace, _trace_csv(report) if args.trace else ""), (args.out, canonical_json(doc)))
     print("\n".join(lines))
     return 0
 

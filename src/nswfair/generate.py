@@ -19,7 +19,7 @@ __all__ = ["FAMILIES", "WEIGHT_MODES", "random_instance"]
 
 FAMILIES = tuple(cls.kind for cls in EXACT_FAMILIES)
 WEIGHT_MODES = ("symmetric", "random_rational")
-# Largest n * m generated: a coverage instance takes about 433 bytes a cell, so 0.45 GB here.
+# Largest n * m generated: a coverage instance takes about 233 bytes a cell, so 0.23 GB here.
 MAX_CELLS = 10**6
 
 

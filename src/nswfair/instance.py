@@ -166,7 +166,7 @@ def validate(inst: Instance) -> List[str]:
     if inst.n and sum(inst.weights, Fraction(0)) != 1:
         errors.append("weights must sum to exactly 1")
     item_set = set(inst.items)
-    foreign = [agent for agent, v in zip(inst.agents, inst.valuations) if set(v.items) != item_set]
+    foreign = [agent for agent, v in zip(inst.agents, inst.valuations) if v.items != item_set]
     errors.extend(f"valuation domain of agent {agent!r} does not match the item list" for agent in foreign)
     if foreign:  # v(all items) is read only once every domain is the item list
         return errors
@@ -342,7 +342,7 @@ def allocation_from_json(doc: Mapping) -> Allocation:
         if doc.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
         bundles = doc["bundles"].items()
-        return Allocation.of({str(a): [str(j) for j in as_list(b, f"bundle of {a!r}")] for a, b in bundles})
+        return Allocation.of({str(a): [str(j) for j in as_list(b, "bundle of {!r}", a)] for a, b in bundles})
 
 
 def load_allocation(path) -> Allocation:

@@ -205,12 +205,12 @@ class _Gains:
         best = single.max(axis=1).tolist() if self.universe else ()
         self.offset: Dict[str, float] = {a: x for a, x in zip(inst.agents, best) if x > 0.0}
         self.abar: List[str] = list(self.offset)
-        # Each participant's row and each item's position in the bound matrix, and for a screened
-        # table the participants' singleton block and which of their valuations the bounds hold for.
-        self._row_of = {a: r for r, a in enumerate(self.abar)}
-        self._position = {j: k for k, j in enumerate(self.universe)}
+        # A screened table's bound matrix: each participant's row and each item's position in it,
+        # the participants' singleton block and which of their valuations the bounds hold for.
         self.screened = bool(self.abar) and len(self.abar) * len(self.universe) >= instance.SCREEN_MIN_CELLS
         if self.screened:
+            self._row_of = {a: r for r, a in enumerate(self.abar)}
+            self._position = {j: k for k, j in enumerate(self.universe)}
             self._single = single.take([inst.agent_index[a] for a in self.abar], axis=0)
             self._capped = np.array([type(inst.valuation_of(a)) in valuations.EXACT_FAMILIES for a in self.abar])
         held = start or {}
@@ -383,8 +383,9 @@ class _Gains:
         passes the same test."""
         takes, live = self._take, self.live()
         bounds = self.bounds() if live else {}  # also refreshes the bound matrix's stale rows
-        bound, row_of, col = self._bound, self._row_of, self._position
-        cutoff = threshold - TOLERANCE
+        bound, cutoff = self._bound, threshold - TOLERANCE
+        if bound is not None:
+            row_of, col = self._row_of, self._position
         for giver in self.abar:
             takers = [t for t in live if t != giver]
             for item in self.row(giver) if takers else ():
@@ -464,7 +465,9 @@ def verify_local_opt(table: _Gains, eps_bar: float) -> LocalOptCertificate:
     violations: List[Tuple[str, str, str]] = []
     live, per_item = table.live(), len(table.abar) - 1
     bounds = table.bounds() if live else {}
-    bound, at, col = table._bound, table._row_of, table._position
+    bound = table._bound
+    if bound is not None:
+        at, col = table._row_of, table._position
     for giver in table.abar:
         takers = [t for t in live if t != giver]
         for item in table.row(giver):

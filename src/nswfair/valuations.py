@@ -25,7 +25,8 @@ same floats bit for bit (every float is an integer count of 1/q, q the largest
 power-of-two denominator, and int / int rounds correctly): an exact sum of
 item values for the additive pair, and for coverage and the matroid rank, both
 v(S) = sum_e w_e * min(c_e, how many items of S hold e), one count for each
-element of the items a state has met (not for the whole ground set).
+element of the items a state has met (not for the whole ground set), keyed by
+the int id each of the two gives its element or class names at construction.
 
 ``subset_values(v, items)`` tabulates v over every subset of ``items``: the four
 families in closed form from the same counts, others by walking a bundle state.
@@ -34,7 +35,7 @@ families in closed form from the same counts, others by walking a bundle state.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
@@ -59,26 +60,28 @@ __all__ = [
 ]
 
 
-def as_list(value, what: str):
-    """``value``, if a list, tuple or set: a JSON string or object would be read as its characters or keys."""
+def as_list(value, what: str, *args):
+    """``value``, if a list, tuple or set (a JSON string or object would be read as its characters
+    or keys); else a ValueError naming ``what.format(*args)``, formatted only then."""
     if not isinstance(value, (list, tuple, set, frozenset)):
-        raise ValueError(f"{what} must be a list, got {value!r}")
+        raise ValueError(f"{what.format(*args)} must be a list, got {value!r}")
     return value
 
 
-def as_number(value, what: str, integer: bool = False) -> float:
+def as_number(value, what: str, *args, integer: bool = False) -> float:
     """``value``, a number read from an input file, as a finite nonnegative float, integral if
-    ``integer`` is set; else a ValueError naming ``what``. JSON ``true`` and ``"2"`` are not
+    ``integer`` is set; else a ValueError naming ``what.format(*args)``, formatted only then, as
+    each constructor reads one number per item or element. JSON ``true`` and ``"2"`` are not
     numbers, and an integer too large for a float is not finite."""
     if isinstance(value, (bool, str)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
+        raise ValueError(f"{what.format(*args)} must be a number, got {value!r}")
     try:
         x = float(value)
     except OverflowError:
         x = math.inf
     if not math.isfinite(x) or x < 0 or integer and not x.is_integer():
         kind = "integer" if integer else "number"
-        raise ValueError(f"{what} must be a finite nonnegative {kind}, got {value!r}")
+        raise ValueError(f"{what.format(*args)} must be a finite nonnegative {kind}, got {value!r}")
     return x
 
 
@@ -151,9 +154,9 @@ _K = TypeVar("_K")
 def exact_ints(values: Mapping[_K, float]) -> Tuple[Dict[_K, int], int]:
     """Each finite value as an integer count of 1/q, with q the largest denominator (a power
     of two), so int sums are exact and int / q rounds an exact sum correctly, as fsum does."""
-    ratios = {k: x.as_integer_ratio() for k, x in values.items()}
-    q = max((den for _, den in ratios.values()), default=1)
-    return {k: num * (q // den) for k, (num, den) in ratios.items()}, q
+    ratios = [x.as_integer_ratio() for x in values.values()]
+    q = max([den for _, den in ratios], default=1)
+    return dict(zip(values, [num * (q // den) for num, den in ratios])), q
 
 
 class _Sum(Valuation):
@@ -162,7 +165,7 @@ class _Sum(Valuation):
     _cap = math.inf
 
     def __init__(self, values: Mapping[str, float]):
-        self._values = {str(k): as_number(v, f"value of {k!r}") for k, v in values.items()}
+        self._values = {str(k): as_number(v, "value of {!r}", k) for k, v in values.items()}
         self._items = frozenset(self._values)
         self._exact = exact_ints(self._values)
 
@@ -218,32 +221,40 @@ class BudgetAdditive(_Sum):
 
 
 class Coverage(Valuation):
+    """Element names are ids 0, 1, ... in ``element_weights`` order, and an item holds its cover's
+    ids, each once, in increasing order. Names come back only in ``params()`` and errors."""
+
     kind = "coverage"
 
     def __init__(self, covers: Mapping[str, Iterable[str]], element_weights: Mapping[str, float]):
-        self._weights = {str(k): as_number(v, f"weight of element {k!r}") for k, v in element_weights.items()}
-        self._covers: Dict[str, FrozenSet[str]] = {}
+        weights = {str(k): as_number(v, "weight of element {!r}", k) for k, v in element_weights.items()}
+        ids = dict(zip(weights, range(len(weights))))
+        holds: Dict[str, Tuple[int, ...]] = {}
         for item, elems in covers.items():
-            cov = frozenset(str(e) for e in as_list(elems, f"cover of item {item!r}"))
-            missing = cov.difference(self._weights)
-            if missing:
-                raise ValueError(f"item {item!r} covers unweighted elements {sorted(missing)}")
-            self._covers[str(item)] = cov
-        self._items = frozenset(self._covers)
+            names = as_list(elems, "cover of item {!r}", item)
+            try:
+                holds[str(item)] = tuple(sorted({ids[str(e)] for e in names}))
+            except KeyError:
+                missing = {str(e) for e in names}.difference(ids)
+                raise ValueError(f"item {item!r} covers unweighted elements {sorted(missing)}") from None
+        self._items = frozenset(holds)
+        self._names, self._weights = list(weights), list(weights.values())
+        ints, q = exact_ints(weights)
         # Built here: a cached_property writes to __dict__, which slows value()'s attribute reads.
-        self._counts = self._covers, exact_ints(self._weights), dict.fromkeys(self._weights, 1)
+        self._counts = holds, (list(ints.values()), q), [1] * len(weights)
 
     def value(self, bundle: Iterable[str]) -> float:
-        s = self._bundle(bundle)
-        covered: set[str] = set()
-        for j in s:
-            covered |= self._covers[j]
-        return math.fsum(self._weights[e] for e in covered)
+        holds = self._counts[0]
+        covered: set[int] = set()
+        for j in self._bundle(bundle):
+            covered.update(holds[j])
+        return math.fsum(map(self._weights.__getitem__, covered))
 
     def params(self) -> dict:
+        names = self._names
         return {
-            "covers": {k: sorted(v) for k, v in sorted(self._covers.items())},
-            "element_weights": dict(sorted(self._weights.items())),
+            "covers": {j: sorted([names[e] for e in held]) for j, held in sorted(self._counts[0].items())},
+            "element_weights": dict(sorted(zip(names, self._weights))),
         }
 
     def bundle_state(self, bundle: Iterable[str]) -> BundleState:
@@ -251,35 +262,35 @@ class Coverage(Valuation):
 
 
 class PartitionMatroidRank(Valuation):
+    """Class labels are ids 0, 1, ... in ``capacities`` order, and an item holds the one-tuple of
+    its class id, shared by the class's items. Labels come back only in ``params()`` and errors."""
+
     kind = "partition_matroid_rank"
 
     def __init__(self, classes: Mapping[str, str], capacities: Mapping[str, int], scale: float = 1.0):
-        self._classes = {str(k): str(v) for k, v in classes.items()}
-        self._capacities: Dict[str, int] = {}
-        for label, cap in capacities.items():
-            self._capacities[str(label)] = int(as_number(cap, f"capacity of class {label!r}", integer=True))
-        missing = set(self._classes.values()) - self._capacities.keys()
+        classes = {str(k): str(v) for k, v in classes.items()}
+        caps = {str(c): int(as_number(cap, "capacity of class {!r}", c, integer=True)) for c, cap in capacities.items()}
+        missing = set(classes.values()) - caps.keys()
         if missing:
             raise ValueError(f"classes {sorted(missing)} have no capacity")
         self._scale = as_number(scale, "scale")
-        self._items = frozenset(self._classes)
-        one = {label: (label,) for label in self._capacities}  # one tuple per class, shared by its items
-        holds = {j: one[label] for j, label in self._classes.items()}
-        self._counts = holds, exact_ints(dict.fromkeys(self._capacities, self._scale)), self._capacities
+        self._items = frozenset(classes)
+        self._labels = list(caps)
+        one = {label: (c,) for c, label in enumerate(caps)}
+        holds = {j: one[label] for j, label in classes.items()}
+        ints, q = exact_ints(dict.fromkeys(caps, self._scale))
+        self._counts = holds, (list(ints.values()), q), list(caps.values())
 
     def value(self, bundle: Iterable[str]) -> float:
-        s = self._bundle(bundle)
-        filled: Dict[str, int] = {}
-        for j in s:
-            label = self._classes[j]
-            filled[label] = filled.get(label, 0) + 1
-        rank = sum(min(self._capacities[label], count) for label, count in filled.items())
-        return self._scale * float(rank)
+        holds, _, caps = self._counts
+        filled = Counter(map(holds.__getitem__, self._bundle(bundle)))
+        return self._scale * float(sum(min(caps[c], count) for (c,), count in filled.items()))
 
     def params(self) -> dict:
+        holds, _, caps = self._counts
         return {
-            "classes": dict(sorted(self._classes.items())),
-            "capacities": dict(sorted(self._capacities.items())),
+            "classes": {j: self._labels[c] for j, (c,) in sorted(holds.items())},
+            "capacities": dict(sorted(zip(self._labels, caps))),
             "scale": self._scale,
         }
 
@@ -289,14 +300,15 @@ class PartitionMatroidRank(Valuation):
 
 class _CountState(BundleState):
     """v(R) = sum_e w_e * min(c_e, how many items of R hold e) as an exact int, from the
-    valuation's ``_counts``: the elements each item holds, the weights as :func:`exact_ints`
-    and the capacities c_e. Coverage caps each element at 1; the rank has one element per class.
-    Counts start empty and an element's is made, at 0, when first read: a state counts only the
-    elements of items it has held or been asked about, so building one costs its bundle's size."""
+    valuation's ``_counts``: the element ids each item holds, and the weights as
+    :func:`exact_ints` and the capacities c_e, both indexed by id. Coverage caps each element
+    at 1; the rank has one element per class. Counts are kept per element id and start empty;
+    an element's is made, at 0, when first read: a state counts only the elements of items it
+    has held or been asked about, so building one costs its bundle's size."""
 
     def __init__(self, v: Valuation, bundle: Iterable[str]):
         self._holds, (self._ints, self._q), self._caps = v._counts
-        self._count: Dict[str, int] = defaultdict(int)
+        self._count: Dict[int, int] = defaultdict(int)
         self._total = 0
         super().__init__(v, bundle)
 
@@ -357,7 +369,7 @@ class ExplicitTable(Valuation):
             raise ValueError(f"explicit tables support at most {self.MAX_ITEMS} items, got {m}")
         if len(values) != 1 << m:
             raise ValueError(f"table must have 2^{m} = {1 << m} entries, got {len(values)}")
-        vals = np.asarray([as_number(v, f"table entry {k}") for k, v in enumerate(values)], dtype=float)
+        vals = np.asarray([as_number(v, "table entry {}", k) for k, v in enumerate(values)], dtype=float)
         if vals[0] != 0.0:
             raise ValueError("the empty set must have value 0")
         slack = self.SUBMODULAR_SLACK * max(1.0, float(vals.max()))
@@ -458,7 +470,7 @@ def _exact_table(v: Valuation, items: Sequence[str]) -> Optional[np.ndarray]:
         steps, capped = [ints[j] for j in items], []
     else:
         holds, (ints, q), caps = v._counts
-        holders: Dict[str, int] = defaultdict(int)
+        holders: Dict[int, int] = defaultdict(int)
         for t, j in enumerate(items):
             for e in holds[j]:
                 holders[e] |= 1 << t

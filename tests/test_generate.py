@@ -72,3 +72,20 @@ def test_sizes_beyond_the_limit_are_refused_before_any_allocation(n, m):
         assert tracemalloc.get_traced_memory()[1] < 100_000
     finally:
         tracemalloc.stop()
+
+
+# tracemalloc peak of random_instance(family, 20, 200, 1), in bytes a cell, with a margin: coverage
+# and the matroid rank key their tables by element and class ids (202 and 86 bytes a cell on
+# CPython 3.11), where name-keyed sets and dicts took 478 and 117.
+BYTES_A_CELL = {"coverage": 300, "partition_matroid_rank": 100}
+
+
+@pytest.mark.parametrize("family", sorted(BYTES_A_CELL))
+def test_generated_tables_stay_compact(family):
+    tracemalloc.start()
+    try:
+        inst = random_instance(family, 20, 200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.m == 200 and peak < BYTES_A_CELL[family] * 20 * 200

@@ -1,5 +1,6 @@
 """Instance model: welfare objective, validation, completion, serialization."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -163,6 +164,56 @@ def test_instance_round_trip(tmp_path, e1):
             assert back.valuation_of(agent).value(bundle) == e1.valuation_of(agent).value(bundle)
     # canonical serialization is stable byte for byte
     assert canonical_json(instance_to_json(back)) == canonical_json(instance_to_json(e1))
+
+
+def _instance_digest(inst: Instance) -> str:
+    return hashlib.sha256(canonical_json(instance_to_json(inst)).encode()).hexdigest()
+
+
+# SHA-256 of canonical_json(instance_to_json(random_instance(family, 6, 40, 1, mode))), frozen
+# before the coverage and matroid tables were keyed by element and class ids: an instance file
+# holds names only, so it must not change with how a valuation stores them.
+INSTANCE_GOLDEN = {
+    ("additive", "symmetric"): "c116effcefedab85de5ca78d3018eaccddf9c5099f15c158784e934c9006985b",
+    ("additive", "random_rational"): "32a7847d15234d15f71f2d2157eaf5f08b094e7659ba45a75e9cab62265d10d8",
+    ("budget_additive", "symmetric"): "875d267bf7863622e130584fc2b76df3935de67dff8dd30582799b8773e1e837",
+    ("budget_additive", "random_rational"): "f0243aaf9b209daf04990ead3935e9f2b780c854c8d4541a1c2572c85ffaba99",
+    ("coverage", "symmetric"): "a5a40033dc2cfbd24b90807b5f70b7dcf1d42c13a04c8d255f7977625618c79f",
+    ("coverage", "random_rational"): "7a5a3d63d8f122f71b6ce117a0b5e9dc64278dd438199906373252302dbbdf8c",
+    ("partition_matroid_rank", "symmetric"): "f810269099bf421a8d94604d290a22418cef499eaddff0d4f82866f47346f7bb",
+    ("partition_matroid_rank", "random_rational"): "a8ef466bbfb294bc45f004ee3c9b19ad0bb72783d3bbd88c1f21dec14122f1d1",
+}
+
+
+@pytest.mark.parametrize("family, mode", sorted(INSTANCE_GOLDEN))
+def test_generated_instance_bytes_match_the_frozen_digest(family, mode):
+    inst = random_instance(family, 6, 40, 1, mode)
+    assert _instance_digest(inst) == INSTANCE_GOLDEN[family, mode]
+    assert _instance_digest(instance_from_json(instance_to_json(inst))) == INSTANCE_GOLDEN[family, mode]
+
+
+def test_hand_built_coverage_and_matroid_bytes_match_the_frozen_digest():
+    # An empty cover, a repeated element, an element no item holds, an unused class, and element
+    # and class names whose string order differs from the order they are listed in.
+    items = ("g0", "g1", "g2", "g3", "g4")
+    coverage = Coverage(
+        {"g0": [], "g1": ["e10", "e2", "e10"], "g2": ["e2", "b"], "g3": ["z", "a", "e10"], "g4": ("b",)},
+        {"z": 3, "e10": 1.5, "e2": 2, "a": 0, "b": 5, "unused": 7},
+    )
+    matroid = PartitionMatroidRank(
+        {"g0": "k2", "g1": "k10", "g2": "k2", "g3": "k10", "g4": "a"},
+        {"k2": 1, "k10": 2, "unused": 3, "a": 1},
+        scale=2.5,
+    )
+    inst = Instance(("b", "a"), (Fraction(1, 3), Fraction(2, 3)), items, (coverage, matroid))
+    golden = "423ac31e3e0c892461c4bde51fac6e6dffa7fe7e8bce4574edd6cc7cdf262c89"
+    assert _instance_digest(inst) == golden
+    back = instance_from_json(json.loads(canonical_json(instance_to_json(inst))))
+    assert _instance_digest(back) == golden
+    for v in (coverage, back.valuations[0]):
+        assert [v.value(s) for s in ([], ["g0"], ["g1"], ["g1", "g2"], items)] == [0.0, 0.0, 3.5, 8.5, 11.5]
+    for v in (matroid, back.valuations[1]):
+        assert [v.value(s) for s in ([], ["g1"], ["g1", "g3"], ["g0", "g2"], items)] == [0.0, 2.5, 5.0, 2.5, 10.0]
 
 
 def test_instance_format_version_enforced(e1):
